@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .epq import Network, Queue, net_canon, rename_key
+from .epq import Network, QSel, Queue, map_cont, net_canon, rename_key
 from .netsem import (
     BcIn,
     BcOut,
@@ -392,14 +392,10 @@ def drop_receiver(net: Network, owner: str) -> Network:
 
 def swap_select_label(net: Network, new_label: str) -> Network:
     """Mis-projection: rename the first selection's label at the sender."""
-    from .epq import QSel
-
     def fix(proc):
         if isinstance(proc, QSel):
             return replace(proc, label=new_label)
-        if hasattr(proc, "cont"):
-            return replace(proc, cont=fix(proc.cont))
-        return proc
+        return map_cont(proc, fix)
 
     comps = []
     done = False

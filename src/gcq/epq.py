@@ -16,24 +16,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .syntax import (
-    Binop,
     Expr,
-    Lit,
-    NoneE,
     NoneV,
     OptValue,
     Quality,
     Role,
-    SomeE,
     SomeV,
-    Unop,
     Var,
     Q_ALL,
     Q_ANY,
+    map_vars,
     q_ratio,
+    value_expr,
 )
 from .parser import ParseError, Token, tokenize, print_expr, _TOKEN_RE as _TOKEN_ANY
 
@@ -281,94 +278,75 @@ class Network:
 # Names, renaming, substitution
 
 
-def proc_free_names(p: Proc) -> frozenset[str]:
-    """Free session keys and service names of a process."""
+KEY_BINDERS = (Request, AcceptOnce, AcceptRepl)  # bind ``key`` in ``cont``
+VAR_BINDERS = (InP, QIn, WaitIn)                 # bind ``var`` in ``cont``
+
+
+def proc_conts(p: Proc) -> tuple[Proc, ...]:
+    """The direct continuations of a process: ``cont``, both branches of a
+    conditional, or the arms of a branching in label order."""
     match p:
         case Inact():
-            return frozenset()
-        case Request(svc, _, key, cont) | AcceptOnce(svc, _, key, cont) | AcceptRepl(svc, _, key, cont):
-            return frozenset({svc}) | (proc_free_names(cont) - {key})
-        case QOut(key, _, _, _, _, cont) | OutP(key, _, _, _, cont) | QSel(key, _, _, _, _, cont):
-            return frozenset({key}) | proc_free_names(cont)
-        case InP(key, _, _, _, cont) | WaitOut(key, _, _, cont):
-            return frozenset({key}) | proc_free_names(cont)
-        case QIn(key, _, _, _, _, _, cont) | WaitIn(key, _, _, _, _, cont):
-            return frozenset({key}) | proc_free_names(cont)
-        case Branch(key, _, _, branches):
-            out = frozenset({key})
-            for _, cont in branches:
-                out |= proc_free_names(cont)
-            return out
+            return ()
+        case Branch(_, _, _, branches):
+            return tuple(c for _, c in branches)
         case IfP(_, then, orelse):
-            return proc_free_names(then) | proc_free_names(orelse)
+            return (then, orelse)
+        case (Request() | AcceptOnce() | AcceptRepl() | QOut() | InP() | OutP() | QIn()
+              | QSel() | WaitOut() | WaitIn()):
+            return (p.cont,)
     raise TypeError(f"not a process: {p!r}")
+
+
+def map_cont(p: Proc, f: Callable[[Proc], Proc], **fields) -> Proc:
+    """``p`` with ``f`` applied to each direct continuation, in the order of
+    :func:`proc_conts`, and with ``fields`` replaced."""
+    match p:
+        case Inact():
+            return p
+        case Branch(_, _, _, branches):
+            return replace(p, branches=tuple((l, f(c)) for l, c in branches), **fields)
+        case IfP(_, then, orelse):
+            return replace(p, then=f(then), orelse=f(orelse), **fields)
+    return replace(p, cont=f(p.cont), **fields)
+
+
+def proc_free_names(p: Proc) -> frozenset[str]:
+    """Free session keys and service names of a process."""
+    if isinstance(p, KEY_BINDERS):
+        return frozenset({p.svc}) | (proc_free_names(p.cont) - {p.key})
+    out = frozenset({p.key}) if hasattr(p, "key") else frozenset()
+    for c in proc_conts(p):
+        out |= proc_free_names(c)
+    return out
 
 
 def rename_key(p: Proc, old: str, new: str) -> Proc:
     """Substitute a free session name (capture by binders stops the walk)."""
-    if old == new:
+    if old == new or isinstance(p, KEY_BINDERS) and p.key == old:
         return p
-    match p:
-        case Inact():
-            return p
-        case Request(_, _, key, cont) | AcceptOnce(_, _, key, cont) | AcceptRepl(_, _, key, cont):
-            if key == old:
-                return p
-            return replace(p, cont=rename_key(cont, old, new))
-        case QOut() | OutP() | QSel() | InP() | WaitOut() | QIn() | WaitIn():
-            out = replace(p, cont=rename_key(p.cont, old, new))
-            if p.key == old:
-                out = replace(out, key=new)
-            return out
-        case Branch(key, receiver, sender, branches):
-            return Branch(new if key == old else key, receiver, sender,
-                          tuple((l, rename_key(c, old, new)) for l, c in branches))
-        case IfP(expr, then, orelse):
-            return IfP(expr, rename_key(then, old, new), rename_key(orelse, old, new))
-    raise TypeError(f"not a process: {p!r}")
+    fields = {"key": new} if getattr(p, "key", None) == old else {}
+    return map_cont(p, lambda c: rename_key(c, old, new), **fields)
+
+
+def _subst(p: Proc, var: str, e: Expr) -> Proc:
+    """Substitute an expression for a free variable (binders stop the walk)."""
+    if isinstance(p, VAR_BINDERS) and p.var == var:
+        return p
+    fields = {}
+    if isinstance(p, (QOut, OutP, IfP)):
+        fields["expr"] = map_vars(p.expr, lambda x: e if x == var else Var(x))
+    return map_cont(p, lambda c: _subst(c, var, e), **fields)
 
 
 def subst_var(p: Proc, var: str, value: OptValue) -> Proc:
     """Substitute an optional value for a free variable in a process."""
+    return _subst(p, var, value_expr(value))
 
-    def se(e: Expr) -> Expr:
-        match e:
-            case Var(name) if name == var:
-                return NoneE() if isinstance(value, NoneV) else SomeE(Lit(value.value))
-            case SomeE(inner):
-                return SomeE(se(inner))
-            case Unop(op, operand):
-                return Unop(op, se(operand))
-            case Binop(op, l, r):
-                return Binop(op, se(l), se(r))
-            case _:
-                return e
 
-    match p:
-        case Inact():
-            return p
-        case Request() | AcceptOnce() | AcceptRepl() | WaitOut():
-            return replace(p, cont=subst_var(p.cont, var, value))
-        case InP():
-            if p.var == var:
-                return p
-            return replace(p, cont=subst_var(p.cont, var, value))
-        case QIn() | WaitIn():
-            if p.var == var:
-                return p
-            return replace(p, cont=subst_var(p.cont, var, value))
-        case QOut():
-            return replace(p, expr=se(p.expr), cont=subst_var(p.cont, var, value))
-        case OutP():
-            return replace(p, expr=se(p.expr), cont=subst_var(p.cont, var, value))
-        case QSel():
-            return replace(p, cont=subst_var(p.cont, var, value))
-        case Branch(key, receiver, sender, branches):
-            return Branch(key, receiver, sender,
-                          tuple((l, subst_var(c, var, value)) for l, c in branches))
-        case IfP(expr, then, orelse):
-            return IfP(se(expr), subst_var(then, var, value), subst_var(orelse, var, value))
-    raise TypeError(f"not a process: {p!r}")
+def rename_var(p: Proc, old: str, new: str) -> Proc:
+    """Rename a free variable of a process."""
+    return _subst(p, old, Var(new))
 
 
 # ---------------------------------------------------------------------------
@@ -378,62 +356,28 @@ _BOUND = "κ"  # canonical bound-name prefix
 
 
 def proc_canon(p: Proc, env: Optional[dict] = None, counter: Optional[list] = None) -> Proc:
-    """Rename bound session keys and variables to canonical names."""
+    """Rename bound session keys and variables to canonical names.
+
+    Fresh names are numbered in walk order: a binder before its
+    continuation, and continuations in the order of :func:`proc_conts`.
+    """
     env = env or {}
     counter = counter or [0]
-
-    def fresh() -> str:
+    inner = env
+    fields = {}
+    if isinstance(p, KEY_BINDERS):
         counter[0] += 1
-        return f"{_BOUND}{counter[0]}"
-
-    def ce(e: Expr) -> Expr:
-        match e:
-            case Var(name):
-                return Var(env.get(("v", name), name))
-            case SomeE(inner):
-                return SomeE(ce(inner))
-            case Unop(op, operand):
-                return Unop(op, ce(operand))
-            case Binop(op, l, r):
-                return Binop(op, ce(l), ce(r))
-            case _:
-                return e
-
-    def ckey(k: str) -> str:
-        return env.get(("k", k), k)
-
-    match p:
-        case Inact():
-            return p
-        case Request() | AcceptOnce() | AcceptRepl():
-            env2 = dict(env)
-            nm = fresh()
-            env2[("k", p.key)] = nm
-            return replace(p, key=nm, cont=proc_canon(p.cont, env2, counter))
-        case InP() | QIn():
-            env2 = dict(env)
-            nm = fresh()
-            env2[("v", p.var)] = nm
-            return replace(p, key=ckey(p.key), var=nm, cont=proc_canon(p.cont, env2, counter))
-        case WaitIn():
-            env2 = dict(env)
-            nm = fresh()
-            env2[("v", p.var)] = nm
-            return replace(p, key=ckey(p.key), var=nm, cont=proc_canon(p.cont, env2, counter))
-        case QOut():
-            return replace(p, key=ckey(p.key), expr=ce(p.expr),
-                           cont=proc_canon(p.cont, env, counter))
-        case OutP():
-            return replace(p, key=ckey(p.key), expr=ce(p.expr),
-                           cont=proc_canon(p.cont, env, counter))
-        case QSel() | WaitOut():
-            return replace(p, key=ckey(p.key), cont=proc_canon(p.cont, env, counter))
-        case Branch(key, receiver, sender, branches):
-            return Branch(ckey(key), receiver, sender,
-                          tuple((l, proc_canon(c, env, counter)) for l, c in branches))
-        case IfP(expr, then, orelse):
-            return IfP(ce(expr), proc_canon(then, env, counter), proc_canon(orelse, env, counter))
-    raise TypeError(f"not a process: {p!r}")
+        fields["key"] = f"{_BOUND}{counter[0]}"
+        inner = {**env, ("k", p.key): fields["key"]}
+    elif hasattr(p, "key"):
+        fields["key"] = env.get(("k", p.key), p.key)
+    if isinstance(p, VAR_BINDERS):
+        counter[0] += 1
+        fields["var"] = f"{_BOUND}{counter[0]}"
+        inner = {**env, ("v", p.var): fields["var"]}
+    if isinstance(p, (QOut, OutP, IfP)):
+        fields["expr"] = map_vars(p.expr, lambda x: Var(env.get(("v", x), x)))
+    return map_cont(p, lambda c: proc_canon(c, inner, counter), **fields)
 
 
 def queue_canon_msgs(msgs: tuple[Msg, ...]) -> tuple[Msg, ...]:
@@ -520,26 +464,10 @@ def _component_key(c: Component):
 
 
 def _occ_order(p: Proc) -> list[str]:
-    out: list[str] = []
-
-    def walk(q: Proc):
-        match q:
-            case Inact():
-                return
-            case Branch(key, _, _, branches):
-                out.append(key)
-                for _, c in branches:
-                    walk(c)
-            case IfP(_, then, orelse):
-                walk(then)
-                walk(orelse)
-            case Request() | AcceptOnce() | AcceptRepl():
-                walk(q.cont)
-            case _:
-                out.append(q.key)
-                walk(q.cont)
-
-    walk(p)
+    """The session keys a process acts on, in walk order (binders add none)."""
+    out = [] if isinstance(p, KEY_BINDERS) or not hasattr(p, "key") else [p.key]
+    for c in proc_conts(p):
+        out += _occ_order(c)
     return out
 
 

@@ -39,6 +39,7 @@ from .epq import (
     net_canon,
     proc_free_names,
     rename_key,
+    rename_var,
 )
 from .captypes import Failure, Report
 from .semantics import split_prenex
@@ -246,13 +247,13 @@ def merge(p: Proc, q: Proc, path: str = "") -> Proc:
         case InP(key, receiver, sender, var, cont):
             if (key, receiver, sender) != (q.key, q.receiver, q.sender):
                 raise NotMergeable(path, "different inputs")
-            qc = q.cont if q.var == var else _rename_var(q.cont, q.var, var)
+            qc = q.cont if q.var == var else rename_var(q.cont, q.var, var)
             return replace(p, cont=merge(cont, qc, path + "/in"))
         case QIn(key, senders, receiver, quality, var, op, cont):
             if (key, senders, receiver, quality, op) != (q.key, q.senders, q.receiver,
                                                          q.quality, q.op):
                 raise NotMergeable(path, "different collective inputs")
-            qc = q.cont if q.var == var else _rename_var(q.cont, q.var, var)
+            qc = q.cont if q.var == var else rename_var(q.cont, q.var, var)
             return replace(p, cont=merge(cont, qc, path + "/in"))
         case QSel(key, sender, receivers, quality, label, cont):
             if (key, sender, receivers, quality, label) != (q.key, q.sender, q.receivers,
@@ -266,7 +267,7 @@ def merge(p: Proc, q: Proc, path: str = "") -> Proc:
         case WaitIn(key, senders, receiver, op, var, cont):
             if (key, senders, receiver, op) != (q.key, q.senders, q.receiver, q.op):
                 raise NotMergeable(path, "different wait states")
-            qc = q.cont if q.var == var else _rename_var(q.cont, q.var, var)
+            qc = q.cont if q.var == var else rename_var(q.cont, q.var, var)
             return replace(p, cont=merge(cont, qc, path + "/wait"))
         case IfP(expr, then, orelse):
             if expr != q.expr:
@@ -274,40 +275,6 @@ def merge(p: Proc, q: Proc, path: str = "") -> Proc:
             return IfP(expr, merge(then, q.then, path + "/then"),
                        merge(orelse, q.orelse, path + "/else"))
     raise TypeError(f"not a process: {p!r}")
-
-
-def _rename_var(p: Proc, old: str, new: str) -> Proc:
-    from .syntax import Var, SomeE, Binop, Unop
-
-    def re_expr(e):
-        match e:
-            case Var(name) if name == old:
-                return Var(new)
-            case SomeE(inner):
-                return SomeE(re_expr(inner))
-            case Unop(op, operand):
-                return Unop(op, re_expr(operand))
-            case Binop(op, l, r):
-                return Binop(op, re_expr(l), re_expr(r))
-            case _:
-                return e
-
-    match p:
-        case Inact():
-            return p
-        case Branch(key, receiver, sender, branches):
-            return Branch(key, receiver, sender,
-                          tuple((l, _rename_var(c, old, new)) for l, c in branches))
-        case IfP(expr, then, orelse):
-            return IfP(re_expr(expr), _rename_var(then, old, new), _rename_var(orelse, old, new))
-        case InP() | QIn() | WaitIn():
-            if p.var == old:
-                return p
-            return replace(p, cont=_rename_var(p.cont, old, new))
-        case QOut() | OutP():
-            return replace(p, expr=re_expr(p.expr), cont=_rename_var(p.cont, old, new))
-        case _:
-            return replace(p, cont=_rename_var(p.cont, old, new))
 
 
 def mergeable(p: Proc, q: Proc) -> bool:

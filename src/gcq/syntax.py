@@ -15,7 +15,7 @@ concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Thread = str
 Role = str
@@ -204,6 +204,26 @@ def expr_vars(e: Expr) -> frozenset[VarName]:
             return expr_vars(left) | expr_vars(right)
         case _:
             return frozenset()
+
+
+def map_vars(e: Expr, f: Callable[[VarName], Expr]) -> Expr:
+    """``e`` with each variable ``Var(x)`` replaced by ``f(x)``."""
+    match e:
+        case Var(name):
+            return f(name)
+        case SomeE(inner):
+            return SomeE(map_vars(inner, f))
+        case Unop(op, operand):
+            return Unop(op, map_vars(operand, f))
+        case Binop(op, left, right):
+            return Binop(op, map_vars(left, f), map_vars(right, f))
+        case _:
+            return e
+
+
+def value_expr(w: OptValue) -> Expr:
+    """The expression denoting an optional value: ``none`` or ``some(v)``."""
+    return NoneE() if isinstance(w, NoneV) else SomeE(Lit(w.value))
 
 
 def eval_expr(e: Expr, env: Mapping[VarName, OptValue] | None = None) -> OptValue:
@@ -632,23 +652,11 @@ Theta = Mapping[tuple[VarName, Thread], OptValue]
 
 
 def _subst_expr(e: Expr, at: Thread, theta: Theta) -> Expr:
-    match e:
-        case Var(name):
-            w = theta.get((name, at))
-            if w is None:
-                return e
-            if isinstance(w, NoneV):
-                return NoneE()
-            v = w.value
-            return SomeE(Lit(v))
-        case SomeE(inner):
-            return SomeE(_subst_expr(inner, at, theta))
-        case Unop(op, operand):
-            return Unop(op, _subst_expr(operand, at, theta))
-        case Binop(op, left, right):
-            return Binop(op, _subst_expr(left, at, theta), _subst_expr(right, at, theta))
-        case _:
-            return e
+    def sub(name: VarName) -> Expr:
+        w = theta.get((name, at))
+        return Var(name) if w is None else value_expr(w)
+
+    return map_vars(e, sub)
 
 
 def substitute(c: Choreography, theta: Theta) -> Choreography:
@@ -709,17 +717,7 @@ def alpha_canonical(c: Choreography) -> Choreography:
         return f"{_CANON_PREFIX}{counter[0]}"
 
     def ren_expr(e: Expr, at: Thread, env: dict) -> Expr:
-        match e:
-            case Var(name):
-                return Var(env.get(("v", name, at), name))
-            case SomeE(inner):
-                return SomeE(ren_expr(inner, at, env))
-            case Unop(op, operand):
-                return Unop(op, ren_expr(operand, at, env))
-            case Binop(op, left, right):
-                return Binop(op, ren_expr(left, at, env), ren_expr(right, at, env))
-            case _:
-                return e
+        return map_vars(e, lambda name: Var(env.get(("v", name, at), name)))
 
     def ren_thread(t: Thread, env: dict) -> Thread:
         return env.get(("t", t), t)
