@@ -21,6 +21,7 @@ from .gtypes import GammaEnv, check_session_only
 from .parser import ParseError, parse
 from .projection import check_linearity, epp
 from .semantics import ALWAYS, Configuration, run
+from .syntax import free_names
 
 EXIT_PASS = 0
 EXIT_REJECT = 1
@@ -178,6 +179,10 @@ def cmd_cosim(args) -> int:
     print(json.dumps(verdict.to_json(), sort_keys=True))
     if args.xml:
         Path(args.xml).write_text(_junit_xml("cosim", verdict), encoding="utf-8")
+    return _verdict_exit(verdict)
+
+
+def _verdict_exit(verdict) -> int:
     if verdict.passed:
         return EXIT_PASS
     return EXIT_INCONCLUSIVE if verdict.status == "BudgetExceeded" else EXIT_REJECT
@@ -189,12 +194,11 @@ def cmd_availability(args) -> int:
     if args.schedule:
         oracles.append(_oracle_from_args(args))
     else:
-        threads = sorted(__import__("gcq.syntax", fromlist=["free_names"])
-                         .free_names(prog.chor).threads)
+        threads = sorted(free_names(prog.chor).threads)
         oracles.extend(schedule.TolerantFailure(t) for t in threads)
     verdict = correspond.availability_check(prog.chor, oracles, bound=args.bound)
     print(json.dumps(verdict.to_json(), sort_keys=True))
-    return EXIT_PASS if verdict.passed else EXIT_REJECT
+    return _verdict_exit(verdict)
 
 
 def build_parser() -> argparse.ArgumentParser:

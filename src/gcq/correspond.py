@@ -43,6 +43,7 @@ from .syntax import (
     GReduceL,
     GSelectL,
     GTau,
+    stable_repr,
 )
 
 
@@ -199,11 +200,6 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
     return results
 
 
-def fire_group(net: Network, glabel: GLabel, oracle=ALWAYS) -> list[Network]:
-    """Networks reached by firing exactly the endpoint group of one label."""
-    return fire_labels(net, [glabel], oracle=oracle)
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 
@@ -260,7 +256,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
         for glabel, conf2 in gsteps:
             target = _project_runtime(conf2)
             matched = None
-            for net2 in fire_group(net, glabel):
+            for net2 in fire_labels(net, [glabel]):
                 try:
                     if prunes(target, net2, prune_depth):
                         matched = net2
@@ -270,8 +266,8 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
             if matched is None:
                 return Verdict(
                     "CounterexampleFound",
-                    f"soundness: global step {glabel} at depth {depth} has no realizing "
-                    f"endpoint group", explored)
+                    f"soundness: global step {stable_repr(glabel)} at depth {depth} has no "
+                    f"realizing endpoint group", explored)
             key = _pair_key(conf2, matched)
             if key not in seen:
                 seen.add(key)
@@ -357,6 +353,7 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
         return Verdict("Pass", "projection is inert", 1)
     oracles = oracles or [ALWAYS]
     explored = 0
+    cut_under = None  # first oracle whose search the bound cut short
     for oracle in oracles:
         frontier = deque([(start, 0)])
         seen = {repr(net_canon(start))}
@@ -368,16 +365,21 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
                 if not is_quiescent(net):
                     return Verdict(
                         "StuckNetworkFound",
-                        f"stuck non-quiescent network at depth {depth} under {oracle!r}",
-                        explored)
-                continue
-            if depth >= bound:
+                        f"stuck non-quiescent network at depth {depth} under "
+                        f"{stable_repr(oracle)}", explored)
                 continue
             for _, succ in options:
                 key = repr(net_canon(succ))
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append((succ, depth + 1))
+                if key in seen:
+                    continue
+                if depth >= bound:
+                    cut_under = cut_under or oracle
+                    break
+                seen.add(key)
+                frontier.append((succ, depth + 1))
+    if cut_under is not None:
+        return Verdict("BudgetExceeded", f"exploration stopped at depth {bound} under "
+                                         f"{stable_repr(cut_under)}", explored)
     return Verdict("Pass", "", explored)
 
 
@@ -391,7 +393,8 @@ def drop_receiver(net: Network, owner: str) -> Network:
 
 
 def swap_select_label(net: Network, new_label: str) -> Network:
-    """Mis-projection: rename the first selection's label at the sender."""
+    """Mis-projection: in the first process that selects, rename the label of
+    the first selection on each path."""
     def fix(proc):
         if isinstance(proc, QSel):
             return replace(proc, label=new_label)

@@ -380,17 +380,24 @@ def proc_canon(p: Proc, env: Optional[dict] = None, counter: Optional[list] = No
     return map_cont(p, lambda c: proc_canon(c, inner, counter), **fields)
 
 
+def reachable_msgs(msgs: tuple[Msg, ...]) -> list[int]:
+    """Indices of messages that congruence can commute to the queue's head."""
+    return [i for i in range(len(msgs))
+            if all(msgs_commute(msgs[j], msgs[i]) for j in range(i))]
+
+
 def queue_canon_msgs(msgs: tuple[Msg, ...]) -> tuple[Msg, ...]:
-    """Stable normal form under the commutation rules (bubble to key order)."""
-    out = list(msgs)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            a, b = out[i], out[i + 1]
-            if msgs_commute(a, b) and _msg_key(b) < _msg_key(a):
-                out[i], out[i + 1] = b, a
-                changed = True
+    """Lexicographic normal form of the queue's trace under the commutation
+    rules: repeatedly take the least message, by key, that can reach the head.
+
+    Greedy adjacent swaps can stop at a local minimum; this cannot, so
+    congruent queues get the same form (Anisimov & Knuth 1979).
+    """
+    rest = list(msgs)
+    out = []
+    while rest:
+        i = min(reachable_msgs(rest), key=lambda i: _msg_key(rest[i]))
+        out.append(rest.pop(i))
     return tuple(out)
 
 
@@ -450,13 +457,9 @@ def net_canon(net: Network) -> Network:
         (Component(rename_proc(c.proc), c.owner, c.service) for c in comps_sorted),
         key=_component_key))
     final_queues = tuple(sorted(
-        (Queue(ren.get(k, k), _rename_msgs(m, ren)) for k, m in live_queues.items()),
+        (Queue(ren.get(k, k), m) for k, m in live_queues.items()),
         key=lambda q: q.key))
     return Network(final_comps, final_queues, frozenset(ren.values()))
-
-
-def _rename_msgs(msgs: tuple[Msg, ...], ren: dict) -> tuple[Msg, ...]:
-    return msgs  # messages carry roles and values, never session names
 
 
 def _component_key(c: Component):

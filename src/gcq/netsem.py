@@ -38,9 +38,9 @@ from .epq import (
     Request,
     WaitIn,
     WaitOut,
-    msgs_commute,
     net_canon,
     proc_free_names,
+    reachable_msgs,
     rename_key,
     subst_var,
 )
@@ -56,6 +56,7 @@ from .syntax import (
     eval_quality,
     fresh_name,
     opt_to_json,
+    stable_repr,
 )
 
 # ---------------------------------------------------------------------------
@@ -177,15 +178,6 @@ def elabel_to_json(step: int, lab: ELabel) -> dict:
 # Queue access modulo commutation
 
 
-def reachable_msgs(queue: Queue) -> list[int]:
-    """Indices of messages that congruence can commute to the queue's head."""
-    out = []
-    for i in range(len(queue.msgs)):
-        if all(msgs_commute(queue.msgs[j], queue.msgs[i]) for j in range(i)):
-            out.append(i)
-    return out
-
-
 def _pop(queue: Queue, idx: int) -> Queue:
     return Queue(queue.key, queue.msgs[:idx] + queue.msgs[idx + 1:])
 
@@ -234,9 +226,7 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
     found: dict = {}
 
     def emit(label: ELabel, succ: Network):
-        key = (label, repr(net_canon(succ)))
-        if key not in found:
-            found[key] = (label, succ)
+        found.setdefault((label, net_canon(succ)), (label, succ))
 
     def allowed(comp: Component, session: str, msg: Msg, role: Role) -> bool:
         if comp.owner is None:
@@ -257,7 +247,7 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
     _sync_steps(net, emit, allowed)
     _wait_steps(net, emit)
     _if_steps(net, emit)
-    return sorted(found.values(), key=lambda kv: (repr(kv[0]), repr(net_canon(kv[1]))))
+    return [found[key] for key in sorted(found, key=stable_repr)]
 
 
 def _init_steps(net: Network, emit):
@@ -341,7 +331,7 @@ def _sync_steps(net: Network, emit, allowed):
                 queue = net.queue_for(key)
                 if queue is None:
                     continue
-                for idx in reachable_msgs(queue):
+                for idx in reachable_msgs(queue.msgs):
                     msg = queue.msgs[idx]
                     if not isinstance(msg, OutMsg) or msg.sender != sender:
                         continue
@@ -362,7 +352,7 @@ def _sync_steps(net: Network, emit, allowed):
                 queue = net.queue_for(key)
                 if queue is None:
                     continue
-                for idx in reachable_msgs(queue):
+                for idx in reachable_msgs(queue.msgs):
                     msg = queue.msgs[idx]
                     if not isinstance(msg, InMsg) or msg.receiver != receiver:
                         continue
@@ -384,7 +374,7 @@ def _sync_steps(net: Network, emit, allowed):
                 queue = net.queue_for(key)
                 if queue is None:
                     continue
-                for idx in reachable_msgs(queue):
+                for idx in reachable_msgs(queue.msgs):
                     msg = queue.msgs[idx]
                     if not isinstance(msg, OutMsg) or msg.sender != sender:
                         continue
@@ -413,7 +403,7 @@ def _wait_steps(net: Network, emit):
                 queue = net.queue_for(key)
                 if queue is None:
                     continue
-                for idx in reachable_msgs(queue):
+                for idx in reachable_msgs(queue.msgs):
                     msg = queue.msgs[idx]
                     if not isinstance(msg, OutMsg) or msg.sender != sender:
                         continue
@@ -453,7 +443,7 @@ def _wait_steps(net: Network, emit):
                 queue = net.queue_for(key)
                 if queue is None:
                     continue
-                for idx in reachable_msgs(queue):
+                for idx in reachable_msgs(queue.msgs):
                     msg = queue.msgs[idx]
                     if not isinstance(msg, InMsg) or msg.receiver != receiver:
                         continue

@@ -18,14 +18,6 @@ from typing import Optional
 from .syntax import Quality, eval_quality
 
 
-class AlwaysAvailable:
-    def available(self, step, session, candidates):
-        return frozenset(candidates)
-
-    def __repr__(self):
-        return "AlwaysAvailable()"
-
-
 @dataclass(frozen=True)
 class ScriptOracle:
     """Step-indexed availability script; the last entry applies forever.

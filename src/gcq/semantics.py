@@ -45,6 +45,7 @@ from .syntax import (
     interaction_threads,
     quality_subsets,
     state_update,
+    stable_repr,
     substitute,
     used_names,
 )
@@ -58,6 +59,9 @@ class AvailabilityOracle(Protocol):
 class AlwaysAvailable:
     def available(self, step, session, candidates):
         return frozenset(candidates)
+
+    def __repr__(self):
+        return "AlwaysAvailable()"
 
 
 ALWAYS = AlwaysAvailable()
@@ -406,11 +410,6 @@ def _rename_free(c: Choreography, thread_map: dict, key_map: dict) -> Choreograp
     return walk(c)
 
 
-def _label_sort_key(item):
-    label, conf = item
-    return (repr(label), repr(conf.canon_key()))
-
-
 def enabled(conf: Configuration) -> list[tuple[GLabel, Configuration]]:
     """Every transition derivable for the configuration, deterministically ordered.
 
@@ -422,10 +421,8 @@ def enabled(conf: Configuration) -> list[tuple[GLabel, Configuration]]:
     for variant in swap_closure(conf.chor):
         vbinders, vcore = split_prenex(variant)
         for label, succ in _head_transitions(conf.sigma, vcore, vbinders, conf.used):
-            key = (label, succ.canon_key())
-            if key not in seen:
-                seen[key] = (label, succ)
-    return sorted(seen.values(), key=_label_sort_key)
+            seen.setdefault((label, succ.canon_key()), (label, succ))
+    return [seen[key] for key in sorted(seen, key=stable_repr)]
 
 
 def enabled_under(conf: Configuration, oracle: AvailabilityOracle, step_index: int

@@ -14,7 +14,7 @@ concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Thread = str
@@ -413,10 +413,6 @@ def interaction_threads(eta: Interaction) -> frozenset[Thread]:
         case Select(sender, receivers, _, _, _):
             return frozenset({sender.thread}) | frozenset(p.thread for p in receivers)
     raise TypeError(f"not an interaction: {eta!r}")
-
-
-def interaction_key(eta: Interaction) -> SessionKey:
-    return eta.key
 
 
 # ---------------------------------------------------------------------------
@@ -949,3 +945,23 @@ def glabel_to_json(step: int, lab: GLabel) -> dict:
                     "absent": sorted(t for t, _ in receivers if t not in chosen),
                     "value": None, "label": label}
     raise TypeError(f"not a label: {lab!r}")
+
+
+# ---------------------------------------------------------------------------
+# Deterministic order
+
+
+def stable_repr(x) -> str:
+    """``repr`` with the elements of every frozenset in sorted order.
+
+    The ``repr`` of a set follows the hash seed, so a sort key made from it
+    orders the same terms differently from one run to the next.
+    """
+    if isinstance(x, frozenset):
+        return f"frozenset({{{', '.join(sorted(map(stable_repr, x)))}}})" if x else "frozenset()"
+    if isinstance(x, tuple):
+        return f"({', '.join(map(stable_repr, x))}{',' if len(x) == 1 else ''})"
+    if is_dataclass(x):
+        args = ", ".join(f"{f.name}={stable_repr(getattr(x, f.name))}" for f in fields(x) if f.repr)
+        return f"{type(x).__qualname__}({args})"
+    return repr(x)

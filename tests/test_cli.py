@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON outputs, schedules, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,18 @@ class TestRuns:
         lines = [json.loads(l) for l in a[1].splitlines()]
         assert lines[-1]["verdict"] == "Completed"
         assert [l["kind"] for l in lines[:-1]] == ["init", "select", "reduce"]
+
+    def test_run_global_independent_of_hash_seed(self):
+        # labels carry frozensets, whose repr order follows the hash seed
+        outs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gcq.cli", "run-global", str(GOLDEN / "sensors_23.gcq"),
+                 "--seed", "7"],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
 
     def test_run_net_from_gcq(self, capsys):
         code, out, _ = run_cli("run-net", str(GOLDEN / "sensors_all.gcq"),
@@ -154,7 +167,18 @@ class TestCosimAvailability:
         code, out, _ = run_cli("availability", str(GOLDEN / "sensors_blocking.gcq"),
                                "--lax-select", capsys=capsys)
         assert code == 1
-        assert json.loads(out)["status"] == "StuckNetworkFound"
+        assert json.loads(out) == {
+            "status": "StuckNetworkFound", "pairs_explored": 16,
+            "detail": "stuck non-quiescent network at depth 5 under AlwaysAvailable()"}
+
+    def test_availability_budget_is_inconclusive(self, capsys):
+        # the same stuck network lies past the bound: no Pass, exit 3
+        code, out, _ = run_cli("availability", str(GOLDEN / "sensors_blocking.gcq"),
+                               "--lax-select", "--bound", "2", capsys=capsys)
+        assert code == 3
+        data = json.loads(out)
+        assert data["status"] == "BudgetExceeded"
+        assert data["detail"] == "exploration stopped at depth 2 under AlwaysAvailable()"
 
 
 class TestInstalledEntryPoint:

@@ -3,9 +3,11 @@
 import pytest
 
 from gcq.epq import (
+    AcceptOnce,
     AcceptRepl,
     Branch,
     Component,
+    IfP,
     INACT,
     InMsg,
     InP,
@@ -25,6 +27,11 @@ from gcq.epq import (
     net_congruent,
     parse_proc,
     print_proc,
+    proc_canon,
+    proc_free_names,
+    rename_key,
+    rename_var,
+    subst_var,
 )
 from gcq.netsem import (
     BcIn,
@@ -40,7 +47,7 @@ from gcq.netsem import (
     net_run,
     is_quiescent,
 )
-from gcq.syntax import Lit, NONE, Q_ALL, Q_ANY, SomeV, q_ratio
+from gcq.syntax import Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio
 
 
 def out_msg(sender="A", q=Q_ALL, recipients=(("B", False),), payload=SomeV(1)):
@@ -195,6 +202,93 @@ class TestRuleLevel:
         assert trace.verdict == "Completed" and trace.quiescent
 
 
+KINDS = ("Inact", "Request", "AcceptOnce", "AcceptRepl", "QOut", "InP", "OutP", "QIn",
+         "QSel", "Branch", "WaitOut", "WaitIn", "IfP")
+KEY_BINDING = {"Request", "AcceptOnce", "AcceptRepl"}
+VAR_BINDING = {"InP", "QIn", "WaitIn"}
+
+
+def body(key="k", e=Var("x")):
+    """A continuation that uses session ``key`` and the expression ``e``."""
+    return OutP(key, "A", "B", e, INACT)
+
+
+def node(kind, cont, key="k", e=Var("x"), bound="k", var="x"):
+    """One process of each constructor over ``cont``: ``key`` is the session it
+    acts on, ``e`` its expression, ``bound``/``var`` the names it binds."""
+    return {
+        "Inact": INACT,
+        "Request": Request("svc", ("A", "B"), bound, cont),
+        "AcceptOnce": AcceptOnce("svc", "B", bound, cont),
+        "AcceptRepl": AcceptRepl("svc", "B", bound, cont),
+        "QOut": QOut(key, "A", ("B",), Q_ALL, e, cont),
+        "InP": InP(key, "B", "A", var, cont),
+        "OutP": OutP(key, "A", "B", e, cont),
+        "QIn": QIn(key, ("A",), "B", Q_ALL, var, "sum", cont),
+        "QSel": QSel(key, "A", ("B",), Q_ALL, "l", cont),
+        "Branch": Branch(key, "B", "A", (("l", cont), ("m", body(key, e)))),
+        "WaitOut": WaitOut(key, "A", ("B",), cont),
+        "WaitIn": WaitIn(key, ("A",), "B", "sum", var, cont),
+        "IfP": IfP(e, cont, body(key, e)),
+    }[kind]
+
+
+class TestTraversal:
+    """Every walker over all 13 process constructors: where it descends and
+    where a binder stops it."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rename_key_stops_at_key_binders(self, kind):
+        got = rename_key(node(kind, body()), "k", "j")
+        if kind in KEY_BINDING:
+            assert got == node(kind, body())
+        else:
+            assert got == node(kind, body("j"), key="j")
+        # a binder of another name lets the renaming through
+        assert rename_key(node(kind, body(), bound="b"), "k", "j") == \
+            node(kind, body("j"), key="j", bound="b")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("subst, e2", [
+        (lambda p: subst_var(p, "x", SomeV(1)), SomeE(Lit(1))),
+        (lambda p: subst_var(p, "x", NONE), NoneE()),
+        (lambda p: rename_var(p, "x", "y"), Var("y")),
+    ])
+    def test_variable_substitution_stops_at_var_binders(self, kind, subst, e2):
+        got = subst(node(kind, body()))
+        if kind in VAR_BINDING:
+            assert got == node(kind, body())
+        else:
+            assert got == node(kind, body(e=e2), e=e2)
+        e = Binop("+", Unop("-", Var("x")), SomeE(Var("z")))
+        want = Binop("+", Unop("-", e2), SomeE(Var("z")))
+        assert subst(node(kind, body(e=e), e=e, var="w")) == \
+            node(kind, body(e=want), e=want, var="w")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_free_names(self, kind):
+        want = {"Inact": set(), **{k: {"svc"} for k in KEY_BINDING}}.get(kind, {"k"})
+        assert proc_free_names(node(kind, body())) == want
+        want = {"Inact": set(), **{k: {"svc", "k"} for k in KEY_BINDING}}.get(kind, {"k"})
+        assert proc_free_names(node(kind, body(), bound="b")) == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_canon_idempotent_and_alpha_invariant(self, kind):
+        once = proc_canon(node(kind, body()))
+        assert proc_canon(once) == once
+        if kind in KEY_BINDING:
+            assert proc_canon(node(kind, body("b"), bound="b")) == once
+        elif kind in VAR_BINDING:
+            assert proc_canon(node(kind, body(e=Var("v")), var="v")) == once
+        else:
+            assert once == node(kind, body())  # nothing bound, nothing renamed
+
+        def inner(v):
+            return InP("k", "B", "A", v, body(e=Var(v)))
+
+        assert proc_canon(node(kind, inner("y"))) == proc_canon(node(kind, inner("z")))
+
+
 class TestQueueNormalForm:
     """The commutation normal form is a canonical representative: applying
     any sequence of legal adjacent swaps never changes it."""
@@ -215,6 +309,16 @@ class TestQueueNormalForm:
                 st.lists(st.sampled_from("AB"), min_size=1, max_size=2),
                 st.sampled_from("CD")),
         ), max_size=5)
+
+    def test_three_congruent_queues_share_a_form(self):
+        # m2 and m3 do not commute, m1 commutes with both: adjacent swaps
+        # toward key order stop at different local minima
+        m1 = InMsg(Q_ANY, (("A", False, NONE), ("B", False, NONE)), "D")
+        m2 = InMsg(Q_ANY, (("B", False, NONE),), "C")
+        m3 = InMsg(Q_ANY, (("A", False, NONE), ("B", False, NONE)), "C")
+        from gcq.epq import queue_canon_msgs
+        forms = {queue_canon_msgs(q) for q in [(m1, m2, m3), (m2, m1, m3), (m2, m3, m1)]}
+        assert len(forms) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(msgs_strategy, st.lists(st.integers(0, 3), max_size=8))
