@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .epq import Network, QSel, Queue, map_cont, net_canon, rename_key
+from .epq import Network, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
 from .netsem import (
     BcIn,
     BcOut,
@@ -31,6 +31,7 @@ from .netsem import (
     SelIn,
     SelOut,
     Start,
+    is_quiescent,
     net_enabled,
 )
 from .projection import PruningInconclusive, epp, prunes
@@ -172,10 +173,11 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
         want[key] -= 1
     results: list[Network] = []
     seen = set()
+    table = canon_table()
 
     def dfs(current: Network, remaining: Counter):
         if not +remaining:
-            key = repr(net_canon(current))
+            key = table.canon(current)
             if key not in seen:
                 seen.add(key)
                 results.append(current)
@@ -219,14 +221,7 @@ class Verdict:
                 "pairs_explored": self.pairs_explored}
 
 
-def _project_runtime(conf: Configuration) -> Network:
-    return epp(conf.chor)
-
-
-def _pair_key(conf: Configuration, net: Network):
-    return (conf.canon_key(), repr(net_canon(net)))
-
-
+@per_verdict
 def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
                net: Optional[Network] = None) -> Verdict:
     """Check both correctness directions by bounded exhaustive exploration.
@@ -241,8 +236,9 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
         start_net = epp(c) if net is None else net
     except Exception as exc:
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
+    table = canon_table()
     frontier = deque([(start_conf, start_net, 0)])
-    seen = {_pair_key(start_conf, start_net)}
+    seen = {(start_conf.canon_key(), table.canon(start_net))}
     explored = 0
     budget_hit = False
     while frontier:
@@ -254,7 +250,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
         gsteps = enabled(conf)
         # Soundness direction
         for glabel, conf2 in gsteps:
-            target = _project_runtime(conf2)
+            target = epp(conf2.chor)
             matched = None
             for net2 in fire_labels(net, [glabel]):
                 try:
@@ -268,7 +264,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
                     "CounterexampleFound",
                     f"soundness: global step {stable_repr(glabel)} at depth {depth} has no "
                     f"realizing endpoint group", explored)
-            key = _pair_key(conf2, matched)
+            key = (conf2.canon_key(), table.canon(matched))
             if key not in seen:
                 seen.add(key)
                 frontier.append((conf2, matched, depth + 1))
@@ -319,7 +315,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                     for lab in required_group(g):
                         want[_start_key_agnostic(lab)] += 1
                 if want[_start_key_agnostic(adjusted)] > 0:
-                    target = _project_runtime(conf2)
+                    target = epp(conf2.chor)
                     for net2 in fire_labels(adjusted_net1, seq, already_fired=adjusted):
                         try:
                             if prunes(target, net2, prune_depth):
@@ -335,6 +331,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
 # Availability by design
 
 
+@per_verdict
 def availability_check(c: Choreography, oracles: Optional[list] = None,
                        bound: int = 64) -> Verdict:
     """Either the projection is inert or no reachable network is stuck.
@@ -343,8 +340,6 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
     transitions that is not quiescent (inert up to replicated services and
     empty queues) is a counterexample.
     """
-    from .netsem import is_quiescent
-
     try:
         start = epp(c)
     except Exception as exc:
@@ -352,11 +347,12 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
     if is_quiescent(start) and not net_enabled(start):
         return Verdict("Pass", "projection is inert", 1)
     oracles = oracles or [ALWAYS]
+    table = canon_table()
     explored = 0
     cut_under = None  # first oracle whose search the bound cut short
     for oracle in oracles:
         frontier = deque([(start, 0)])
-        seen = {repr(net_canon(start))}
+        seen = {table.canon(start)}
         while frontier:
             net, depth = frontier.popleft()
             explored += 1
@@ -369,7 +365,7 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
                         f"{stable_repr(oracle)}", explored)
                 continue
             for _, succ in options:
-                key = repr(net_canon(succ))
+                key = table.canon(succ)
                 if key in seen:
                     continue
                 if depth >= bound:

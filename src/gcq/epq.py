@@ -14,6 +14,7 @@ under a set of restricted session names.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
@@ -30,6 +31,7 @@ from .syntax import (
     Q_ANY,
     map_vars,
     q_ratio,
+    stable_repr,
     value_expr,
 )
 from .parser import ParseError, Token, tokenize, print_expr, _TOKEN_RE as _TOKEN_ANY
@@ -477,6 +479,50 @@ def _occ_order(p: Proc) -> list[str]:
 def net_congruent(n1: Network, n2: Network) -> bool:
     """Structural congruence: monoid laws, restriction laws, queue commutation."""
     return net_canon(n1) == net_canon(n2)
+
+
+class CanonTable:
+    """One verdict's canonical forms, each computed once: the canonical
+    ``Network`` of each network met, which the searches use as the state
+    itself, and the ``stable_repr`` of each form, which orders successors.
+    """
+
+    def __init__(self):
+        self.forms: dict[Network, Network] = {}
+        self.texts: dict[Network, str] = {}
+
+    def canon(self, net: Network) -> Network:
+        form = self.forms.get(net)
+        if form is None:
+            form = net_canon(net)
+            self.forms[net] = form = self.forms.setdefault(form, form)
+        return form
+
+    def text(self, form: Network) -> str:
+        text = self.texts.get(form)
+        if text is None:
+            text = self.texts[form] = stable_repr(form)
+        return text
+
+
+_tables: list[CanonTable] = []  # one per running verdict, innermost last
+
+
+def per_verdict(search):
+    """Give each call of ``search`` a fresh table, dropped when it returns."""
+    @functools.wraps(search)
+    def run(*args, **kwargs):
+        _tables.append(CanonTable())
+        try:
+            return search(*args, **kwargs)
+        finally:
+            _tables.pop()
+    return run
+
+
+def canon_table() -> CanonTable:
+    """The running verdict's table; outside a verdict, a throwaway one."""
+    return _tables[-1] if _tables else CanonTable()
 
 
 # ---------------------------------------------------------------------------

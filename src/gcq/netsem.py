@@ -38,7 +38,7 @@ from .epq import (
     Request,
     WaitIn,
     WaitOut,
-    net_canon,
+    canon_table,
     proc_free_names,
     reachable_msgs,
     rename_key,
@@ -224,9 +224,10 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
     threads (components whose owner the oracle excludes).
     """
     found: dict = {}
+    table = canon_table()
 
     def emit(label: ELabel, succ: Network):
-        found.setdefault((label, net_canon(succ)), (label, succ))
+        found.setdefault((label, table.canon(succ)), (label, succ))
 
     def allowed(comp: Component, session: str, msg: Msg, role: Role) -> bool:
         if comp.owner is None:
@@ -247,7 +248,8 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
     _sync_steps(net, emit, allowed)
     _wait_steps(net, emit)
     _if_steps(net, emit)
-    return [found[key] for key in sorted(found, key=stable_repr)]
+    return [found[key] for key in
+            sorted(found, key=lambda k: f"({stable_repr(k[0])}, {table.text(k[1])})")]
 
 
 def _init_steps(net: Network, emit):

@@ -36,12 +36,13 @@ from .epq import (
     Request,
     WaitIn,
     WaitOut,
-    net_canon,
+    canon_table,
     proc_free_names,
     rename_key,
     rename_var,
 )
 from .captypes import Failure, Report
+from .netsem import net_enabled
 from .semantics import split_prenex
 from .syntax import (
     Bcast,
@@ -434,10 +435,8 @@ def _strip_replicated(net: Network, keep: frozenset = frozenset()
         stripped = [c for c in stripped if c not in back]
 
 
-def _merge_networks(p: Network, q: Network) -> Optional[Network]:
-    """Component-wise merge of two networks; None when undefined."""
-    pc = net_canon(p)
-    qc = net_canon(q)
+def _merge_networks(pc: Network, qc: Network) -> Optional[Network]:
+    """Component-wise merge of two canonical networks; None when undefined."""
     if pc.restricted != qc.restricted:
         return None
     if tuple(sorted((qu.key, qu.msgs) for qu in pc.queues)) != \
@@ -491,29 +490,31 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
     The simulation clause is checked by bounded co-exploration; running out
     of depth raises :class:`PruningInconclusive` rather than answering.
     """
-    from .netsem import net_enabled
-
     if _memo is None:
         _memo = {}
-    pc, qc = net_canon(p), net_canon(q)
+    table = canon_table()
+    pc, qc = table.canon(p), table.canon(q)
     if pc == qc:
         return True
-    key = (repr(pc), repr(qc))
+    key = (pc, qc)
     if key in _memo:
         return _memo[key]
     _memo[key] = True  # coinductive reading of the simulation clause
     p_groups = frozenset((c.service or (c.proc.svc, c.proc.role))
                          for c in pc.components if c.is_replicated())
     q0, stripped = _strip_replicated(qc, keep=p_groups)
-    merged = _merge_networks(pc, q0)
-    if merged is None or net_canon(merged) != net_canon(q0):
+    q0c = table.canon(q0)
+    merged = _merge_networks(pc, q0c)
+    if merged is None or table.canon(merged) != q0c:
         _memo[key] = False
         return False
     if depth <= 0:
         _memo.pop(key, None)
         raise PruningInconclusive("pruning simulation ran out of depth")
-    for label, q0_next in net_enabled(q0):
-        candidates = [pn for pl, pn in net_enabled(pc) if pl == label]
+    q_steps = net_enabled(q0)
+    p_steps = net_enabled(pc) if q_steps else []
+    for label, q0_next in q_steps:
+        candidates = [pn for pl, pn in p_steps if pl == label]
         ok = False
         for pn in candidates:
             try:
