@@ -155,8 +155,10 @@ class CapabilityChecker:
         raise TypeError(f"not a choreography: {c!r}")
 
     def _fail(self, code: str, eta: Interaction, reason: str, subset=None) -> None:
-        self.failures.append(Failure(code, describe_interaction(eta), reason,
-                                     tuple(sorted(subset)) if subset is not None else None))
+        failure = Failure(code, describe_interaction(eta), reason,
+                          tuple(sorted(subset)) if subset is not None else None)
+        if failure not in self.failures:  # reached again along another path
+            self.failures.append(failure)
 
     def _check_init(self, psi: Context, eta: Init, cont: Choreography) -> bool:
         ok = True

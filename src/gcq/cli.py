@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import correspond, netsem, projection, schedule
@@ -253,11 +254,13 @@ def main(argv=None) -> int:
         lo, hi = exc.span
         print(f"{args.input}:{lo}-{hi}: syntax error: {exc}", file=sys.stderr)
         return EXIT_REJECT
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:  # an unreadable or malformed input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # analysis-level failures carry their own codes
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault of gcq itself, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.explain:
+            traceback.print_exc()
         return EXIT_USAGE
 
 

@@ -35,7 +35,8 @@ from .netsem import (
     net_enabled,
 )
 from .projection import PruningInconclusive, epp, prunes
-from .semantics import ALWAYS, Configuration, enabled
+from .schedule import TolerantFailure
+from .semantics import ALWAYS, AlwaysAvailable, Configuration, enabled
 from .syntax import (
     Choreography,
     GBcastL,
@@ -171,16 +172,12 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
         if want[key] <= 0:
             return []
         want[key] -= 1
-    results: list[Network] = []
-    seen = set()
+    found: dict[Network, Network] = {}  # canonical form -> first network reaching it
     table = canon_table()
 
     def dfs(current: Network, remaining: Counter):
         if not +remaining:
-            key = table.canon(current)
-            if key not in seen:
-                seen.add(key)
-                results.append(current)
+            found.setdefault(table.canon(current), current)
             return
         for lab, succ in net_enabled(current, oracle):
             if isinstance(lab, Start):
@@ -199,7 +196,7 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
                 dfs(succ, remaining - Counter([key]))
 
     dfs(net, want)
-    return results
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +300,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                 if isinstance(elabel, Start):
                     target_key = next(
                         (g.key for g in seq if isinstance(g, GInitL)
-                         and _keyless_start(Start(tuple(r for _, r in g.actives),
-                                                  tuple(r for _, r in g.services),
-                                                  g.svc, g.key)) == _keyless_start(elabel)),
+                         and _keyless_start(required_group(g)[0]) == _keyless_start(elabel)),
                         None)
                     if target_key is not None and target_key != elabel.key:
                         adjusted_net1 = _rename_net_session(net1, elabel.key, target_key)
@@ -351,8 +346,10 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
     explored = 0
     cut_under = None  # first oracle whose search the bound cut short
     for oracle in oracles:
+        # under an oracle whose answers depend on the step, a state is (network, step)
+        stepwise = not isinstance(oracle, (AlwaysAvailable, TolerantFailure))
         frontier = deque([(start, 0)])
-        seen = {table.canon(start)}
+        seen = {(table.canon(start), 0 if stepwise else None)}
         while frontier:
             net, depth = frontier.popleft()
             explored += 1
@@ -365,7 +362,7 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
                         f"{stable_repr(oracle)}", explored)
                 continue
             for _, succ in options:
-                key = table.canon(succ)
+                key = (table.canon(succ), depth + 1 if stepwise else None)
                 if key in seen:
                     continue
                 if depth >= bound:

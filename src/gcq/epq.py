@@ -482,10 +482,9 @@ def net_congruent(n1: Network, n2: Network) -> bool:
 
 
 class CanonTable:
-    """One verdict's canonical forms, each computed once: the canonical
-    ``Network`` of each network met, which the searches use as the state
-    itself, and the ``stable_repr`` of each form, which orders successors.
-    """
+    """One verdict's canonical forms, each computed once: every network's
+    canonical ``Network``, the searches' state identity, and every form's
+    ``stable_repr``, the successor order."""
 
     def __init__(self):
         self.forms: dict[Network, Network] = {}

@@ -437,10 +437,7 @@ def _strip_replicated(net: Network, keep: frozenset = frozenset()
 
 def _merge_networks(pc: Network, qc: Network) -> Optional[Network]:
     """Component-wise merge of two canonical networks; None when undefined."""
-    if pc.restricted != qc.restricted:
-        return None
-    if tuple(sorted((qu.key, qu.msgs) for qu in pc.queues)) != \
-            tuple(sorted((qu.key, qu.msgs) for qu in qc.queues)):
+    if pc.restricted != qc.restricted or pc.queues != qc.queues:
         return None
 
     def keyed(net: Network):
@@ -514,16 +511,13 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
     q_steps = net_enabled(q0)
     p_steps = net_enabled(pc) if q_steps else []
     for label, q0_next in q_steps:
-        candidates = [pn for pl, pn in p_steps if pl == label]
-        ok = False
-        for pn in candidates:
+        for p_label, pn in p_steps:
             try:
-                if prunes(pn, q0_next, depth - 1, _memo):
-                    ok = True
+                if p_label == label and prunes(pn, q0_next, depth - 1, _memo):
                     break
             except PruningInconclusive:
                 continue
-        if not ok:
+        else:
             _memo[key] = False
             return False
     return True

@@ -40,6 +40,21 @@ def sensors(q1=Q_ALL, q2=Q_ALL):
     return seq(init, sel, red)
 
 
+def sensor_family(n, q1=Q_ALL, q2=Q_ALL):
+    """``sensors`` with sensors t1..tn; sensor i reads i."""
+    ids = range(1, n + 1)
+    init = Init(actives=tuple(athr(f"t{i}", f"S{i}", off={f"Acc{i}"}) for i in ids),
+                services=(athr("t0", "M", off={"Acc0"}),), svc="temperature", key="k")
+    sel = Select(sender=athr("t0", "M", {"Acc0"}, {"Ms0"}),
+                 receivers=tuple(athr(f"t{i}", f"S{i}", {f"Acc{i}"}, {f"Ms{i}"}) for i in ids),
+                 quality=q1, key="k", label="measure")
+    red = Reduce(senders=tuple((athr(f"t{i}", f"S{i}", {f"Ms{i}"}, {f"E{i}"}), Lit(i))
+                               for i in ids),
+                 receiver=athr("t0", "M", {"Ms0"}, {"E0"}),
+                 bind_var="xm", quality=q2, op="avg", key="k")
+    return seq(init, sel, red)
+
+
 def sensors_partial(q1=Q_ANY, q2=Q_ANY):
     """Like sensors but the reduce draws on sensors 1 and 3 only."""
     init = Init(

@@ -52,6 +52,29 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli("check", "no_such_file.gcq", capsys=capsys)
         assert code == 2
+        assert err.startswith("error: ")
+
+    def test_capability_failure_listed_once(self, capsys):
+        # every path of the preceding 'select any' reaches the same reduce
+        _, out, _ = run_cli("check", str(GOLDEN / "sensors_any_all.gcq"),
+                            "--lax-select", "--json", capsys=capsys)
+        failures = json.loads(out)["capabilities"]["failures"]
+        assert [(f["code"], f["interaction"]) for f in failures] == [
+            ("CapabilityUnderivable", "reduce k[all] avg(t1,t2,t3)->t0")]
+
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_internal_fault_is_not_a_usage_error(self, explain, monkeypatch, capsys):
+        import gcq.cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(gcq.cli, "cmd_check", broken)
+        code, _, err = run_cli("check", str(GOLDEN / "sensors_all.gcq"),
+                               *(["--explain"] if explain else []), capsys=capsys)
+        assert code == 2
+        assert err.startswith("internal error: RuntimeError: boom\n")
+        assert ("Traceback (most recent call last)" in err) == explain
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help", capsys=capsys)[0] == 0

@@ -1,8 +1,11 @@
 """Label correspondence, co-simulation and availability on the golden set."""
 
+from pathlib import Path
+
 import pytest
 
-from chorfixtures import sensors, sensors_partial, typed_example
+from chorfixtures import sensor_family, sensors, sensors_partial, typed_example
+from gcq import epq
 from gcq.correspond import (
     Verdict,
     availability_check,
@@ -12,9 +15,11 @@ from gcq.correspond import (
     required_group,
     swap_select_label,
 )
+from gcq.genchor import GenConfig, corpus
 from gcq.netsem import BcIn, BcOut, ETau, EUp, SelIn, SelOut, Start, net_enabled
+from gcq.parser import parse
 from gcq.projection import epp
-from gcq.schedule import SingleFailure, TolerantFailure
+from gcq.schedule import ScriptOracle, SingleFailure, TolerantFailure
 from gcq.semantics import ALWAYS, Configuration, run
 from gcq.syntax import (
     GBcastL,
@@ -24,7 +29,10 @@ from gcq.syntax import (
     Q_ANY,
     SomeV,
     q_ratio,
+    stable_repr,
 )
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 class TestImplements:
@@ -159,3 +167,102 @@ class TestAvailability:
         """A permanent failure an all-quality program cannot absorb: stuck."""
         verdict = availability_check(sensors(), [SingleFailure("t2")], bound=64)
         assert verdict.status == "StuckNetworkFound"
+
+    def test_script_oracle_sees_the_step_a_network_is_reached_at(self):
+        """z may sit out the 'any' broadcast or take part, so the network in
+        which p's contribution is the only move is reached after 5 steps and
+        after 6.  The script withholds p at step 6 only: at step 5 p moves, at
+        step 6 nothing can.  A search keyed on the network alone expands it at
+        step 5 only and passes."""
+        chor = parse(STEPS_APART).chor
+        free = ("unavailable", frozenset())
+        script = ScriptOracle((free,) * 6 + (("unavailable", frozenset({"p"})), free))
+        verdict = availability_check(chor, [script])
+        assert verdict.status == "StuckNetworkFound"
+        assert "stuck non-quiescent network at depth 6" in verdict.detail
+
+    def test_step_free_oracles_visit_each_network_once(self):
+        chor = parse(STEPS_APART).chor
+        # 10 networks; 4 of them are reached at two steps
+        assert availability_check(chor).pairs_explored == 10
+        assert availability_check(chor, [TolerantFailure("z")]).pairs_explored == 10
+        free = ScriptOracle((("unavailable", frozenset()),))
+        assert availability_check(chor, [free]).pairs_explored == 14
+
+
+STEPS_APART = """
+service a : bcast A2 -> (Z,A1) <int> . reduce (A1) -> A2 <int> . end;
+choreography {
+  start k (a) (p[A1]{C1}, q[A2]{C2}) -> (z[Z]{C3});
+  bcast k [any] q[A2]{C2;C4}.6 -> (z[Z]{C3;C3}: x, p[A1]{C1;C1}: x);
+  reduce k [all] sum (p[A1]{C1;C5}.1) -> q[A2]{C4;C6} : y;
+  end
+}
+"""
+
+
+class TestStateIdentity:
+    """Searches key states on canonical networks, canonicalized once per verdict."""
+
+    def test_successor_order(self):
+        """Inside a verdict, ``net_enabled`` orders successors by the
+        ``stable_repr`` of (label, canonical successor), one entry per pair."""
+        programs = [parse(p.read_text(), lax_select=True).chor
+                    for p in sorted(GOLDEN.glob("*.gcq"))]
+        programs += corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
+        programs += [sensor_family(n, q2=q_ratio(n - 1, n)) for n in range(2, 5)]
+
+        def key(step):
+            return stable_repr((step[0], epq.net_canon(step[1])))
+
+        @epq.per_verdict
+        def check(net, limit=12):
+            frontier, seen = [net], {epq.net_canon(net)}
+            while frontier and len(seen) < limit:
+                steps = net_enabled(frontier.pop(0))
+                keys = [key(step) for step in steps]
+                assert keys == sorted(set(keys))
+                for _, succ in steps:
+                    if epq.net_canon(succ) not in seen:
+                        seen.add(epq.net_canon(succ))
+                        frontier.append(succ)
+
+        for chor in programs:
+            check(epp(chor))
+
+    @staticmethod
+    def _canonicalized(monkeypatch) -> list:
+        """The (network, canonical form) pairs ``net_canon`` computes from now on."""
+        computed = []
+        real = epq.net_canon
+
+        def counted(net):
+            computed.append((net, real(net)))
+            return computed[-1][1]
+
+        monkeypatch.setattr(epq, "net_canon", counted)
+        return computed
+
+    def test_verdicts_share_no_canonical_state(self, monkeypatch):
+        chor = parse((GOLDEN / "sensors_23.gcq").read_text()).chor
+        computed = self._canonicalized(monkeypatch)
+        counts = []
+        for cosim_first in (False, True, False):
+            if cosim_first:
+                assert cosimulate(chor).passed
+            computed.clear()
+            assert availability_check(chor).passed
+            counts.append(len(computed))
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+
+    def test_each_network_canonicalized_once_per_verdict(self, monkeypatch):
+        chor = parse((GOLDEN / "sensors_23.gcq").read_text()).chor
+        computed = self._canonicalized(monkeypatch)
+        for verdict in (cosimulate, availability_check):
+            computed.clear()
+            assert verdict(chor).passed
+            known = set()
+            for net, form in computed:
+                assert net not in known  # neither met before nor a form already computed
+                known |= {net, form}
+            assert computed
