@@ -173,11 +173,11 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
             return []
         want[key] -= 1
     found: dict[Network, Network] = {}  # canonical form -> first network reaching it
-    table = canon_table()
 
     def dfs(current: Network, remaining: Counter):
         if not +remaining:
-            found.setdefault(table.canon(current), current)
+            # dfs refers to itself, so it outlives the call; it must not hold the table
+            found.setdefault(canon_table().canon(current), current)
             return
         for lab, succ in net_enabled(current, oracle):
             if isinstance(lab, Start):
