@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
 
 from . import correspond, netsem, projection, schedule
@@ -260,6 +259,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of gcq itself, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.explain:
+            import traceback  # loaded only on this path, to keep start-up lean
             traceback.print_exc()
         return EXIT_USAGE
 
