@@ -131,7 +131,7 @@ class CapabilityChecker:
         return self._check(tuple(psi), c)
 
     def _check(self, psi: Context, c: Choreography) -> bool:
-        key = (linlog._multiset(psi), id(c))
+        key = (linlog.multiset(psi), id(c))
         if key in self._memo:
             return self._memo[key]
         ok = self._check_raw(psi, c)
@@ -220,12 +220,17 @@ class CapabilityChecker:
             taken.append(idx)
         else:
             return tuple(f for i, f in enumerate(psi) if i not in taken)
-        # General path: the rule consumes exactly one context formula per
-        # participant; try every selection of that size.
-        k = len(need)
-        if len(psi) < k:
+        # From atoms and ``true`` alone, only the exact atoms of the goal
+        # derive it, and the fast path found none.
+        if all(isinstance(f, (Own, TrueF)) for f in psi):
             return None
-        for combo in itertools.combinations(range(len(psi)), k):
+        # General path: the rule consumes exactly one context formula per
+        # participant; try every selection of that size.  An ownership atom
+        # the goal does not name can never be consumed from a lolli-free
+        # context, so no selection holding one is provable.
+        named = set(need)
+        usable = [i for i, f in enumerate(psi) if not isinstance(f, Own) or f in named]
+        for combo in itertools.combinations(usable, len(need)):
             ctx = tuple(psi[i] for i in combo)
             if self.prover.prove(ctx, goal).provable:
                 return tuple(f for i, f in enumerate(psi) if i not in combo)

@@ -8,13 +8,20 @@ implication.  Contexts are ordered multisets: duplicates matter and there is
 no implicit weakening or contraction.
 
 Provability in this fragment is decidable; the prover below runs a backward
-sequent search with exhaustive context splitting and returns a replayable
-proof tree on success.
+sequent search and returns a replayable proof tree on success.  Contexts are
+compared and memoized as multisets of formulas.  The non-invertible rules
+split the context: when it holds only ownership atoms and the left goal of a
+tensor is free of implications, that goal is provable from exactly its atom
+bags (one per choice of plus branches), so the split tries only the bags the
+context contains (guided splitting, after Cervesato, Hodas & Pfenning,
+"Efficient resource management for linear logic proof search", TCS 2000);
+otherwise it tries every distinct sub-multiset.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -158,16 +165,9 @@ class ProofResult:
     certificate: Optional[ProofNode] = None
 
 
-def _multiset(ctx: Context) -> tuple:
-    return tuple(sorted(map(str, ctx)))
-
-
-def _same_multiset(a: Context, b: Context) -> bool:
-    return _multiset(a) == _multiset(b)
-
-
-def _splits_are_partition(parent: Context, left: Context, right: Context) -> bool:
-    return _multiset(parent) == tuple(sorted(map(str, left + right)))
+def multiset(ctx: Iterable[Formula]) -> frozenset:
+    """The context as a hashable multiset: each distinct formula with its count."""
+    return frozenset(Counter(ctx).items())
 
 
 def replay(node: ProofNode) -> bool:
@@ -184,13 +184,13 @@ def replay(node: ProofNode) -> bool:
                 return False
             expect = list(ctx)
             expect.remove(TRUE)
-            return _same_multiset(kids[0].ctx, tuple(expect)) and kids[0].goal == goal and replay(kids[0])
+            return multiset(kids[0].ctx) == multiset(expect) and kids[0].goal == goal and replay(kids[0])
         case "tensor_r":
             if not isinstance(goal, Tensor) or len(kids) != 2:
                 return False
             l, r = kids
             return (l.goal == goal.left and r.goal == goal.right
-                    and _splits_are_partition(ctx, l.ctx, r.ctx)
+                    and multiset(ctx) == multiset(l.ctx + r.ctx)
                     and replay(l) and replay(r))
         case "tensor_l":
             if len(kids) != 1:
@@ -198,47 +198,43 @@ def replay(node: ProofNode) -> bool:
             for i, f in enumerate(ctx):
                 if isinstance(f, Tensor):
                     reduced = ctx[:i] + (f.left, f.right) + ctx[i + 1:]
-                    if _same_multiset(kids[0].ctx, reduced) and kids[0].goal == goal and replay(kids[0]):
+                    if multiset(kids[0].ctx) == multiset(reduced) and kids[0].goal == goal and replay(kids[0]):
                         return True
             return False
         case "plus_r1":
             return (isinstance(goal, Plus) and len(kids) == 1 and kids[0].goal == goal.left
-                    and _same_multiset(kids[0].ctx, ctx) and replay(kids[0]))
+                    and multiset(kids[0].ctx) == multiset(ctx) and replay(kids[0]))
         case "plus_r2":
             return (isinstance(goal, Plus) and len(kids) == 1 and kids[0].goal == goal.right
-                    and _same_multiset(kids[0].ctx, ctx) and replay(kids[0]))
+                    and multiset(kids[0].ctx) == multiset(ctx) and replay(kids[0]))
         case "plus_l":
             if len(kids) != 2:
                 return False
             for i, f in enumerate(ctx):
                 if isinstance(f, Plus):
                     rest = ctx[:i] + ctx[i + 1:]
-                    ok_l = _same_multiset(kids[0].ctx, rest + (f.left,)) and kids[0].goal == goal
-                    ok_r = _same_multiset(kids[1].ctx, rest + (f.right,)) and kids[1].goal == goal
+                    ok_l = multiset(kids[0].ctx) == multiset(rest + (f.left,)) and kids[0].goal == goal
+                    ok_r = multiset(kids[1].ctx) == multiset(rest + (f.right,)) and kids[1].goal == goal
                     if ok_l and ok_r and replay(kids[0]) and replay(kids[1]):
                         return True
             return False
         case "lolli_r":
             return (isinstance(goal, Lolli) and len(kids) == 1
-                    and _same_multiset(kids[0].ctx, ctx + (goal.left,))
+                    and multiset(kids[0].ctx) == multiset(ctx + (goal.left,))
                     and kids[0].goal == goal.right and replay(kids[0]))
         case "lolli_l":
             if len(kids) != 2:
                 return False
             for i, f in enumerate(ctx):
                 if isinstance(f, Lolli):
-                    rest = list(ctx[:i] + ctx[i + 1:])
                     if kids[0].goal != f.left or kids[1].goal != goal:
                         continue
                     # kids[0].ctx + (kids[1].ctx minus the added f.right) must partition rest
                     k1 = list(kids[1].ctx)
-                    if str(f.right) not in map(str, k1):
+                    if f.right not in k1:
                         continue
-                    for j, g in enumerate(k1):
-                        if str(g) == str(f.right):
-                            k1_rest = k1[:j] + k1[j + 1:]
-                            break
-                    if (_splits_are_partition(tuple(rest), kids[0].ctx, tuple(k1_rest))
+                    k1.remove(f.right)
+                    if (multiset(ctx[:i] + ctx[i + 1:]) == multiset(kids[0].ctx + tuple(k1))
                             and replay(kids[0]) and replay(kids[1])):
                         return True
             return False
@@ -249,12 +245,8 @@ def replay(node: ProofNode) -> bool:
 # Prover
 
 
-def _ctx_key(ctx: Context, goal: Formula) -> tuple:
-    return (_multiset(ctx), str(goal))
-
-
 class Prover:
-    """Backward sequent search with memoization and exhaustive splitting."""
+    """Backward sequent search with memoization and guided context splitting."""
 
     def __init__(self, max_depth: int = 64):
         self.max_depth = max_depth
@@ -267,7 +259,7 @@ class Prover:
     def _search(self, ctx: Context, goal: Formula, depth: int) -> Optional[ProofNode]:
         if depth > self.max_depth:
             raise DepthExceeded(f"proof search depth exceeded {self.max_depth}")
-        key = _ctx_key(ctx, goal)
+        key = (multiset(ctx), goal)
         if key in self._memo:
             return self._memo[key]
         self._memo[key] = None  # cycle guard; search space is finite anyway
@@ -315,9 +307,7 @@ class Prover:
 
         # Non-invertible rules.  Context now holds only atoms and lollis.
         if isinstance(goal, Tensor):
-            for left_idx in _index_subsets(len(ctx)):
-                lctx = tuple(ctx[i] for i in left_idx)
-                rctx = tuple(ctx[i] for i in range(len(ctx)) if i not in left_idx)
+            for lctx, rctx in _tensor_splits(ctx, goal.left):
                 lnode = self._search(lctx, goal.left, depth + 1)
                 if lnode is None:
                     continue
@@ -335,9 +325,7 @@ class Prover:
             if not isinstance(f, Lolli):
                 continue
             rest = ctx[:i] + ctx[i + 1:]
-            for left_idx in _index_subsets(len(rest)):
-                lctx = tuple(rest[j] for j in left_idx)
-                rctx = tuple(rest[j] for j in range(len(rest)) if j not in left_idx)
+            for lctx, rctx in _splits(rest):
                 lnode = self._search(lctx, f.left, depth + 1)
                 if lnode is None:
                     continue
@@ -347,9 +335,40 @@ class Prover:
         return None
 
 
-def _index_subsets(n: int):
-    for r in range(n + 1):
-        yield from (frozenset(c) for c in itertools.combinations(range(n), r))
+def _splits(ctx: Context):
+    """Every split of ``ctx`` into two multisets, each distinct split once."""
+    counts = Counter(ctx)
+    for picks in itertools.product(*(range(c + 1) for c in counts.values())):
+        yield (tuple(f for f, p in zip(counts, picks) for _ in range(p)),
+               tuple(f for (f, c), p in zip(counts.items(), picks) for _ in range(c - p)))
+
+
+def _atom_bags(f: Formula) -> list[tuple[Own, ...]]:
+    """The atom multisets that prove the lolli-free ``f``, one per choice of plus branches."""
+    match f:
+        case Own():
+            return [(f,)]
+        case Tensor(l, r):
+            return [a + b for a in _atom_bags(l) for b in _atom_bags(r)]
+        case Plus(l, r):
+            return _atom_bags(l) + _atom_bags(r)
+    return [()]
+
+
+def _tensor_splits(ctx: Context, left: Formula):
+    """The (left, right) contexts ``tensor_r`` tries for the left goal ``left``.
+
+    From ownership atoms alone, a lolli-free goal is provable only from one
+    of its atom bags, so the left context must be a bag the context holds.
+    """
+    if not lolli_free(left) or not all(isinstance(f, Own) for f in ctx):
+        return _splits(ctx)
+    have = Counter(ctx)
+    out = {}
+    for bag in _atom_bags(left):
+        if Counter(bag) <= have:
+            out.setdefault(multiset(bag), (bag, tuple((have - Counter(bag)).elements())))
+    return out.values()
 
 
 def prove(ctx: Iterable[Formula], goal: Formula, max_depth: int = 64) -> ProofResult:

@@ -14,6 +14,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -90,16 +91,16 @@ def eval_quality(q: Quality, flags: list[bool] | tuple[bool, ...]) -> bool:
 
 
 def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozenset[Thread]]:
-    """All subsets of ``candidates`` satisfying ``q``, in a deterministic order."""
-    out = []
+    """All subsets of ``candidates`` satisfying ``q``, smallest first, then by sorted members.
+
+    Every predicate is monotone in the number of flags set, so the subsets
+    are exactly those at least as large as the least satisfying count.
+    """
     n = len(candidates)
-    for mask in range(1 << n):
-        chosen = frozenset(candidates[i] for i in range(n) if mask >> i & 1)
-        flags = [c in chosen for c in candidates]
-        if eval_quality(q, flags):
-            out.append(chosen)
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+    least = next((k for k in range(n + 1)
+                  if eval_quality(q, [True] * k + [False] * (n - k))), n + 1)
+    return [frozenset(c) for k in range(least, n + 1)
+            for c in itertools.combinations(sorted(candidates), k)]
 
 
 # ---------------------------------------------------------------------------
