@@ -366,8 +366,9 @@ def _tensor_splits(ctx: Context, left: Formula):
     have = Counter(ctx)
     out = {}
     for bag in _atom_bags(left):
-        if Counter(bag) <= have:
-            out.setdefault(multiset(bag), (bag, tuple((have - Counter(bag)).elements())))
+        need = Counter(bag)
+        if need <= have:
+            out.setdefault(multiset(bag), (bag, tuple((have - need).elements())))
     return out.values()
 
 

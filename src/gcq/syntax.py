@@ -91,7 +91,8 @@ def eval_quality(q: Quality, flags: list[bool] | tuple[bool, ...]) -> bool:
 
 
 def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozenset[Thread]]:
-    """All subsets of ``candidates`` satisfying ``q``, smallest first, then by sorted members.
+    """All subsets of the distinct threads ``candidates`` satisfying ``q``,
+    smallest first, then by sorted members.
 
     Every predicate is monotone in the number of flags set, so the subsets
     are exactly those at least as large as the least satisfying count.

@@ -40,16 +40,21 @@ def sensors(q1=Q_ALL, q2=Q_ALL):
     return seq(init, sel, red)
 
 
-def sensor_family(n, q1=Q_ALL, q2=Q_ALL):
-    """``sensors`` with sensors t1..tn; sensor i reads i."""
+def sensor_family(n, q1=Q_ALL, q2=Q_ALL, reduce_over=None):
+    """``sensors`` with sensors t1..tn; sensor i reads i.
+
+    ``reduce_over`` lists the sensors the reduce draws on (default: all);
+    leaving one out gives the n-sensor blocking twin of ``sensors_partial``.
+    """
     ids = range(1, n + 1)
+    over = ids if reduce_over is None else reduce_over
     init = Init(actives=tuple(athr(f"t{i}", f"S{i}", off={f"Acc{i}"}) for i in ids),
                 services=(athr("t0", "M", off={"Acc0"}),), svc="temperature", key="k")
     sel = Select(sender=athr("t0", "M", {"Acc0"}, {"Ms0"}),
                  receivers=tuple(athr(f"t{i}", f"S{i}", {f"Acc{i}"}, {f"Ms{i}"}) for i in ids),
                  quality=q1, key="k", label="measure")
     red = Reduce(senders=tuple((athr(f"t{i}", f"S{i}", {f"Ms{i}"}, {f"E{i}"}), Lit(i))
-                               for i in ids),
+                               for i in over),
                  receiver=athr("t0", "M", {"Ms0"}, {"E0"}),
                  bind_var="xm", quality=q2, op="avg", key="k")
     return seq(init, sel, red)

@@ -2,10 +2,16 @@
 
 import pytest
 
-from chorfixtures import sensors, sensors_partial, typed_example
-from gcq.captypes import check_capabilities, init_ownerships, state_satisfies
-from gcq.linlog import Lolli, Own, Tensor, TRUE, own
-from gcq.syntax import CapState, Q_ALL, Q_ANY, q_ratio
+from chorfixtures import sensor_family, sensors, sensors_partial, typed_example
+from gcq.captypes import (
+    CapabilityChecker,
+    Failure,
+    check_capabilities,
+    init_ownerships,
+    state_satisfies,
+)
+from gcq.linlog import Lolli, Own, Plus, Prover, Tensor, TRUE, own
+from gcq.syntax import CapState, Q_ALL, Q_ANY, athr, q_ratio
 
 
 class TestGoldenMatrix:
@@ -105,3 +111,75 @@ class TestStateSatisfaction:
         _, conf = step(Configuration.initial(c))
         init = c.inter
         assert state_satisfies(conf.sigma, init_ownerships(init))
+
+
+M = own("t0", "k", "M", {"Acc0"})
+S1 = own("t1", "k", "S1", {"Acc1"})
+S2 = own("t2", "k", "S2", {"Acc2"})
+OTHER = own("t9", "k", "Z", {"W"})
+
+
+class TestDerive:
+    """The general path of ``_derive``: context formulas that are not plain atoms.
+
+    The leftovers are those the exhaustive search over every selection of
+    context formulas returned.
+    """
+
+    @pytest.mark.parametrize("psi,chosen,leftover", [
+        ((OTHER, S1, TRUE, Plus(M, M), S2, S1), ["t1"], (OTHER, TRUE, S2, S1)),
+        ((OTHER, S1, TRUE, Plus(M, M), S2, S1), ["t1", "t2"], (OTHER, TRUE, S1)),
+        ((Plus(M, OTHER), S1, Tensor(M, S2), OTHER, TRUE, S1), ["t1"], None),
+        ((Plus(M, OTHER), S1, Tensor(M, S2), OTHER, TRUE, S1), ["t1", "t2"],
+         (Plus(M, OTHER), OTHER, S1)),
+        ((S2, Plus(S1, S1), OTHER, Plus(M, M), TRUE), ["t1"], (S2, OTHER, TRUE)),
+        ((S2, Plus(S1, S1), OTHER, Plus(M, M), TRUE), ["t1", "t2"], (OTHER, TRUE)),
+    ])
+    def test_leftover(self, psi, chosen, leftover):
+        principal = athr("t0", "M", {"Acc0"}, {"Ms0"})
+        by_thread = {"t1": athr("t1", "S1", {"Acc1"}, {"Ms1"}),
+                     "t2": athr("t2", "S2", {"Acc2"}, {"Ms2"})}
+        got = CapabilityChecker()._derive(psi, principal, [by_thread[t] for t in chosen], "k")
+        assert got == leftover
+
+
+def _goal_text(ids):
+    """The printed reduce goal: the monitor's and sensors' ``Ms`` atoms, right-nested."""
+    atoms = [f"t{i}:k[{'S' + str(i) if i else 'M'}]{{Ms{i}}}" for i in ids]
+    goal = atoms[-1]
+    for atom in reversed(atoms[:-1]):
+        goal = f"({atom} * {goal})"
+    return goal
+
+
+def _reduce_failures(quality, over, subsets):
+    senders = ",".join(f"t{i}" for i in over)
+    return [Failure("CapabilityUnderivable", f"reduce k[{quality}] avg({senders})->t0",
+                    f"cannot derive {_goal_text([0, *subset])} from the context",
+                    tuple(f"t{i}" for i in subset))
+            for subset in subsets]
+
+
+class TestProofSearchCost:
+    """Rejected n = 8 twins: the failures the exhaustive search reported, without its cost."""
+
+    @pytest.mark.parametrize("chor,failures", [
+        (sensor_family(8, Q_ANY, Q_ALL),
+         _reduce_failures("all", range(1, 9), [range(1, 9)])),
+        (sensor_family(8, Q_ANY, Q_ANY, reduce_over=[1, 3, 4, 5, 6, 7, 8]),
+         _reduce_failures("any", [1, 3, 4, 5, 6, 7, 8], [[i] for i in (3, 1, 4, 5, 6, 7, 8)])),
+    ], ids=["any_all", "blocking"])
+    def test_n8_twin(self, monkeypatch, chor, failures):
+        entries = 0
+        search = Prover._search
+
+        def counted(self, *args):
+            nonlocal entries
+            entries += 1
+            return search(self, *args)
+
+        monkeypatch.setattr(Prover, "_search", counted)
+        report = check_capabilities([], chor)
+        assert not report.ok
+        assert report.failures == failures
+        assert entries <= 1000

@@ -12,6 +12,7 @@ from gcq.linlog import (
     Plus,
     Tensor,
     formula_size,
+    lolli_free,
     own,
     prove,
     replay,
@@ -51,6 +52,12 @@ class TestGoldenSequents:
     def test_plus_left_needs_both(self):
         assert prove([Plus(X, X)], X).provable
         assert not prove([Plus(X, Y)], X).provable
+
+    def test_tensor_with_plus_on_the_left(self):
+        # both branches of the plus fit the context; only one leaves the right goal's atom
+        assert prove([X, Y], Tensor(Plus(X, Y), X)).provable
+        assert prove([X, Y], Tensor(Plus(X, Y), Y)).provable
+        assert not prove([X, Y], Tensor(Plus(X, Y), SX)).provable
 
     def test_lolli(self):
         assert prove([X, Lolli(X, Y)], Y).provable
@@ -140,3 +147,30 @@ class TestOracleAgreement:
         assert res.provable == brute_provable(ctx, goal)
         if res.provable:
             assert replay(res.certificate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_atom_contexts(self, data):
+        """Atom-only contexts with duplicates and lolli-free goals: the guided tensor split."""
+        atoms = [X, Y, SX]
+        pool = [f for f in formula_pool(atoms, 2) if lolli_free(f) and formula_size(f) <= 7]
+        # formula_pool puts compound formulas on the right only; mirror the tensors
+        pool += [Tensor(f.right, f.left) for f in pool if isinstance(f, Tensor)]
+        goal = data.draw(st.sampled_from(pool))
+        # half the draws start from atoms that prove the goal, so both answers occur
+        ctx = witness(data, goal) if data.draw(st.booleans()) else []
+        ctx += data.draw(st.lists(st.sampled_from(atoms), max_size=6 - len(ctx)))
+        ctx = data.draw(st.permutations(ctx))
+        res = prove(ctx, goal)
+        assert res.provable == brute_provable(ctx, goal)
+        if res.provable:
+            assert replay(res.certificate)
+
+
+def witness(data, f):
+    """The atoms of one choice of plus branches of a lolli-free formula."""
+    if isinstance(f, Tensor):
+        return witness(data, f.left) + witness(data, f.right)
+    if isinstance(f, Plus):
+        return witness(data, data.draw(st.sampled_from([f.left, f.right])))
+    return [] if f == TRUE else [f]

@@ -1,5 +1,7 @@
 """Core term and state operations: quality predicates, exchange, substitution."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from gcq.syntax import (
     exchange,
     free_names,
     q_ratio,
+    quality_subsets,
     seq,
     state_update,
     substitute,
@@ -94,6 +97,35 @@ class TestQuality:
         qs = [Q_ALL, Q_ANY] + [q_ratio(m, n) for m in range(1, n + 1)]
         q = data.draw(st.sampled_from(qs))
         assert eval_quality(q, [True] * n)
+
+
+def mask_quality_subsets(q, candidates):
+    """Reference definition: filter all 2^n subsets by their flag vector, then sort."""
+    out = []
+    n = len(candidates)
+    for mask in range(1 << n):
+        chosen = frozenset(candidates[i] for i in range(n) if mask >> i & 1)
+        if eval_quality(q, [c in chosen for c in candidates]):
+            out.append(chosen)
+    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return out
+
+
+class TestQualitySubsets:
+    @pytest.mark.parametrize(
+        "q", [Q_ALL, Q_ANY] + [q_ratio(m, n) for n in range(1, 9) for m in range(1, n + 1)], ids=str)
+    def test_matches_mask_definition(self, q):
+        for size in range(9):
+            candidates = [f"t{i}" for i in range(size)]
+            random.Random(size).shuffle(candidates)
+            try:
+                expected = mask_quality_subsets(q, tuple(candidates))
+            except ArityMismatch as exc:
+                with pytest.raises(ArityMismatch) as got:
+                    quality_subsets(q, tuple(candidates))
+                assert str(got.value) == str(exc)
+                continue
+            assert quality_subsets(q, tuple(candidates)) == expected
 
 
 class TestExchange:
