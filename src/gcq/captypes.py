@@ -225,12 +225,8 @@ class CapabilityChecker:
         if all(isinstance(f, (Own, TrueF)) for f in psi):
             return None
         # General path: the rule consumes exactly one context formula per
-        # participant; try every selection of that size.  An ownership atom
-        # the goal does not name can never be consumed from a lolli-free
-        # context, so no selection holding one is provable.
-        named = set(need)
-        usable = [i for i, f in enumerate(psi) if not isinstance(f, Own) or f in named]
-        for combo in itertools.combinations(usable, len(need)):
+        # participant; try every selection of that size.
+        for combo in itertools.combinations(range(len(psi)), len(need)):
             ctx = tuple(psi[i] for i in combo)
             if self.prover.prove(ctx, goal).provable:
                 return tuple(f for i, f in enumerate(psi) if i not in combo)

@@ -9,13 +9,9 @@ no implicit weakening or contraction.
 
 Provability in this fragment is decidable; the prover below runs a backward
 sequent search and returns a replayable proof tree on success.  Contexts are
-compared and memoized as multisets of formulas.  The non-invertible rules
-split the context: when it holds only ownership atoms and the left goal of a
-tensor is free of implications, that goal is provable from exactly its atom
-bags (one per choice of plus branches), so the split tries only the bags the
-context contains (guided splitting, after Cervesato, Hodas & Pfenning,
-"Efficient resource management for linear logic proof search", TCS 2000);
-otherwise it tries every distinct sub-multiset.
+compared and memoized as multisets of formulas, and the non-invertible rules
+split the context into every distinct pair of sub-multisets, so duplicate
+formulas are not tried twice.
 """
 
 from __future__ import annotations
@@ -246,7 +242,7 @@ def replay(node: ProofNode) -> bool:
 
 
 class Prover:
-    """Backward sequent search with memoization and guided context splitting."""
+    """Backward sequent search with memoization and multiset context splitting."""
 
     def __init__(self, max_depth: int = 64):
         self.max_depth = max_depth
@@ -307,7 +303,7 @@ class Prover:
 
         # Non-invertible rules.  Context now holds only atoms and lollis.
         if isinstance(goal, Tensor):
-            for lctx, rctx in _tensor_splits(ctx, goal.left):
+            for lctx, rctx in _splits(ctx):
                 lnode = self._search(lctx, goal.left, depth + 1)
                 if lnode is None:
                     continue
@@ -336,40 +332,21 @@ class Prover:
 
 
 def _splits(ctx: Context):
-    """Every split of ``ctx`` into two multisets, each distinct split once."""
-    counts = Counter(ctx)
-    for picks in itertools.product(*(range(c + 1) for c in counts.values())):
-        yield (tuple(f for f, p in zip(counts, picks) for _ in range(p)),
-               tuple(f for (f, c), p in zip(counts.items(), picks) for _ in range(c - p)))
+    """Every split of ``ctx`` into two multisets, smaller left part first.
 
-
-def _atom_bags(f: Formula) -> list[tuple[Own, ...]]:
-    """The atom multisets that prove the lolli-free ``f``, one per choice of plus branches."""
-    match f:
-        case Own():
-            return [(f,)]
-        case Tensor(l, r):
-            return [a + b for a in _atom_bags(l) for b in _atom_bags(r)]
-        case Plus(l, r):
-            return _atom_bags(l) + _atom_bags(r)
-    return [()]
-
-
-def _tensor_splits(ctx: Context, left: Formula):
-    """The (left, right) contexts ``tensor_r`` tries for the left goal ``left``.
-
-    From ownership atoms alone, a lolli-free goal is provable only from one
-    of its atom bags, so the left context must be a bag the context holds.
+    Copies of a formula are grouped, and a left part may take a copy only
+    with the copy before it, so each distinct split comes once.
     """
-    if not lolli_free(left) or not all(isinstance(f, Own) for f in ctx):
-        return _splits(ctx)
-    have = Counter(ctx)
-    out = {}
-    for bag in _atom_bags(left):
-        need = Counter(bag)
-        if need <= have:
-            out.setdefault(multiset(bag), (bag, tuple((have - need).elements())))
-    return out.values()
+    ctx = tuple(Counter(ctx).elements())
+    n = len(ctx)
+    repeats = [i for i in range(1, n) if ctx[i] == ctx[i - 1]]
+    for r in range(n + 1):
+        for left in itertools.combinations(range(n), r):
+            chosen = set(left)
+            if any(i in chosen and i - 1 not in chosen for i in repeats):
+                continue
+            yield (tuple(ctx[i] for i in left),
+                   tuple(ctx[i] for i in range(n) if i not in chosen))
 
 
 def prove(ctx: Iterable[Formula], goal: Formula, max_depth: int = 64) -> ProofResult:

@@ -91,8 +91,8 @@ def eval_quality(q: Quality, flags: list[bool] | tuple[bool, ...]) -> bool:
 
 
 def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozenset[Thread]]:
-    """All subsets of the distinct threads ``candidates`` satisfying ``q``,
-    smallest first, then by sorted members.
+    """All subsets of ``candidates`` satisfying ``q``, smallest first, then by
+    sorted members.
 
     Every predicate is monotone in the number of flags set, so the subsets
     are exactly those at least as large as the least satisfying count.
@@ -100,8 +100,10 @@ def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozense
     n = len(candidates)
     least = next((k for k in range(n + 1)
                   if eval_quality(q, [True] * k + [False] * (n - k))), n + 1)
-    return [frozenset(c) for k in range(least, n + 1)
-            for c in itertools.combinations(sorted(candidates), k)]
+    out = [frozenset(c) for k in range(least, n + 1)
+           for c in itertools.combinations(sorted(candidates), k)]
+    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,29 @@ class TestCheck:
         got, _, _ = run_cli("check", str(GOLDEN / f"{name}.gcq"), capsys=capsys)
         assert got == code
 
+    # program -> exit codes of check, run-global, cosim and availability, as
+    # scripts/run_golden.py prints them.  The check column is the README's
+    # golden matrix; the other three record the toolchain's output when this
+    # table was written, not a derived answer.
+    VERDICTS = {
+        "sensors_all": (0, 0, 0, 0),
+        "sensors_23": (0, 0, 0, 0),
+        "sensors_typed": (0, 0, 0, 0),
+        "sensors_any_all": (1, 0, 1, 1),
+        "sensors_blocking": (1, 0, 1, 1),
+        "linearity_race": (1, 0, 1, 0),
+    }
+    LAX = {"sensors_any_all", "sensors_blocking"}
+
+    @pytest.mark.parametrize("cmd,name,code", [
+        (cmd, name, codes[i])
+        for name, codes in VERDICTS.items()
+        for i, cmd in enumerate(("check", "run-global", "cosim", "availability"))])
+    def test_golden_verdict_table(self, cmd, name, code, capsys):
+        flags = ["--lax-select"] if name in self.LAX else []
+        got, _, _ = run_cli(cmd, str(GOLDEN / f"{name}.gcq"), *flags, capsys=capsys)
+        assert got == code
+
     def test_lax_select_reaches_capability_analysis(self, capsys):
         code, out, _ = run_cli("check", str(GOLDEN / "sensors_any_all.gcq"),
                                "--lax-select", "--json", capsys=capsys)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from gcq.linlog import (
     TRUE,
+    _splits,
     Lolli,
     Plus,
     Tensor,
     formula_size,
     lolli_free,
+    multiset,
     own,
     prove,
     replay,
@@ -72,6 +74,17 @@ class TestGoldenSequents:
     def test_empty_tensor_helper(self):
         assert tensor_all([]) == TRUE
         assert tensor_all([X]) == X
+
+
+class TestSplits:
+    def test_each_distinct_split_once(self):
+        for n in range(6):
+            for ctx in itertools.product([X, Y, TRUE], repeat=n):
+                got = [(multiset(l), multiset(r)) for l, r in _splits(ctx)]
+                want = {(multiset(ctx[i] for i in left),
+                         multiset(ctx[i] for i in range(n) if i not in left))
+                        for r in range(n + 1) for left in itertools.combinations(range(n), r)}
+                assert len(got) == len(want) and set(got) == want
 
 
 class TestDepthCap:
@@ -151,7 +164,7 @@ class TestOracleAgreement:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_atom_contexts(self, data):
-        """Atom-only contexts with duplicates and lolli-free goals: the guided tensor split."""
+        """Atom-only contexts with duplicates and lolli-free goals: the multiset splits."""
         atoms = [X, Y, SX]
         pool = [f for f in formula_pool(atoms, 2) if lolli_free(f) and formula_size(f) <= 7]
         # formula_pool puts compound formulas on the right only; mirror the tensors

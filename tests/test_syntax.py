@@ -127,6 +127,15 @@ class TestQualitySubsets:
                 continue
             assert quality_subsets(q, tuple(candidates)) == expected
 
+    def test_repeated_candidate_order(self):
+        # a thread listed twice: the distinct subsets keep the mask definition's
+        # order, though a subset may occur a different number of times
+        for q in [Q_ALL, Q_ANY, q_ratio(1, 3), q_ratio(2, 3)]:
+            got = quality_subsets(q, ("b", "a", "b"))
+            assert got == sorted(got, key=lambda s: (len(s), tuple(sorted(s))))
+            assert (list(dict.fromkeys(got))
+                    == list(dict.fromkeys(mask_quality_subsets(q, ("b", "a", "b")))))
+
 
 class TestExchange:
     def test_held_capability_swapped(self):
