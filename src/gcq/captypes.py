@@ -32,6 +32,7 @@ from .syntax import (
     Reduce,
     Select,
     Seq,
+    free_names,
     quality_subsets,
 )
 
@@ -123,6 +124,7 @@ class CapabilityChecker:
         self.prover = Prover(prover_depth)
         self.failures: list[Failure] = []
         self._memo: dict = {}
+        self._sessions: dict = {}  # id of a continuation -> its free session keys
 
     def check(self, psi: Context, c: Choreography) -> bool:
         for f in psi:
@@ -175,10 +177,29 @@ class CapabilityChecker:
         return self._check(extended, cont) and ok
 
     def _check_comm(self, psi: Context, eta: Interaction, cont: Choreography) -> bool:
+        """Every tolerated subset derives its goal, and the continuation
+        checks under the context each subset leaves.
+
+        Before the continuation is checked, every ownership atom of a
+        session the continuation does not name loses its capabilities.
+        That changes no verdict: the continuation's goals are atoms of the
+        sessions it names, so no derivation in it consumes such an atom;
+        ``End`` accepts any leftover; and the freshness checks of later
+        starts read only an atom's thread and key, which stay.  Contexts
+        that differed only in a finished session then coincide, and the
+        memo checks the continuation once instead of once per subset.
+        """
         principal, candidates, quality, key = _comm_parts(eta)
         if len(candidates) > MAX_PARTICIPANTS:
             self._fail("TooManyParticipants", eta,
                        f"{len(candidates)} participants exceed the bound {MAX_PARTICIPANTS}")
+            return False
+        threads = [p.thread for p in (principal, *candidates)]
+        roles = [p.role for p in (principal, *candidates)]
+        if len(set(threads)) < len(threads) or len(set(roles)) < len(roles):
+            twice = [f"{what} {name}" for what, names in (("thread", threads), ("role", roles))
+                     for name in sorted(set(names)) if names.count(name) > 1]
+            self._fail("DuplicateParticipant", eta, f"listed twice: {', '.join(twice)}")
             return False
         by_thread = {p.thread: p for p in candidates}
         try:
@@ -202,13 +223,23 @@ class CapabilityChecker:
                                f"cannot derive {goal} from the context", subset=chosen_threads)
                     reported = True
                 continue
-            if not self._check(updated_context(principal, chosen, key, leftover), cont):
+            ctx = updated_context(principal, chosen, key, leftover)
+            if not self._check(self._without_finished(ctx, cont), cont):
                 ok = False
         return ok
 
+    def _without_finished(self, ctx: Context, cont: Choreography) -> Context:
+        """``ctx`` with empty capabilities on the atoms of every session that
+        ``cont`` does not name (see ``_check_comm``)."""
+        live = self._sessions.get(id(cont))
+        if live is None:
+            live = self._sessions[id(cont)] = free_names(cont).sessions
+        return tuple(Own(f.thread, f.session, f.role, frozenset())
+                     if isinstance(f, Own) and f.caps and f.session not in live else f
+                     for f in ctx)
+
     def _derive(self, psi: Context, principal, chosen, key) -> Optional[Context]:
         """Find a context split proving the capability goal; return the leftover."""
-        goal = capability_goal(principal, chosen, key)
         need = [ownership(principal, key, required=True)]
         need += [ownership(p, key, required=True) for p in chosen]
         # Fast path: pick one exactly-matching atom per participant.
@@ -226,6 +257,7 @@ class CapabilityChecker:
             return None
         # General path: the rule consumes exactly one context formula per
         # participant; try every selection of that size.
+        goal = capability_goal(principal, chosen, key)
         for combo in itertools.combinations(range(len(psi)), len(need)):
             ctx = tuple(psi[i] for i in combo)
             if self.prover.prove(ctx, goal).provable:

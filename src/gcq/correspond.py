@@ -173,12 +173,18 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
             return []
         want[key] -= 1
     found: dict[Network, Network] = {}  # canonical form -> first network reaching it
+    expanded: set = set()  # (exact network, remaining labels): fresh keys stay apart
 
     def dfs(current: Network, remaining: Counter):
-        if not +remaining:
+        remaining = +remaining
+        if not remaining:
             # dfs refers to itself, so it outlives the call; it must not hold the table
             found.setdefault(canon_table().canon(current), current)
             return
+        state = (current, frozenset(remaining.items()))
+        if state in expanded:
+            return
+        expanded.add(state)
         for lab, succ in net_enabled(current, oracle):
             if isinstance(lab, Start):
                 pending = init_keys.get(_keyless_start(lab), [])
@@ -237,12 +243,12 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
     frontier = deque([(start_conf, start_net, 0)])
     seen = {(start_conf.canon_key(), table.canon(start_net))}
     explored = 0
-    budget_hit = False
+    cut = None  # the first budget that kept the search from an answer
     while frontier:
         conf, net, depth = frontier.popleft()
         explored += 1
         if depth >= bound:
-            budget_hit = True
+            cut = cut or f"exploration stopped at depth {bound}"
             continue
         gsteps = enabled(conf)
         # Soundness direction
@@ -268,28 +274,32 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
         # Completeness direction: the fired endpoint label must belong to
         # the combined group of some global step sequence; an enqueue for a
         # group whose global turn comes later needs lookahead.
+        lookahead = max(2, min(bound - depth, 6))
         for elabel, net1 in net_enabled(net):
-            if not _complete_endpoint(conf, elabel, net1, prune_depth,
-                                      lookahead=max(2, min(bound - depth, 6))):
+            completed = _complete_endpoint(conf, elabel, net1, prune_depth, lookahead)
+            if completed is None:
+                cut = cut or (f"completeness: lookahead of {lookahead} global steps ran out "
+                              f"for endpoint step {elabel} at depth {depth}")
+            elif not completed:
                 return Verdict(
                     "CounterexampleFound",
                     f"completeness: endpoint step {elabel} at depth {depth} completes "
                     f"no global step sequence", explored)
-    if budget_hit:
-        return Verdict("BudgetExceeded", f"exploration stopped at depth {bound}", explored)
+    if cut is not None:
+        return Verdict("BudgetExceeded", cut, explored)
     return Verdict("Pass", "", explored)
 
 
 def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: int,
-                       lookahead: int = 6) -> bool:
+                       lookahead: int = 6) -> Optional[bool]:
     """Find global steps whose combined endpoint groups absorb the fired label.
 
     Searches sequences of up to ``lookahead`` global transitions; the fired
     endpoint label must occur in some group of the sequence, the remaining
     group labels must be firable from the successor network, and the result
-    must prune to the projection of the final residual.
+    must prune to the projection of the final residual.  Returns None
+    (inconclusive) when no sequence did but a longer one exists.
     """
-    my_key = None
     frontier = [(conf, [])]
     for _ in range(lookahead):
         nxt = []
@@ -319,7 +329,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                             continue
                 nxt.append((conf2, seq))
         frontier = nxt
-    return False
+    return None if any(enabled(cur) for cur, _ in frontier) else False
 
 
 # ---------------------------------------------------------------------------

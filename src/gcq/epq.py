@@ -484,11 +484,14 @@ def net_congruent(n1: Network, n2: Network) -> bool:
 class CanonTable:
     """One verdict's canonical forms, each computed once: every network's
     canonical ``Network``, the searches' state identity, and every form's
-    ``stable_repr``, the successor order."""
+    ``stable_repr``, the successor order.  ``steps`` holds each network's
+    transitions before any oracle filters them (``netsem.net_enabled``),
+    keyed on the exact network, since labels carry its session keys."""
 
     def __init__(self):
         self.forms: dict[Network, Network] = {}
         self.texts: dict[Network, str] = {}
+        self.steps: dict[Network, list] = {}
 
     def canon(self, net: Network) -> Network:
         form = self.forms.get(net)

@@ -35,6 +35,7 @@ from .syntax import (
     Var,
     athr,
     q_ratio,
+    seq,
 )
 
 THREAD_POOL = ("p", "q", "r", "u")
@@ -238,6 +239,28 @@ def concat(c1: Choreography, c2: Choreography) -> Choreography:
         case _ if c1 == END:
             return c2
     raise ValueError(f"cannot append after {c1!r}")
+
+
+def session_chain(m: int, q: Quality) -> Choreography:
+    """``m`` sessions in a row, each ``start; select [all]; reduce [q]``.
+
+    Sensors t1..t3 take part in every session; session ``ki`` gets its own
+    service thread ``mi``.  Under a weak ``q`` each session ends in a
+    context that depends on the chosen senders.
+    """
+    sensors = (1, 2, 3)
+    steps: list[Interaction] = []
+    for i in range(1, m + 1):
+        key, monitor = f"k{i}", f"m{i}"
+        steps.append(Init(tuple(athr(f"t{j}", f"S{j}", off={f"Acc{j}"}) for j in sensors),
+                          (athr(monitor, "M", off={"Acc0"}),), "temperature", key))
+        steps.append(Select(athr(monitor, "M", {"Acc0"}, {"Ms0"}),
+                            tuple(athr(f"t{j}", f"S{j}", {f"Acc{j}"}, {f"Ms{j}"}) for j in sensors),
+                            Q_ALL, key, "measure"))
+        steps.append(Reduce(tuple((athr(f"t{j}", f"S{j}", {f"Ms{j}"}, {f"E{j}"}), Lit(j))
+                                  for j in sensors),
+                            athr(monitor, "M", {"Ms0"}, {"E0"}), f"x{i}", q, "avg", key))
+    return seq(*steps)
 
 
 def interleaved_corpus(count: int, seed: int = 0, per_side: int = 3) -> list[Choreography]:

@@ -221,17 +221,19 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
     """All transitions of the network, deterministically ordered.
 
     The oracle withholds In/Out/Branch synchronizations of unavailable
-    threads (components whose owner the oracle excludes).
+    threads (components whose owner the oracle excludes).  The verdict's
+    table enumerates a network's transitions once; each call keeps, per
+    transition, the first emission the oracle allows.
     """
-    found: dict = {}
     table = canon_table()
+    steps = table.steps.get(net)
+    if steps is None:
+        steps = table.steps[net] = _transitions(net, table)
 
-    def emit(label: ELabel, succ: Network):
-        found.setdefault((label, table.canon(succ)), (label, succ))
-
-    def allowed(comp: Component, session: str, msg: Msg, role: Role) -> bool:
-        if comp.owner is None:
+    def allowed(guard) -> bool:
+        if guard is None or guard[0].owner is None:
             return True
+        comp, session, msg, role = guard
         if hasattr(oracle, "withhold_msg"):
             if isinstance(msg, OutMsg):
                 roles = tuple(r for r, _ in msg.recipients)
@@ -243,12 +245,29 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
         avail = oracle.available(step_index, session, frozenset({comp.owner}))
         return comp.owner in avail
 
+    out = []
+    for label, emissions in steps:
+        succ = next((s for guard, s in emissions if allowed(guard)), None)
+        if succ is not None:
+            out.append((label, succ))
+    return out
+
+
+def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
+    """Every (label, canonical successor) once, in successor order, with
+    its ``(guard, successor)`` emissions in rule order; a synchronization's
+    guard is ``(component, session, message, role)``, other guards are None."""
+    found: dict = {}
+
+    def emit(label: ELabel, succ: Network, guard=None):
+        found.setdefault((label, table.canon(succ)), []).append((guard, succ))
+
     _init_steps(net, emit)
     _enqueue_steps(net, emit)
-    _sync_steps(net, emit, allowed)
+    _sync_steps(net, emit)
     _wait_steps(net, emit)
     _if_steps(net, emit)
-    return [found[key] for key in
+    return [(key[0], found[key]) for key in
             sorted(found, key=lambda k: f"({stable_repr(k[0])}, {table.text(k[1])})")]
 
 
@@ -325,7 +344,7 @@ def _enqueue_steps(net: Network, emit):
                 emit(EDown(), succ.with_queue(_push(queue, msg)))
 
 
-def _sync_steps(net: Network, emit, allowed):
+def _sync_steps(net: Network, emit):
     for i, comp in enumerate(net.components):
         p = comp.proc
         match p:
@@ -342,14 +361,13 @@ def _sync_steps(net: Network, emit, allowed):
                     flags = dict(msg.recipients)
                     if flags.get(receiver) is not False:
                         continue
-                    if not allowed(comp, key, msg, receiver):
-                        continue
                     new_msg = replace(msg, recipients=tuple(
                         (r, True if r == receiver else b) for r, b in msg.recipients))
                     succ = replace(net, components=_with_component(
                         net, i, subst_var(cont, var, msg.payload)))
                     emit(BcIn(sender, receiver, key, msg.payload),
-                         succ.with_queue(_set_msg(queue, idx, new_msg)))
+                         succ.with_queue(_set_msg(queue, idx, new_msg)),
+                         (comp, key, msg, receiver))
             case OutP(key, sender, receiver, expr, cont):
                 queue = net.queue_for(key)
                 if queue is None:
@@ -361,8 +379,6 @@ def _sync_steps(net: Network, emit, allowed):
                     slot = next(((r, b, s) for r, b, s in msg.contributors if r == sender), None)
                     if slot is None or slot[1]:
                         continue
-                    if not allowed(comp, key, msg, sender):
-                        continue
                     w = _eval(expr)
                     if w is None:
                         continue
@@ -371,7 +387,8 @@ def _sync_steps(net: Network, emit, allowed):
                         for r, b, s in msg.contributors))
                     succ = replace(net, components=_with_component(net, i, cont))
                     emit(RdOut(sender, receiver, key, w),
-                         succ.with_queue(_set_msg(queue, idx, new_msg)))
+                         succ.with_queue(_set_msg(queue, idx, new_msg)),
+                         (comp, key, msg, sender))
             case Branch(key, receiver, sender, branches):
                 queue = net.queue_for(key)
                 if queue is None:
@@ -388,13 +405,12 @@ def _sync_steps(net: Network, emit, allowed):
                     flags = dict(msg.recipients)
                     if flags.get(receiver) is not False:
                         continue
-                    if not allowed(comp, key, msg, receiver):
-                        continue
                     new_msg = replace(msg, recipients=tuple(
                         (r, True if r == receiver else b) for r, b in msg.recipients))
                     succ = replace(net, components=_with_component(net, i, arm))
                     emit(SelIn(sender, receiver, key, msg.payload.label),
-                         succ.with_queue(_set_msg(queue, idx, new_msg)))
+                         succ.with_queue(_set_msg(queue, idx, new_msg)),
+                         (comp, key, msg, receiver))
 
 
 def _wait_steps(net: Network, emit):

@@ -10,7 +10,10 @@ from gcq.captypes import (
     init_ownerships,
     state_satisfies,
 )
+from gcq.genchor import concat, session_chain
+from gcq.gtypes import check_session_only, infer_gamma
 from gcq.linlog import Lolli, Own, Plus, Prover, Tensor, TRUE, own
+from gcq.projection import check_linearity
 from gcq.syntax import CapState, Q_ALL, Q_ANY, athr, q_ratio
 
 
@@ -183,3 +186,40 @@ class TestProofSearchCost:
         assert not report.ok
         assert report.failures == failures
         assert entries <= 1000
+
+
+class TestSessionChain:
+    """A finished session's capabilities do not multiply the work after it."""
+
+    def test_calls_linear_in_sessions(self, monkeypatch):
+        calls = 0
+        check_raw = CapabilityChecker._check_raw
+
+        def counted(self, psi, c):
+            nonlocal calls
+            calls += 1
+            # each 2/3 reduce leaves one context per tolerated subset: 2^25 - 1
+            # calls if every one of them is checked against the rest of the chain
+            assert calls <= 3 * 12 + 1, "more than one check per interaction"
+            return check_raw(self, psi, c)
+
+        monkeypatch.setattr(CapabilityChecker, "_check_raw", counted)
+        report = check_capabilities([], session_chain(12, q_ratio(2, 3)))
+        assert report.ok and report.failures == []
+
+    @pytest.mark.parametrize("q", [Q_ALL, Q_ANY, q_ratio(2, 3)], ids=str)
+    def test_chain_is_well_typed_and_linear(self, q):
+        chor = session_chain(3, q)
+        assert check_capabilities([], chor).ok
+        assert check_session_only(infer_gamma(chor), chor, {}).ok
+        assert check_linearity(chor).ok
+
+    def test_failure_after_a_finished_session_still_reported(self):
+        # the second session's reduce needs every sensor's Ms atom, which a
+        # weak selection does not guarantee
+        first = session_chain(1, q_ratio(2, 3))
+        second = sensor_family(3, Q_ANY, Q_ALL)
+        report = check_capabilities([], concat(first, second))
+        assert not report.ok
+        assert {f.code for f in report.failures} == {"CapabilityUnderivable"}
+        assert report.failures == check_capabilities([], second).failures

@@ -85,6 +85,18 @@ class TestCheck:
         assert [(f["code"], f["interaction"]) for f in failures] == [
             ("CapabilityUnderivable", "reduce k[all] avg(t1,t2,t3)->t0")]
 
+    def test_participant_listed_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "twice.gcq"
+        path.write_text(TWICE, encoding="utf-8")
+        code, out, _ = run_cli("check", str(path), "--json", capsys=capsys)
+        assert code == 1
+        data = json.loads(out)
+        assert data["session"]["ok"] and data["linearity"]["ok"]
+        assert data["capabilities"]["failures"] == [{
+            "code": "DuplicateParticipant",
+            "interaction": "select k[all] t0->(t1,t1,t2):measure",
+            "reason": "listed twice: thread t1, role S1"}]
+
     @pytest.mark.parametrize("explain", [False, True])
     def test_internal_fault_is_not_a_usage_error(self, explain, monkeypatch, capsys):
         import gcq.cli
@@ -225,6 +237,47 @@ class TestCosimAvailability:
         data = json.loads(out)
         assert data["status"] == "BudgetExceeded"
         assert data["detail"] == "exploration stopped at depth 2 under AlwaysAvailable()"
+
+
+    @pytest.mark.parametrize("bound,code,status", [
+        ("3", 3, "BudgetExceeded"), ("32", 0, "Pass")])
+    def test_exhausted_lookahead_is_inconclusive(self, bound, code, status, tmp_path, capsys):
+        # p's output waits for two exchanges between q and r; at depth 1 a
+        # bound of 3 leaves a lookahead of 2 global steps
+        path = tmp_path / "relay.gcq"
+        path.write_text(RELAY, encoding="utf-8")
+        got, out, _ = run_cli("cosim", str(path), "--bound", bound, capsys=capsys)
+        data = json.loads(out)
+        assert (got, data["status"]) == (code, status)
+        if status == "BudgetExceeded":
+            assert data["detail"] == ("completeness: lookahead of 2 global steps ran out "
+                                      "for endpoint step EUp() at depth 1")
+
+
+TWICE = """
+service temperature : branch M -> (S1,S2) { measure: reduce (S1,S2) -> M <int> . end };
+caps sensors = {Acc0, Acc1, Acc2, Ms0, Ms1, Ms2, E0, E1, E2};
+
+choreography {
+  start k (temperature) (t1[S1]{Acc1}, t2[S2]{Acc2}) -> (t0[M]{Acc0});
+  select k [all] t0[M]{Acc0;Ms0} -> (t1[S1]{Acc1;Ms1}, t1[S1]{Acc1;Ms1}, t2[S2]{Acc2;Ms2}) : measure;
+  reduce k [all] avg (t1[S1]{Ms1;E1}.1, t1[S1]{Ms1;E1}.1, t2[S2]{Ms2;E2}.-2) -> t0[M]{Ms0;E0} : xm;
+  end
+}
+"""
+
+RELAY = """
+service relay : bcast B -> (C) <int> . bcast C -> (B) <int> . bcast A -> (B) <int> . end;
+caps steps = {P0, P1, Q0, Q1, Q2, Q3, R0, R1, R2, S0};
+
+choreography {
+  start k (relay) (p[A]{P0}, q[B]{Q0}, r[C]{R0}) -> (s[D]{S0});
+  bcast k [all] q[B]{Q0;Q1}.1 -> (r[C]{R0;R1}: x);
+  bcast k [all] r[C]{R1;R2}.2 -> (q[B]{Q1;Q2}: y);
+  bcast k [all] p[A]{P0;P1}.3 -> (q[B]{Q2;Q3}: z);
+  end
+}
+"""
 
 
 class TestInstalledEntryPoint:

@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from chorfixtures import sensor_family, sensors, sensors_partial, typed_example
-from gcq import epq
+from chorfixtures import chained_starts, sensor_family, sensors, sensors_partial, typed_example
+from gcq import correspond, epq, netsem
 from gcq.correspond import (
     Verdict,
     availability_check,
     cosimulate,
     drop_receiver,
+    fire_labels,
     implements,
     required_group,
     swap_select_label,
@@ -20,7 +21,7 @@ from gcq.netsem import BcIn, BcOut, ETau, EUp, SelIn, SelOut, Start, net_enabled
 from gcq.parser import parse
 from gcq.projection import epp
 from gcq.schedule import ScriptOracle, SingleFailure, TolerantFailure
-from gcq.semantics import ALWAYS, Configuration, run
+from gcq.semantics import ALWAYS, Configuration, enabled, run
 from gcq.syntax import (
     GBcastL,
     GInitL,
@@ -28,6 +29,7 @@ from gcq.syntax import (
     Q_ALL,
     Q_ANY,
     SomeV,
+    free_names,
     q_ratio,
     stable_repr,
 )
@@ -266,3 +268,140 @@ class TestStateIdentity:
                 assert net not in known  # neither met before nor a form already computed
                 known |= {net, form}
             assert computed
+
+
+def _reachable(chor, limit=40) -> list:
+    """Networks the projection reaches under ``ALWAYS``, breadth first."""
+    @epq.per_verdict
+    def explore():
+        table = epq.canon_table()
+        nets = [epp(chor)]
+        seen = {table.canon(nets[0])}
+        for net in nets:
+            for _, succ in net_enabled(net):
+                if len(nets) < limit and table.canon(succ) not in seen:
+                    seen.add(table.canon(succ))
+                    nets.append(succ)
+        return nets
+    return explore()
+
+
+def _after(conf, seq):
+    """The configuration reached by firing the global labels ``seq``."""
+    for g in seq:
+        conf = next(c for lab, c in enabled(conf) if lab == g)
+    return conf
+
+
+class _Forgetful(set):
+    """A set that never reports a member: ``fire_labels`` without its visited set."""
+
+    def __contains__(self, item):
+        return False
+
+
+class TestSuccessorMemo:
+    """Each verdict enumerates a network's transitions once; oracles only filter them."""
+
+    PROGRAMS = ([(p.stem, parse(p.read_text(), lax_select=True).chor)
+                 for p in sorted(GOLDEN.glob("*.gcq"))]
+                + [("chained_starts", chained_starts())]
+                + [(f"sensor_family({n})", sensor_family(n)) for n in range(2, 5)])
+
+    @staticmethod
+    def _script(chor) -> ScriptOracle:
+        """Withholds the first free thread at steps 0-4 and the last from step 5 on."""
+        threads = sorted(free_names(chor).threads)
+        return ScriptOracle((("unavailable", frozenset(threads[:1])),) * 5
+                            + (("unavailable", frozenset(threads[-1:])),))
+
+    @staticmethod
+    def _congruent_copies(nets) -> list:
+        """Each network, its components reversed, and its sessions renamed:
+        congruent networks whose steps differ in order or in keys."""
+        out = []
+        for net in nets:
+            renamed = net
+            for key in sorted(net.restricted):
+                renamed = correspond._rename_net_session(renamed, key, f"{key}_r")
+            for copy in (net, epq.Network(net.components[::-1], net.queues, net.restricted),
+                         renamed):
+                if copy not in out:
+                    out.append(copy)
+        return out
+
+    @pytest.mark.parametrize("name,chor", PROGRAMS, ids=[n for n, _ in PROGRAMS])
+    def test_warm_table_answers_like_a_fresh_one(self, name, chor):
+        nets = self._congruent_copies(_reachable(chor))
+        script = self._script(chor)
+        queries = ([(ALWAYS, 0)] + [(TolerantFailure(t), 0)
+                                    for t in sorted(free_names(chor).threads)]
+                   + [(script, 0), (script, 5)])
+        fresh = epq.per_verdict(net_enabled)
+
+        @epq.per_verdict
+        def compare():
+            for oracle, step in queries:
+                for net in nets:
+                    assert net_enabled(net, oracle, step) == fresh(net, oracle, step)
+            assert len(epq.canon_table().steps) == len(nets)
+
+        compare()
+
+    def test_one_entry_serves_two_steps(self):
+        chor = sensor_family(3)
+        script = self._script(chor)
+        nets = _reachable(chor)
+
+        @epq.per_verdict
+        def differing():
+            table, count = epq.canon_table(), 0
+            for net in nets:
+                at0 = net_enabled(net, script, 0)
+                entries = len(table.steps)
+                at5 = net_enabled(net, script, 5)
+                assert len(table.steps) == entries
+                count += at0 != at5
+            return count
+
+        assert differing() > 0
+
+    def test_availability_expands_each_network_once(self, monkeypatch):
+        chor = sensor_family(5)
+        reached = availability_check(chor).pairs_explored  # ALWAYS reaches every network
+        expanded = []
+        transitions = netsem._transitions
+        monkeypatch.setattr(netsem, "_transitions",
+                            lambda net, table: expanded.append(net) or transitions(net, table))
+        oracles = [ALWAYS] + [TolerantFailure(t) for t in sorted(free_names(chor).threads)]
+        verdict = availability_check(chor, oracles)
+        assert verdict.passed and verdict.pairs_explored > 5 * reached
+        assert len(expanded) <= reached
+
+    def test_fire_labels_visited_set_keeps_the_networks(self, monkeypatch):
+        """Windows of one to three global steps on ``chained_starts``, whose
+        two starts invent fresh session keys, from every state pair along its
+        co-simulation, with and without an endpoint step already fired."""
+        chor = chained_starts()
+
+        @epq.per_verdict
+        def windows() -> list:
+            out = []
+            frontier = [(Configuration.initial(chor), epp(chor))]
+            for conf, net in frontier:
+                seqs = [[]]
+                for _ in range(3):
+                    seqs = [seq + [g] for seq in seqs for g, _ in enabled(_after(conf, seq))]
+                    for seq in seqs:
+                        out.append(fire_labels(net, seq))
+                        out += [fire_labels(net1, seq, already_fired=lab)
+                                for lab, net1 in net_enabled(net)]
+                for g, conf2 in enabled(conf):
+                    frontier += [(conf2, n) for n in fire_labels(net, [g])[:1]]
+            return out
+
+        with_set = windows()
+        monkeypatch.setattr(correspond, "set", _Forgetful, raising=False)
+        without = windows()
+        assert any(nets for nets in with_set)
+        assert with_set == without
