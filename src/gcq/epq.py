@@ -31,7 +31,6 @@ from .syntax import (
     Q_ANY,
     map_vars,
     q_ratio,
-    stable_repr,
     value_expr,
 )
 from .parser import ParseError, Token, tokenize, print_expr, _TOKEN_RE as _TOKEN_ANY
@@ -325,10 +324,19 @@ def proc_free_names(p: Proc) -> frozenset[str]:
 
 def rename_key(p: Proc, old: str, new: str) -> Proc:
     """Substitute a free session name (capture by binders stops the walk)."""
-    if old == new or isinstance(p, KEY_BINDERS) and p.key == old:
-        return p
-    fields = {"key": new} if getattr(p, "key", None) == old else {}
-    return map_cont(p, lambda c: rename_key(c, old, new), **fields)
+    return rename_keys(p, {old: new}) if old != new else p
+
+
+def rename_keys(p: Proc, ren: dict[str, str]) -> Proc:
+    """Substitute free session names all at once; a binder hides its own
+    name.  One pass per name would rename twice a name that is both a
+    target and a source, as in ``{a: b, b: a}``."""
+    if isinstance(p, KEY_BINDERS) and p.key in ren:
+        ren = {old: new for old, new in ren.items() if old != p.key}
+        if not ren:
+            return p
+    fields = {"key": ren[p.key]} if getattr(p, "key", None) in ren else {}
+    return map_cont(p, lambda c: rename_keys(c, ren), **fields)
 
 
 def _subst(p: Proc, var: str, e: Expr) -> Proc:
@@ -407,20 +415,35 @@ def _msg_key(m: Msg):
     return repr(m)
 
 
-def net_canon(net: Network) -> Network:
+def net_canon(net: Network, memo: Optional[dict] = None) -> Network:
     """Canonical representative modulo structural congruence.
 
     Inert components vanish, queue messages take their commutation normal
     form, restricted names with an empty queue and no other occurrence are
     garbage collected, remaining restricted names are renumbered by first
     use, and components are sorted.
+
+    ``memo`` (a verdict's ``CanonTable.comps``) keeps what each component
+    contributes, keyed on the exact component, which a successor shares with
+    its parent unless the step changed it: its bound-name canonical form,
+    sort key, first-use order and free names; and, keyed on that form and
+    the part of the renaming of restricted names that touches it, the
+    renamed form and its sort key.
     """
-    comps = [c for c in net.components if c.proc != INACT]
+    memo = {} if memo is None else memo
+    entries = []
+    for c in net.components:
+        entry = memo.get(c)
+        if entry is None:
+            entry = memo[c] = _comp_entry(c)
+        if entry:
+            entries.append(entry)
+    entries.sort(key=_entry_key)
     queues = {q.key: queue_canon_msgs(q.msgs) for q in net.queues}
 
     used: set[str] = set()
-    for c in comps:
-        used |= proc_free_names(c.proc)
+    for _, _, _, free in entries:
+        used.update(free)
     for key, msgs in queues.items():
         if msgs:
             used.add(key)
@@ -434,12 +457,9 @@ def net_canon(net: Network) -> Network:
 
     restricted = frozenset(n for n in net.restricted if n in used)
 
-    comps_sorted = sorted(
-        (Component(proc_canon(c.proc), c.owner, c.service) for c in comps),
-        key=_component_key)
     order: dict[str, int] = {}
-    for c in comps_sorted:
-        for name in _occ_order(c.proc):
+    for _, _, occ, _ in entries:
+        for name in occ:
             if name not in order:
                 order[name] = len(order)
     for key in sorted(live_queues):
@@ -450,18 +470,36 @@ def net_canon(net: Network) -> Network:
     for name in sorted(restricted, key=lambda n: (order.get(n, 1 << 30), n)):
         ren[name] = f"{_BOUND}s{len(ren)}"
 
-    def rename_proc(p: Proc) -> Proc:
-        for old, new in ren.items():
-            p = rename_key(p, old, new)
-        return p
-
-    final_comps = tuple(sorted(
-        (Component(rename_proc(c.proc), c.owner, c.service) for c in comps_sorted),
-        key=_component_key))
+    final = []
+    for form, key, _, free in entries:
+        part = tuple((n, ren[n]) for n in free if n in ren)
+        if part:
+            renamed = memo.get((form, part))
+            if renamed is None:
+                c = Component(rename_keys(form.proc, dict(part)), form.owner, form.service)
+                renamed = memo[(form, part)] = (c, _component_key(c))
+            final.append(renamed)
+        else:
+            final.append((form, key))
+    final.sort(key=_entry_key)
     final_queues = tuple(sorted(
         (Queue(ren.get(k, k), m) for k, m in live_queues.items()),
         key=lambda q: q.key))
-    return Network(final_comps, final_queues, frozenset(ren.values()))
+    return Network(tuple(c for c, _ in final), final_queues, frozenset(ren.values()))
+
+
+def _comp_entry(c: Component) -> tuple:
+    """``(canonical form, sort key, first-use order, free names)`` of a
+    component, or ``()`` if it is inert."""
+    if c.proc == INACT:
+        return ()
+    form = Component(proc_canon(c.proc), c.owner, c.service)
+    return (form, _component_key(form), tuple(_occ_order(form.proc)),
+            tuple(sorted(proc_free_names(c.proc))))
+
+
+def _entry_key(entry: tuple):
+    return entry[1]
 
 
 def _component_key(c: Component):
@@ -483,28 +521,23 @@ def net_congruent(n1: Network, n2: Network) -> bool:
 
 class CanonTable:
     """One verdict's canonical forms, each computed once: every network's
-    canonical ``Network``, the searches' state identity, and every form's
-    ``stable_repr``, the successor order.  ``steps`` holds each network's
-    transitions before any oracle filters them (``netsem.net_enabled``),
-    keyed on the exact network, since labels carry its session keys."""
+    canonical ``Network``, the searches' state identity, built from
+    ``comps``, the per-component memo of :func:`net_canon`.  ``steps``
+    holds each network's transitions before any oracle filters them
+    (``netsem.net_enabled``), keyed on the exact network, since labels
+    carry its session keys."""
 
     def __init__(self):
         self.forms: dict[Network, Network] = {}
-        self.texts: dict[Network, str] = {}
+        self.comps: dict = {}
         self.steps: dict[Network, list] = {}
 
     def canon(self, net: Network) -> Network:
         form = self.forms.get(net)
         if form is None:
-            form = net_canon(net)
+            form = net_canon(net, self.comps)
             self.forms[net] = form = self.forms.setdefault(form, form)
         return form
-
-    def text(self, form: Network) -> str:
-        text = self.texts.get(form)
-        if text is None:
-            text = self.texts[form] = stable_repr(form)
-        return text
 
 
 _tables: list[CanonTable] = []  # one per running verdict, innermost last

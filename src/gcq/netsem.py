@@ -256,7 +256,11 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
 def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
     """Every (label, canonical successor) once, in successor order, with
     its ``(guard, successor)`` emissions in rule order; a synchronization's
-    guard is ``(component, session, message, role)``, other guards are None."""
+    guard is ``(component, session, message, role)``, other guards are None.
+
+    The successor order is that of the text ``(label, canonical successor)``.
+    Label texts decide it unless two are equal or one is a prefix of
+    another; only then are the successors rendered."""
     found: dict = {}
 
     def emit(label: ELabel, succ: Network, guard=None):
@@ -267,8 +271,11 @@ def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
     _sync_steps(net, emit)
     _wait_steps(net, emit)
     _if_steps(net, emit)
-    return [(key[0], found[key]) for key in
-            sorted(found, key=lambda k: f"({stable_repr(k[0])}, {table.text(k[1])})")]
+    texts = {key: stable_repr(key[0]) for key in found}
+    order = sorted(found, key=texts.__getitem__)
+    if any(texts[b].startswith(texts[a]) for a, b in zip(order, order[1:])):
+        order.sort(key=lambda k: f"({texts[k]}, {stable_repr(k[1])})")
+    return [(key[0], found[key]) for key in order]
 
 
 def _init_steps(net: Network, emit):

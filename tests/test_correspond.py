@@ -26,6 +26,7 @@ from gcq.syntax import (
     GBcastL,
     GInitL,
     GTau,
+    Lit,
     Q_ALL,
     Q_ANY,
     SomeV,
@@ -234,12 +235,13 @@ class TestStateIdentity:
 
     @staticmethod
     def _canonicalized(monkeypatch) -> list:
-        """The (network, canonical form) pairs ``net_canon`` computes from now on."""
+        """The (network, canonical form) pairs ``net_canon`` computes from now
+        on; the spy passes the verdict's component memo through."""
         computed = []
         real = epq.net_canon
 
-        def counted(net):
-            computed.append((net, real(net)))
+        def counted(net, memo=None):
+            computed.append((net, real(net, memo)))
             return computed[-1][1]
 
         monkeypatch.setattr(epq, "net_canon", counted)
@@ -405,3 +407,45 @@ class TestSuccessorMemo:
         without = windows()
         assert any(nets for nets in with_set)
         assert with_set == without
+
+
+class TestComponentMemo:
+    """``net_canon`` reuses each component's canonical form within a verdict,
+    and ``net_enabled`` renders successors only when labels cannot order them."""
+
+    PROGRAMS = TestSuccessorMemo.PROGRAMS + [
+        (f"corpus23_{i}", chor) for i, chor in enumerate(
+            corpus(20, seed=23, config=GenConfig(max_threads=4, max_interactions=5)))]
+
+    @pytest.mark.parametrize("name,chor", PROGRAMS, ids=[n for n, _ in PROGRAMS])
+    def test_warm_memo_answers_like_a_fresh_one(self, name, chor):
+        nets = TestSuccessorMemo._congruent_copies(_reachable(chor))
+        memo: dict = {}
+        for net in nets + nets[::-1]:
+            assert epq.net_canon(net, memo) == epq.net_canon(net)
+
+    def test_label_order_is_the_full_text_order(self):
+        """The old successor key, the text of (label, canonical successor),
+        is the oracle.  Two threads that may each enqueue give two ``EUp()``
+        labels, a tie that only the rendered successors order."""
+        def full_text(step):
+            return stable_repr((step[0], epq.net_canon(step[1])))
+
+        @epq.per_verdict
+        def ties(nets) -> int:
+            count = 0
+            for net in nets:
+                steps = net_enabled(net)
+                keys = [full_text(step) for step in steps]
+                assert keys == sorted(set(keys))
+                labels = sorted(stable_repr(label) for label, _ in steps)
+                count += any(b.startswith(a) for a, b in zip(labels, labels[1:]))
+            return count
+
+        for _, chor in self.PROGRAMS:
+            ties(_reachable(chor))
+        two_enqueues = [epq.Network(tuple(
+            epq.Component(epq.QOut(k, "A", ("B",), Q_ALL, Lit(v), epq.INACT), owner=t)
+            for k, v, t in order), (epq.Queue("j"), epq.Queue("k")))
+            for order in ([("k", 1, "t1"), ("j", 2, "t2")], [("j", 2, "t2"), ("k", 1, "t1")])]
+        assert ties(two_enqueues) == 2

@@ -1,6 +1,8 @@
 """Endpoint calculus: congruence, queue discipline, rule-level transitions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcq.epq import (
     AcceptOnce,
@@ -30,6 +32,7 @@ from gcq.epq import (
     proc_canon,
     proc_free_names,
     rename_key,
+    rename_keys,
     rename_var,
     subst_var,
 )
@@ -104,6 +107,65 @@ class TestCongruence:
         p1 = Request("a", ("A", "B"), "k", QOut("k", "A", ("B",), Q_ALL, Lit(1), INACT))
         p2 = Request("a", ("A", "B"), "j", QOut("j", "A", ("B",), Q_ALL, Lit(1), INACT))
         assert net_congruent(Network((Component(p1),)), Network((Component(p2),)))
+
+
+# networks whose restricted sessions may already carry canonical names
+_CANONICAL = ("κs0", "κs1", "κs2")
+_names = st.sampled_from(_CANONICAL + ("k",))
+_procs = st.recursive(st.just(INACT), lambda cont: st.one_of(
+    st.builds(lambda k, c: InP(k, "B", "A", "x", c), _names, cont),
+    st.builds(lambda k, c: OutP(k, "A", "B", Lit(1), c), _names, cont),
+    st.builds(lambda k, c: QSel(k, "A", ("B",), Q_ALL, "l", c), _names, cont),
+    st.builds(lambda k, c: Request("svc", ("A", "B"), k, c), _names, cont),
+), max_leaves=4)
+_queues = st.lists(st.builds(
+    lambda k, full: Queue(k, (out_msg(payload=LabelPayload("l")),) if full else ()),
+    _names, st.booleans()), unique_by=lambda q: q.key)
+
+
+def _network(comps, queues, restricted) -> Network:
+    """The network, with every free canonical name restricted: an
+    unrestricted one would clash with the renaming."""
+    free = {q.key for q in queues}
+    for c in comps:
+        free |= proc_free_names(c.proc)
+    restricted = set(restricted) | {n for n in free if n.startswith("κs")}
+    return Network(tuple(comps), tuple(queues), frozenset(restricted))
+
+
+class TestRestrictedRenaming:
+    """``net_canon`` renumbers restricted sessions by first use, all at once."""
+
+    def test_sessions_named_like_canonical_ones_stay_apart(self):
+        # first use puts κs1 before κs0: one pass per name sent both to κs1
+        net = Network((Component(InP("κs1", "B", "A", "x", INACT), owner="a"),
+                       Component(InP("κs0", "B", "A", "x", INACT), owner="b")),
+                      (Queue("κs0"), Queue("κs1")), frozenset({"κs0", "κs1"}))
+        form = net_canon(net)
+        assert [c.proc.key for c in form.components] == ["κs0", "κs1"]
+        assert [q.key for q in form.queues] == ["κs0", "κs1"]
+        assert form.restricted == {"κs0", "κs1"}
+        renamed = Network((Component(InP("p", "B", "A", "x", INACT), owner="a"),
+                           Component(InP("q", "B", "A", "x", INACT), owner="b")),
+                          (Queue("q"), Queue("p")), frozenset({"p", "q"}))
+        assert net_canon(renamed) == form and net_canon(form) == form
+
+    def test_rename_keys_is_simultaneous_and_stops_at_binders(self):
+        p = InP("a", "B", "A", "x", OutP("b", "B", "A", Lit(1),
+                                         Request("svc", ("A", "B"), "a", body("a"))))
+        want = InP("b", "B", "A", "x", OutP("a", "B", "A", Lit(1),
+                                            Request("svc", ("A", "B"), "a", body("a"))))
+        assert rename_keys(p, {"a": "b", "b": "a"}) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(
+        _network,
+        st.lists(st.builds(Component, _procs, st.sampled_from(["t1", "t2", None])),
+                 max_size=4),
+        _queues, st.sets(_names)))
+    def test_canonical_form_idempotent(self, net):
+        form = net_canon(net)
+        assert net_canon(form) == form
 
 
 class TestRuleLevel:
