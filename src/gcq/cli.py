@@ -9,6 +9,7 @@ errors, 3 for an inconclusive result (budget exhausted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -201,7 +202,10 @@ def cmd_availability(args) -> int:
     return _verdict_exit(verdict)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It names each command
+    but binds no handler: ``main`` looks ``cmd_<command>`` up when it runs."""
     ap = argparse.ArgumentParser(
         prog="gcq",
         description="Check, run, project and co-simulate failure-aware choreographies.")
@@ -219,24 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="capability, session and linearity analyses")
     common(p)
-    p.set_defaults(func=cmd_check)
     p = sub.add_parser("run-global", help="run the choreography semantics")
     common(p)
-    p.set_defaults(func=cmd_run_global)
     p = sub.add_parser("project", help="emit per-thread endpoint processes")
     common(p)
     p.add_argument("-o", "--out", help="output directory for .epq files and manifest")
-    p.set_defaults(func=cmd_project)
     p = sub.add_parser("run-net", help="run the projected network (or a manifest.json)")
     common(p)
-    p.set_defaults(func=cmd_run_net)
     p = sub.add_parser("cosim", help="co-simulate the projection against the source")
     common(p, bound_default=32)
     p.add_argument("--xml", help="write a JUnit-style XML report")
-    p.set_defaults(func=cmd_cosim)
     p = sub.add_parser("availability", help="search for stuck reachable networks")
     common(p, bound_default=64)
-    p.set_defaults(func=cmd_availability)
     return ap
 
 
@@ -248,7 +246,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:
         lo, hi = exc.span
         print(f"{args.input}:{lo}-{hi}: syntax error: {exc}", file=sys.stderr)

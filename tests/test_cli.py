@@ -111,6 +111,18 @@ class TestCheck:
         assert err.startswith("internal error: RuntimeError: boom\n")
         assert ("Traceback (most recent call last)" in err) == explain
 
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        import argparse
+        import gcq.cli
+
+        gcq.cli.build_parser()
+        added = []
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            lambda *args, **kwargs: added.append(args))
+        for _ in range(2):
+            assert run_cli("check", str(GOLDEN / "sensors_all.gcq"), capsys=capsys)[0] == 0
+        assert added == []
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help", capsys=capsys)[0] == 0
 
