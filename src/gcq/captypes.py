@@ -92,7 +92,7 @@ def init_ownerships(eta: Init) -> list[Own]:
     return [Own(p.thread, eta.key, p.role, p.off) for p in eta.actives + eta.services]
 
 
-def _comm_parts(eta: Interaction):
+def comm_parts(eta: Interaction):
     """Principal annotated thread and candidate (annotated thread) tuple."""
     match eta:
         case Bcast(sender, _, receivers, quality, key):
@@ -102,6 +102,17 @@ def _comm_parts(eta: Interaction):
         case Select(sender, receivers, quality, key, _):
             return sender, tuple(receivers), quality, key
     raise TypeError(f"not a collective communication: {eta!r}")
+
+
+def listed_twice(parts: tuple[AnnotatedThread, ...]) -> list[str]:
+    """``thread t`` and ``role r`` for each thread and role that one
+    interaction lists more than once."""
+    threads = [p.thread for p in parts]
+    roles = [p.role for p in parts]
+    if len(set(threads)) == len(threads) and len(set(roles)) == len(roles):
+        return []
+    return [f"{what} {name}" for what, names in (("thread", threads), ("role", roles))
+            for name in sorted(set(names)) if names.count(name) > 1]
 
 
 def capability_goal(principal: AnnotatedThread, chosen: Iterable[AnnotatedThread], key: str) -> Formula:
@@ -189,16 +200,13 @@ class CapabilityChecker:
         that differed only in a finished session then coincide, and the
         memo checks the continuation once instead of once per subset.
         """
-        principal, candidates, quality, key = _comm_parts(eta)
+        principal, candidates, quality, key = comm_parts(eta)
         if len(candidates) > MAX_PARTICIPANTS:
             self._fail("TooManyParticipants", eta,
                        f"{len(candidates)} participants exceed the bound {MAX_PARTICIPANTS}")
             return False
-        threads = [p.thread for p in (principal, *candidates)]
-        roles = [p.role for p in (principal, *candidates)]
-        if len(set(threads)) < len(threads) or len(set(roles)) < len(roles):
-            twice = [f"{what} {name}" for what, names in (("thread", threads), ("role", roles))
-                     for name in sorted(set(names)) if names.count(name) > 1]
+        twice = listed_twice((principal, *candidates))
+        if twice:
             self._fail("DuplicateParticipant", eta, f"listed twice: {', '.join(twice)}")
             return False
         by_thread = {p.thread: p for p in candidates}

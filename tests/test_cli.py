@@ -97,6 +97,20 @@ class TestCheck:
             "interaction": "select k[all] t0->(t1,t1,t2):measure",
             "reason": "listed twice: thread t1, role S1"}]
 
+    @pytest.mark.parametrize("command", ["availability", "run-net", "project"])
+    def test_participant_listed_twice_unprojectable(self, command, tmp_path, capsys):
+        path = tmp_path / "twice.gcq"
+        path.write_text(TWICE, encoding="utf-8")
+        code, out, err = run_cli(command, str(path), "--json", capsys=capsys)
+        reason = ("select k[all] t0->(t1,t1,t2):measure lists a participant twice: "
+                  "thread t1, role S1")
+        if command == "availability":
+            assert code == 1
+            assert json.loads(out) == {"status": "PreconditionFailed", "pairs_explored": 0,
+                                       "detail": f"projection undefined: {reason}"}
+        else:  # fails at projection, as other undefined projections do
+            assert (code, out, err) == (2, "", f"error: {reason}\n")
+
     @pytest.mark.parametrize("explain", [False, True])
     def test_internal_fault_is_not_a_usage_error(self, explain, monkeypatch, capsys):
         import gcq.cli
