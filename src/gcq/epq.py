@@ -438,7 +438,7 @@ def net_canon(net: Network, memo: Optional[dict] = None) -> Network:
             entry = memo[c] = _comp_entry(c)
         if entry:
             entries.append(entry)
-    entries.sort(key=_entry_key)
+    entries.sort(key=lambda e: e[1])
     queues = {q.key: queue_canon_msgs(q.msgs) for q in net.queues}
 
     used: set[str] = set()
@@ -481,7 +481,7 @@ def net_canon(net: Network, memo: Optional[dict] = None) -> Network:
             final.append(renamed)
         else:
             final.append((form, key))
-    final.sort(key=_entry_key)
+    final.sort(key=lambda e: e[1])
     final_queues = tuple(sorted(
         (Queue(ren.get(k, k), m) for k, m in live_queues.items()),
         key=lambda q: q.key))
@@ -496,10 +496,6 @@ def _comp_entry(c: Component) -> tuple:
     form = Component(proc_canon(c.proc), c.owner, c.service)
     return (form, _component_key(form), tuple(_occ_order(form.proc)),
             tuple(sorted(proc_free_names(c.proc))))
-
-
-def _entry_key(entry: tuple):
-    return entry[1]
 
 
 def _component_key(c: Component):
