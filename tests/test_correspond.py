@@ -209,29 +209,36 @@ class TestStateIdentity:
 
     def test_successor_order(self):
         """Inside a verdict, ``net_enabled`` orders successors by the
-        ``stable_repr`` of (label, canonical successor), one entry per pair."""
+        ``stable_repr`` of (label, canonical successor), one entry per pair.
+        Label texts decide that order unless two tie, as the ``EUp()`` of two
+        threads that may each enqueue do; the full text is the oracle."""
         programs = [parse(p.read_text(), lax_select=True).chor
                     for p in sorted(GOLDEN.glob("*.gcq"))]
         programs += corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
         programs += [sensor_family(n, q2=q_ratio(n - 1, n)) for n in range(2, 5)]
+        programs += [chained_starts()]
 
         def key(step):
             return stable_repr((step[0], epq.net_canon(step[1])))
 
         @epq.per_verdict
-        def check(net, limit=12):
-            frontier, seen = [net], {epq.net_canon(net)}
-            while frontier and len(seen) < limit:
-                steps = net_enabled(frontier.pop(0))
+        def ties(nets) -> int:
+            count = 0
+            for net in nets:
+                steps = net_enabled(net)
                 keys = [key(step) for step in steps]
                 assert keys == sorted(set(keys))
-                for _, succ in steps:
-                    if epq.net_canon(succ) not in seen:
-                        seen.add(epq.net_canon(succ))
-                        frontier.append(succ)
+                labels = sorted(stable_repr(label) for label, _ in steps)
+                count += any(b.startswith(a) for a, b in zip(labels, labels[1:]))
+            return count
 
         for chor in programs:
-            check(epp(chor))
+            ties(_reachable(chor))
+        two_enqueues = [epq.Network(tuple(
+            epq.Component(epq.QOut(k, "A", ("B",), Q_ALL, Lit(v), epq.INACT), owner=t)
+            for k, v, t in order), (epq.Queue("j"), epq.Queue("k")))
+            for order in ([("k", 1, "t1"), ("j", 2, "t2")], [("j", 2, "t2"), ("k", 1, "t1")])]
+        assert ties(two_enqueues) == 2
 
     @staticmethod
     def _canonicalized(monkeypatch) -> list:
@@ -410,8 +417,7 @@ class TestSuccessorMemo:
 
 
 class TestComponentMemo:
-    """``net_canon`` reuses each component's canonical form within a verdict,
-    and ``net_enabled`` renders successors only when labels cannot order them."""
+    """``net_canon`` reuses each component's canonical form within a verdict."""
 
     PROGRAMS = TestSuccessorMemo.PROGRAMS + [
         (f"corpus23_{i}", chor) for i, chor in enumerate(
@@ -423,29 +429,3 @@ class TestComponentMemo:
         memo: dict = {}
         for net in nets + nets[::-1]:
             assert epq.net_canon(net, memo) == epq.net_canon(net)
-
-    def test_label_order_is_the_full_text_order(self):
-        """The old successor key, the text of (label, canonical successor),
-        is the oracle.  Two threads that may each enqueue give two ``EUp()``
-        labels, a tie that only the rendered successors order."""
-        def full_text(step):
-            return stable_repr((step[0], epq.net_canon(step[1])))
-
-        @epq.per_verdict
-        def ties(nets) -> int:
-            count = 0
-            for net in nets:
-                steps = net_enabled(net)
-                keys = [full_text(step) for step in steps]
-                assert keys == sorted(set(keys))
-                labels = sorted(stable_repr(label) for label, _ in steps)
-                count += any(b.startswith(a) for a, b in zip(labels, labels[1:]))
-            return count
-
-        for _, chor in self.PROGRAMS:
-            ties(_reachable(chor))
-        two_enqueues = [epq.Network(tuple(
-            epq.Component(epq.QOut(k, "A", ("B",), Q_ALL, Lit(v), epq.INACT), owner=t)
-            for k, v, t in order), (epq.Queue("j"), epq.Queue("k")))
-            for order in ([("k", 1, "t1"), ("j", 2, "t2")], [("j", 2, "t2"), ("k", 1, "t1")])]
-        assert ties(two_enqueues) == 2

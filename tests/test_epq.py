@@ -355,9 +355,6 @@ class TestQueueNormalForm:
     """The commutation normal form is a canonical representative: applying
     any sequence of legal adjacent swaps never changes it."""
 
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     msgs_strategy = st.lists(
         st.one_of(
             st.builds(
