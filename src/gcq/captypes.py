@@ -92,7 +92,7 @@ def init_ownerships(eta: Init) -> list[Own]:
     return [Own(p.thread, eta.key, p.role, p.off) for p in eta.actives + eta.services]
 
 
-def comm_parts(eta: Interaction):
+def _comm_parts(eta: Interaction):
     """Principal annotated thread and candidate (annotated thread) tuple."""
     match eta:
         case Bcast(sender, _, receivers, quality, key):
@@ -104,11 +104,12 @@ def comm_parts(eta: Interaction):
     raise TypeError(f"not a collective communication: {eta!r}")
 
 
-def listed_twice(parts: tuple[AnnotatedThread, ...]) -> list[str]:
-    """``thread t`` and ``role r`` for each thread and role that one
-    interaction lists more than once."""
-    threads = [p.thread for p in parts]
-    roles = [p.role for p in parts]
+def listed_twice(eta: Interaction) -> list[str]:
+    """``thread t`` and ``role r`` for each thread and role that a
+    collective communication lists more than once."""
+    principal, candidates, _, _ = _comm_parts(eta)
+    threads = [p.thread for p in (principal, *candidates)]
+    roles = [p.role for p in (principal, *candidates)]
     if len(set(threads)) == len(threads) and len(set(roles)) == len(roles):
         return []
     return [f"{what} {name}" for what, names in (("thread", threads), ("role", roles))
@@ -200,12 +201,12 @@ class CapabilityChecker:
         that differed only in a finished session then coincide, and the
         memo checks the continuation once instead of once per subset.
         """
-        principal, candidates, quality, key = comm_parts(eta)
+        principal, candidates, quality, key = _comm_parts(eta)
         if len(candidates) > MAX_PARTICIPANTS:
             self._fail("TooManyParticipants", eta,
                        f"{len(candidates)} participants exceed the bound {MAX_PARTICIPANTS}")
             return False
-        twice = listed_twice((principal, *candidates))
+        twice = listed_twice(eta)
         if twice:
             self._fail("DuplicateParticipant", eta, f"listed twice: {', '.join(twice)}")
             return False

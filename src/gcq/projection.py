@@ -41,7 +41,7 @@ from .epq import (
     rename_key,
     rename_var,
 )
-from .captypes import Failure, Report, comm_parts, describe_interaction, listed_twice
+from .captypes import Failure, Report, describe_interaction, listed_twice
 from .netsem import net_enabled
 from .semantics import split_prenex
 from .syntax import (
@@ -393,12 +393,9 @@ def epp(c: Choreography) -> Network:
     """
     binders, core = split_prenex(c)
     for eta in interactions_of(core):
-        if isinstance(eta, (Bcast, Reduce, Select)):
-            principal, candidates, _, _ = comm_parts(eta)
-            twice = listed_twice((principal, *candidates))
-            if twice:
-                raise ProjectionUndefined(
-                    f"{describe_interaction(eta)} lists a participant twice: {', '.join(twice)}")
+        if isinstance(eta, (Bcast, Reduce, Select)) and (twice := listed_twice(eta)):
+            raise ProjectionUndefined(
+                f"{describe_interaction(eta)} lists a participant twice: {', '.join(twice)}")
     anonymous = frozenset(name for kind, name in binders if kind == "thread")
     fn = free_names(core)
     components = []
