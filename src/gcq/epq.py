@@ -15,8 +15,9 @@ under a set of restricted session names.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .syntax import (
@@ -39,12 +40,36 @@ from .parser import ParseError, Token, tokenize, print_expr, _TOKEN_RE as _TOKEN
 # Process syntax
 
 
-@dataclass(frozen=True)
+def _term(cls):
+    """A frozen dataclass whose hash is computed once per object and kept.
+
+    A successor shares its unchanged subterms with its parent, so one stored
+    hash serves every later lookup in the searches' dicts and sets.  The
+    ``_hash`` field is ignored by ``==``, ``repr``, ``stable_repr``,
+    ``replace`` and match patterns.  Sound because no code sets a field after
+    construction (``__post_init__`` runs before any hash) and no term is
+    pickled across processes, whose hash seeds differ.
+    """
+    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "_hash": "Optional[int]"}
+    cls._hash = field(default=None, init=False, repr=False, compare=False, hash=False)
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_term
 class Inact:
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Request:
     svc: str
     roles: tuple[Role, ...]  # all session roles; the requester plays roles[0]
@@ -52,7 +77,7 @@ class Request:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class AcceptOnce:
     svc: str
     role: Role
@@ -60,7 +85,7 @@ class AcceptOnce:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class AcceptRepl:
     svc: str
     role: Role
@@ -68,7 +93,7 @@ class AcceptRepl:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class QOut:
     key: str
     sender: Role
@@ -78,7 +103,7 @@ class QOut:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class InP:
     key: str
     receiver: Role
@@ -87,7 +112,7 @@ class InP:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class OutP:
     key: str
     sender: Role
@@ -96,7 +121,7 @@ class OutP:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class QIn:
     key: str
     senders: tuple[Role, ...]
@@ -107,7 +132,7 @@ class QIn:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class QSel:
     key: str
     sender: Role
@@ -117,7 +142,7 @@ class QSel:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class Branch:
     key: str
     receiver: Role
@@ -135,7 +160,7 @@ class Branch:
         return dict(self.branches)
 
 
-@dataclass(frozen=True)
+@_term
 class WaitOut:
     key: str
     sender: Role
@@ -143,7 +168,7 @@ class WaitOut:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class WaitIn:
     key: str
     senders: tuple[Role, ...]
@@ -153,7 +178,7 @@ class WaitIn:
     cont: "Proc"
 
 
-@dataclass(frozen=True)
+@_term
 class IfP:
     expr: Expr
     then: "Proc"
@@ -171,7 +196,7 @@ RUNTIME_ONLY = (WaitOut, WaitIn)
 # Queue messages
 
 
-@dataclass(frozen=True)
+@_term
 class LabelPayload:
     label: str
 
@@ -179,7 +204,7 @@ class LabelPayload:
 Payload = Union[SomeV, NoneV, LabelPayload]
 
 
-@dataclass(frozen=True)
+@_term
 class OutMsg:
     sender: Role
     quality: Quality
@@ -198,7 +223,7 @@ class OutMsg:
         return frozenset(r for r, _ in self.recipients)
 
 
-@dataclass(frozen=True)
+@_term
 class InMsg:
     quality: Quality
     contributors: tuple[tuple[Role, bool, OptValue], ...]
@@ -242,7 +267,7 @@ def msgs_commute(m1: Msg, m2: Msg) -> bool:
 # Networks
 
 
-@dataclass(frozen=True)
+@_term
 class Component:
     proc: Proc
     owner: Optional[str] = None          # thread for projected processes
@@ -252,13 +277,13 @@ class Component:
         return isinstance(self.proc, AcceptRepl)
 
 
-@dataclass(frozen=True)
+@_term
 class Queue:
     key: str
     msgs: tuple[Msg, ...] = ()
 
 
-@dataclass(frozen=True)
+@_term
 class Network:
     components: tuple[Component, ...] = ()
     queues: tuple[Queue, ...] = ()
@@ -365,29 +390,32 @@ def rename_var(p: Proc, old: str, new: str) -> Proc:
 _BOUND = "κ"  # canonical bound-name prefix
 
 
-def proc_canon(p: Proc, env: Optional[dict] = None, counter: Optional[list] = None) -> Proc:
+def proc_canon(p: Proc, avoid: Optional[frozenset] = None, env: Optional[dict] = None,
+               fresh=None) -> Proc:
     """Rename bound session keys and variables to canonical names.
 
     Fresh names are numbered in walk order: a binder before its
     continuation, and continuations in the order of :func:`proc_conts`.
+    They skip ``avoid`` (by default the free names of ``p``), so no binder
+    captures a free session.
     """
+    if fresh is None:
+        avoid = proc_free_names(p) if avoid is None else avoid
+        fresh = (n for n in (f"{_BOUND}{i}" for i in itertools.count(1)) if n not in avoid)
     env = env or {}
-    counter = counter or [0]
     inner = env
     fields = {}
     if isinstance(p, KEY_BINDERS):
-        counter[0] += 1
-        fields["key"] = f"{_BOUND}{counter[0]}"
+        fields["key"] = next(fresh)
         inner = {**env, ("k", p.key): fields["key"]}
     elif hasattr(p, "key"):
         fields["key"] = env.get(("k", p.key), p.key)
     if isinstance(p, VAR_BINDERS):
-        counter[0] += 1
-        fields["var"] = f"{_BOUND}{counter[0]}"
+        fields["var"] = next(fresh)
         inner = {**env, ("v", p.var): fields["var"]}
     if isinstance(p, (QOut, OutP, IfP)):
         fields["expr"] = map_vars(p.expr, lambda x: Var(env.get(("v", x), x)))
-    return map_cont(p, lambda c: proc_canon(c, inner, counter), **fields)
+    return map_cont(p, lambda c: proc_canon(c, avoid, inner, fresh), **fields)
 
 
 def reachable_msgs(msgs: tuple[Msg, ...]) -> list[int]:
@@ -421,7 +449,8 @@ def net_canon(net: Network, memo: Optional[dict] = None) -> Network:
     Inert components vanish, queue messages take their commutation normal
     form, restricted names with an empty queue and no other occurrence are
     garbage collected, remaining restricted names are renumbered by first
-    use, and components are sorted.
+    use in the sorted result, skipping the names of free sessions, and
+    components are sorted.
 
     ``memo`` (a verdict's ``CanonTable.comps``) keeps what each component
     contributes, keyed on the exact component, which a successor shares with
@@ -457,35 +486,47 @@ def net_canon(net: Network, memo: Optional[dict] = None) -> Network:
 
     restricted = frozenset(n for n in net.restricted if n in used)
 
+    taken = used - restricted  # a restricted name must not be renamed onto a free one
+    fresh = [f"{_BOUND}s{i}" for i in range(len(used)) if f"{_BOUND}s{i}" not in taken]
+    # Number restricted names by first use along the sorted result.  Renaming
+    # reorders components, so renumber along the new order until a numbering
+    # repeats; at a fixed point the canonical form of a canonical network is
+    # that network.
+    ranking, tried = _ranking(entries, live_queues, restricted, {}), set()
+    while ranking not in tried:
+        tried.add(ranking)
+        ren = dict(zip(ranking, fresh))
+        final = []
+        for form, key, occ, free in entries:
+            part = tuple((n, ren[n]) for n in free if n in ren)
+            if part:
+                renamed = memo.get((form, part))
+                if renamed is None:
+                    c = Component(rename_keys(form.proc, dict(part)), form.owner, form.service)
+                    renamed = memo[(form, part)] = (c, _component_key(c))
+                final.append(renamed + (occ, free))
+            else:
+                final.append((form, key, occ, free))
+        final.sort(key=lambda e: e[1])
+        ranking = _ranking(final, live_queues, restricted, ren)
+    final_queues = tuple(sorted(
+        (Queue(ren.get(k, k), m) for k, m in live_queues.items()),
+        key=lambda q: q.key))
+    return Network(tuple(e[0] for e in final), final_queues, frozenset(ren.values()))
+
+
+def _ranking(entries, queues, restricted, ren) -> tuple:
+    """Restricted names in order of first use along ``entries``, then of
+    their queue and then of their name, each name as ``ren`` renames it."""
     order: dict[str, int] = {}
     for _, _, occ, _ in entries:
         for name in occ:
             if name not in order:
                 order[name] = len(order)
-    for key in sorted(live_queues):
+    for key in sorted(queues, key=lambda k: ren.get(k, k)):
         if key not in order:
             order[key] = len(order)
-
-    ren = {}
-    for name in sorted(restricted, key=lambda n: (order.get(n, 1 << 30), n)):
-        ren[name] = f"{_BOUND}s{len(ren)}"
-
-    final = []
-    for form, key, _, free in entries:
-        part = tuple((n, ren[n]) for n in free if n in ren)
-        if part:
-            renamed = memo.get((form, part))
-            if renamed is None:
-                c = Component(rename_keys(form.proc, dict(part)), form.owner, form.service)
-                renamed = memo[(form, part)] = (c, _component_key(c))
-            final.append(renamed)
-        else:
-            final.append((form, key))
-    final.sort(key=lambda e: e[1])
-    final_queues = tuple(sorted(
-        (Queue(ren.get(k, k), m) for k, m in live_queues.items()),
-        key=lambda q: q.key))
-    return Network(tuple(c for c, _ in final), final_queues, frozenset(ren.values()))
+    return tuple(sorted(restricted, key=lambda n: (order.get(n, 1 << 30), ren.get(n, n))))
 
 
 def _comp_entry(c: Component) -> tuple:
@@ -493,9 +534,9 @@ def _comp_entry(c: Component) -> tuple:
     component, or ``()`` if it is inert."""
     if c.proc == INACT:
         return ()
-    form = Component(proc_canon(c.proc), c.owner, c.service)
-    return (form, _component_key(form), tuple(_occ_order(form.proc)),
-            tuple(sorted(proc_free_names(c.proc))))
+    free = proc_free_names(c.proc)
+    form = Component(proc_canon(c.proc, free), c.owner, c.service)
+    return (form, _component_key(form), tuple(_occ_order(form.proc)), tuple(sorted(free)))
 
 
 def _component_key(c: Component):

@@ -2,7 +2,8 @@
 
 An oracle answers which threads may take part in a synchronization at a
 given step.  Script oracles follow a step-indexed list (the last entry
-persists), Bernoulli oracles flip a seeded coin per step and thread, and
+persists), Bernoulli oracles flip a seeded coin per step and thread, the
+crash-stop oracle withholds one thread from a given step on, and
 the tolerant single-failure oracle withholds one thread only from messages
 whose quality predicate can still be satisfied without it, so it never
 strands a communication.
@@ -105,4 +106,8 @@ def load_schedule(data) -> object:
         return ScriptOracle(tuple(steps))
     if mode == "bernoulli":
         return BernoulliOracle(float(data["p"]), int(data.get("seed", 0)))
+    if mode == "crash":
+        if "thread" not in data:
+            raise ValueError(f"crash schedule needs a 'thread': {data}")
+        return SingleFailure(str(data["thread"]), int(data.get("from_step", 0)))
     raise ValueError(f"unknown schedule mode {mode!r}")

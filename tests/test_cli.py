@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from gcq.cli import main
+from gcq.parser import parse
+from gcq.schedule import SingleFailure, load_schedule
+from gcq.syntax import Bcast, Init, Reduce, Select, eval_quality, interactions_of
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -186,6 +189,64 @@ class TestRuns:
         code, _, _ = run_cli("run-net", str(GOLDEN / "sensors_23.gcq"),
                              "--schedule", str(sched), capsys=capsys)
         assert code == 0
+
+
+def crash_boundary(program: Path, thread: str) -> int:
+    """The first crash step of ``thread`` from which the projection of
+    ``program`` still completes, derived from the program, not a search.
+
+    In the projected network a session start is one step, and a select,
+    broadcast or reduce over n peers is n + 2 steps: the principal
+    enqueues, each peer synchronizes (in any order, so the thread's turn may
+    come last), and the principal dequeues once the quality holds.  A crash
+    strands the protocol if it comes no later than the last peer step of an
+    interaction whose quality cannot do without the thread.
+    """
+    step = boundary = 0
+    for eta in interactions_of(parse(program.read_text(encoding="utf-8")).chor):
+        match eta:
+            case Init():
+                step += 1
+                continue
+            case Select(receivers=peers):
+                peers = [p.thread for p in peers]
+            case Bcast(receivers=pairs) | Reduce(senders=pairs):
+                peers = [p.thread for p, _ in pairs]
+        if thread in peers and not eval_quality(eta.quality, [t != thread for t in peers]):
+            boundary = step + len(peers) + 1
+        step += len(peers) + 2
+    return boundary
+
+
+class TestCrashSchedule:
+    def test_loader_builds_crash_stop_oracle(self):
+        assert load_schedule({"mode": "crash", "thread": "t1", "from_step": 5}) == \
+            SingleFailure("t1", 5)
+        assert load_schedule('{"mode": "crash", "thread": "t2"}') == SingleFailure("t2", 0)
+
+    def test_missing_thread_is_usage_error(self, tmp_path, capsys):
+        sched = tmp_path / "crash.json"
+        sched.write_text(json.dumps({"mode": "crash", "from_step": 5}))
+        code, _, err = run_cli("availability", str(GOLDEN / "sensors_23.gcq"),
+                               "--schedule", str(sched), capsys=capsys)
+        assert code == 2 and "thread" in err
+
+    # the tolerance claim of sensors_23.gcq: losing one sensor after the
+    # selection is survivable, while the `all` protocol needs every sensor
+    # until its reduce is done
+    @pytest.mark.parametrize("name", ["sensors_all", "sensors_23"])
+    @pytest.mark.parametrize("thread", ["t1", "t2", "t3"])
+    def test_tolerance_table(self, name, thread, tmp_path, capsys):
+        boundary = crash_boundary(GOLDEN / f"{name}.gcq", thread)
+        assert 0 < boundary < 12
+        sched = tmp_path / "crash.json"
+        for step in range(12):
+            sched.write_text(json.dumps({"mode": "crash", "thread": thread, "from_step": step}))
+            code, out, _ = run_cli("availability", str(GOLDEN / f"{name}.gcq"),
+                                   "--schedule", str(sched), capsys=capsys)
+            stuck = step < boundary
+            assert (code, json.loads(out)["status"]) == \
+                ((1, "StuckNetworkFound") if stuck else (0, "Pass")), (name, thread, step)
 
 
 class TestProjectRoundTrip:

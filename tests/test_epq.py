@@ -1,9 +1,12 @@
 """Endpoint calculus: congruence, queue discipline, rule-level transitions."""
 
+from dataclasses import fields, is_dataclass, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcq import epq
 from gcq.epq import (
     AcceptOnce,
     AcceptRepl,
@@ -11,6 +14,7 @@ from gcq.epq import (
     Component,
     IfP,
     INACT,
+    Inact,
     InMsg,
     InP,
     LabelPayload,
@@ -50,7 +54,9 @@ from gcq.netsem import (
     net_run,
     is_quiescent,
 )
-from gcq.syntax import Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio
+from gcq.syntax import (
+    Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio, stable_repr,
+)
 
 
 def out_msg(sender="A", q=Q_ALL, recipients=(("B", False),), payload=SomeV(1)):
@@ -109,6 +115,77 @@ class TestCongruence:
         assert net_congruent(Network((Component(p1),)), Network((Component(p2),)))
 
 
+def _terms() -> list:
+    """One term of each frozen class of ``epq``, built afresh on each call."""
+    out_msg_ = OutMsg("A", Q_ALL, (("B", False),), LabelPayload("l"))
+    in_msg = InMsg(Q_ANY, (("B", True, SomeV(1)),), "A")
+    comp = Component(InP("k", "B", "A", "x", Inact()), "t1", ("svc", "B"))
+    queue = Queue("k", (out_msg_, in_msg))
+    return [
+        Inact(),
+        Request("svc", ("A", "B"), "k", Inact()),
+        AcceptOnce("svc", "B", "k", Inact()),
+        AcceptRepl("svc", "B", "k", Inact()),
+        QOut("k", "A", ("B",), Q_ALL, Lit(1), Inact()),
+        InP("k", "B", "A", "x", Inact()),
+        OutP("k", "A", "B", Var("x"), Inact()),
+        QIn("k", ("B",), "A", Q_ANY, "x", "avg", Inact()),
+        QSel("k", "A", ("B",), Q_ALL, "l", Inact()),
+        Branch("k", "B", "A", (("r", Inact()), ("l", Inact()))),
+        WaitOut("k", "A", ("B",), Inact()),
+        WaitIn("k", ("B",), "A", "avg", "x", Inact()),
+        IfP(Var("x"), Inact(), Inact()),
+        LabelPayload("l"), out_msg_, in_msg, comp, queue,
+        Network((comp,), (queue,), frozenset({"k"})),
+    ]
+
+
+class TestStoredHash:
+    """Each term hashes its fields once and keeps the result."""
+
+    def test_every_class_covered(self):
+        classes = {c for c in vars(epq).values()
+                   if isinstance(c, type) and c.__module__ == "gcq.epq" and is_dataclass(c)}
+        assert {type(t) for t in _terms()} == classes
+
+    @pytest.mark.parametrize("i", range(len(_terms())))
+    def test_equal_terms_built_apart_hash_alike(self, i):
+        a, b = _terms()[i], _terms()[i]
+        assert a is not b and a == b and hash(a) == hash(b)
+        # the hash of the fields' tuple, as the generated one: set order cannot move
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in fields(a) if f.compare))
+
+    @pytest.mark.parametrize("i", range(len(_terms())))
+    def test_stored_hash_is_invisible(self, i):
+        term, twin = _terms()[i], _terms()[i]
+        before = repr(term), stable_repr(term)
+        hash(term)
+        assert term._hash is not None and twin._hash is None
+        assert (repr(term), stable_repr(term)) == before and term == twin
+        assert "_hash" not in type(term).__match_args__
+        copy = replace(term)
+        assert copy._hash is None and copy == term and hash(copy) == hash(term)
+
+    def test_second_hash_calls_no_field_hash(self):
+        calls = []
+
+        class Owner(str):
+            def __hash__(self):
+                calls.append(self)
+                return str.__hash__(self)
+
+        comp = Component(InP("k", "B", "A", "x", INACT), Owner("t1"))
+        net = Network((comp,), (Queue("k"),))
+        hash(net)
+        assert len(calls) == 1
+        hash(net)
+        seen = {net}
+        assert Network((comp,), (Queue("k"),)) in seen
+        # a successor that shares the component reuses its stored hash
+        hash(Network((comp, Component(INACT)), (Queue("k"),)))
+        assert len(calls) == 1
+
+
 # networks whose restricted sessions may already carry canonical names
 _CANONICAL = ("κs0", "κs1", "κs2")
 _names = st.sampled_from(_CANONICAL + ("k",))
@@ -124,13 +201,15 @@ _queues = st.lists(st.builds(
 
 
 def _network(comps, queues, restricted) -> Network:
-    """The network, with every free canonical name restricted: an
-    unrestricted one would clash with the renaming."""
-    free = {q.key for q in queues}
-    for c in comps:
-        free |= proc_free_names(c.proc)
-    restricted = set(restricted) | {n for n in free if n.startswith("κs")}
     return Network(tuple(comps), tuple(queues), frozenset(restricted))
+
+
+def _free(net: Network) -> set[str]:
+    """The names of a network that no restriction binds."""
+    names = {q.key for q in net.queues}
+    for c in net.components:
+        names |= proc_free_names(c.proc)
+    return names - net.restricted
 
 
 class TestRestrictedRenaming:
@@ -166,6 +245,32 @@ class TestRestrictedRenaming:
     def test_canonical_form_idempotent(self, net):
         form = net_canon(net)
         assert net_canon(form) == form
+        # free sessions keep their names, and no restricted one takes a free name
+        assert _free(form) == _free(net)
+        assert len({q.key for q in form.queues}) == len(form.queues)
+
+    def test_restricted_session_not_renamed_onto_free_one(self):
+        net = Network((Component(InP("κs1", "B", "A", "x", INACT), "t1"),),
+                      (Queue("κs0"), Queue("κs1")), frozenset({"κs1"}))
+        form = net_canon(net)
+        assert [q.key for q in form.queues] == ["κs0", "κs1"]
+        assert form.restricted == {"κs1"}
+        assert form.components[0].proc.key == "κs1"
+        assert net_canon(form) == form
+
+    @pytest.mark.parametrize("free", ["κ1", "a"])
+    def test_binder_does_not_capture_free_session(self, free):
+        # out! κ1 . request svc(k2) . out! κ1 . out! k2, with κ1 free
+        p = OutP(free, "A", "B", Lit(1), Request("svc", ("A", "B"), "k2", OutP(
+            free, "A", "B", Lit(1), OutP("k2", "A", "B", Lit(1), INACT))))
+        form = proc_canon(p)
+        req = form.cont
+        assert req.cont.key == free != req.key == req.cont.cont.key
+        assert proc_free_names(form) == proc_free_names(p)
+        # restricted, the session is renamed apart from the binder too
+        net = net_canon(Network((Component(p, "t1"),), (Queue(free),), frozenset({free})))
+        req = net.components[0].proc.cont
+        assert net.components[0].proc.key == req.cont.key == "κs0" != req.key
 
 
 class TestRuleLevel:
