@@ -6,10 +6,10 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gcq.correspond import cosimulate
-from gcq.genchor import GenConfig, corpus
+from gcq.correspond import cosimulate  # noqa: E402
+from gcq.genchor import GenConfig, corpus  # noqa: E402
 
 
 def main():

@@ -9,13 +9,14 @@ The all-quality protocol is swept alongside for contrast.
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from chorfixtures import sensors
-from gcq.netsem import net_run
-from gcq.projection import epp
-from gcq.schedule import BernoulliOracle
-from gcq.syntax import q_ratio
+from chorfixtures import sensors  # noqa: E402
+from gcq.netsem import net_run  # noqa: E402
+from gcq.projection import epp  # noqa: E402
+from gcq.schedule import BernoulliOracle  # noqa: E402
+from gcq.syntax import q_ratio  # noqa: E402
 
 RUNS = 40
 PS = (1.0, 0.95, 0.9, 0.8, 0.6)

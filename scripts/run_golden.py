@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""Run every analysis over the golden programs and print a verdict table."""
+"""Run every analysis over the golden programs and print a verdict table.
 
-import json
-import subprocess
+Each cell is the exit code of ``gcq.cli.main`` run in this process, so a
+toolchain that fails to import stops the script instead of reading as a
+verdict.
+"""
+
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden"
+sys.path.insert(0, str(ROOT / "src"))
+
+from gcq import cli  # noqa: E402
 
 CASES = [
     ("sensors_all.gcq", []),
@@ -20,10 +28,8 @@ CASES = [
 
 
 def run(cmd, name, extra):
-    proc = subprocess.run(
-        [sys.executable, "-m", "gcq.cli", cmd, str(GOLDEN / name), *extra],
-        capture_output=True, text=True, cwd=ROOT)
-    return proc.returncode
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([cmd, str(GOLDEN / name), *extra])
 
 
 def main():

@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .epq import Network, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
+from .epq import Network, OutMsg, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
 from .netsem import (
     BcIn,
     BcOut,
@@ -46,6 +46,7 @@ from .syntax import (
     GSelectL,
     GTau,
     stable_repr,
+    tolerates_absence,
 )
 
 
@@ -156,13 +157,26 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
     Fresh session names the network invents for initiations are aligned to
     the global side's choices.  ``already_fired`` removes one occurrence
     from the required multiset (the endpoint step being completed).
+
+    A wanted synchronization whose (session, counterpart, participant)
+    triple one group alone lists among its candidates is fired alone.  With
+    the queues empty but for what ``already_fired`` enqueued, as
+    ``cosimulate`` calls it, only that group's message carries it, so every
+    completion fires this transition, after steps that neither move the
+    participant nor read its flag: firing it first finds the same networks.
     """
     want: Counter = Counter()
     init_keys: dict = {}
+    listed: Counter = Counter()  # groups listing each (session, counterpart, participant)
     for g in glabels:
         group = required_group(g)
         if group is None:
             return []
+        match g:
+            case GBcastL(sender, receivers, _, key) | GSelectL(sender, receivers, _, key):
+                listed.update((key, sender[1], r) for _, r in receivers)
+            case GReduceL(senders, receiver, _, key):
+                listed.update((key, receiver[1], r) for _, r in senders)
         for lab in group:
             want[_start_key_agnostic(lab)] += 1
             if isinstance(lab, Start):
@@ -185,7 +199,10 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
         if state in expanded:
             return
         expanded.add(state)
-        for lab, succ in net_enabled(current, oracle):
+        options = net_enabled(current, oracle)
+        forced = next((step for step in options if listed[_sync_triple(step[0])] == 1
+                       and remaining[step[0]] > 0), None)
+        for lab, succ in options if forced is None else [forced]:
             if isinstance(lab, Start):
                 pending = init_keys.get(_keyless_start(lab), [])
                 if lab.key not in pending:
@@ -203,6 +220,16 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
 
     dfs(net, want)
     return list(found.values())
+
+
+def _sync_triple(lab: ELabel):
+    """(session, counterpart role, participant role) of a synchronization."""
+    match lab:
+        case BcIn(sender, receiver, key) | SelIn(sender, receiver, key):
+            return key, sender, receiver
+        case RdOut(sender, receiver, key):
+            return key, receiver, sender
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +398,8 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
                         f"stuck non-quiescent network at depth {depth} under "
                         f"{stable_repr(oracle)}", explored)
                 continue
+            if not stepwise:
+                options = _forced_sync(net) or options
             for _, succ in options:
                 key = (table.canon(succ), depth + 1 if stepwise else None)
                 if key in seen:
@@ -384,6 +413,30 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
         return Verdict("BudgetExceeded", f"exploration stopped at depth {bound} under "
                                          f"{stable_repr(cut_under)}", explored)
     return Verdict("Pass", "", explored)
+
+
+def _forced_sync(net: Network) -> list:
+    """The first forced synchronization of ``net``, alone, or [].
+
+    A synchronization ``s`` of ``c`` on ``m`` is forced when ``c`` has no
+    other step and ``m``'s quality cannot hold without ``c``'s role.  Until
+    ``s`` fires nothing disables it or depends on it: ``c`` moves only by
+    ``s`` (a message that could strand it would block ``m``), ``m`` waits
+    for ``c``'s flag, other synchronizations set other flags, enqueues only
+    append, and an oracle blind to step and flags that withholds only what
+    the quality tolerates allows ``s``.  So ``{s}`` is persistent (Godefroid,
+    LNCS 1032): a search with a visited set reaches every terminal network,
+    stuck or quiescent, by a permutation of an original path: at one depth.
+    """
+    entries = canon_table().steps[net]  # net_enabled(net) filled it
+    steps_of = Counter(guard[0] for _, emissions in entries for guard, _ in emissions if guard)
+    for label, ((guard, succ), *_) in entries:
+        if guard and steps_of[guard[0]] == 1:
+            _, _, msg, role = guard
+            roles = [r for r, *_ in (msg.recipients if isinstance(msg, OutMsg) else msg.contributors)]
+            if not tolerates_absence(msg.quality, roles, role):
+                return [(label, succ)]
+    return []
 
 
 # ---------------------------------------------------------------------------

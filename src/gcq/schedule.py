@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import Quality, eval_quality
+from .syntax import Quality, tolerates_absence
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,7 @@ class TolerantFailure:
 
     def withhold_msg(self, quality: Quality, roles: tuple[str, ...], flags: tuple[bool, ...],
                      role: str, owner: Optional[str]) -> bool:
-        if owner != self.thread:
-            return False
-        hopeful = [True if r != role else False for r in roles]
-        try:
-            return eval_quality(quality, hopeful)
-        except Exception:
-            return False
+        return owner == self.thread and tolerates_absence(quality, roles, role)
 
 
 def load_schedule(data) -> object:

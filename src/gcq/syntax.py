@@ -90,6 +90,14 @@ def eval_quality(q: Quality, flags: list[bool] | tuple[bool, ...]) -> bool:
     return count >= q.m
 
 
+def tolerates_absence(q: Quality, roles: Iterable[Role], role: Role) -> bool:
+    """Whether ``q`` can hold with every listed role but ``role`` taking part."""
+    try:
+        return eval_quality(q, [r != role for r in roles])
+    except ArityMismatch:  # a ratio of another arity never holds
+        return False
+
+
 def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozenset[Thread]]:
     """All subsets of ``candidates`` satisfying ``q``, smallest first, then by
     sorted members.

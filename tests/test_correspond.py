@@ -1,5 +1,7 @@
 """Label correspondence, co-simulation and availability on the golden set."""
 
+from collections import Counter, deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,14 +19,26 @@ from gcq.correspond import (
     swap_select_label,
 )
 from gcq.genchor import GenConfig, corpus
-from gcq.netsem import BcIn, BcOut, ETau, EUp, SelIn, SelOut, Start, net_enabled
+from gcq.netsem import (
+    BcIn,
+    BcOut,
+    ETau,
+    EUp,
+    RdOut,
+    SelIn,
+    SelOut,
+    Start,
+    is_quiescent,
+    net_enabled,
+)
 from gcq.parser import parse
 from gcq.projection import epp
-from gcq.schedule import ScriptOracle, SingleFailure, TolerantFailure
+from gcq.schedule import BernoulliOracle, ScriptOracle, SingleFailure, TolerantFailure
 from gcq.semantics import ALWAYS, Configuration, enabled, run
 from gcq.syntax import (
     GBcastL,
     GInitL,
+    GSelectL,
     GTau,
     Lit,
     Q_ALL,
@@ -302,6 +316,27 @@ def _after(conf, seq):
     return conf
 
 
+@epq.per_verdict
+def _windows(chor, length=3) -> list:
+    """(network, global labels, endpoint step already fired or None) for each
+    window of 1 to ``length`` global steps from every state pair along the
+    co-simulation of ``chor``, from the pair's network and from each network
+    one endpoint step on."""
+    out = []
+    frontier = [(Configuration.initial(chor), epp(chor))]
+    for conf, net in frontier:
+        assert not any(q.msgs for q in net.queues)  # what fire_labels' reduction relies on
+        seqs = [[]]
+        for _ in range(length):
+            seqs = [seq + [g] for seq in seqs for g, _ in enabled(_after(conf, seq))]
+            for seq in seqs:
+                out.append((net, seq, None))
+                out += [(net1, seq, lab) for lab, net1 in net_enabled(net)]
+        for g, conf2 in enabled(conf):
+            frontier += [(conf2, n) for n in fire_labels(net, [g])[:1]]
+    return out
+
+
 class _Forgetful(set):
     """A set that never reports a member: ``fire_labels`` without its visited set."""
 
@@ -388,30 +423,17 @@ class TestSuccessorMemo:
         assert len(expanded) <= reached
 
     def test_fire_labels_visited_set_keeps_the_networks(self, monkeypatch):
-        """Windows of one to three global steps on ``chained_starts``, whose
-        two starts invent fresh session keys, from every state pair along its
-        co-simulation, with and without an endpoint step already fired."""
-        chor = chained_starts()
+        """Windows on ``chained_starts``, whose two starts invent fresh
+        session keys."""
+        windows = _windows(chained_starts())
 
         @epq.per_verdict
-        def windows() -> list:
-            out = []
-            frontier = [(Configuration.initial(chor), epp(chor))]
-            for conf, net in frontier:
-                seqs = [[]]
-                for _ in range(3):
-                    seqs = [seq + [g] for seq in seqs for g, _ in enabled(_after(conf, seq))]
-                    for seq in seqs:
-                        out.append(fire_labels(net, seq))
-                        out += [fire_labels(net1, seq, already_fired=lab)
-                                for lab, net1 in net_enabled(net)]
-                for g, conf2 in enabled(conf):
-                    frontier += [(conf2, n) for n in fire_labels(net, [g])[:1]]
-            return out
+        def fire() -> list:
+            return [fire_labels(net, seq, already_fired=lab) for net, seq, lab in windows]
 
-        with_set = windows()
+        with_set = fire()
         monkeypatch.setattr(correspond, "set", _Forgetful, raising=False)
-        without = windows()
+        without = fire()
         assert any(nets for nets in with_set)
         assert with_set == without
 
@@ -429,3 +451,171 @@ class TestComponentMemo:
         memo: dict = {}
         for net in nets + nets[::-1]:
             assert epq.net_canon(net, memo) == epq.net_canon(net)
+
+
+def reference_fire_labels(net, glabels, already_fired=None, shortcut=False) -> list:
+    """``fire_labels`` without partial-order reduction: every interleaving of
+    the window's synchronizations.  With ``shortcut`` it fires the first
+    wanted synchronization alone instead, a reduction that loses networks."""
+    want, init_keys = Counter(), {}
+    for g in glabels:
+        for lab in required_group(g):
+            want[correspond._start_key_agnostic(lab)] += 1
+            if isinstance(lab, Start):
+                init_keys.setdefault(correspond._keyless_start(lab), []).append(lab.key)
+    if already_fired is not None:
+        key = correspond._start_key_agnostic(already_fired)
+        if want[key] <= 0:
+            return []
+        want[key] -= 1
+    found, expanded = {}, set()
+
+    def dfs(current, remaining):
+        remaining = +remaining
+        if not remaining:
+            found.setdefault(epq.canon_table().canon(current), current)
+            return
+        if (current, frozenset(remaining.items())) in expanded:
+            return
+        expanded.add((current, frozenset(remaining.items())))
+        options = net_enabled(current)
+        wanted = [step for step in options
+                  if isinstance(step[0], (BcIn, SelIn, RdOut)) and remaining[step[0]] > 0]
+        for lab, succ in wanted[:1] if shortcut and wanted else options:
+            if isinstance(lab, Start):
+                pending = init_keys.get(correspond._keyless_start(lab), [])
+                if lab.key not in pending:
+                    target_key = next((k for k in pending if remaining[
+                        correspond._start_key_agnostic(replace(lab, key=k))] > 0), None)
+                    if target_key is None:
+                        continue
+                    succ = correspond._rename_net_session(succ, lab.key, target_key)
+                    lab = replace(lab, key=target_key)
+            key = correspond._start_key_agnostic(lab)
+            if remaining[key] > 0:
+                dfs(succ, remaining - Counter([key]))
+
+    dfs(net, want)
+    return list(found.values())
+
+# Both reduces list (k, M, S1) and (k, M, S2): which reduce a contribution
+# lands in depends on the order of the synchronizations.
+TWO_REDUCES = """
+service temperature : branch M -> (S1,S2) { measure: reduce (S1,S2) -> M <int> . reduce (S1,S2) -> M <int> . end };
+caps sensors = {Acc0, Acc1, Acc2, Ms0, Ms1, Ms2, E0, E1, E2};
+choreography {
+  start k (temperature) (t1[S1]{Acc1}, t2[S2]{Acc2}) -> (t0[M]{Acc0});
+  select k [all] t0[M]{Acc0;Ms0} -> (t1[S1]{Acc1;Ms1}, t2[S2]{Acc2;Ms2}) : measure;
+  reduce k [any] sum (t1[S1]{Ms1;Ms1}.5, t2[S2]{Ms2;Ms2}.5) -> t0[M]{Ms0;Ms0} : x;
+  reduce k [all] sum (t1[S1]{Ms1;E1}.5, t2[S2]{Ms2;E2}.5) -> t0[M]{Ms0;E0} : y;
+  end
+}
+"""
+
+
+def _terminals(chor, oracle, reduce: bool, bound=64) -> dict:
+    """{(canonical terminal network, quiescent): least depth} of a
+    breadth-first search over ``net_enabled``, with or without the
+    availability rule."""
+    @epq.per_verdict
+    def search():
+        table = epq.canon_table()
+        frontier = deque([(epp(chor), 0)])
+        seen = {table.canon(frontier[0][0])}
+        out = {}
+        while frontier:
+            net, depth = frontier.popleft()
+            options = net_enabled(net, oracle)
+            if not options:
+                out.setdefault((table.canon(net), is_quiescent(net)), depth)
+            if reduce:
+                options = correspond._forced_sync(net) or options
+            for _, succ in options:
+                if depth < bound and table.canon(succ) not in seen:
+                    seen.add(table.canon(succ))
+                    frontier.append((succ, depth + 1))
+        return out
+    return search()
+
+
+class TestPartialOrderReduction:
+    """Both searches fire one forced synchronization instead of all its
+    interleavings, and find what the unreduced searches find."""
+
+    WINDOW_PROGRAMS = ([(p.stem, parse(p.read_text(), lax_select=True).chor)
+                        for p in sorted(GOLDEN.glob("*.gcq")) if p.stem != "linearity_race"]
+                       + [("chained_starts", chained_starts()),
+                          ("sensors(q2=2/3)", sensors(q2=q_ratio(2, 3))),
+                          ("two_reduces", parse(TWO_REDUCES).chor)])
+
+    @pytest.mark.parametrize("name,chor", WINDOW_PROGRAMS, ids=[n for n, _ in WINDOW_PROGRAMS])
+    def test_fire_labels_finds_what_the_reference_finds(self, name, chor):
+        @epq.per_verdict
+        def canonical(fire, net, seq, lab) -> set:
+            return {epq.canon_table().canon(n) for n in fire(net, seq, already_fired=lab)}
+
+        windows = _windows(chor)
+        found = [canonical(fire_labels, *w) for w in windows]
+        assert found == [canonical(reference_fire_labels, *w) for w in windows]
+        assert any(found)
+
+    @pytest.mark.parametrize("with_select", [False, True])
+    @pytest.mark.parametrize("thread", ["t1", "t2"])
+    def test_two_groups_on_one_triple_are_not_reduced(self, thread, with_select):
+        """[reduce any by one sensor; reduce all], after the select or with
+        it in front, reaches one network; firing the first wanted
+        synchronization alone reaches none."""
+        chor = parse(TWO_REDUCES).chor
+        conf, net, window = Configuration.initial(chor), epp(chor), []
+        for _ in range(2):  # the start and the select
+            ((g, conf),) = enabled(conf)
+            if with_select and isinstance(g, GSelectL):
+                window.append(g)
+            else:
+                (net,) = fire_labels(net, [g])
+        first, conf = next((g, c) for g, c in enabled(conf) if g.chosen == {thread})
+        ((second, _),) = enabled(conf)
+        window += [first, second]
+        reference = epq.per_verdict(reference_fire_labels)
+        assert len(reference(net, window)) == 1
+        assert reference(net, window, shortcut=True) == []
+        assert len(fire_labels(net, window)) == 1
+
+    AVAILABILITY_PROGRAMS = (
+        [(p.stem, parse(p.read_text(), lax_select=True).chor)
+         for p in sorted(GOLDEN.glob("*.gcq")) if p.stem != "linearity_race"]
+        + [(f"corpus23_{i}", chor) for i, chor in enumerate(
+            corpus(20, seed=23, config=GenConfig(max_threads=4, max_interactions=5)))]
+        + [(f"sensor_family({n})", sensor_family(n)) for n in range(2, 6)]
+        + [("blocking_twin(4)", sensor_family(4, Q_ANY, Q_ANY, reduce_over=[1, 3, 4])),
+           ("steps_apart", parse(STEPS_APART).chor), ("chained_starts", chained_starts())])
+
+    @pytest.mark.parametrize("name,chor", AVAILABILITY_PROGRAMS,
+                             ids=[n for n, _ in AVAILABILITY_PROGRAMS])
+    def test_availability_rule_keeps_every_terminal_network(self, name, chor):
+        """The same terminal networks, stuck or quiescent, at the same least
+        depth, under ``ALWAYS`` and each ``TolerantFailure``."""
+        oracles = [ALWAYS] + [TolerantFailure(t) for t in sorted(free_names(chor).threads)]
+        for oracle in oracles:
+            assert _terminals(chor, oracle, True) == _terminals(chor, oracle, False)
+        assert _terminals(chor, ALWAYS, True)
+
+    def test_oracles_that_see_the_step_are_not_reduced(self, monkeypatch):
+        chor = sensor_family(3)
+        oracles = [ALWAYS, ScriptOracle((("unavailable", frozenset({"t1"})),) * 4
+                                        + (("unavailable", frozenset()),)),
+                   BernoulliOracle(0.8, 1), SingleFailure("t2", 3)]
+        reduced = [availability_check(chor, [oracle]).to_json() for oracle in oracles]
+        monkeypatch.setattr(correspond, "_forced_sync", lambda net: [])
+        unreduced = [availability_check(chor, [oracle]).to_json() for oracle in oracles]
+        assert reduced[0]["pairs_explored"] < unreduced[0]["pairs_explored"]
+        assert reduced[1:] == unreduced[1:]
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_availability_states_grow_linearly(self, n):
+        verdict = availability_check(sensor_family(n))
+        assert verdict.passed and verdict.pairs_explored == 2 * n + 6
+
+    def test_cosimulation_of_ten_sensors(self):
+        verdict = cosimulate(sensor_family(10))
+        assert verdict.status == "Pass" and verdict.pairs_explored == 4
