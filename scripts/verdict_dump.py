@@ -1,57 +1,82 @@
 #!/usr/bin/env python3
 """Print the ``--json`` verdicts of ``gcq check | cosim | availability``.
 
-    python3 scripts/verdict_dump.py > before.txt
-    ... change the toolchain ...
-    python3 scripts/verdict_dump.py > after.txt && diff before.txt after.txt
+    python3 scripts/verdict_dump.py > after.txt
+    python3 scripts/verdict_dump.py --src ../base/src > before.txt
+    diff before.txt after.txt
 
 Inputs: the golden programs, the fixed seed-23 corpus and the n-sensor
 family of the verdict benchmark (all three commands each), and the
-capability-check twins of the benchmark (``check`` only).  The texts come
-from ``perfbench/inputs.py``.  Each line is ``name command exit-code json``;
-the output depends on nothing but the sources, so two runs under different
+capability-check twins of the benchmark (``check`` only).  Each golden
+program also runs ``availability --schedule`` under a crash of t1 at step
+5, a Bernoulli oracle and a three-entry script.  The texts come from
+``perfbench/inputs.py``.  Each line is ``name command exit-code json``; the
+output depends on nothing but the sources, so two runs under different
 ``PYTHONHASHSEED`` values must print the same bytes.
+
+``--src`` names the ``gcq`` source tree to import (default: this
+checkout's ``src``), so one script and one set of inputs can run against
+two versions of the toolchain.
 """
 
+import argparse
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import inputs  # noqa: E402
-from gcq import cli  # noqa: E402
 
 COMMANDS = ("check", "cosim", "availability")
+SCHEDULES = {
+    "crash5": {"mode": "crash", "thread": "t1", "from_step": 5},
+    "bernoulli": {"mode": "bernoulli", "p": 0.8, "seed": 1},
+    "script3": {"mode": "script", "steps": [{"unavailable": ["t1"]}, {"available": ["t2", "t3"]},
+                                            {"unavailable": ["t3"]}]},
+}
 
 
-def programs():
-    """(name, text, flags, commands) for every input, in a fixed order."""
+def programs(inputs):
+    """(name, text, flags, runs) for every input, in a fixed order; a run is
+    a command and the name of a schedule, or None."""
+    runs = [(c, None) for c in COMMANDS]
     for name, (lax, _) in inputs.GOLDEN_MATRIX.items():
         text = (ROOT / "golden" / f"{name}.gcq").read_text(encoding="utf-8")
-        yield name, text, ("--lax-select",) if lax else (), COMMANDS
+        yield (name, text, ("--lax-select",) if lax else (),
+               runs + [("availability", s) for s in SCHEDULES])
     for item in sorted(inputs.corpus_items(0), key=lambda it: it.name):
-        yield item.name, item.text, (), COMMANDS
+        yield item.name, item.text, (), runs
     for item in inputs.sensor_family_items(1):
         flags = next((s.flags for s in item.steps if s.flags), ())
-        yield item.name, item.text, flags, COMMANDS
+        yield item.name, item.text, flags, runs
     for item in inputs.check_family_items(1, ROOT / "golden")[len(inputs.GOLDEN_MATRIX):]:
-        yield f"check_{item.name}", item.text, item.steps[0].flags, ("check",)
+        yield f"check_{item.name}", item.text, item.steps[0].flags, [("check", None)]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Print the verdicts of gcq on fixed inputs.")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the source tree holding the gcq package to import")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    import inputs
+    from gcq import cli
+
     with tempfile.TemporaryDirectory() as work:
-        for name, text, flags, commands in programs():
+        for name, data in SCHEDULES.items():
+            (Path(work) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+        for name, text, flags, runs in programs(inputs):
             path = Path(work) / f"{name}.gcq"
             path.write_text(text, encoding="utf-8")
-            for command in commands:
+            for command, sched in runs:
+                options = ["--schedule", str(Path(work) / f"{sched}.json")] if sched else []
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
-                    code = cli.main([command, str(path), *flags, "--json"])
-                print(name, command, code, out.getvalue().strip())
+                    code = cli.main([command, str(path), *options, *flags, "--json"])
+                label = f"{command} --schedule {sched}" if sched else command
+                print(name, label, code, out.getvalue().strip())
     return 0
 
 

@@ -12,12 +12,11 @@ matter which tolerated subset of participants shows up.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import linlog
-from .linlog import Context, Formula, Lolli, Own, Plus, Prover, Tensor, TrueF, TRUE
+from .linlog import Context, Formula, Lolli, Own, Plus, Tensor, TrueF, TRUE
 from .syntax import (
     AnnotatedThread,
     ArityMismatch,
@@ -132,16 +131,15 @@ def updated_context(principal: AnnotatedThread, chosen: Iterable[AnnotatedThread
 class CapabilityChecker:
     """Decides ``Psi |- C`` and reports the first failure per interaction."""
 
-    def __init__(self, prover_depth: int = 64):
-        self.prover = Prover(prover_depth)
+    def __init__(self):
         self.failures: list[Failure] = []
         self._memo: dict = {}
         self._sessions: dict = {}  # id of a continuation -> its free session keys
 
     def check(self, psi: Context, c: Choreography) -> bool:
         for f in psi:
-            if not linlog.lolli_free(f):
-                raise ValueError(f"typing context must be free of linear implications: {f}")
+            if not isinstance(f, (Own, TrueF)):
+                raise ValueError(f"typing context must hold ownership atoms and true only: {f}")
         return self._check(tuple(psi), c)
 
     def _check(self, psi: Context, c: Choreography) -> bool:
@@ -248,36 +246,27 @@ class CapabilityChecker:
                      for f in ctx)
 
     def _derive(self, psi: Context, principal, chosen, key) -> Optional[Context]:
-        """Find a context split proving the capability goal; return the leftover."""
+        """The context left after deriving the capability goal, or None.
+
+        ``check`` admits ownership atoms and ``true`` only, and the rules
+        add nothing else, so derivability is multiset inclusion of the
+        goal's exact atoms (``linlog.Prover`` agrees); one matching atom
+        per participant is taken, first match first.
+        """
         need = [ownership(principal, key, required=True)]
         need += [ownership(p, key, required=True) for p in chosen]
-        # Fast path: pick one exactly-matching atom per participant.
         taken: list[int] = []
         for atom in need:
             idx = next((i for i, f in enumerate(psi) if f == atom and i not in taken), None)
             if idx is None:
-                break
+                return None
             taken.append(idx)
-        else:
-            return tuple(f for i, f in enumerate(psi) if i not in taken)
-        # From atoms and ``true`` alone, only the exact atoms of the goal
-        # derive it, and the fast path found none.
-        if all(isinstance(f, (Own, TrueF)) for f in psi):
-            return None
-        # General path: the rule consumes exactly one context formula per
-        # participant; try every selection of that size.
-        goal = capability_goal(principal, chosen, key)
-        for combo in itertools.combinations(range(len(psi)), len(need)):
-            ctx = tuple(psi[i] for i in combo)
-            if self.prover.prove(ctx, goal).provable:
-                return tuple(f for i, f in enumerate(psi) if i not in combo)
-        return None
+        return tuple(f for i, f in enumerate(psi) if i not in taken)
 
 
-def check_capabilities(psi: Iterable[Formula], c: Choreography,
-                       prover_depth: int = 64) -> Report:
+def check_capabilities(psi: Iterable[Formula], c: Choreography) -> Report:
     """Run the capability analysis from an initial context (default: true)."""
-    checker = CapabilityChecker(prover_depth)
+    checker = CapabilityChecker()
     ctx = tuple(psi)
     ok = checker.check(ctx if ctx else (TRUE,), c)
     return Report(ok, checker.failures)

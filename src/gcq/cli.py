@@ -21,7 +21,7 @@ from .epq import Component, Network, Queue, parse_proc, print_proc
 from .gtypes import GammaEnv, check_session_only
 from .parser import ParseError, parse
 from .projection import check_linearity, epp
-from .semantics import ALWAYS, Configuration, run
+from .semantics import Configuration, run
 from .syntax import free_names
 
 EXIT_PASS = 0
@@ -50,7 +50,7 @@ def _oracle_from_args(args):
     if getattr(args, "schedule", None):
         data = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
         return schedule.load_schedule(data)
-    return ALWAYS
+    return schedule.ALWAYS
 
 
 def cmd_check(args) -> int:
@@ -125,15 +125,19 @@ def cmd_project(args) -> int:
 
 def _network_from_manifest(path: Path) -> Network:
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    base = path.parent
-    components = []
-    for entry in manifest.get("threads", []):
-        proc = parse_proc((base / entry["file"]).read_text(encoding="utf-8"))
-        components.append(Component(proc, owner=entry.get("thread")))
-    for entry in manifest.get("services", []):
-        proc = parse_proc((base / entry["file"]).read_text(encoding="utf-8"))
-        components.append(Component(proc, owner=None,
-                                    service=(entry["service"], entry["role"])))
+
+    def proc(entry):
+        file = path.parent / entry["file"]
+        try:
+            return parse_proc(file.read_text(encoding="utf-8"))
+        except ParseError as exc:
+            exc.path = str(file)
+            raise
+
+    components = [Component(proc(entry), owner=entry.get("thread"))
+                  for entry in manifest.get("threads", [])]
+    components += [Component(proc(entry), owner=None, service=(entry["service"], entry["role"]))
+                   for entry in manifest.get("services", [])]
     queues = tuple(Queue(k, ()) for k in manifest.get("queues", []))
     return Network(tuple(components), queues, frozenset(manifest.get("restricted", [])))
 
@@ -191,7 +195,7 @@ def _verdict_exit(verdict) -> int:
 
 def cmd_availability(args) -> int:
     prog = _load_program(args.input, args.lax_select)
-    oracles = [ALWAYS]
+    oracles = [schedule.ALWAYS]
     if args.schedule:
         oracles.append(_oracle_from_args(args))
     else:
@@ -249,7 +253,7 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:
         lo, hi = exc.span
-        print(f"{args.input}:{lo}-{hi}: syntax error: {exc}", file=sys.stderr)
+        print(f"{exc.path or args.input}:{lo}-{hi}: syntax error: {exc}", file=sys.stderr)
         return EXIT_REJECT
     except (OSError, ValueError) as exc:  # an unreadable or malformed input
         print(f"error: {exc}", file=sys.stderr)

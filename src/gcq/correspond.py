@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .epq import Network, OutMsg, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
+from .epq import Network, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
 from .netsem import (
     BcIn,
     BcOut,
@@ -33,10 +33,11 @@ from .netsem import (
     Start,
     is_quiescent,
     net_enabled,
+    sync_allowed,
 )
 from .projection import PruningInconclusive, epp, prunes
-from .schedule import TolerantFailure
-from .semantics import ALWAYS, AlwaysAvailable, Configuration, enabled
+from .schedule import ALWAYS
+from .semantics import Configuration, enabled
 from .syntax import (
     Choreography,
     GBcastL,
@@ -383,8 +384,8 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
     explored = 0
     cut_under = None  # first oracle whose search the bound cut short
     for oracle in oracles:
-        # under an oracle whose answers depend on the step, a state is (network, step)
-        stepwise = not isinstance(oracle, (AlwaysAvailable, TolerantFailure))
+        # under an oracle whose answers still change with the step, a state is (network, step)
+        stepwise = oracle.settles_at != 0
         frontier = deque([(start, 0)])
         seen = {(table.canon(start), 0 if stepwise else None)}
         while frontier:
@@ -399,7 +400,7 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
                         f"{stable_repr(oracle)}", explored)
                 continue
             if not stepwise:
-                options = _forced_sync(net) or options
+                options = _forced_sync(net, oracle) or options
             for _, succ in options:
                 key = (table.canon(succ), depth + 1 if stepwise else None)
                 if key in seen:
@@ -415,26 +416,27 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
     return Verdict("Pass", "", explored)
 
 
-def _forced_sync(net: Network) -> list:
-    """The first forced synchronization of ``net``, alone, or [].
+def _forced_sync(net: Network, oracle) -> list:
+    """The first forced synchronization of ``net`` that ``oracle`` allows,
+    alone, or [].
 
     A synchronization ``s`` of ``c`` on ``m`` is forced when ``c`` has no
     other step and ``m``'s quality cannot hold without ``c``'s role.  Until
     ``s`` fires nothing disables it or depends on it: ``c`` moves only by
     ``s`` (a message that could strand it would block ``m``), ``m`` waits
     for ``c``'s flag, other synchronizations set other flags, enqueues only
-    append, and an oracle blind to step and flags that withholds only what
-    the quality tolerates allows ``s``.  So ``{s}`` is persistent (Godefroid,
-    LNCS 1032): a search with a visited set reaches every terminal network,
-    stuck or quiescent, by a permutation of an original path: at one depth.
+    append, and an oracle settled at step 0 answers for ``s`` at every step
+    as it does now, since its answer reads only ``s``'s session, thread,
+    role and message.  So ``{s}`` is persistent (Godefroid, LNCS 1032): a
+    search with a visited set reaches every terminal network, stuck or
+    quiescent, by a permutation of an original path: at one depth.
     """
     entries = canon_table().steps[net]  # net_enabled(net) filled it
     steps_of = Counter(guard[0] for _, emissions in entries for guard, _ in emissions if guard)
     for label, ((guard, succ), *_) in entries:
-        if guard and steps_of[guard[0]] == 1:
+        if guard and steps_of[guard[0]] == 1 and sync_allowed(oracle, 0, guard):
             _, _, msg, role = guard
-            roles = [r for r, *_ in (msg.recipients if isinstance(msg, OutMsg) else msg.contributors)]
-            if not tolerates_absence(msg.quality, roles, role):
+            if not tolerates_absence(msg.quality, msg.roles(), role):
                 return [(label, succ)]
     return []
 

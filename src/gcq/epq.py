@@ -28,13 +28,10 @@ from .syntax import (
     Role,
     SomeV,
     Var,
-    Q_ALL,
-    Q_ANY,
     map_vars,
-    q_ratio,
     value_expr,
 )
-from .parser import ParseError, Token, tokenize, print_expr, _TOKEN_RE as _TOKEN_ANY
+from .parser import ParseError, print_expr, _Parser, _TOKEN_RE
 
 # ---------------------------------------------------------------------------
 # Process syntax
@@ -219,7 +216,7 @@ class OutMsg:
     def flags(self) -> list[bool]:
         return [b for _, b in self.recipients]
 
-    def recipient_roles(self) -> frozenset[Role]:
+    def roles(self) -> frozenset[Role]:
         return frozenset(r for r, _ in self.recipients)
 
 
@@ -237,7 +234,7 @@ class InMsg:
     def flags(self) -> list[bool]:
         return [b for _, b, _ in self.contributors]
 
-    def contributor_roles(self) -> frozenset[Role]:
+    def roles(self) -> frozenset[Role]:
         return frozenset(r for r, _, _ in self.contributors)
 
 
@@ -257,9 +254,9 @@ def msgs_commute(m1: Msg, m2: Msg) -> bool:
     first, deadlocking projections of well-typed choreographies.
     """
     if isinstance(m1, OutMsg) and isinstance(m2, OutMsg):
-        return m1.sender != m2.sender or m1.recipient_roles().isdisjoint(m2.recipient_roles())
+        return m1.sender != m2.sender or m1.roles().isdisjoint(m2.roles())
     if isinstance(m1, InMsg) and isinstance(m2, InMsg):
-        return m1.contributor_roles().isdisjoint(m2.contributor_roles()) or m1.receiver != m2.receiver
+        return m1.roles().isdisjoint(m2.roles()) or m1.receiver != m2.receiver
     return True
 
 
@@ -647,77 +644,18 @@ def print_proc(p: Proc, indent: str = "") -> str:
     raise TypeError(f"not a process: {p!r}")
 
 
-class _ProcParser:
-    """Parser for the source fragment of the process text format."""
+class _ProcParser(_Parser):
+    """Parser for the source fragment of the process text format: the
+    choreography tokens plus the '!' and '?' markers."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at(self, *texts: str) -> bool:
-        return self.peek().text in texts
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", (tok.start, tok.end), (text,))
-        return self.next()
-
-    def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected an identifier, found {tok.text!r}",
-                             (tok.start, tok.end), ("identifier",))
-        return self.next().text
+    token_re = re.compile(r"(?P<bang>[!?])|" + _TOKEN_RE.pattern, re.VERBOSE)
 
     def roles(self) -> tuple[str, ...]:
-        out = [self.ident()]
+        out = [self.ident("role").text]
         while self.at(","):
             self.next()
-            out.append(self.ident())
+            out.append(self.ident("role").text)
         return tuple(out)
-
-    def quality(self) -> Quality:
-        self.expect("[")
-        tok = self.peek()
-        if self.at("all"):
-            self.next()
-            q = Q_ALL
-        elif self.at("any"):
-            self.next()
-            q = Q_ANY
-        else:
-            if tok.kind != "nat":
-                raise ParseError(f"expected a quality, found {tok.text!r}",
-                                 (tok.start, tok.end), ("all", "any", "m/n"))
-            self.next()
-            self.expect("/")
-            n = self.next()
-            q = q_ratio(int(tok.text), int(n.text))
-        self.expect("]")
-        return q
-
-    def expr(self) -> Expr:
-        from .parser import _Parser
-        sub = _Parser.__new__(_Parser)
-        sub.text = self.text
-        sub.tokens = self.tokens
-        sub.pos = self.pos
-        sub.lax_select = True
-        sub.spans = {}
-        sub.in_init = False
-        e = sub.expr()
-        self.pos = sub.pos
-        return e
 
     def proc(self) -> Proc:
         tok = self.peek()
@@ -726,12 +664,12 @@ class _ProcParser:
             return INACT
         if self.at("request"):
             self.next()
-            svc = self.ident()
+            svc = self.ident().text
             self.expect("[")
             roles = self.roles()
             self.expect("]")
             self.expect("(")
-            key = self.ident()
+            key = self.ident().text
             self.expect(")")
             self.expect(".")
             return Request(svc, roles, key, self.proc())
@@ -741,12 +679,12 @@ class _ProcParser:
             if self.at("!"):
                 self.next()
                 repl = True
-            svc = self.ident()
+            svc = self.ident().text
             self.expect("[")
-            role = self.ident()
+            role = self.ident().text
             self.expect("]")
             self.expect("(")
-            key = self.ident()
+            key = self.ident().text
             self.expect(")")
             self.expect(".")
             cont = self.proc()
@@ -780,11 +718,11 @@ class _ProcParser:
         self.next()
 
     def _out(self) -> Proc:
-        self.next()
+        tok = self.next()
         self._bang()
-        key = self.ident()
+        key = self.ident().text
         self.expect("[")
-        sender = self.ident()
+        sender = self.ident().text
         self.expect("->")
         targets = self.roles()
         self.expect("]")
@@ -799,15 +737,15 @@ class _ProcParser:
         if quality is not None:
             return QOut(key, sender, targets, quality, e, cont)
         if len(targets) != 1:
-            raise ParseError("plain output has exactly one receiver", (0, 0))
+            raise ParseError("plain output has exactly one receiver", (tok.start, tok.end))
         return OutP(key, sender, targets[0], e, cont)
 
     def _in(self) -> Proc:
-        self.next()
+        tok = self.next()
         self._bang()
-        key = self.ident()
+        key = self.ident().text
         self.expect("[")
-        receiver = self.ident()
+        receiver = self.ident().text
         self.expect("<")
         self.expect("-")
         sources = self.roles()
@@ -816,43 +754,43 @@ class _ProcParser:
         if self.at("["):
             quality = self.quality()
         self.expect("(")
-        var = self.ident()
+        var = self.ident().text
         if quality is not None:
             self.expect(",")
-            op = self.ident()
+            op = self.ident().text
             self.expect(")")
             self.expect(".")
             return QIn(key, sources, receiver, quality, var, op, self.proc())
         self.expect(")")
         self.expect(".")
         if len(sources) != 1:
-            raise ParseError("plain input has exactly one sender", (0, 0))
+            raise ParseError("plain input has exactly one sender", (tok.start, tok.end))
         return InP(key, receiver, sources[0], var, self.proc())
 
     def _sel(self) -> Proc:
         self.next()
         self._bang()
-        key = self.ident()
+        key = self.ident().text
         self.expect("[")
-        sender = self.ident()
+        sender = self.ident().text
         self.expect("->")
         targets = self.roles()
         self.expect("]")
         quality = self.quality()
         self.expect(":")
-        label = self.ident()
+        label = self.ident().text
         self.expect(".")
         return QSel(key, sender, targets, quality, label, self.proc())
 
     def _branch(self) -> Proc:
         self.next()
         self._bang()
-        key = self.ident()
+        key = self.ident().text
         self.expect("[")
-        receiver = self.ident()
+        receiver = self.ident().text
         self.expect("<")
         self.expect("-")
-        sender = self.ident()
+        sender = self.ident().text
         self.expect("]")
         self.expect("{")
         arms = [self._arm()]
@@ -863,39 +801,15 @@ class _ProcParser:
         return Branch(key, receiver, sender, tuple(arms))
 
     def _arm(self) -> tuple[str, Proc]:
-        label = self.ident()
+        label = self.ident().text
         self.expect(":")
         return label, self.proc()
 
 
 def parse_proc(text: str) -> Proc:
-    parser = _ProcParser.__new__(_ProcParser)
-    parser.text = text
-    parser.tokens = _retokenize(text)
-    parser.pos = 0
+    parser = _ProcParser(text)
     p = parser.proc()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", (tok.start, tok.end))
     return p
-
-
-def _retokenize(text: str) -> list[Token]:
-    """The choreography tokens plus the '!' and '?' markers of this format."""
-    out = []
-    pos = 0
-    bang = re.compile(r"[!?]")
-    while pos < len(text):
-        m = bang.match(text, pos)
-        if m:
-            out.append(Token("punct", m.group(), m.start(), m.end()))
-            pos = m.end()
-            continue
-        m = _TOKEN_ANY.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), m.start(), m.end()))
-        pos = m.end()
-    out.append(Token("eof", "", len(text), len(text)))
-    return out

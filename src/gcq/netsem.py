@@ -44,7 +44,8 @@ from .epq import (
     rename_key,
     subst_var,
 )
-from .semantics import ALWAYS, AvailabilityOracle, make_policy
+from .schedule import ALWAYS, AvailabilityOracle
+from .semantics import make_policy
 from .syntax import (
     NONE,
     OptValue,
@@ -220,37 +221,29 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
                 ) -> list[tuple[ELabel, Network]]:
     """All transitions of the network, deterministically ordered.
 
-    The oracle withholds In/Out/Branch synchronizations of unavailable
-    threads (components whose owner the oracle excludes).  The verdict's
-    table enumerates a network's transitions once; each call keeps, per
-    transition, the first emission the oracle allows.
+    The oracle may withhold the synchronizations of owned components.  The
+    verdict's table enumerates a network's transitions once; each call keeps,
+    per transition, the first emission the oracle allows.
     """
     table = canon_table()
     steps = table.steps.get(net)
     if steps is None:
         steps = table.steps[net] = _transitions(net, table)
-
-    def allowed(guard) -> bool:
-        if guard is None or guard[0].owner is None:
-            return True
-        comp, session, msg, role = guard
-        if hasattr(oracle, "withhold_msg"):
-            if isinstance(msg, OutMsg):
-                roles = tuple(r for r, _ in msg.recipients)
-                flags = tuple(b for _, b in msg.recipients)
-            else:
-                roles = tuple(r for r, _, _ in msg.contributors)
-                flags = tuple(b for _, b, _ in msg.contributors)
-            return not oracle.withhold_msg(msg.quality, roles, flags, role, comp.owner)
-        avail = oracle.available(step_index, session, frozenset({comp.owner}))
-        return comp.owner in avail
-
     out = []
     for label, emissions in steps:
-        succ = next((s for guard, s in emissions if allowed(guard)), None)
+        succ = next((s for guard, s in emissions if sync_allowed(oracle, step_index, guard)),
+                    None)
         if succ is not None:
             out.append((label, succ))
     return out
+
+
+def sync_allowed(oracle: AvailabilityOracle, step_index: int, guard) -> bool:
+    """Whether the oracle lets an emission with this guard fire at the step."""
+    if guard is None or guard[0].owner is None:
+        return True
+    comp, session, msg, role = guard
+    return oracle.allows(step_index, session, comp.owner, role, msg.quality, msg.roles())
 
 
 def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
@@ -432,7 +425,7 @@ def _wait_steps(net: Network, emit):
                     msg = queue.msgs[idx]
                     if not isinstance(msg, OutMsg) or msg.sender != sender:
                         continue
-                    if msg.recipient_roles() != frozenset(receivers):
+                    if msg.roles() != frozenset(receivers):
                         continue
                     try:
                         if not eval_quality(msg.quality, msg.flags()):
@@ -472,7 +465,7 @@ def _wait_steps(net: Network, emit):
                     msg = queue.msgs[idx]
                     if not isinstance(msg, InMsg) or msg.receiver != receiver:
                         continue
-                    if msg.contributor_roles() != frozenset(senders):
+                    if msg.roles() != frozenset(senders):
                         continue
                     try:
                         if not eval_quality(msg.quality, msg.flags()):

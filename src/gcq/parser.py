@@ -70,6 +70,8 @@ _TOKEN_RE = re.compile(r"""
 class ParseError(Exception):
     """Syntax error with the offending span and the expected token set."""
 
+    path: str | None = None  # the file the span points into, if not the input named
+
     def __init__(self, message: str, span: tuple[int, int], expected: tuple[str, ...] = ()):
         super().__init__(message)
         self.span = span
@@ -96,11 +98,11 @@ class Token:
     end: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[Token]:
     out = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
         kind = m.lastgroup
@@ -127,9 +129,11 @@ class SourceProgram:
 
 
 class _Parser:
+    token_re = _TOKEN_RE
+
     def __init__(self, text: str, lax_select: bool = False):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text, self.token_re)
         self.pos = 0
         self.lax_select = lax_select
         self.spans: dict[int, tuple[int, int]] = {}

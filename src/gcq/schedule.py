@@ -1,12 +1,14 @@
 """Availability oracles: schedules, random failure models, honoring failures.
 
-An oracle answers which threads may take part in a synchronization at a
-given step.  Script oracles follow a step-indexed list (the last entry
-persists), Bernoulli oracles flip a seeded coin per step and thread, the
-crash-stop oracle withholds one thread from a given step on, and
-the tolerant single-failure oracle withholds one thread only from messages
-whose quality predicate can still be satisfied without it, so it never
-strands a communication.
+Every oracle answers one question: may ``thread``, in ``role``, take part
+in a synchronization of ``session`` at ``step``, on a message of
+``quality`` over ``roles``?  It also states ``settles_at``, the step from
+which its answers stop changing (``None`` if they never do).  Script
+oracles follow a step-indexed list (the last entry persists), Bernoulli
+oracles flip a seeded coin per step and thread, the crash-stop oracle
+withholds one thread from a given step on, and the tolerant single-failure
+oracle withholds one thread only where the quality predicate can still be
+satisfied without it, so it never strands a communication.
 """
 
 from __future__ import annotations
@@ -14,9 +16,30 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Protocol
 
-from .syntax import Quality, tolerates_absence
+from .syntax import Quality, Role, tolerates_absence
+
+
+class AvailabilityOracle(Protocol):
+    settles_at: Optional[int]  # answers at later steps equal those at this one
+
+    def allows(self, step: int, session: str, thread: str, role: Role, quality: Quality,
+               roles: frozenset[Role]) -> bool:
+        """Whether the participant may take part in this synchronization."""
+
+
+class AlwaysAvailable:
+    settles_at = 0
+
+    def allows(self, step, session, thread, role, quality, roles):
+        return True
+
+    def __repr__(self):
+        return "AlwaysAvailable()"
+
+
+ALWAYS = AlwaysAvailable()
 
 
 @dataclass(frozen=True)
@@ -28,27 +51,25 @@ class ScriptOracle:
 
     steps: tuple[tuple[str, frozenset[str]], ...]  # ("available"|"unavailable", threads)
 
-    def available(self, step, session, candidates):
+    @property
+    def settles_at(self) -> int:
+        return max(len(self.steps) - 1, 0)
+
+    def allows(self, step, session, thread, role, quality, roles):
         if not self.steps:
-            return frozenset(candidates)
+            return True
         mode, threads = self.steps[min(step, len(self.steps) - 1)]
-        if mode == "available":
-            return frozenset(candidates) & threads
-        return frozenset(candidates) - threads
+        return (thread in threads) == (mode == "available")
 
 
 @dataclass(frozen=True)
 class BernoulliOracle:
     p: float
     seed: int
+    settles_at = None
 
-    def available(self, step, session, candidates):
-        out = set()
-        for t in sorted(candidates):
-            rng = random.Random(f"{self.seed}:{step}:{t}")
-            if rng.random() < self.p:
-                out.add(t)
-        return frozenset(out)
+    def allows(self, step, session, thread, role, quality, roles):
+        return random.Random(f"{self.seed}:{step}:{thread}").random() < self.p
 
 
 @dataclass(frozen=True)
@@ -58,10 +79,12 @@ class SingleFailure:
     thread: str
     from_step: int = 0
 
-    def available(self, step, session, candidates):
-        if step >= self.from_step:
-            return frozenset(candidates) - {self.thread}
-        return frozenset(candidates)
+    @property
+    def settles_at(self) -> int:
+        return self.from_step
+
+    def allows(self, step, session, thread, role, quality, roles):
+        return thread != self.thread or step < self.from_step
 
 
 @dataclass(frozen=True)
@@ -74,16 +97,13 @@ class TolerantFailure:
     """
 
     thread: str
+    settles_at = 0
 
-    def available(self, step, session, candidates):
-        return frozenset(candidates)
-
-    def withhold_msg(self, quality: Quality, roles: tuple[str, ...], flags: tuple[bool, ...],
-                     role: str, owner: Optional[str]) -> bool:
-        return owner == self.thread and tolerates_absence(quality, roles, role)
+    def allows(self, step, session, thread, role, quality, roles):
+        return thread != self.thread or not tolerates_absence(quality, roles, role)
 
 
-def load_schedule(data) -> object:
+def load_schedule(data) -> AvailabilityOracle:
     """Oracle from its JSON description (a dict or a JSON string)."""
     if isinstance(data, str):
         data = json.loads(data)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterable, Optional
 
+from .schedule import ALWAYS, AvailabilityOracle
 from .syntax import (
     NONE,
     Bcast,
@@ -49,22 +50,6 @@ from .syntax import (
     substitute,
     used_names,
 )
-
-
-class AvailabilityOracle(Protocol):
-    def available(self, step: int, session: str, candidates: frozenset[str]) -> frozenset[str]:
-        """Subset of the candidate threads allowed to take part at this step."""
-
-
-class AlwaysAvailable:
-    def available(self, step, session, candidates):
-        return frozenset(candidates)
-
-    def __repr__(self):
-        return "AlwaysAvailable()"
-
-
-ALWAYS = AlwaysAvailable()
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +414,20 @@ def enabled_under(conf: Configuration, oracle: AvailabilityOracle, step_index: i
                   ) -> list[tuple[GLabel, Configuration]]:
     """Enabled transitions with quality-bound choices restricted by the oracle.
 
-    Only the chosen subset of a collective communication is filtered; session
-    starts, conditionals and the principal of a communication are not subject
-    to availability injection.
+    A collective communication keeps its label when the oracle allows every
+    chosen participant; session starts, conditionals and the principal of a
+    communication are not subject to availability injection.
     """
     out = []
     for label, succ in enabled(conf):
         match label:
-            case GBcastL(_, receivers, _, key, chosen, _) | GSelectL(_, receivers, _, key, chosen, _):
-                avail = oracle.available(step_index, key, frozenset(t for t, _ in receivers))
-                if chosen <= avail:
-                    out.append((label, succ))
-            case GReduceL(senders, _, _, key, chosen, _, _, _):
-                avail = oracle.available(step_index, key, frozenset(t for t, _ in senders))
-                if chosen <= avail:
-                    out.append((label, succ))
-            case _:
-                out.append((label, succ))
+            case (GBcastL(_, parts, quality, key, chosen, _) | GSelectL(_, parts, quality, key, chosen, _)
+                  | GReduceL(parts, _, quality, key, chosen, _, _, _)):
+                roles = frozenset(r for _, r in parts)
+                if not all(oracle.allows(step_index, key, t, r, quality, roles)
+                           for t, r in parts if t in chosen):
+                    continue
+        out.append((label, succ))
     return out
 
 

@@ -101,13 +101,15 @@ def random_traces(c: Choreography, seeds, max_steps: int = 24):
 
 
 class SubsetOracle:
-    """Admits exactly one chosen subset per (session, candidate-set) point."""
+    """Admits exactly one chosen subset per (session, candidate roles) point."""
+
+    settles_at = 0
 
     def __init__(self, choices: dict):
-        self.choices = choices  # (session, frozenset candidates) -> frozenset available
+        self.choices = choices  # (session, frozenset candidate roles) -> frozenset threads
 
-    def available(self, step, session, candidates):
-        return self.choices.get((session, frozenset(candidates)), frozenset(candidates))
+    def allows(self, step, session, thread, role, quality, roles):
+        return thread in self.choices.get((session, frozenset(roles)), {thread})
 
 
 def adversarial_oracles(conf: Configuration, rng: random.Random, samples: int = 3):
@@ -117,13 +119,12 @@ def adversarial_oracles(conf: Configuration, rng: random.Random, samples: int = 
     points = {}
     for label, _ in enabled(conf):
         match label:
-            case GBcastL(_, receivers, quality, key, _, _) | GSelectL(_, receivers, quality, key, _, _):
-                cands = tuple(t for t, _ in receivers)
-            case GReduceL(senders, _, quality, key, _, _, _, _):
-                cands = tuple(t for t, _ in senders)
+            case (GBcastL(_, parts, quality, key, _, _) | GSelectL(_, parts, quality, key, _, _)
+                  | GReduceL(parts, _, quality, key, _, _, _, _)):
+                cands = tuple(t for t, _ in parts)
             case _:
                 continue
-        points.setdefault((key, frozenset(cands)), quality_subsets(quality, cands))
+        points.setdefault((key, frozenset(r for _, r in parts)), quality_subsets(quality, cands))
     out = []
     for _ in range(samples):
         choice = {}

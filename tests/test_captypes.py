@@ -1,18 +1,23 @@
 """Capability analysis: golden accept/reject matrix and state satisfaction."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorfixtures import sensor_family, sensors, sensors_partial, typed_example
 from gcq.captypes import (
     CapabilityChecker,
     Failure,
+    capability_goal,
     check_capabilities,
     init_ownerships,
     state_satisfies,
 )
 from gcq.genchor import concat, session_chain
 from gcq.gtypes import check_session_only, infer_gamma
-from gcq.linlog import Lolli, Own, Plus, Prover, Tensor, TRUE, own
+from gcq.linlog import Lolli, Own, Plus, Prover, Tensor, TRUE, own, prove
 from gcq.projection import check_linearity
 from gcq.syntax import CapState, Q_ALL, Q_ANY, athr, q_ratio
 
@@ -123,27 +128,40 @@ OTHER = own("t9", "k", "Z", {"W"})
 
 
 class TestDerive:
-    """The general path of ``_derive``: context formulas that are not plain atoms.
+    """``_derive`` on contexts of ownership atoms and ``true``: the goal's
+    exact atoms, one per participant, first match first."""
 
-    The leftovers are those the exhaustive search over every selection of
-    context formulas returned.
-    """
+    PRINCIPAL = athr("t0", "M", {"Acc0"}, {"Ms0"})
+    BY_THREAD = {"t1": athr("t1", "S1", {"Acc1"}, {"Ms1"}),
+                 "t2": athr("t2", "S2", {"Acc2"}, {"Ms2"})}
 
     @pytest.mark.parametrize("psi,chosen,leftover", [
-        ((OTHER, S1, TRUE, Plus(M, M), S2, S1), ["t1"], (OTHER, TRUE, S2, S1)),
-        ((OTHER, S1, TRUE, Plus(M, M), S2, S1), ["t1", "t2"], (OTHER, TRUE, S1)),
-        ((Plus(M, OTHER), S1, Tensor(M, S2), OTHER, TRUE, S1), ["t1"], None),
-        ((Plus(M, OTHER), S1, Tensor(M, S2), OTHER, TRUE, S1), ["t1", "t2"],
-         (Plus(M, OTHER), OTHER, S1)),
-        ((S2, Plus(S1, S1), OTHER, Plus(M, M), TRUE), ["t1"], (S2, OTHER, TRUE)),
-        ((S2, Plus(S1, S1), OTHER, Plus(M, M), TRUE), ["t1", "t2"], (OTHER, TRUE)),
+        ((OTHER, S1, TRUE, M, S2, S1), ["t1"], (OTHER, TRUE, S2, S1)),
+        ((OTHER, S1, TRUE, M, S2, S1), ["t1", "t2"], (OTHER, TRUE, S1)),
+        ((S2, OTHER, S1, TRUE), ["t1"], None),
+        ((M, M, S2, OTHER, TRUE), ["t2"], (M, OTHER, TRUE)),
     ])
     def test_leftover(self, psi, chosen, leftover):
-        principal = athr("t0", "M", {"Acc0"}, {"Ms0"})
-        by_thread = {"t1": athr("t1", "S1", {"Acc1"}, {"Ms1"}),
-                     "t2": athr("t2", "S2", {"Acc2"}, {"Ms2"})}
-        got = CapabilityChecker()._derive(psi, principal, [by_thread[t] for t in chosen], "k")
-        assert got == leftover
+        parts = [self.BY_THREAD[t] for t in chosen]
+        assert CapabilityChecker()._derive(psi, self.PRINCIPAL, parts, "k") == leftover
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([M, S1, S2, OTHER, TRUE]), max_size=5),
+           st.sampled_from([["t1"], ["t2"], ["t1", "t2"]]))
+    def test_agrees_with_the_prover(self, psi, chosen):
+        """Derivable exactly when the prover derives the goal from some
+        selection of one context formula per participant."""
+        parts = [self.BY_THREAD[t] for t in chosen]
+        goal = capability_goal(self.PRINCIPAL, parts, "k")
+        provable = any(prove([psi[i] for i in combo], goal).provable
+                       for combo in itertools.combinations(range(len(psi)), len(parts) + 1))
+        derived = CapabilityChecker()._derive(tuple(psi), self.PRINCIPAL, parts, "k")
+        assert (derived is not None) == provable
+
+    @pytest.mark.parametrize("formula", [Plus(M, M), Plus(M, OTHER), Tensor(M, S2)])
+    def test_compound_context_refused(self, formula):
+        with pytest.raises(ValueError, match="ownership atoms and true only"):
+            check_capabilities([OTHER, formula], sensors())
 
 
 def _goal_text(ids):

@@ -264,6 +264,18 @@ class TestProjectRoundTrip:
         assert code == 0
         assert json.loads(out.splitlines()[-1])["verdict"] == "Completed"
 
+    def test_syntax_error_names_the_process_file(self, tmp_path, capsys):
+        assert run_cli("project", str(GOLDEN / "sensors_all.gcq"), "-o", str(tmp_path),
+                       capsys=capsys)[0] == 0
+        proc = tmp_path / "service_temperature_M.epq"
+        text = proc.read_text().replace(": measure", " measure")
+        proc.write_text(text)
+        code, _, err = run_cli("run-net", str(tmp_path / "manifest.json"), capsys=capsys)
+        assert code == 1
+        lo = text.index("measure")
+        assert err.strip() == (f"{proc}:{lo}-{lo + len('measure')}: "
+                               "syntax error: expected ':', found 'measure'")
+
 
 class TestConditionalPipeline:
     def test_conditional_program_full_pipeline(self, tmp_path, capsys):

@@ -204,7 +204,7 @@ class TestAvailability:
         assert availability_check(chor).pairs_explored == 10
         assert availability_check(chor, [TolerantFailure("z")]).pairs_explored == 10
         free = ScriptOracle((("unavailable", frozenset()),))
-        assert availability_check(chor, [free]).pairs_explored == 14
+        assert availability_check(chor, [free]).pairs_explored == 10
 
 
 STEPS_APART = """
@@ -529,7 +529,7 @@ def _terminals(chor, oracle, reduce: bool, bound=64) -> dict:
             if not options:
                 out.setdefault((table.canon(net), is_quiescent(net)), depth)
             if reduce:
-                options = correspond._forced_sync(net) or options
+                options = correspond._forced_sync(net, oracle) or options
             for _, succ in options:
                 if depth < bound and table.canon(succ) not in seen:
                     seen.add(table.canon(succ))
@@ -594,8 +594,12 @@ class TestPartialOrderReduction:
                              ids=[n for n, _ in AVAILABILITY_PROGRAMS])
     def test_availability_rule_keeps_every_terminal_network(self, name, chor):
         """The same terminal networks, stuck or quiescent, at the same least
-        depth, under ``ALWAYS`` and each ``TolerantFailure``."""
-        oracles = [ALWAYS] + [TolerantFailure(t) for t in sorted(free_names(chor).threads)]
+        depth, under ``ALWAYS``, each ``TolerantFailure``, a one-entry script
+        and a crash from step 0: every oracle settled at step 0."""
+        threads = sorted(free_names(chor).threads)
+        oracles = ([ALWAYS] + [TolerantFailure(t) for t in threads]
+                   + [ScriptOracle((("unavailable", frozenset(threads[:1])),))]
+                   + [SingleFailure(t, 0) for t in threads[-1:]])
         for oracle in oracles:
             assert _terminals(chor, oracle, True) == _terminals(chor, oracle, False)
         assert _terminals(chor, ALWAYS, True)
@@ -606,7 +610,7 @@ class TestPartialOrderReduction:
                                         + (("unavailable", frozenset()),)),
                    BernoulliOracle(0.8, 1), SingleFailure("t2", 3)]
         reduced = [availability_check(chor, [oracle]).to_json() for oracle in oracles]
-        monkeypatch.setattr(correspond, "_forced_sync", lambda net: [])
+        monkeypatch.setattr(correspond, "_forced_sync", lambda net, oracle: [])
         unreduced = [availability_check(chor, [oracle]).to_json() for oracle in oracles]
         assert reduced[0]["pairs_explored"] < unreduced[0]["pairs_explored"]
         assert reduced[1:] == unreduced[1:]

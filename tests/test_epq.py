@@ -54,6 +54,7 @@ from gcq.netsem import (
     net_run,
     is_quiescent,
 )
+from gcq.parser import ParseError
 from gcq.syntax import (
     Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio, stable_repr,
 )
@@ -508,3 +509,15 @@ class TestProcText:
     ])
     def test_roundtrip(self, proc):
         assert parse_proc(print_proc(proc)) == proc
+
+    @pytest.mark.parametrize("text,message,spanned", [
+        ("out! k [A -> B,C] [2/x] (1) . end", "expected a natural number", "x"),
+        ("out! k [A -> B,C] [3/2] (1) . end", "ratio predicate requires", "3/2"),
+        ("out! k [A -> B,C] (1) . end", "plain output has exactly one receiver", "out"),
+        ("in? k [A <- B,C] (x) . end", "plain input has exactly one sender", "in"),
+    ])
+    def test_syntax_errors_carry_their_span(self, text, message, spanned):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_proc(text)
+        lo, hi = info.value.span
+        assert text[lo:hi] == spanned

@@ -1,8 +1,11 @@
 """Global semantics: enabled transitions, runs, capability evolution, swaps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorfixtures import sensors, sensors_partial
+from gcq.schedule import BernoulliOracle, ScriptOracle, SingleFailure, TolerantFailure
 from gcq.semantics import (
     ALWAYS,
     Configuration,
@@ -86,6 +89,47 @@ class TestEnabled:
         assert {lab.key for lab in labels} == {"k1"}
 
 
+THREADS = ("t1", "t2", "t3")
+SETTLING_ORACLES = st.one_of(
+    st.just(ALWAYS),
+    st.builds(ScriptOracle, st.lists(st.tuples(st.sampled_from(["available", "unavailable"]),
+                                               st.frozensets(st.sampled_from(THREADS))),
+                                     max_size=4).map(tuple)),
+    st.builds(SingleFailure, st.sampled_from(THREADS), st.integers(0, 8)),
+    st.builds(TolerantFailure, st.sampled_from(THREADS)))
+
+
+class TestOracleProtocol:
+    """Every oracle answers one per-participant question and says from
+    which step its answers stop changing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SETTLING_ORACLES, st.integers(0, 20), st.sampled_from(THREADS),
+           st.sampled_from([Q_ALL, Q_ANY, q_ratio(2, 3), q_ratio(1, 2)]))
+    def test_answers_settle(self, oracle, later, thread, quality):
+        roles = frozenset({"S1", "S2", "S3"})
+        role = "S" + thread[1:]
+        at = oracle.settles_at
+        assert (oracle.allows(at + later, "k", thread, role, quality, roles)
+                == oracle.allows(at, "k", thread, role, quality, roles))
+
+    def test_bernoulli_never_settles(self):
+        oracle = BernoulliOracle(0.5, 1)
+        assert oracle.settles_at is None
+        assert len({oracle.allows(i, "k", "t1", "S1", Q_ALL, frozenset({"S1"}))
+                    for i in range(20)}) == 2
+
+    def test_tolerant_failure_withholds_what_the_quality_tolerates(self):
+        """As in the network: t3 sits out the 2/3 reduce, never the ``all`` select."""
+        conf = Configuration.initial(sensors(q2=q_ratio(2, 3)))
+        while not any(isinstance(lab, GReduceL) for lab, _ in enabled(conf)):
+            assert enabled_under(conf, TolerantFailure("t3"), 0) == enabled(conf)
+            conf = enabled(conf)[0][1]
+        reduces = [lab for lab, _ in enabled_under(conf, TolerantFailure("t3"), 0)
+                   if isinstance(lab, GReduceL)]
+        assert [lab.chosen for lab in reduces] == [frozenset({"t1", "t2"})]
+
+
 class TestCapabilityEvolution:
     def test_select_two_of_three_advances_state(self):
         """With a 2/3 select and J={t2,t3} the store becomes Ms0,Acc1,Ms2,Ms3."""
@@ -127,8 +171,8 @@ class TestRun:
 
     def test_blocking_any_with_only_t2_available_gets_stuck(self):
         class OnlyT2:
-            def available(self, step, session, candidates):
-                return frozenset(c for c in candidates if c == "t2")
+            def allows(self, step, session, thread, role, quality, roles):
+                return thread == "t2"
 
         trace = run(Configuration.initial(sensors_partial(q1=Q_ANY, q2=Q_ANY)), oracle=OnlyT2())
         assert trace.verdict == "Stuck"
