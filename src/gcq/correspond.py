@@ -278,9 +278,8 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
         if depth >= bound:
             cut = cut or f"exploration stopped at depth {bound}"
             continue
-        gsteps = enabled(conf)
         # Soundness direction
-        for glabel, conf2 in gsteps:
+        for glabel, conf2 in _global_steps(conf):
             target = epp(conf2.chor)
             matched = None
             for net2 in fire_labels(net, [glabel]):
@@ -332,7 +331,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
     for _ in range(lookahead):
         nxt = []
         for cur, labels in frontier:
-            for glabel, conf2 in enabled(cur):
+            for glabel, conf2 in _global_steps(cur):
                 seq = labels + [glabel]
                 adjusted_net1, adjusted = net1, elabel
                 if isinstance(elabel, Start):
@@ -357,7 +356,16 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                             continue
                 nxt.append((conf2, seq))
         frontier = nxt
-    return None if any(enabled(cur) for cur, _ in frontier) else False
+    return None if any(_global_steps(cur) for cur, _ in frontier) else False
+
+
+def _global_steps(conf: Configuration) -> list:
+    """``enabled(conf)``, computed once per configuration by the running verdict."""
+    table = canon_table()
+    steps = table.global_steps.get(conf)
+    if steps is None:
+        steps = table.global_steps[conf] = enabled(conf)
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -559,12 +559,16 @@ class CanonTable:
     ``comps``, the per-component memo of :func:`net_canon`.  ``steps``
     holds each network's transitions before any oracle filters them
     (``netsem.net_enabled``), keyed on the exact network, since labels
-    carry its session keys."""
+    carry its session keys; ``global_steps`` holds each configuration's
+    ``semantics.enabled``, keyed alike.  ``prune_answers`` maps a top-level ``prunes``
+    query (canonical p, canonical q, depth) to True, False or what it raised."""
 
     def __init__(self):
         self.forms: dict[Network, Network] = {}
         self.comps: dict = {}
         self.steps: dict[Network, list] = {}
+        self.global_steps: dict = {}
+        self.prune_answers: dict = {}
 
     def canon(self, net: Network) -> Network:
         form = self.forms.get(net)

@@ -56,8 +56,8 @@ from .syntax import (
     eval_expr,
     eval_quality,
     fresh_name,
+    label_first_sorted,
     opt_to_json,
-    stable_repr,
 )
 
 # ---------------------------------------------------------------------------
@@ -251,9 +251,8 @@ def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
     its ``(guard, successor)`` emissions in rule order; a synchronization's
     guard is ``(component, session, message, role)``, other guards are None.
 
-    The successor order is that of the text ``(label, canonical successor)``.
-    Label texts decide it unless two are equal or one is a prefix of
-    another; only then are the successors rendered."""
+    The successor order is that of the text ``(label, canonical successor)``
+    (:func:`syntax.label_first_sorted`)."""
     found: dict = {}
 
     def emit(label: ELabel, succ: Network, guard=None):
@@ -264,11 +263,7 @@ def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
     _sync_steps(net, emit)
     _wait_steps(net, emit)
     _if_steps(net, emit)
-    texts = {key: stable_repr(key[0]) for key in found}
-    order = sorted(found, key=texts.__getitem__)
-    if any(texts[b].startswith(texts[a]) for a, b in zip(order, order[1:])):
-        order.sort(key=lambda k: f"({texts[k]}, {stable_repr(k[1])})")
-    return [(key[0], found[key]) for key in order]
+    return [(key[0], found[key]) for key in label_first_sorted(found)]
 
 
 def _init_steps(net: Network, emit):

@@ -491,13 +491,25 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
 
     The simulation clause is checked by bounded co-exploration; running out
     of depth raises :class:`PruningInconclusive` rather than answering.
+    The running verdict keeps each top-level answer, which is final; ``_memo``
+    holds one call's provisional coinductive True entries, so it is not shared.
     """
-    if _memo is None:
-        _memo = {}
     table = canon_table()
     pc, qc = table.canon(p), table.canon(q)
     if pc == qc:
         return True
+    if _memo is None:
+        key = (pc, qc, depth)
+        answer = table.prune_answers.get(key)
+        if answer is None:
+            try:
+                answer = prunes(pc, qc, depth, {})
+            except PruningInconclusive as exc:
+                answer = exc
+            table.prune_answers[key] = answer
+        if isinstance(answer, PruningInconclusive):
+            raise answer.with_traceback(None)
+        return answer
     key = (pc, qc)
     if key in _memo:
         return _memo[key]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from .schedule import ALWAYS, AvailabilityOracle
@@ -44,9 +44,9 @@ from .syntax import (
     fresh_name,
     glabel_to_json,
     interaction_threads,
+    label_first_sorted,
     quality_subsets,
     state_update,
-    stable_repr,
     substitute,
     used_names,
 )
@@ -163,13 +163,15 @@ def _swap_variants(c: Choreography) -> list[Choreography]:
     return out
 
 
-def swap_closure(c: Choreography, bound: Optional[int] = None) -> list[Choreography]:
+def swap_closure(c: Choreography, bound: Optional[int] = None,
+                 canon: Optional[Choreography] = None) -> list[Choreography]:
     """All terms reachable by swap rules plus structural congruence.
 
     Terms are finite and small, so the closure is explored exhaustively by
     default; ``bound`` caps the number of representatives if needed.
+    ``canon`` is ``chor_canon(c)`` when the caller already has it.
     """
-    seen = {chor_canon(c): c}
+    seen = {chor_canon(c) if canon is None else canon: c}
     frontier = [c]
     while frontier:
         nxt = []
@@ -199,6 +201,8 @@ class Configuration:
     sigma: CapState
     chor: Choreography
     used: frozenset[str] = frozenset()
+    # canon_key(), computed once per object; ==, repr, stable_repr and replace ignore it
+    _canon: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, chor: Choreography, sigma: CapState = CapState()) -> "Configuration":
@@ -216,7 +220,11 @@ class Configuration:
         return split_prenex(self.chor)[1] == END
 
     def canon_key(self):
-        return (self.sigma, chor_canon(self.chor))
+        key = self._canon
+        if key is None:
+            key = (self.sigma, chor_canon(self.chor))
+            object.__setattr__(self, "_canon", key)
+        return key
 
 
 def _eval_closed(expr, thread):
@@ -401,13 +409,12 @@ def enabled(conf: Configuration) -> list[tuple[GLabel, Configuration]]:
     The enumeration is closed under structural and swap congruence: any
     interaction that some congruent reordering brings to the head may fire.
     """
-    binders, _ = split_prenex(conf.chor)
     seen = {}
-    for variant in swap_closure(conf.chor):
+    for variant in swap_closure(conf.chor, canon=conf.canon_key()[1]):
         vbinders, vcore = split_prenex(variant)
         for label, succ in _head_transitions(conf.sigma, vcore, vbinders, conf.used):
             seen.setdefault((label, succ.canon_key()), (label, succ))
-    return [seen[key] for key in sorted(seen, key=stable_repr)]
+    return [seen[key] for key in label_first_sorted(seen)]
 
 
 def enabled_under(conf: Configuration, oracle: AvailabilityOracle, step_index: int

@@ -977,3 +977,17 @@ def stable_repr(x) -> str:
         args = ", ".join(f"{f.name}={stable_repr(getattr(x, f.name))}" for f in fields(x) if f.repr)
         return f"{type(x).__qualname__}({args})"
     return repr(x)
+
+
+def label_first_sorted(pairs: Iterable[tuple]) -> list[tuple]:
+    """``sorted(pairs, key=stable_repr)`` for distinct ``(label, successor)`` pairs.
+
+    The text ``(a, x)`` sorts against ``(b, y)`` as ``a`` against ``b``
+    unless the label texts are equal or one is a prefix of the other, which
+    two neighbours in label order show; only then are successors rendered.
+    """
+    texts = {pair: stable_repr(pair[0]) for pair in pairs}
+    order = sorted(texts, key=texts.__getitem__)
+    if any(texts[b].startswith(texts[a]) for a, b in zip(order, order[1:])):
+        return sorted(texts, key=lambda pair: f"({texts[pair]}, {stable_repr(pair[1])})")
+    return order

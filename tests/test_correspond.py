@@ -5,9 +5,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chorfixtures import chained_starts, sensor_family, sensors, sensors_partial, typed_example
-from gcq import correspond, epq, netsem
+
+from gcq import correspond, epq, netsem, projection
 from gcq.correspond import (
     Verdict,
     availability_check,
@@ -32,9 +35,18 @@ from gcq.netsem import (
     net_enabled,
 )
 from gcq.parser import parse
-from gcq.projection import epp
+from gcq.projection import PruningInconclusive, epp, prunes
 from gcq.schedule import BernoulliOracle, ScriptOracle, SingleFailure, TolerantFailure
-from gcq.semantics import ALWAYS, Configuration, enabled, run
+from gcq.semantics import (
+    ALWAYS,
+    Configuration,
+    _head_transitions,
+    chor_canon,
+    enabled,
+    run,
+    split_prenex,
+    swap_closure,
+)
 from gcq.syntax import (
     GBcastL,
     GInitL,
@@ -45,6 +57,7 @@ from gcq.syntax import (
     Q_ANY,
     SomeV,
     free_names,
+    label_first_sorted,
     q_ratio,
     stable_repr,
 )
@@ -218,6 +231,22 @@ choreography {
 """
 
 
+def _order_programs() -> list:
+    """The golden programs, the seed-23 corpus, ``sensor_family(2..4)`` with a
+    tolerant reduce, and ``chained_starts``."""
+    programs = [parse(p.read_text(), lax_select=True).chor for p in sorted(GOLDEN.glob("*.gcq"))]
+    programs += corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
+    programs += [sensor_family(n, q2=q_ratio(n - 1, n)) for n in range(2, 5)]
+    return programs + [chained_starts()]
+
+
+class _Raw(str):
+    """A string whose ``repr`` is itself, to build label and successor texts."""
+
+    def __repr__(self):
+        return str(self)
+
+
 class TestStateIdentity:
     """Searches key states on canonical networks, canonicalized once per verdict."""
 
@@ -226,11 +255,7 @@ class TestStateIdentity:
         ``stable_repr`` of (label, canonical successor), one entry per pair.
         Label texts decide that order unless two tie, as the ``EUp()`` of two
         threads that may each enqueue do; the full text is the oracle."""
-        programs = [parse(p.read_text(), lax_select=True).chor
-                    for p in sorted(GOLDEN.glob("*.gcq"))]
-        programs += corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
-        programs += [sensor_family(n, q2=q_ratio(n - 1, n)) for n in range(2, 5)]
-        programs += [chained_starts()]
+        programs = _order_programs()
 
         def key(step):
             return stable_repr((step[0], epq.net_canon(step[1])))
@@ -254,6 +279,53 @@ class TestStateIdentity:
             for order in ([("k", 1, "t1"), ("j", 2, "t2")], [("j", 2, "t2"), ("k", 1, "t1")])]
         assert ties(two_enqueues) == 2
 
+    def test_global_successor_order(self):
+        """``semantics.enabled`` lists what a reference that renders every
+        successor lists, in the same order, on every configuration reachable
+        from the programs (at most 40 each)."""
+        def reference(conf):
+            seen = {}
+            for variant in swap_closure(conf.chor):
+                binders, core = split_prenex(variant)
+                for label, succ in _head_transitions(conf.sigma, core, binders, conf.used):
+                    seen.setdefault((label, succ.canon_key()), (label, succ))
+            return [seen[key] for key in sorted(seen, key=stable_repr)]
+
+        checked = 0
+        for chor in _order_programs():
+            confs = [Configuration.initial(chor)]
+            seen = {confs[0].canon_key()}
+            for conf in confs:
+                steps = enabled(conf)
+                assert steps == reference(conf)
+                checked += 1
+                for _, succ in steps:
+                    if len(confs) < 40 and succ.canon_key() not in seen:
+                        seen.add(succ.canon_key())
+                        confs.append(succ)
+        assert checked > 500
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text("12, )", max_size=4), st.text("12, )", max_size=3)),
+                    max_size=8, unique=True))
+    @example([(", ", " "), ("", ",  ")])  # two texts "(, ,  )": input order decides
+    def test_label_first_order_is_the_text_order(self, pairs):
+        """Labels that tie or are prefixes of one another, with texts that
+        continue like the rendered pair does (", "), are ordered as the text
+        of the whole pair orders them."""
+        pairs = [(_Raw(a), _Raw(b)) for a, b in pairs]
+        assert label_first_sorted(pairs) == sorted(pairs, key=stable_repr)
+
+    def test_stored_canonical_key(self):
+        conf = Configuration.initial(sensors())
+        assert conf._canon is None
+        key = conf.canon_key()
+        assert conf.canon_key() is key and key == (conf.sigma, chor_canon(conf.chor))
+        fresh = Configuration(conf.sigma, conf.chor, conf.used)
+        assert fresh == conf and hash(fresh) == hash(conf)
+        assert repr(fresh) == repr(conf) and stable_repr(fresh) == stable_repr(conf)
+        assert replace(conf, used=frozenset())._canon is None
+
     @staticmethod
     def _canonicalized(monkeypatch) -> list:
         """The (network, canonical form) pairs ``net_canon`` computes from now
@@ -268,6 +340,26 @@ class TestStateIdentity:
         monkeypatch.setattr(epq, "net_canon", counted)
         return computed
 
+    @staticmethod
+    def _global_work(monkeypatch) -> tuple[list, list]:
+        """The configurations ``cosimulate`` expands and the top-level
+        ``prunes`` queries it computes (each runs on a fresh ``_memo``)."""
+        expanded, pruned = [], []
+        real_enabled, real_prunes = correspond.enabled, projection.prunes
+
+        def expanding(conf):
+            expanded.append(conf)
+            return real_enabled(conf)
+
+        def pruning(p, q, depth=12, _memo=None):
+            if _memo == {}:
+                pruned.append((p, q, depth))
+            return real_prunes(p, q, depth, _memo)
+
+        monkeypatch.setattr(correspond, "enabled", expanding)
+        monkeypatch.setattr(projection, "prunes", pruning)
+        return expanded, pruned
+
     def test_verdicts_share_no_canonical_state(self, monkeypatch):
         chor = parse((GOLDEN / "sensors_23.gcq").read_text()).chor
         computed = self._canonicalized(monkeypatch)
@@ -279,6 +371,65 @@ class TestStateIdentity:
             assert availability_check(chor).passed
             counts.append(len(computed))
         assert counts[0] > 0 and counts == [counts[0]] * 3
+        expanded, pruned = self._global_work(monkeypatch)
+        work = []
+        for _ in range(2):
+            computed.clear(), expanded.clear(), pruned.clear()
+            assert cosimulate(chor).passed
+            work.append((len(computed), len(expanded), len(pruned)))
+        assert min(work[0]) > 0 and work[1] == work[0]
+
+    @staticmethod
+    def _cosim_programs() -> list:
+        """The golden programs and the first 20 of the seed-23 corpus."""
+        return ([parse(p.read_text(), lax_select=True).chor for p in sorted(GOLDEN.glob("*.gcq"))]
+                + corpus(20, seed=23, config=GenConfig(max_threads=4, max_interactions=5)))
+
+    def test_each_configuration_expanded_once_per_verdict(self, monkeypatch):
+        """Within one ``cosimulate`` call ``semantics.enabled`` runs at most
+        once per configuration and ``prunes`` computes each top-level query
+        once, though both are asked again."""
+        expanded, pruned = self._global_work(monkeypatch)
+        asked = []
+        monkeypatch.setattr(correspond, "prunes", lambda *a: asked.append(a) or prunes(*a))
+        for chor in self._cosim_programs():
+            expanded.clear(), pruned.clear(), asked.clear()
+            cosimulate(chor)
+            assert len(set(expanded)) == len(expanded)
+            assert len(set(pruned)) == len(pruned) <= len(asked)
+        assert len(asked) > len(pruned)
+
+    def test_prune_cache_answers_like_a_fresh_call(self, monkeypatch):
+        """Every top-level ``prunes`` answer ``cosimulate`` gets, at prune
+        depth 12 and 0, equals a fresh call's; asked again in one table at
+        depth 12 and then at depth 0, each query still answers so."""
+        def outcome(p, q, depth):
+            try:
+                return prunes(p, q, depth)
+            except PruningInconclusive:
+                return "inconclusive"
+
+        answers = {}
+
+        def asking(*query):
+            answers.setdefault(query, []).append(outcome(*query))
+            if answers[query][-1] == "inconclusive":
+                raise PruningInconclusive("recorded")
+            return answers[query][-1]
+
+        monkeypatch.setattr(correspond, "prunes", asking)
+        for chor in self._cosim_programs():
+            for prune_depth in (12, 0):
+                cosimulate(chor, prune_depth=prune_depth)
+        fresh = {query: epq.per_verdict(outcome)(*query) for query in answers}
+        assert all(got == [fresh[query]] * len(got) for query, got in answers.items())
+        assert {"inconclusive", True, False} <= set(fresh.values())
+        deep = [(p, q) for p, q, depth in answers if depth == 12]
+        shallow = {pq: epq.per_verdict(outcome)(*pq, 0) for pq in deep}
+        assert any(shallow[pq] != fresh[(*pq, 12)] for pq in deep)  # the depth matters
+        queries = [(*pq, 12) for pq in deep] + [(*pq, 0) for pq in deep]
+        expected = [fresh[(*pq, 12)] for pq in deep] + [shallow[pq] for pq in deep]
+        assert epq.per_verdict(lambda: [outcome(*query) for query in queries])() == expected
 
     def test_each_network_canonicalized_once_per_verdict(self, monkeypatch):
         chor = parse((GOLDEN / "sensors_23.gcq").read_text()).chor
