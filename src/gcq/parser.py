@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from .gtypes import BcastT, BranchT, END_T, GlobalType, RedT, SORTS, ServiceBinding
 from .syntax import (
     AnnotatedThread,
@@ -90,8 +91,7 @@ class UndeclaredCapability(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int

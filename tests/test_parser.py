@@ -1,11 +1,15 @@
 """Concrete syntax: golden programs, errors with spans, round-trip property."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from chorfixtures import sensors, typed_example
+from gcq.epq import _ProcParser, print_proc
+from gcq.genchor import GenConfig, corpus
 from gcq.parser import (
+    _TOKEN_RE,
     DuplicateThreadInInit,
     ParseError,
     SelectNotAll,
@@ -15,7 +19,9 @@ from gcq.parser import (
     pretty_print,
     pretty_print_program,
     print_gtype,
+    tokenize,
 )
+from gcq.projection import epp
 from gcq.gtypes import BranchT, END_T, RedT, branch_t
 from gcq.syntax import (
     Bcast,
@@ -125,6 +131,32 @@ class TestGoldenParsing:
         assert bc.sender.req == frozenset({"Req"}) and not bc.sender.off
         assert bc.receivers[0][0].req == frozenset({"R2"})
         assert bc.receivers[0][0].off == frozenset({"O2"})
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+def _scanned(text: str, pattern) -> list[tuple]:
+    """(kind, text, start, end) of every token, read off the pattern's matches."""
+    out, pos = [], 0
+    while pos < len(text):
+        m = pattern.match(text, pos)
+        out.append((m.lastgroup, m.group(), m.start(), m.end()))
+        pos = m.end()
+    return [tok for tok in out if tok[0] != "ws"] + [("eof", "", len(text), len(text))]
+
+
+class TestTokens:
+    def test_fields_on_golden_corpus_and_process_texts(self):
+        texts = [(path.read_text(), _TOKEN_RE) for path in sorted(GOLDEN.glob("*.gcq"))]
+        texts += [(pretty_print(c), _TOKEN_RE) for c in
+                  corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))]
+        texts += [(print_proc(comp.proc), _ProcParser.token_re) for comp in epp(sensors()).components]
+        assert any("!" in text for text, _ in texts)
+        for text, pattern in texts:
+            tokens = tokenize(text, pattern)
+            assert [(t.kind, t.text, t.start, t.end) for t in tokens] == _scanned(text, pattern)
+            assert [tuple(t) for t in tokens] == _scanned(text, pattern)
 
 
 class TestRoundTrip:
