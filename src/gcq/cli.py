@@ -195,12 +195,11 @@ def _verdict_exit(verdict) -> int:
 
 def cmd_availability(args) -> int:
     prog = _load_program(args.input, args.lax_select)
-    oracles = [schedule.ALWAYS]
     if args.schedule:
-        oracles.append(_oracle_from_args(args))
+        oracles = [_oracle_from_args(args)]
     else:
         threads = sorted(free_names(prog.chor).threads)
-        oracles.extend(schedule.TolerantFailure(t) for t in threads)
+        oracles = [schedule.ALWAYS, *map(schedule.TolerantFailure, threads)]
     verdict = correspond.availability_check(prog.chor, oracles, bound=args.bound)
     print(json.dumps(verdict.to_json(), sort_keys=True))
     return _verdict_exit(verdict)

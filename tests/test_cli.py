@@ -231,6 +231,17 @@ class TestCrashSchedule:
                                "--schedule", str(sched), capsys=capsys)
         assert code == 2 and "thread" in err
 
+    def test_schedule_replaces_the_default_oracles(self, tmp_path, capsys):
+        """``sensors_any_all`` is stuck without failures too; under
+        ``--schedule`` the verdict is the schedule's own."""
+        sched = tmp_path / "crash.json"
+        sched.write_text(json.dumps({"mode": "crash", "thread": "t1", "from_step": 5}))
+        code, out, _ = run_cli("availability", str(GOLDEN / "sensors_any_all.gcq"),
+                               "--lax-select", "--schedule", str(sched), capsys=capsys)
+        data = json.loads(out)
+        assert (code, data["status"]) == (1, "StuckNetworkFound")
+        assert data["detail"].endswith(" under SingleFailure(thread='t1', from_step=5)")
+
     # the tolerance claim of sensors_23.gcq: losing one sensor after the
     # selection is survivable, while the `all` protocol needs every sensor
     # until its reduce is done
