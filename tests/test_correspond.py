@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chorfixtures import chained_starts, sensor_family, sensors, sensors_partial, typed_example
-
 from gcq import correspond, epq, netsem, projection
 from gcq.correspond import (
     Verdict,
