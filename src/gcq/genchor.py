@@ -26,6 +26,7 @@ from .syntax import (
     Init,
     Interaction,
     Lit,
+    New,
     Q_ALL,
     Q_ANY,
     Quality,
@@ -34,6 +35,7 @@ from .syntax import (
     Seq,
     Var,
     athr,
+    map_chor,
     q_ratio,
     seq,
 )
@@ -231,14 +233,11 @@ def corpus(count: int, seed: int = 0, config: GenConfig | None = None) -> list[C
 
 def concat(c1: Choreography, c2: Choreography) -> Choreography:
     """Sequence two choreographies (the first must be restriction-free)."""
-    match c1:
-        case Seq(inter, cont):
-            return Seq(inter, concat(cont, c2))
-        case If(guard, at, then, orelse):
-            return If(guard, at, concat(then, c2), concat(orelse, c2))
-        case _ if c1 == END:
-            return c2
-    raise ValueError(f"cannot append after {c1!r}")
+    if c1 == END:
+        return c2
+    if isinstance(c1, New):
+        raise ValueError(f"cannot append after {c1!r}")
+    return map_chor(c1, lambda k: concat(k, c2))
 
 
 def session_chain(m: int, q: Quality) -> Choreography:

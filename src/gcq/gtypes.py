@@ -44,6 +44,7 @@ from .syntax import (
     Value,
     Var,
     VarName,
+    subterms,
 )
 
 SORTS = ("bool", "int", "string", "date", "float")
@@ -720,32 +721,20 @@ def infer_protocol(c: Choreography, key: SessionKey, gamma: GammaEnv | None = No
 def infer_gamma(c: Choreography) -> GammaEnv:
     """Service environment inferred from every session start of the term."""
     services: dict[str, ServiceBinding] = {}
-
-    def walk(ch: Choreography):
-        match ch:
-            case Seq(Init(actives, srv, svc, key), cont):
-                g = infer_protocol(Seq(Init(actives, srv, svc, key), cont), key)
-                binding = ServiceBinding(g, tuple(p.role for p in actives),
-                                         tuple(p.role for p in srv))
-                if svc in services:
-                    prior = services[svc]
-                    merged = merge_gtypes(prior.gtype, binding.gtype)
-                    if (frozenset(prior.actives or ()) != frozenset(binding.actives or ())
-                            or frozenset(prior.services or ()) != frozenset(binding.services or ())):
-                        raise NotInferable(f"service {svc!r} started with differing role splits")
-                    services[svc] = ServiceBinding(merged, prior.actives, prior.services)
-                else:
-                    services[svc] = binding
-                walk(cont)
-            case Seq(_, cont):
-                walk(cont)
-            case If(_, _, then, orelse):
-                walk(then)
-                walk(orelse)
-            case New(_, _, body):
-                walk(body)
-            case End():
-                pass
-
-    walk(c)
+    for node in subterms(c):
+        eta = node.inter if isinstance(node, Seq) else None
+        if not isinstance(eta, Init):
+            continue
+        svc = eta.svc
+        binding = ServiceBinding(infer_protocol(node, eta.key), tuple(p.role for p in eta.actives),
+                                 tuple(p.role for p in eta.services))
+        if svc in services:
+            prior = services[svc]
+            merged = merge_gtypes(prior.gtype, binding.gtype)
+            if (frozenset(prior.actives or ()) != frozenset(binding.actives or ())
+                    or frozenset(prior.services or ()) != frozenset(binding.services or ())):
+                raise NotInferable(f"service {svc!r} started with differing role splits")
+            services[svc] = ServiceBinding(merged, prior.actives, prior.services)
+        else:
+            services[svc] = binding
     return GammaEnv(services, {}, {})

@@ -49,6 +49,8 @@ from .syntax import (
     Unop,
     Var,
     AGG_OPS,
+    inter_parts,
+    interactions_of,
     q_ratio,
 )
 
@@ -570,37 +572,8 @@ def _unquote(text: str) -> str:
 
 def _validate_atoms(prog: SourceProgram, at: int) -> None:
     declared = prog.declared_atoms()
-    used: set[str] = set()
-
-    def collect(c: Choreography):
-        match c:
-            case Seq(inter, cont):
-                match inter:
-                    case Init(actives, services, _, _):
-                        for p in actives + services:
-                            used.update(p.req | p.off)
-                    case Bcast(sender, _, receivers, _, _):
-                        used.update(sender.req | sender.off)
-                        for p, _ in receivers:
-                            used.update(p.req | p.off)
-                    case Reduce(senders, receiver, _, _, _, _):
-                        used.update(receiver.req | receiver.off)
-                        for p, _ in senders:
-                            used.update(p.req | p.off)
-                    case Select(sender, receivers, _, _, _):
-                        used.update(sender.req | sender.off)
-                        for p in receivers:
-                            used.update(p.req | p.off)
-                collect(cont)
-            case If(_, _, then, orelse):
-                collect(then)
-                collect(orelse)
-            case New(_, _, body):
-                collect(body)
-            case End():
-                pass
-
-    collect(prog.chor)
+    used = {a for eta in interactions_of(prog.chor) for p in inter_parts(eta).athrs
+            for a in p.req | p.off}
     undeclared = used - declared
     if undeclared:
         raise UndeclaredCapability(

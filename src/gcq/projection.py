@@ -361,19 +361,8 @@ def _project(c: Choreography, t: Thread) -> Proc:
 
 def service_merge(c: Choreography, svc: str, role) -> frozenset[Thread]:
     """Service threads accepting ``svc`` under ``role`` anywhere in the term."""
-    match c:
-        case End():
-            return frozenset()
-        case New(_, _, body):
-            return service_merge(body, svc, role)
-        case If(_, _, then, orelse):
-            return service_merge(then, svc, role) | service_merge(orelse, svc, role)
-        case Seq(inter, cont):
-            out = service_merge(cont, svc, role)
-            if isinstance(inter, Init) and inter.svc == svc:
-                out |= frozenset(p.thread for p in inter.services if p.role == role)
-            return out
-    raise TypeError(f"not a choreography: {c!r}")
+    return frozenset(p.thread for eta in interactions_of(c) if isinstance(eta, Init) and eta.svc == svc
+                     for p in eta.services if p.role == role)
 
 
 def _service_names(c: Choreography) -> frozenset[str]:

@@ -22,7 +22,6 @@ from .syntax import (
     Bcast,
     CapState,
     Choreography,
-    End,
     END,
     GBcastL,
     GInitL,
@@ -40,14 +39,20 @@ from .syntax import (
     Stuck,
     alpha_canonical,
     apply_op,
+    chor_conts,
     eval_expr,
+    exchange,
+    free_names,
     fresh_name,
     glabel_to_json,
     interaction_threads,
     label_first_sorted,
+    map_chor,
     quality_subsets,
+    rename_free,
     state_update,
     substitute,
+    subterms,
     used_names,
 )
 
@@ -90,32 +95,15 @@ def chor_canon(c: Choreography) -> Choreography:
 
 
 def _occurrence_order(c: Choreography) -> dict[str, int]:
-    order: dict[str, int] = {}
-    counter = [0]
+    def noted(node: Choreography) -> list[str]:
+        if isinstance(node, Seq):
+            return sorted(interaction_threads(node.inter)) + [node.inter.key]
+        if isinstance(node, If):
+            return [node.at]
+        return [node.name] if isinstance(node, New) else []
 
-    def note(name: str):
-        counter[0] += 1
-        order.setdefault(name, counter[0])
-
-    def walk(ch: Choreography):
-        match ch:
-            case End():
-                return
-            case New(_, name, body):
-                note(name)
-                walk(body)
-            case If(_, at, then, orelse):
-                note(at)
-                walk(then)
-                walk(orelse)
-            case Seq(inter, cont):
-                for t in sorted(interaction_threads(inter)):
-                    note(t)
-                note(inter.key)
-                walk(cont)
-
-    walk(c)
-    return order
+    names = dict.fromkeys(name for node in subterms(c) for name in noted(node))
+    return {name: i for i, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +138,11 @@ def _swap_here(c: Choreography) -> list[Choreography]:
 def _swap_variants(c: Choreography) -> list[Choreography]:
     """One swap-rule application anywhere inside the term."""
     out = list(_swap_here(c))
-    match c:
-        case Seq(eta, cont):
-            out += [Seq(eta, v) for v in _swap_variants(cont)]
-        case If(guard, at, then, orelse):
-            out += [If(guard, at, v, orelse) for v in _swap_variants(then)]
-            out += [If(guard, at, then, v) for v in _swap_variants(orelse)]
-        case New(kind, name, body):
-            out += [New(kind, name, v) for v in _swap_variants(body)]
-        case _:
-            pass
+    conts = chor_conts(c)
+    for i, k in enumerate(conts):
+        for v in _swap_variants(k):
+            replaced = iter(conts[:i] + (v,) + conts[i + 1:])
+            out.append(map_chor(c, lambda _: next(replaced)))
     return out
 
 
@@ -209,7 +192,6 @@ class Configuration:
         # Names bound by a session start are placeholders until it fires, so
         # the freshness source holds the free names, the store's names and
         # any already-created restriction binders.
-        from .syntax import free_names
         fn = free_names(chor)
         binders, _ = split_prenex(chor)
         return cls(sigma, chor,
@@ -266,7 +248,7 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
             pool.add(new_key)
             body = cont
             if renaming or new_key != key:
-                body = _rename_free(cont, renaming, {key: new_key})
+                body = rename_free(cont, renaming, {key: new_key})
             sig_active = CapState([(p.thread, new_key, a) for p in actives for a in p.off])
             sig_service = CapState([(p.thread, new_key, a) for p in new_services for a in p.off])
             sigma2 = state_update(sigma, state_update(sig_active, sig_service))
@@ -347,60 +329,11 @@ def _capable_subsets(sigma, quality, candidates, key):
 
 
 def _exchange_all(sigma: CapState, parts, key) -> CapState:
-    from .syntax import exchange
     prime = CapState([(p.thread, key, a)
                       for p in parts
                       for a in exchange(p.req, p.off, sigma.caps(p.thread, key))])
     # the update domain is exactly the engaged participants
     return state_update(sigma, prime)
-
-
-def _rename_free(c: Choreography, thread_map: dict, key_map: dict) -> Choreography:
-    """Rename free thread and session names (used for init freshening)."""
-    from .syntax import AnnotatedThread
-
-    def rt(t):
-        return thread_map.get(t, t)
-
-    def rk(k):
-        return key_map.get(k, k)
-
-    def rp(p: AnnotatedThread) -> AnnotatedThread:
-        return replace(p, thread=rt(p.thread))
-
-    def walk(ch):
-        match ch:
-            case End():
-                return ch
-            case New(kind, name, body):
-                tm = {k: v for k, v in thread_map.items() if k != name} if kind == "thread" else thread_map
-                km = {k: v for k, v in key_map.items() if k != name} if kind == "session" else key_map
-                return New(kind, name, _rename_free(body, tm, km))
-            case If(guard, at, then, orelse):
-                return If(guard, rt(at), walk(then), walk(orelse))
-            case Seq(inter, cont):
-                match inter:
-                    case Init(actives, services, svc, key):
-                        bound = {p.thread for p in services}
-                        tm = {k: v for k, v in thread_map.items() if k not in bound}
-                        km = {k: v for k, v in key_map.items() if k != key}
-                        new_inter = Init(tuple(rp(p) for p in actives), services, svc, key)
-                        return Seq(new_inter, _rename_free(cont, tm, km))
-                    case Bcast(sender, expr, receivers, quality, key):
-                        new_inter = Bcast(rp(sender), expr,
-                                          tuple((rp(p), x) for p, x in receivers), quality, rk(key))
-                        return Seq(new_inter, walk(cont))
-                    case Reduce(senders, receiver, bind_var, quality, op, key):
-                        new_inter = Reduce(tuple((rp(p), e) for p, e in senders), rp(receiver),
-                                           bind_var, quality, op, rk(key))
-                        return Seq(new_inter, walk(cont))
-                    case Select(sender, receivers, quality, key, lab):
-                        new_inter = Select(rp(sender), tuple(rp(p) for p in receivers),
-                                           quality, rk(key), lab)
-                        return Seq(new_inter, walk(cont))
-        raise TypeError(f"not a choreography: {ch!r}")
-
-    return walk(c)
 
 
 def enabled(conf: Configuration) -> list[tuple[GLabel, Configuration]]:

@@ -15,8 +15,8 @@ concurrent readers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 Thread = str
 Role = str
@@ -359,7 +359,13 @@ def athr(thread: Thread, role: Role, req: Iterable[CapAtom] = (), off: Iterable[
 
 
 @dataclass(frozen=True)
-class Init:
+class _Interaction:
+    # inter_parts(self), computed once; ==, hash, repr, stable_repr and replace ignore it
+    _parts: Optional["InterParts"] = field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Init(_Interaction):
     actives: tuple[AnnotatedThread, ...]
     services: tuple[AnnotatedThread, ...]
     svc: ServiceName
@@ -377,7 +383,7 @@ class Init:
 
 
 @dataclass(frozen=True)
-class Bcast:
+class Bcast(_Interaction):
     sender: AnnotatedThread
     expr: Expr
     receivers: tuple[tuple[AnnotatedThread, VarName], ...]
@@ -386,7 +392,7 @@ class Bcast:
 
 
 @dataclass(frozen=True)
-class Reduce:
+class Reduce(_Interaction):
     senders: tuple[tuple[AnnotatedThread, Expr], ...]
     receiver: AnnotatedThread
     bind_var: VarName
@@ -400,7 +406,7 @@ class Reduce:
 
 
 @dataclass(frozen=True)
-class Select:
+class Select(_Interaction):
     # Source programs restrict the quality to "all" (enforced by the parser);
     # semantics and typing handle arbitrary predicates so that lax variants
     # can still be executed and rejected by the capability analysis.
@@ -412,19 +418,6 @@ class Select:
 
 
 Interaction = Union[Init, Bcast, Reduce, Select]
-
-
-def interaction_threads(eta: Interaction) -> frozenset[Thread]:
-    match eta:
-        case Init(actives, services, _, _):
-            return frozenset(p.thread for p in actives + services)
-        case Bcast(sender, _, receivers, _, _):
-            return frozenset({sender.thread}) | frozenset(p.thread for p, _ in receivers)
-        case Reduce(senders, receiver, _, _, _, _):
-            return frozenset(p.thread for p, _ in senders) | {receiver.thread}
-        case Select(sender, receivers, _, _, _):
-            return frozenset({sender.thread}) | frozenset(p.thread for p in receivers)
-    raise TypeError(f"not an interaction: {eta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,32 +469,153 @@ def seq(*parts) -> Choreography:
     return chor
 
 
-def chor_threads(c: Choreography) -> frozenset[Thread]:
+# ---------------------------------------------------------------------------
+# Traversal: where a term keeps its continuations, names and binders
+
+
+def chor_conts(c: Choreography) -> tuple[Choreography, ...]:
+    """The direct continuations of a term: ``cont``, the body of a
+    restriction, or both branches of a conditional."""
     match c:
         case End():
-            return frozenset()
-        case Seq(inter, cont):
-            return interaction_threads(inter) | chor_threads(cont)
-        case If(_, at, then, orelse):
-            return frozenset({at}) | chor_threads(then) | chor_threads(orelse)
-        case New(kind, name, body):
-            inner = chor_threads(body)
-            return inner - {name} if kind == "thread" else inner
+            return ()
+        case Seq(_, cont) | New(_, _, cont):
+            return (cont,)
+        case If(_, _, then, orelse):
+            return (then, orelse)
     raise TypeError(f"not a choreography: {c!r}")
+
+
+def map_chor(c: Choreography, f: Callable[[Choreography], Choreography], **fields) -> Choreography:
+    """``c`` with ``f`` applied to each direct continuation, in the order of
+    :func:`chor_conts`, and with ``fields`` replaced."""
+    match c:
+        case End():
+            return c
+        case Seq(inter, cont):
+            return Seq(fields.pop("inter", inter), f(cont), **fields)
+        case New(kind, name, body):
+            return New(kind, fields.pop("name", name), f(body), **fields)
+        case If(guard, at, then, orelse):
+            return If(fields.pop("guard", guard), fields.pop("at", at), f(then), f(orelse), **fields)
+    raise TypeError(f"not a choreography: {c!r}")
+
+
+def subterms(c: Choreography) -> Iterator[Choreography]:
+    """Every node of a term, each before its continuations and a then-branch
+    before its else-branch."""
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(chor_conts(node)))
+
+
+# A name that a term can bind, tagged with its sort: ("thread", t),
+# ("session", k), or ("var", x, t) for the variable x located at thread t.
+# Free names also come as ("service", s) and ("role", r); nothing binds those.
+Name = tuple
+
+
+class InterParts(NamedTuple):
+    """Where an interaction keeps its names."""
+
+    athrs: tuple[AnnotatedThread, ...]  # every participant
+    threads: frozenset[Thread]          # every participant's thread
+    binds: tuple[Name, ...]             # bound over the continuation, in field order
+    free: frozenset[Name]               # the free names it holds, with its roles and service
+
+
+def inter_parts(eta: Interaction) -> InterParts:
+    """The binder table: a session start binds its service threads and its
+    key, a broadcast each receiver's variable located at that receiver, and
+    a reduce its aggregate variable located at the receiver.  An expression
+    is located at the thread that evaluates it.  Computed once per
+    interaction."""
+    if eta._parts is not None:
+        return eta._parts
+    match eta:
+        case Init(actives, services, _, key):
+            athrs, exprs = actives + services, ()
+            binds = tuple(("thread", p.thread) for p in services) + (("session", key),)
+        case Bcast(sender, expr, receivers, _, _):
+            athrs, exprs = (sender,) + tuple(p for p, _ in receivers), ((expr, sender.thread),)
+            binds = tuple(("var", x, p.thread) for p, x in receivers)
+        case Reduce(senders, receiver, bind_var, _, _, _):
+            athrs = tuple(p for p, _ in senders) + (receiver,)
+            exprs = tuple((e, p.thread) for p, e in senders)
+            binds = (("var", bind_var, receiver.thread),)
+        case Select(sender, receivers, _, _, _):
+            athrs, exprs, binds = (sender,) + receivers, (), ()
+        case _:
+            raise TypeError(f"not an interaction: {eta!r}")
+    free = {("thread", p.thread) for p in athrs} | {("session", eta.key)}
+    free = free.difference(binds) | {("role", p.role) for p in athrs}
+    free.update(("var", x, at) for e, at in exprs for x in expr_vars(e))
+    if isinstance(eta, Init):
+        free.add(("service", eta.svc))
+    parts = InterParts(athrs, frozenset(p.thread for p in athrs), binds, frozenset(free))
+    object.__setattr__(eta, "_parts", parts)
+    return parts
+
+
+def map_inter(eta: Interaction, thread: Callable[[Thread], Thread],
+              key: Callable[[SessionKey], SessionKey], expr: Callable[[Expr, Thread], Expr],
+              bound: Callable[[str], str]) -> Interaction:
+    """``eta`` with ``thread`` applied to each free participant's thread,
+    ``key`` to its free session key, ``expr(e, at)`` to each expression
+    evaluated at ``at``, and ``bound`` to each bound name in the order of
+    ``inter_parts(eta).binds``."""
+
+    def free(p: AnnotatedThread) -> AnnotatedThread:
+        t = thread(p.thread)
+        return p if t == p.thread else AnnotatedThread(t, p.role, p.req, p.off)
+
+    match eta:
+        case Init(actives, services, svc, k):
+            return Init(tuple(map(free, actives)),
+                        tuple(AnnotatedThread(bound(p.thread), p.role, p.req, p.off)
+                              for p in services), svc, bound(k))
+        case Bcast(sender, e, receivers, quality, k):
+            return Bcast(free(sender), expr(e, sender.thread),
+                         tuple((free(p), bound(x)) for p, x in receivers), quality, key(k))
+        case Reduce(senders, receiver, x, quality, op, k):
+            return Reduce(tuple((free(p), expr(e, p.thread)) for p, e in senders), free(receiver),
+                          bound(x), quality, op, key(k))
+        case Select(sender, receivers, quality, k, label):
+            return Select(free(sender), tuple(map(free, receivers)), quality, key(k), label)
+    raise TypeError(f"not an interaction: {eta!r}")
+
+
+def node_names(c: Choreography) -> tuple[frozenset[Name], tuple[Name, ...]]:
+    """The free names a node holds itself, not in its continuations, and
+    what it binds over them: a restriction its name, an interaction what
+    :func:`inter_parts` lists."""
+    match c:
+        case Seq(eta, _):
+            parts = inter_parts(eta)
+            return parts.free, parts.binds
+        case If(guard, at, _, _):
+            return frozenset({("thread", at)}) | {("var", x, at) for x in expr_vars(guard)}, ()
+        case New(kind, name, _):
+            return frozenset(), ((kind, name),)
+    return frozenset(), ()
+
+
+def _hidden(binds: tuple[Name, ...], names: Iterable[Name]) -> set[Name]:
+    """The names among ``names`` that ``binds`` hide: each bound name, and
+    every variable located at a bound thread."""
+    threads = {n[1] for n in binds if n[0] == "thread"}
+    return {n for n in names if n in binds or n[0] == "var" and n[2] in threads}
+
+
+def interaction_threads(eta: Interaction) -> frozenset[Thread]:
+    return inter_parts(eta).threads
 
 
 def interactions_of(c: Choreography) -> list[Interaction]:
     """All interactions of a term, in syntactic order (both branches of ifs)."""
-    match c:
-        case End():
-            return []
-        case Seq(inter, cont):
-            return [inter] + interactions_of(cont)
-        case If(_, _, then, orelse):
-            return interactions_of(then) + interactions_of(orelse)
-        case New(_, _, body):
-            return interactions_of(body)
-    raise TypeError(f"not a choreography: {c!r}")
+    return [node.inter for node in subterms(c) if isinstance(node, Seq)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,127 +634,30 @@ class FreeNames:
         return self.threads | self.sessions | self.services | frozenset(v for v, _ in self.vars)
 
 
-def _expr_free_vars(e: Expr, at: Thread) -> frozenset[tuple[VarName, Thread]]:
-    return frozenset((v, at) for v in expr_vars(e))
+def _free(c: Choreography) -> set[Name]:
+    inner = set().union(*map(_free, chor_conts(c)))
+    own, binds = node_names(c)
+    if binds:
+        inner -= _hidden(binds, inner)
+    return inner.union(own)
 
 
 def free_names(c: Choreography) -> FreeNames:
     """Free threads, sessions, services, located variables and roles.
 
-    Binders: a session start binds its service threads and its key over the
-    continuation, a broadcast binds each receiver's variable, a reduce binds
-    its aggregate variable, and a restriction binds its name.
+    The binders are those of :func:`node_names`.
     """
-    match c:
-        case End():
-            return FreeNames(frozenset(), frozenset(), frozenset(), frozenset(), frozenset())
-        case New(kind, name, body):
-            fn = free_names(body)
-            if kind == "thread":
-                return FreeNames(fn.threads - {name}, fn.sessions, fn.services,
-                                 frozenset(v for v in fn.vars if v[1] != name), fn.roles)
-            return FreeNames(fn.threads, fn.sessions - {name}, fn.services, fn.vars, fn.roles)
-        case If(guard, at, then, orelse):
-            f1, f2 = free_names(then), free_names(orelse)
-            return FreeNames(
-                f1.threads | f2.threads | {at},
-                f1.sessions | f2.sessions,
-                f1.services | f2.services,
-                f1.vars | f2.vars | _expr_free_vars(guard, at),
-                f1.roles | f2.roles,
-            )
-        case Seq(inter, cont):
-            fc = free_names(cont)
-            match inter:
-                case Init(actives, services, svc, key):
-                    bound_threads = frozenset(p.thread for p in services)
-                    roles = frozenset(p.role for p in actives + services)
-                    return FreeNames(
-                        (fc.threads - bound_threads) | frozenset(p.thread for p in actives),
-                        fc.sessions - {key},
-                        fc.services | {svc},
-                        frozenset(v for v in fc.vars if v[1] not in bound_threads),
-                        fc.roles | roles,
-                    )
-                case Bcast(sender, expr, receivers, _, key):
-                    bound = frozenset((x, p.thread) for p, x in receivers)
-                    threads = frozenset({sender.thread}) | frozenset(p.thread for p, _ in receivers)
-                    roles = frozenset({sender.role}) | frozenset(p.role for p, _ in receivers)
-                    return FreeNames(
-                        fc.threads | threads,
-                        fc.sessions | {key},
-                        fc.services,
-                        (fc.vars - bound) | _expr_free_vars(expr, sender.thread),
-                        fc.roles | roles,
-                    )
-                case Reduce(senders, receiver, bind_var, _, _, key):
-                    bound = frozenset({(bind_var, receiver.thread)})
-                    threads = frozenset(p.thread for p, _ in senders) | {receiver.thread}
-                    roles = frozenset(p.role for p, _ in senders) | {receiver.role}
-                    evars = frozenset()
-                    for p, e in senders:
-                        evars |= _expr_free_vars(e, p.thread)
-                    return FreeNames(
-                        fc.threads | threads,
-                        fc.sessions | {key},
-                        fc.services,
-                        (fc.vars - bound) | evars,
-                        fc.roles | roles,
-                    )
-                case Select(sender, receivers, _, key, _):
-                    threads = frozenset({sender.thread}) | frozenset(p.thread for p in receivers)
-                    roles = frozenset({sender.role}) | frozenset(p.role for p in receivers)
-                    return FreeNames(fc.threads | threads, fc.sessions | {key},
-                                     fc.services, fc.vars, fc.roles | roles)
-    raise TypeError(f"not a choreography: {c!r}")
+    names = _free(c)
+    return FreeNames(*(frozenset(n[1] for n in names if n[0] == sort)
+                       for sort in ("thread", "session", "service")),
+                     frozenset(n[1:] for n in names if n[0] == "var"),
+                     frozenset(n[1] for n in names if n[0] == "role"))
 
 
 def used_names(c: Choreography) -> frozenset[str]:
     """Every identifier occurring in ``c``, bound or free (freshness source)."""
-    out: set[str] = set()
-
-    def walk(ch: Choreography):
-        match ch:
-            case End():
-                return
-            case New(_, name, body):
-                out.add(name)
-                walk(body)
-            case If(guard, at, then, orelse):
-                out.add(at)
-                out.update(expr_vars(guard))
-                walk(then)
-                walk(orelse)
-            case Seq(inter, cont):
-                match inter:
-                    case Init(actives, services, svc, key):
-                        out.add(svc)
-                        out.add(key)
-                        for p in actives + services:
-                            out.add(p.thread)
-                    case Bcast(sender, expr, receivers, _, key):
-                        out.add(key)
-                        out.add(sender.thread)
-                        out.update(expr_vars(expr))
-                        for p, x in receivers:
-                            out.add(p.thread)
-                            out.add(x)
-                    case Reduce(senders, receiver, bind_var, _, _, key):
-                        out.add(key)
-                        out.add(receiver.thread)
-                        out.add(bind_var)
-                        for p, e in senders:
-                            out.add(p.thread)
-                            out.update(expr_vars(e))
-                    case Select(sender, receivers, _, key, _):
-                        out.add(key)
-                        out.add(sender.thread)
-                        for p in receivers:
-                            out.add(p.thread)
-                walk(cont)
-
-    walk(c)
-    return frozenset(out)
+    return frozenset(n[1] for node in subterms(c)
+                     for n in itertools.chain(*node_names(node)) if n[0] != "role")
 
 
 def fresh_name(base: str, used: frozenset[str] | set[str]) -> str:
@@ -654,55 +671,62 @@ def fresh_name(base: str, used: frozenset[str] | set[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Renaming and substitution
 
 Theta = Mapping[tuple[VarName, Thread], OptValue]
 
 
-def _subst_expr(e: Expr, at: Thread, theta: Theta) -> Expr:
-    def sub(name: VarName) -> Expr:
-        w = theta.get((name, at))
-        return Var(name) if w is None else value_expr(w)
+def _rename(c: Choreography, env: Mapping[Name, object],
+            fresh: Callable[[], str] | None = None) -> Choreography:
+    """``c`` with each free name in ``env`` replaced: a thread or a session by
+    a name, a located variable by an expression.  ``fresh``, if given, gives
+    every binder a new name, in walk order."""
+    if not env and fresh is None:
+        return c
+    own, binds = node_names(c)
+    inner, names = env, []
+    if binds:
+        hidden = _hidden(binds, env)
+        inner = {n: v for n, v in env.items() if n not in hidden}
+        if fresh is not None:
+            names = [fresh() for _ in binds]
+            inner.update((n, Var(m) if n[0] == "var" else m) for n, m in zip(binds, names))
+    changed = {} if fresh is None and env.keys().isdisjoint(own) else _renamed(c, env, iter(names))
+    return map_chor(c, lambda k: _rename(k, inner, fresh), **changed)
 
-    return map_vars(e, sub)
+
+def _renamed(c: Choreography, env: Mapping[Name, object], new: Iterator[str]) -> dict:
+    """The fields of node ``c`` with its free names replaced from ``env`` and
+    its binders named from ``new`` (kept, once ``new`` runs out)."""
+
+    def thread(t: Thread) -> Thread:
+        return env.get(("thread", t), t)
+
+    def expr(e: Expr, at: Thread) -> Expr:
+        return map_vars(e, lambda x: env.get(("var", x, at), Var(x)))
+
+    match c:
+        case Seq(eta, _):
+            return {"inter": map_inter(eta, thread, lambda k: env.get(("session", k), k), expr,
+                                       lambda name: next(new, name))}
+        case If(guard, at, _, _):
+            return {"guard": expr(guard, at), "at": thread(at)}
+        case New(_, name, _):
+            return {"name": next(new, name)}
+    return {}
 
 
 def substitute(c: Choreography, theta: Theta) -> Choreography:
     """Capture-avoiding replacement of located variables by optional values."""
-    if not theta:
-        return c
-    match c:
-        case End():
-            return c
-        case New(kind, name, body):
-            if kind == "thread":
-                inner = {k: v for k, v in theta.items() if k[1] != name}
-            else:
-                inner = dict(theta)
-            return New(kind, name, substitute(body, inner))
-        case If(guard, at, then, orelse):
-            return If(_subst_expr(guard, at, theta), at,
-                      substitute(then, theta), substitute(orelse, theta))
-        case Seq(inter, cont):
-            match inter:
-                case Init(_, services, _, _):
-                    bound_threads = frozenset(p.thread for p in services)
-                    inner = {k: v for k, v in theta.items() if k[1] not in bound_threads}
-                    return Seq(inter, substitute(cont, inner))
-                case Bcast(sender, expr, receivers, quality, key):
-                    new_inter = Bcast(sender, _subst_expr(expr, sender.thread, theta),
-                                      receivers, quality, key)
-                    bound = frozenset((x, p.thread) for p, x in receivers)
-                    inner = {k: v for k, v in theta.items() if k not in bound}
-                    return Seq(new_inter, substitute(cont, inner))
-                case Reduce(senders, receiver, bind_var, quality, op, key):
-                    new_senders = tuple((p, _subst_expr(e, p.thread, theta)) for p, e in senders)
-                    new_inter = Reduce(new_senders, receiver, bind_var, quality, op, key)
-                    inner = {k: v for k, v in theta.items() if k != (bind_var, receiver.thread)}
-                    return Seq(new_inter, substitute(cont, inner))
-                case Select():
-                    return Seq(inter, substitute(cont, theta))
-    raise TypeError(f"not a choreography: {c!r}")
+    return _rename(c, {("var", x, t): value_expr(w) for (x, t), w in theta.items()})
+
+
+def rename_free(c: Choreography, threads: Mapping[Thread, Thread],
+                keys: Mapping[SessionKey, SessionKey]) -> Choreography:
+    """Rename free threads and session keys; a binder hides its own names."""
+    env = {("thread", t): n for t, n in threads.items()}
+    env.update((("session", k), n) for k, n in keys.items())
+    return _rename(c, env)
 
 
 # ---------------------------------------------------------------------------
@@ -718,79 +742,8 @@ def alpha_canonical(c: Choreography) -> Choreography:
     Source names are preserved in the original term; this is only for
     comparisons.
     """
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"{_CANON_PREFIX}{counter[0]}"
-
-    def ren_expr(e: Expr, at: Thread, env: dict) -> Expr:
-        return map_vars(e, lambda name: Var(env.get(("v", name, at), name)))
-
-    def ren_thread(t: Thread, env: dict) -> Thread:
-        return env.get(("t", t), t)
-
-    def ren_key(k: SessionKey, env: dict) -> SessionKey:
-        return env.get(("k", k), k)
-
-    def ren_athr(p: AnnotatedThread, env: dict) -> AnnotatedThread:
-        return AnnotatedThread(ren_thread(p.thread, env), p.role, p.req, p.off)
-
-    def walk(ch: Choreography, env: dict) -> Choreography:
-        match ch:
-            case End():
-                return ch
-            case New(kind, name, body):
-                env2 = dict(env)
-                nm = fresh()
-                env2[("t", name) if kind == "thread" else ("k", name)] = nm
-                return New(kind, nm, walk(body, env2))
-            case If(guard, at, then, orelse):
-                at2 = ren_thread(at, env)
-                return If(ren_expr(guard, at, env), at2, walk(then, env), walk(orelse, env))
-            case Seq(inter, cont):
-                match inter:
-                    case Init(actives, services, svc, key):
-                        env2 = dict(env)
-                        new_services = []
-                        for p in services:
-                            nm = fresh()
-                            env2[("t", p.thread)] = nm
-                            new_services.append(AnnotatedThread(nm, p.role, p.req, p.off))
-                        kname = fresh()
-                        env2[("k", key)] = kname
-                        new_inter = Init(tuple(ren_athr(p, env) for p in actives),
-                                         tuple(new_services), svc, kname)
-                        return Seq(new_inter, walk(cont, env2))
-                    case Bcast(sender, expr, receivers, quality, key):
-                        env2 = dict(env)
-                        new_recv = []
-                        for p, x in receivers:
-                            p2 = ren_athr(p, env)
-                            xn = fresh()
-                            env2[("v", x, p.thread)] = xn
-                            new_recv.append((p2, xn))
-                        new_inter = Bcast(ren_athr(sender, env),
-                                          ren_expr(expr, sender.thread, env),
-                                          tuple(new_recv), quality, ren_key(key, env))
-                        return Seq(new_inter, walk(cont, env2))
-                    case Reduce(senders, receiver, bind_var, quality, op, key):
-                        env2 = dict(env)
-                        xn = fresh()
-                        env2[("v", bind_var, receiver.thread)] = xn
-                        new_senders = tuple(
-                            (ren_athr(p, env), ren_expr(e, p.thread, env)) for p, e in senders)
-                        new_inter = Reduce(new_senders, ren_athr(receiver, env), xn,
-                                           quality, op, ren_key(key, env))
-                        return Seq(new_inter, walk(cont, env2))
-                    case Select(sender, receivers, quality, key, label):
-                        new_inter = Select(ren_athr(sender, env),
-                                           tuple(ren_athr(p, env) for p in receivers),
-                                           quality, ren_key(key, env), label)
-                        return Seq(new_inter, walk(cont, env))
-        raise TypeError(f"not a choreography: {ch!r}")
-
-    return walk(c, {})
+    counter = itertools.count(1)
+    return _rename(c, {}, lambda: f"{_CANON_PREFIX}{next(counter)}")
 
 
 def alpha_equal(c1: Choreography, c2: Choreography) -> bool:
