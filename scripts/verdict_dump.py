@@ -9,10 +9,13 @@ Inputs: the golden programs, the fixed seed-23 corpus and the n-sensor
 family of the verdict benchmark (all three commands each), and the
 capability-check twins of the benchmark (``check`` only).  Each golden
 program also runs ``availability --schedule`` under a crash of t1 at step
-5, a Bernoulli oracle and a three-entry script.  The texts come from
-``perfbench/inputs.py``.  Each line is ``name command exit-code json``; the
-output depends on nothing but the sources, so two runs under different
-``PYTHONHASHSEED`` values must print the same bytes.
+5, a Bernoulli oracle and a three-entry script, and each golden and corpus
+program runs ``run-global --seed 1``, whose trace shows the names the
+global semantics creates and substitutes.  The texts come from
+``perfbench/inputs.py``.  Each line is ``name command exit-code json``,
+with a trace's JSON lines joined by spaces; the output depends on nothing
+but the sources, so two runs under different ``PYTHONHASHSEED`` values
+must print the same bytes.
 
 ``--src`` names the ``gcq`` source tree to import (default: this
 checkout's ``src``), so one script and one set of inputs can run against
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 COMMANDS = ("check", "cosim", "availability")
+GLOBAL_RUN = ("run-global", None)
 SCHEDULES = {
     "crash5": {"mode": "crash", "thread": "t1", "from_step": 5},
     "bernoulli": {"mode": "bernoulli", "p": 0.8, "seed": 1},
@@ -45,9 +49,9 @@ def programs(inputs):
     for name, (lax, _) in inputs.GOLDEN_MATRIX.items():
         text = (ROOT / "golden" / f"{name}.gcq").read_text(encoding="utf-8")
         yield (name, text, ("--lax-select",) if lax else (),
-               runs + [("availability", s) for s in SCHEDULES])
+               runs + [("availability", s) for s in SCHEDULES] + [GLOBAL_RUN])
     for item in sorted(inputs.corpus_items(0), key=lambda it: it.name):
-        yield item.name, item.text, (), runs
+        yield item.name, item.text, (), runs + [GLOBAL_RUN]
     for item in inputs.sensor_family_items(1):
         flags = next((s.flags for s in item.steps if s.flags), ())
         yield item.name, item.text, flags, runs
@@ -72,11 +76,13 @@ def main(argv=None) -> int:
             path.write_text(text, encoding="utf-8")
             for command, sched in runs:
                 options = ["--schedule", str(Path(work) / f"{sched}.json")] if sched else []
+                label = f"{command} --schedule {sched}" if sched else command
+                if command == "run-global":
+                    options, label = ["--seed", "1"], f"{command} --seed 1"
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = cli.main([command, str(path), *options, *flags, "--json"])
-                label = f"{command} --schedule {sched}" if sched else command
-                print(name, label, code, out.getvalue().strip())
+                print(name, label, code, " ".join(out.getvalue().split("\n")).strip())
     return 0
 
 

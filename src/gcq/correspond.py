@@ -281,14 +281,12 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
         # Soundness direction
         for glabel, conf2 in _global_steps(conf):
             target = epp(conf2.chor)
-            matched = None
-            for net2 in fire_labels(net, [glabel]):
-                try:
-                    if prunes(target, net2, prune_depth):
-                        matched = net2
-                        break
-                except PruningInconclusive:
-                    continue
+            try:
+                matched = _first_pruning(target, fire_labels(net, [glabel]), prune_depth)
+            except PruningInconclusive:
+                cut = cut or (f"soundness: prune depth {prune_depth} ran out for global step "
+                              f"{stable_repr(glabel)} at depth {depth}")
+                continue
             if matched is None:
                 return Verdict(
                     "CounterexampleFound",
@@ -303,7 +301,12 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
         # group whose global turn comes later needs lookahead.
         lookahead = max(2, min(bound - depth, 6))
         for elabel, net1 in net_enabled(net):
-            completed = _complete_endpoint(conf, elabel, net1, prune_depth, lookahead)
+            try:
+                completed = _complete_endpoint(conf, elabel, net1, prune_depth, lookahead)
+            except PruningInconclusive:
+                cut = cut or (f"completeness: prune depth {prune_depth} ran out for endpoint step "
+                              f"{elabel} at depth {depth}")
+                continue
             if completed is None:
                 cut = cut or (f"completeness: lookahead of {lookahead} global steps ran out "
                               f"for endpoint step {elabel} at depth {depth}")
@@ -325,8 +328,11 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
     endpoint label must occur in some group of the sequence, the remaining
     group labels must be firable from the successor network, and the result
     must prune to the projection of the final residual.  Returns None
-    (inconclusive) when no sequence did but a longer one exists.
+    (inconclusive) when no sequence did but a longer one exists, and raises
+    :class:`PruningInconclusive` when none did but the prune depth kept one
+    from an answer.
     """
+    unsure = None
     frontier = [(conf, [])]
     for _ in range(lookahead):
         nxt = []
@@ -348,15 +354,33 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                         want[_start_key_agnostic(lab)] += 1
                 if want[_start_key_agnostic(adjusted)] > 0:
                     target = epp(conf2.chor)
-                    for net2 in fire_labels(adjusted_net1, seq, already_fired=adjusted):
-                        try:
-                            if prunes(target, net2, prune_depth):
-                                return True
-                        except PruningInconclusive:
-                            continue
+                    fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
+                    try:
+                        if _first_pruning(target, fired, prune_depth) is not None:
+                            return True
+                    except PruningInconclusive as exc:
+                        unsure = exc
                 nxt.append((conf2, seq))
         frontier = nxt
+    if unsure is not None:
+        raise unsure
     return None if any(_global_steps(cur) for cur, _ in frontier) else False
+
+
+def _first_pruning(target: Network, nets: list[Network], prune_depth: int) -> Optional[Network]:
+    """The first of ``nets`` that prunes to ``target``, or None when none
+    does; raises :class:`PruningInconclusive` when none does but the prune
+    depth kept one from an answer."""
+    unsure = None
+    for net in nets:
+        try:
+            if prunes(target, net, prune_depth):
+                return net
+        except PruningInconclusive as exc:
+            unsure = exc
+    if unsure is not None:
+        raise unsure
+    return None
 
 
 def _global_steps(conf: Configuration) -> list:

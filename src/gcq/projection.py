@@ -361,16 +361,13 @@ def _project(c: Choreography, t: Thread) -> Proc:
 
 def service_merge(c: Choreography, svc: str, role) -> frozenset[Thread]:
     """Service threads accepting ``svc`` under ``role`` anywhere in the term."""
-    return frozenset(p.thread for eta in interactions_of(c) if isinstance(eta, Init) and eta.svc == svc
+    return frozenset(p.thread for eta in interactions_of(c)
+                     if isinstance(eta, Init) and eta.svc == svc
                      for p in eta.services if p.role == role)
 
 
 def _service_names(c: Choreography) -> frozenset[str]:
     return frozenset(eta.svc for eta in interactions_of(c) if isinstance(eta, Init))
-
-
-def _roles_of(c: Choreography) -> frozenset[str]:
-    return free_names(c).roles
 
 
 def epp(c: Choreography) -> Network:
@@ -393,7 +390,7 @@ def epp(c: Choreography) -> Network:
         components.append(Component(proc, owner=None if t in anonymous else t))
     queues = tuple(Queue(k, ()) for k in sorted(fn.sessions))
     for svc in sorted(_service_names(core)):
-        for role in sorted(_roles_of(core)):
+        for role in sorted(fn.roles):
             group = service_merge(core, svc, role)
             if not group:
                 continue
@@ -516,14 +513,23 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
         raise PruningInconclusive("pruning simulation ran out of depth")
     q_steps = net_enabled(q0)
     p_steps = net_enabled(pc) if q_steps else []
+    unsure = False  # some step of q0 only the depth kept from a match
     for label, q0_next in q_steps:
+        matched = False  # None: only inconclusive candidates so far
         for p_label, pn in p_steps:
+            if p_label != label:
+                continue
             try:
-                if p_label == label and prunes(pn, q0_next, depth - 1, _memo):
+                if prunes(pn, q0_next, depth - 1, _memo):
+                    matched = True
                     break
             except PruningInconclusive:
-                continue
-        else:
+                matched = None
+        if matched is False:
             _memo[key] = False
             return False
+        unsure = unsure or matched is None
+    if unsure:
+        _memo.pop(key, None)
+        raise PruningInconclusive("pruning simulation ran out of depth")
     return True

@@ -497,7 +497,8 @@ def map_chor(c: Choreography, f: Callable[[Choreography], Choreography], **field
         case New(kind, name, body):
             return New(kind, fields.pop("name", name), f(body), **fields)
         case If(guard, at, then, orelse):
-            return If(fields.pop("guard", guard), fields.pop("at", at), f(then), f(orelse), **fields)
+            return If(fields.pop("guard", guard), fields.pop("at", at), f(then), f(orelse),
+                      **fields)
     raise TypeError(f"not a choreography: {c!r}")
 
 
@@ -532,8 +533,9 @@ def inter_parts(eta: Interaction) -> InterParts:
     a reduce its aggregate variable located at the receiver.  An expression
     is located at the thread that evaluates it.  Computed once per
     interaction."""
-    if eta._parts is not None:
-        return eta._parts
+    parts = getattr(eta, "_parts", None)
+    if parts is not None:
+        return parts
     match eta:
         case Init(actives, services, _, key):
             athrs, exprs = actives + services, ()

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON outputs, schedules, round trips."""
 
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gcq import correspond
 from gcq.cli import main
 from gcq.parser import parse
 from gcq.schedule import SingleFailure, load_schedule
@@ -319,6 +321,13 @@ class TestCosimAvailability:
         assert code == 0
         assert json.loads(out)["status"] == "Pass"
         assert 'failures="0"' in xml.read_text()
+
+    def test_cosim_prune_budget_is_inconclusive(self, monkeypatch, capsys):
+        shallow = functools.partial(correspond.cosimulate, prune_depth=0)
+        monkeypatch.setattr(correspond, "cosimulate", shallow)
+        code, out, _ = run_cli("cosim", str(GOLDEN / "sensors_all.gcq"), capsys=capsys)
+        assert code == 3
+        assert json.loads(out)["status"] == "BudgetExceeded"
 
     def test_cosim_rejects_ill_typed_input(self, capsys):
         code, out, _ = run_cli("cosim", str(GOLDEN / "sensors_any_all.gcq"),

@@ -139,6 +139,25 @@ class TestCosim:
         v2 = cosimulate(sensors(q2=Q_ANY), bound=32)
         assert v1.passed and v2.passed and v1.pairs_explored == v2.pairs_explored
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.gcq")))
+    def test_prune_depth_zero_is_inconclusive(self, name):
+        chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=True).chor
+        verdict = cosimulate(chor, prune_depth=0)
+        assert verdict.status == "BudgetExceeded"
+        assert verdict.detail.startswith("soundness: prune depth 0 ran out for global step ")
+
+    @pytest.mark.parametrize("prune_depth,status", [
+        (1, "BudgetExceeded"), (2, "Pass"), (12, "Pass")])
+    def test_prune_depth_decides_linearity_race(self, prune_depth, status):
+        chor = parse((GOLDEN / "linearity_race.gcq").read_text()).chor
+        assert cosimulate(chor, prune_depth=prune_depth).status == status
+
+    @pytest.mark.parametrize("name", ["sensors_any_all", "sensors_blocking"])
+    @pytest.mark.parametrize("prune_depth", [1, 2, 12])
+    def test_counterexample_found_at_every_prune_depth(self, name, prune_depth):
+        chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=True).chor
+        assert cosimulate(chor, prune_depth=prune_depth).status == "CounterexampleFound"
+
 
 class TestUnicastEncodings:
     """One-to-one messaging encodes as an all-quality broadcast or an

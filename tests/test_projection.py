@@ -33,7 +33,8 @@ from gcq.projection import (
     prunes,
     service_merge,
 )
-from gcq.semantics import swap_closure
+from gcq.correspond import fire_labels
+from gcq.semantics import Configuration, enabled, swap_closure
 from gcq.syntax import (
     Bcast,
     END,
@@ -227,6 +228,19 @@ class TestPruning:
         bigger = Network(net.components + (extra,), net.queues, net.restricted)
         with pytest.raises(PruningInconclusive):
             prunes(net, bigger, depth=0)
+
+    def test_depth_running_out_below_the_top_is_inconclusive(self):
+        # after linearity_race's first start, the endpoint side needs two
+        # simulation steps: one is not enough to answer, and two are
+        c = linearity_race()
+        (glabel, conf2), *_ = enabled(Configuration.initial(c))
+        target = epp(conf2.chor)
+        nets = fire_labels(epp(c), [glabel])
+        assert nets
+        for net in nets:
+            with pytest.raises(PruningInconclusive):
+                prunes(target, net, depth=1)
+            assert prunes(target, net, depth=2)
 
     def test_merged_branch_absorbs_projection(self):
         sel1 = Select(athr("a", "A"), (athr("b", "B"),), Q_ALL, "k", "l1")

@@ -1,11 +1,15 @@
 """Core term and state operations: quality predicates, exchange, substitution."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chorfixtures
+from gcq.genchor import GenConfig, corpus
+from gcq.parser import parse
 from gcq.syntax import (
     NONE,
     ArityMismatch,
@@ -38,8 +42,15 @@ from gcq.syntax import (
     Select,
     END,
     Seq,
-    free_names,
+    New,
+    alpha_canonical,
+    fresh_name,
+    rename_free,
+    subterms,
+    used_names,
 )
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 def sensors(q1=Q_ALL, q2=Q_ALL):
@@ -304,3 +315,95 @@ class TestWellFormedness:
         # the "all" restriction is a source-program condition, checked by the parser
         sel = Select(athr("a", "A"), (athr("b", "B"),), Q_ANY, "k", "l")
         assert sel.quality == Q_ANY
+
+
+def _walker_terms():
+    """The golden programs, the seed-23 corpus and the ``chorfixtures``
+    terms, each with every subterm: continuations hold free sessions,
+    service threads and located variables that the whole programs bind."""
+    programs = [parse(p.read_text(), lax_select=True).chor for p in sorted(GOLDEN.glob("*.gcq"))]
+    programs += corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
+    programs += [chorfixtures.sensors(), chorfixtures.sensors_partial(),
+                 chorfixtures.typed_example(), chorfixtures.linearity_race(),
+                 chorfixtures.chained_starts()]
+    programs += [chorfixtures.sensor_family(n) for n in range(2, 6)]
+    terms = {}
+    for c in programs:
+        terms.update(dict.fromkeys(subterms(c)))
+    return list(terms)
+
+
+WALKER_TERMS = _walker_terms()
+
+
+def rebinding(v, binder):
+    """``bcast p -> s(v); <binder s>; bcast s(x) -> q(z)``: the outer
+    broadcast binds ``v`` at ``s``, then ``binder`` (a restriction or a
+    session start) binds the thread ``s`` again, so the outer binder never
+    reaches the inner ``x``, whatever ``v`` is."""
+    inner = Seq(Bcast(athr("s", "S"), Var("x"), ((athr("q", "Q"), "z"),), Q_ALL, "m"), END)
+    if binder == "new":
+        body = New("thread", "s", inner)
+    else:
+        body = Seq(Init((athr("q", "Q"),), (athr("s", "S"),), "svc", "m"), inner)
+    return Seq(Bcast(athr("p", "P"), Lit(1), ((athr("s", "S"), v),), Q_ALL, "k"), body)
+
+
+class TestWalkers:
+    """The walkers of ``syntax`` agree on one scope rule."""
+
+    def test_terms_cover_every_binder(self):
+        fns = [free_names(c) for c in WALKER_TERMS]
+        assert any(fn.vars for fn in fns) and any(fn.sessions for fn in fns)
+        assert any(isinstance(c, Seq) and isinstance(c.inter, Init) for c in WALKER_TERMS)
+
+    def test_alpha_canonical_idempotent(self):
+        for c in WALKER_TERMS:
+            once = alpha_canonical(c)
+            assert alpha_canonical(once) == once
+
+    def test_alpha_canonical_keeps_free_names(self):
+        for c in WALKER_TERMS:
+            assert free_names(alpha_canonical(c)) == free_names(c)
+
+    def test_renaming_free_names_there_and_back(self):
+        for c in WALKER_TERMS:
+            fn, used = free_names(c), used_names(c)
+            threads = {t: fresh_name(f"{t}_", used) + "t" for t in fn.threads}
+            keys = {k: fresh_name(f"{k}_", used) + "k" for k in fn.sessions}
+            renamed = rename_free(c, threads, keys)
+            got = free_names(renamed)
+            assert got.threads == frozenset(threads.values())
+            assert got.sessions == frozenset(keys.values())
+            assert got.vars == frozenset((x, threads[t]) for x, t in fn.vars)
+            back = rename_free(renamed, {n: t for t, n in threads.items()},
+                               {n: k for k, n in keys.items()})
+            assert back == c
+
+    def test_substitute_removes_its_domain(self):
+        for c in WALKER_TERMS:
+            free = sorted(free_names(c).vars)
+            theta = {v: SomeV(i) for i, v in enumerate(free[::2])}
+            theta[("unused", "nowhere")] = NONE
+            assert free_names(substitute(c, theta)).vars == frozenset(free) - theta.keys()
+
+    @pytest.mark.parametrize("binder", ["new", "start"])
+    def test_rebound_thread_hides_located_variables(self, binder):
+        body = rebinding("x", binder).cont
+        assert free_names(body).vars == frozenset()
+        assert substitute(body, {("x", "s"): SomeV(3)}) == body
+
+    @pytest.mark.parametrize("binder", ["new", "start"])
+    def test_outer_binder_name_does_not_matter(self, binder):
+        # the outer binder binds nothing in either term
+        assert alpha_equal(rebinding("x", binder), rebinding("y", binder))
+
+    def test_rename_free_stops_at_binders(self):
+        c = rebinding("x", "start")
+        out = rename_free(c, {"s": "s2", "p": "p2"}, {"k": "k2", "m": "m2"})
+        assert out.inter.sender.thread == "p2"
+        assert out.inter.receivers[0][0].thread == "s2" and out.inter.key == "k2"
+        start, inner = out.cont.inter, out.cont.cont.inter
+        assert start.services[0].thread == "s" and start.key == "m"  # binders stay
+        assert inner.sender.thread == "s" and inner.key == "m"      # bound by the start
+        assert out == rename_free(rename_free(c, {"s": "s2", "p": "p2"}, {}), {}, {"k": "k2"})
