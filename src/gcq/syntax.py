@@ -360,8 +360,10 @@ def athr(thread: Thread, role: Role, req: Iterable[CapAtom] = (), off: Iterable[
 
 @dataclass(frozen=True)
 class _Interaction:
-    # inter_parts(self), computed once; ==, hash, repr, stable_repr and replace ignore it
+    # inter_parts(self) and the free names it holds, each computed when first
+    # asked for; ==, hash, repr, stable_repr and replace ignore them
     _parts: Optional["InterParts"] = field(default=None, init=False, repr=False, compare=False)
+    _own: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -521,10 +523,10 @@ Name = tuple
 class InterParts(NamedTuple):
     """Where an interaction keeps its names."""
 
-    athrs: tuple[AnnotatedThread, ...]  # every participant
-    threads: frozenset[Thread]          # every participant's thread
-    binds: tuple[Name, ...]             # bound over the continuation, in field order
-    free: frozenset[Name]               # the free names it holds, with its roles and service
+    athrs: tuple[AnnotatedThread, ...]      # every participant
+    threads: frozenset[Thread]              # every participant's thread
+    exprs: tuple[tuple[Expr, Thread], ...]  # each expression, with the thread evaluating it
+    binds: tuple[Name, ...]                 # bound over the continuation, in field order
 
 
 def inter_parts(eta: Interaction) -> InterParts:
@@ -551,12 +553,7 @@ def inter_parts(eta: Interaction) -> InterParts:
             athrs, exprs, binds = (sender,) + receivers, (), ()
         case _:
             raise TypeError(f"not an interaction: {eta!r}")
-    free = {("thread", p.thread) for p in athrs} | {("session", eta.key)}
-    free = free.difference(binds) | {("role", p.role) for p in athrs}
-    free.update(("var", x, at) for e, at in exprs for x in expr_vars(e))
-    if isinstance(eta, Init):
-        free.add(("service", eta.svc))
-    parts = InterParts(athrs, frozenset(p.thread for p in athrs), binds, frozenset(free))
+    parts = InterParts(athrs, frozenset(p.thread for p in athrs), exprs, binds)
     object.__setattr__(eta, "_parts", parts)
     return parts
 
@@ -589,19 +586,31 @@ def map_inter(eta: Interaction, thread: Callable[[Thread], Thread],
     raise TypeError(f"not an interaction: {eta!r}")
 
 
-def node_names(c: Choreography) -> tuple[frozenset[Name], tuple[Name, ...]]:
-    """The free names a node holds itself, not in its continuations, and
-    what it binds over them: a restriction its name, an interaction what
-    :func:`inter_parts` lists."""
+def chor_binds(c: Choreography) -> tuple[Name, ...]:
+    """What a node binds over its continuations: a restriction its name, an
+    interaction what :func:`inter_parts` lists."""
+    if isinstance(c, Seq):
+        return inter_parts(c.inter).binds
+    return ((c.kind, c.name),) if isinstance(c, New) else ()
+
+
+def _own_names(c: Choreography) -> frozenset[Name]:
+    """The free names a node holds itself, not in its continuations, with
+    the roles and the service of an interaction."""
     match c:
         case Seq(eta, _):
-            parts = inter_parts(eta)
-            return parts.free, parts.binds
+            if eta._own is None:
+                athrs, _, exprs, binds = inter_parts(eta)
+                names = {("thread", p.thread) for p in athrs} | {("session", eta.key)}
+                names = names.difference(binds) | {("role", p.role) for p in athrs}
+                names.update(("var", x, at) for e, at in exprs for x in expr_vars(e))
+                if isinstance(eta, Init):
+                    names.add(("service", eta.svc))
+                object.__setattr__(eta, "_own", frozenset(names))
+            return eta._own
         case If(guard, at, _, _):
-            return frozenset({("thread", at)}) | {("var", x, at) for x in expr_vars(guard)}, ()
-        case New(kind, name, _):
-            return frozenset(), ((kind, name),)
-    return frozenset(), ()
+            return frozenset({("thread", at)}) | {("var", x, at) for x in expr_vars(guard)}
+    return frozenset()
 
 
 def _hidden(binds: tuple[Name, ...], names: Iterable[Name]) -> set[Name]:
@@ -638,16 +647,16 @@ class FreeNames:
 
 def _free(c: Choreography) -> set[Name]:
     inner = set().union(*map(_free, chor_conts(c)))
-    own, binds = node_names(c)
+    binds = chor_binds(c)
     if binds:
         inner -= _hidden(binds, inner)
-    return inner.union(own)
+    return inner | _own_names(c)
 
 
 def free_names(c: Choreography) -> FreeNames:
     """Free threads, sessions, services, located variables and roles.
 
-    The binders are those of :func:`node_names`.
+    The binders are those of :func:`chor_binds`.
     """
     names = _free(c)
     return FreeNames(*(frozenset(n[1] for n in names if n[0] == sort)
@@ -659,7 +668,8 @@ def free_names(c: Choreography) -> FreeNames:
 def used_names(c: Choreography) -> frozenset[str]:
     """Every identifier occurring in ``c``, bound or free (freshness source)."""
     return frozenset(n[1] for node in subterms(c)
-                     for n in itertools.chain(*node_names(node)) if n[0] != "role")
+                     for n in itertools.chain(_own_names(node), chor_binds(node))
+                     if n[0] != "role")
 
 
 def fresh_name(base: str, used: frozenset[str] | set[str]) -> str:
@@ -685,7 +695,7 @@ def _rename(c: Choreography, env: Mapping[Name, object],
     every binder a new name, in walk order."""
     if not env and fresh is None:
         return c
-    own, binds = node_names(c)
+    binds = chor_binds(c)
     inner, names = env, []
     if binds:
         hidden = _hidden(binds, env)
@@ -693,7 +703,10 @@ def _rename(c: Choreography, env: Mapping[Name, object],
         if fresh is not None:
             names = [fresh() for _ in binds]
             inner.update((n, Var(m) if n[0] == "var" else m) for n, m in zip(binds, names))
-    changed = {} if fresh is None and env.keys().isdisjoint(own) else _renamed(c, env, iter(names))
+    if fresh is None and env.keys().isdisjoint(_own_names(c)):
+        changed = {}
+    else:
+        changed = _renamed(c, env, iter(names))
     return map_chor(c, lambda k: _rename(k, inner, fresh), **changed)
 
 
