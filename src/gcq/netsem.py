@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .epq import (
     AcceptOnce,
@@ -47,6 +47,7 @@ from .epq import (
 from .schedule import ALWAYS, AvailabilityOracle
 from .semantics import make_policy
 from .syntax import (
+    ArityMismatch,
     NONE,
     OptValue,
     Quality,
@@ -211,12 +212,6 @@ def _eval(expr) -> Optional[OptValue]:
         return None
 
 
-def _with_component(net: Network, idx: int, proc: Proc) -> tuple[Component, ...]:
-    comps = list(net.components)
-    comps[idx] = replace(comps[idx], proc=proc)
-    return tuple(comps)
-
-
 def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: int = 0
                 ) -> list[tuple[ELabel, Network]]:
     """All transitions of the network, deterministically ordered.
@@ -248,290 +243,201 @@ def sync_allowed(oracle: AvailabilityOracle, step_index: int, guard) -> bool:
 
 def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
     """Every (label, canonical successor) once, in successor order, with
-    its ``(guard, successor)`` emissions in rule order; a synchronization's
-    guard is ``(component, session, message, role)``, other guards are None.
+    its ``(guard, successor)`` emissions in component and then queue order;
+    a synchronization's guard is ``(component, session, message, role)``,
+    other guards are None.
 
     The successor order is that of the text ``(label, canonical successor)``
-    (:func:`syntax.label_first_sorted`)."""
+    (:func:`syntax.label_first_sorted`), and each label comes from one rule,
+    so the order in which the rules run does not show."""
     found: dict = {}
 
     def emit(label: ELabel, succ: Network, guard=None):
         found.setdefault((label, table.canon(succ)), []).append((guard, succ))
 
-    _init_steps(net, emit)
-    _enqueue_steps(net, emit)
-    _sync_steps(net, emit)
-    _wait_steps(net, emit)
-    _if_steps(net, emit)
-    return [(key[0], found[key]) for key in label_first_sorted(found)]
-
-
-def _init_steps(net: Network, emit):
-    comps = net.components
-    for i, comp in enumerate(comps):
-        if not isinstance(comp.proc, Request):
-            continue
-        req: Request = comp.proc
-        remaining = req.roles[1:]
-        candidates: list[list[tuple[int, Component]]] = []
-        for role in remaining:
-            opts = [(j, c) for j, c in enumerate(comps)
-                    if j != i and (
-                        (isinstance(c.proc, AcceptOnce) and c.proc.svc == req.svc
-                         and c.proc.role == role)
-                        or (isinstance(c.proc, AcceptRepl) and c.proc.svc == req.svc
-                            and c.proc.role == role))]
-            candidates.append(opts)
-        if any(not opts for opts in candidates):
-            continue
-        for assignment in itertools.product(*candidates):
-            indices = [j for j, _ in assignment]
-            if len(set(indices)) != len(indices):
-                continue
-            used = _net_names(net)
-            key = fresh_name(req.key, used)
-            new_comps = list(comps)
-            new_comps[i] = replace(comp, proc=rename_key(req.cont, req.key, key))
-            actives = [req.roles[0]]
-            services = []
-            for (j, c), role in zip(assignment, remaining):
-                body = rename_key(c.proc.cont, c.proc.key, key)
-                if isinstance(c.proc, AcceptOnce):
-                    actives.append(role)
-                    new_comps[j] = replace(c, proc=body)
-                else:
-                    services.append(role)
-                    new_comps.append(Component(body, owner=c.owner, service=None))
-            succ = Network(tuple(new_comps), net.queues + (Queue(key, ()),),
-                           net.restricted | {key})
-            emit(Start(tuple(actives), tuple(services), req.svc, key), succ)
-
-
-def _enqueue_steps(net: Network, emit):
+    names = None  # the network's names, for the key of a new session
     for i, comp in enumerate(net.components):
         p = comp.proc
         match p:
-            case QOut(key, sender, receivers, quality, expr, cont):
+            case Request():
+                names = names or _net_names(net)
+                _start_steps(net, i, names, emit)
+            case QOut(key, sender, receivers, quality, what, cont) | QSel(
+                    key, sender, receivers, quality, what, cont):
                 queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                w = _eval(expr)
-                if w is None:
-                    continue
-                msg = OutMsg(sender, quality, tuple((r, False) for r in receivers), w)
-                succ = replace(net, components=_with_component(net, i, WaitOut(key, sender, receivers, cont)))
-                emit(EUp(), succ.with_queue(_push(queue, msg)))
-            case QSel(key, sender, receivers, quality, label, cont):
-                queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                msg = OutMsg(sender, quality, tuple((r, False) for r in receivers),
-                             LabelPayload(label))
-                succ = replace(net, components=_with_component(net, i, WaitOut(key, sender, receivers, cont)))
-                emit(EUp(), succ.with_queue(_push(queue, msg)))
+                payload = LabelPayload(what) if isinstance(p, QSel) else _eval(what)
+                if queue is not None and payload is not None:
+                    msg = OutMsg(sender, quality, tuple((r, False) for r in receivers), payload)
+                    emit(EUp(), _step(net, i, WaitOut(key, sender, receivers, cont),
+                                      _push(queue, msg)))
             case QIn(key, senders, receiver, quality, var, op, cont):
                 queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                msg = InMsg(quality, tuple((r, False, NONE) for r in senders), receiver)
-                succ = replace(net, components=_with_component(
-                    net, i, WaitIn(key, senders, receiver, op, var, cont)))
-                emit(EDown(), succ.with_queue(_push(queue, msg)))
-
-
-def _sync_steps(net: Network, emit):
-    for i, comp in enumerate(net.components):
-        p = comp.proc
-        match p:
-            case InP(key, receiver, sender, var, cont):
-                queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                for idx in reachable_msgs(queue.msgs):
-                    msg = queue.msgs[idx]
-                    if not isinstance(msg, OutMsg) or msg.sender != sender:
+                if queue is not None:
+                    msg = InMsg(quality, tuple((r, False, NONE) for r in senders), receiver)
+                    emit(EDown(), _step(net, i, WaitIn(key, senders, receiver, op, var, cont),
+                                        _push(queue, msg)))
+            case InP(key, receiver, sender) | Branch(key, receiver, sender):
+                for queue, idx, msg in _messages(net, key, OutMsg, sender, receiver):
+                    if isinstance(msg.payload, LabelPayload) != isinstance(p, Branch):
                         continue
-                    if isinstance(msg.payload, LabelPayload):
-                        continue
-                    flags = dict(msg.recipients)
-                    if flags.get(receiver) is not False:
-                        continue
-                    new_msg = replace(msg, recipients=tuple(
-                        (r, True if r == receiver else b) for r, b in msg.recipients))
-                    succ = replace(net, components=_with_component(
-                        net, i, subst_var(cont, var, msg.payload)))
-                    emit(BcIn(sender, receiver, key, msg.payload),
-                         succ.with_queue(_set_msg(queue, idx, new_msg)),
+                    if isinstance(p, Branch):
+                        nxt = p.label_map().get(msg.payload.label)
+                        if nxt is None:
+                            continue
+                        label = SelIn(sender, receiver, key, msg.payload.label)
+                    else:
+                        label = BcIn(sender, receiver, key, msg.payload)
+                        nxt = subst_var(p.cont, p.var, msg.payload)
+                    delivered = replace(msg, recipients=tuple(
+                        (r, b or r == receiver) for r, b in msg.recipients))
+                    emit(label, _step(net, i, nxt, _set_msg(queue, idx, delivered)),
                          (comp, key, msg, receiver))
             case OutP(key, sender, receiver, expr, cont):
-                queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                for idx in reachable_msgs(queue.msgs):
-                    msg = queue.msgs[idx]
-                    if not isinstance(msg, InMsg) or msg.receiver != receiver:
-                        continue
-                    slot = next(((r, b, s) for r, b, s in msg.contributors if r == sender), None)
-                    if slot is None or slot[1]:
-                        continue
+                for queue, idx, msg in _messages(net, key, InMsg, receiver, sender):
                     w = _eval(expr)
                     if w is None:
                         continue
-                    new_msg = replace(msg, contributors=tuple(
+                    delivered = replace(msg, contributors=tuple(
                         (r, True, w) if r == sender else (r, b, s)
                         for r, b, s in msg.contributors))
-                    succ = replace(net, components=_with_component(net, i, cont))
                     emit(RdOut(sender, receiver, key, w),
-                         succ.with_queue(_set_msg(queue, idx, new_msg)),
+                         _step(net, i, cont, _set_msg(queue, idx, delivered)),
                          (comp, key, msg, sender))
-            case Branch(key, receiver, sender, branches):
-                queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                for idx in reachable_msgs(queue.msgs):
-                    msg = queue.msgs[idx]
-                    if not isinstance(msg, OutMsg) or msg.sender != sender:
-                        continue
-                    if not isinstance(msg.payload, LabelPayload):
-                        continue
-                    arm = dict(branches).get(msg.payload.label)
-                    if arm is None:
-                        continue
-                    flags = dict(msg.recipients)
-                    if flags.get(receiver) is not False:
-                        continue
-                    new_msg = replace(msg, recipients=tuple(
-                        (r, True if r == receiver else b) for r, b in msg.recipients))
-                    succ = replace(net, components=_with_component(net, i, arm))
-                    emit(SelIn(sender, receiver, key, msg.payload.label),
-                         succ.with_queue(_set_msg(queue, idx, new_msg)),
-                         (comp, key, msg, receiver))
-
-
-def _wait_steps(net: Network, emit):
-    for i, comp in enumerate(net.components):
-        p = comp.proc
-        match p:
-            case WaitOut(key, sender, receivers, cont):
-                queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                for idx in reachable_msgs(queue.msgs):
-                    msg = queue.msgs[idx]
-                    if not isinstance(msg, OutMsg) or msg.sender != sender:
-                        continue
-                    if msg.roles() != frozenset(receivers):
-                        continue
+            case WaitOut(key, party, others) | WaitIn(key, others, party):
+                kind = OutMsg if isinstance(p, WaitOut) else InMsg
+                for queue, idx, msg in _messages(net, key, kind, party, None):
                     try:
-                        if not eval_quality(msg.quality, msg.flags()):
+                        if msg.roles() != frozenset(others) or not eval_quality(
+                                msg.quality, msg.flags()):
                             continue
-                    except Exception:
+                    except ArityMismatch:  # no flags, or a ratio of another arity
                         continue
-                    stragglers = [r for r, b in msg.recipients if not b]
-                    if isinstance(msg.payload, LabelPayload):
-                        found = _find_branch_components(net, key, sender, stragglers, i)
-                        if found is None:
-                            continue
-                        comps = [c for j, c in enumerate(net.components)
-                                 if j not in found]  # stragglers' branches are dropped
-                        comps[_shifted(i, found)] = replace(comp, proc=cont)
-                        succ = Network(tuple(comps), net.queues, net.restricted)
-                        emit(SelOut(sender, tuple(receivers), msg.quality, key,
-                                    msg.payload.label),
-                             succ.with_queue(_pop(queue, idx)))
-                    else:
-                        found = _find_input_components(net, key, sender, stragglers, i)
-                        if found is None:
-                            continue
-                        comps = list(net.components)
-                        comps[i] = replace(comp, proc=cont)
-                        for j, straggler_role in found:
-                            proc = comps[j].proc
-                            comps[j] = replace(comps[j],
-                                               proc=subst_var(proc.cont, proc.var, NONE))
-                        succ = Network(tuple(comps), net.queues, net.restricted)
-                        emit(BcOut(sender, tuple(receivers), msg.quality, key, msg.payload),
-                             succ.with_queue(_pop(queue, idx)))
-            case WaitIn(key, senders, receiver, op, var, cont):
-                queue = net.queue_for(key)
-                if queue is None:
-                    continue
-                for idx in reachable_msgs(queue.msgs):
-                    msg = queue.msgs[idx]
-                    if not isinstance(msg, InMsg) or msg.receiver != receiver:
-                        continue
-                    if msg.roles() != frozenset(senders):
-                        continue
-                    try:
-                        if not eval_quality(msg.quality, msg.flags()):
-                            continue
-                    except Exception:
-                        continue
-                    result = apply_op(op, [s for _, b, s in msg.contributors if b])
-                    if not isinstance(result, SomeV):
-                        continue
-                    stragglers = [r for r, b, _ in msg.contributors if not b]
-                    found = _find_output_components(net, key, receiver, stragglers, i)
-                    if found is None:
-                        continue
-                    comps = list(net.components)
-                    comps[i] = replace(comp, proc=subst_var(cont, var, result))
-                    for j, _ in found:
-                        comps[j] = replace(comps[j], proc=comps[j].proc.cont)
-                    succ = Network(tuple(comps), net.queues, net.restricted)
-                    emit(RdIn(tuple(senders), receiver, msg.quality, key, result),
-                         succ.with_queue(_pop(queue, idx)))
+                    released = _release(net, i, queue, idx)
+                    if released is not None:
+                        emit(*released)
+            case IfP(expr, then, orelse):
+                w = _eval(expr)
+                if w is not None:
+                    emit(ETau(), _step(net, i, then if w == SomeV(True) else orelse))
+    return [(key[0], found[key]) for key in label_first_sorted(found)]
 
 
-def _shifted(i: int, removed: Iterable[int]) -> int:
-    return i - sum(1 for j in removed if j < i)
+def _step(net: Network, i: int, proc: Proc, queue: Optional[Queue] = None) -> Network:
+    """``net`` with component ``i`` become ``proc`` and ``queue`` replacing
+    the queue of its session."""
+    comps = list(net.components)
+    comps[i] = replace(comps[i], proc=proc)
+    succ = replace(net, components=tuple(comps))
+    return succ if queue is None else succ.with_queue(queue)
 
 
-def _find_input_components(net, key, sender, stragglers, skip):
-    found = []
-    for role in stragglers:
-        j = next((j for j, c in enumerate(net.components)
-                  if j != skip and isinstance(c.proc, InP) and c.proc.key == key
-                  and c.proc.sender == sender and c.proc.receiver == role), None)
-        if j is None:
+def _messages(net: Network, key: str, kind: type, party: Role, role: Optional[Role]):
+    """``(queue, idx, msg)`` for each message of ``kind`` on session ``key``
+    that congruence can bring to the head, sent by ``party`` (an output or
+    selection) or received by it (a reduce), and, unless ``role`` is None,
+    whose slot for ``role`` is still open."""
+    queue = net.queue_for(key)
+    if queue is None:
+        return
+    for idx in reachable_msgs(queue.msgs):
+        msg = queue.msgs[idx]
+        if not isinstance(msg, kind):
+            continue
+        if kind is OutMsg:
+            owner, slots = msg.sender, msg.recipients
+        else:
+            owner, slots = msg.receiver, msg.contributors
+        if owner == party and (role is None or any(
+                r == role and b is False for r, b, *_ in slots)):
+            yield queue, idx, msg
+
+
+def _start_steps(net: Network, i: int, names: frozenset[str], emit):
+    """Session starts of the request at component ``i``: each assignment of
+    other components that accept its service under its other roles."""
+    comps = net.components
+    comp = comps[i]
+    req: Request = comp.proc
+    remaining = req.roles[1:]
+    candidates = [[(j, c) for j, c in enumerate(comps)
+                   if j != i and isinstance(c.proc, (AcceptOnce, AcceptRepl))
+                   and c.proc.svc == req.svc and c.proc.role == role]
+                  for role in remaining]
+    for assignment in itertools.product(*candidates):
+        indices = [j for j, _ in assignment]
+        if len(set(indices)) != len(indices):
+            continue
+        key = fresh_name(req.key, names)
+        new_comps = list(comps)
+        new_comps[i] = replace(comp, proc=rename_key(req.cont, req.key, key))
+        actives = [req.roles[0]]
+        services = []
+        for (j, c), role in zip(assignment, remaining):
+            body = rename_key(c.proc.cont, c.proc.key, key)
+            if isinstance(c.proc, AcceptOnce):
+                actives.append(role)
+                new_comps[j] = replace(c, proc=body)
+            else:
+                services.append(role)
+                new_comps.append(Component(body, owner=c.owner, service=None))
+        succ = Network(tuple(new_comps), net.queues + (Queue(key, ()),),
+                       net.restricted | {key})
+        emit(Start(tuple(actives), tuple(services), req.svc, key), succ)
+
+
+def _release(net: Network, i: int, queue: Queue, idx: int) -> Optional[tuple[ELabel, Network]]:
+    """The label and successor of the wait state at component ``i``
+    dequeueing message ``idx`` of its queue: the waiter continues, and each
+    straggler's input takes ``none``, its branching is dropped, or its
+    contribution is left out.  None if a straggler has not reached its
+    prefix, or if a reduce yields no value."""
+    p, msg = net.components[i].proc, queue.msgs[idx]
+    comps = list(net.components)
+    if isinstance(p, WaitIn):
+        result = apply_op(p.op, [s for _, b, s in msg.contributors if b])
+        if not isinstance(result, SomeV):
             return None
-        found.append((j, role))
-    return found
+        peers = _peers(net, OutP, p.key, [(r, p.receiver) for r, b, _ in msg.contributors
+                                          if not b], i)
+        if peers is None:
+            return None
+        comps[i] = replace(comps[i], proc=subst_var(p.cont, p.var, result))
+        for j in peers:
+            comps[j] = replace(comps[j], proc=comps[j].proc.cont)
+        label = RdIn(tuple(p.senders), p.receiver, msg.quality, p.key, result)
+    else:
+        selection = isinstance(msg.payload, LabelPayload)
+        peers = _peers(net, Branch if selection else InP, p.key,
+                       [(p.sender, r) for r, b in msg.recipients if not b], i)
+        if peers is None:
+            return None
+        comps[i] = replace(comps[i], proc=p.cont)
+        if selection:
+            comps = [c for j, c in enumerate(comps) if j not in peers]
+            label = SelOut(p.sender, tuple(p.receivers), msg.quality, p.key, msg.payload.label)
+        else:
+            for j in peers:
+                proc = comps[j].proc
+                comps[j] = replace(comps[j], proc=subst_var(proc.cont, proc.var, NONE))
+            label = BcOut(p.sender, tuple(p.receivers), msg.quality, p.key, msg.payload)
+    succ = Network(tuple(comps), net.queues, net.restricted)
+    return label, succ.with_queue(_pop(queue, idx))
 
 
-def _find_branch_components(net, key, sender, stragglers, skip):
+def _peers(net: Network, cls: type, key: str, ends: list[tuple[Role, Role]], skip: int
+           ) -> Optional[list[int]]:
+    """For each ``(sender, receiver)`` pair of ``ends``, the first component
+    but ``skip`` whose process is a ``cls`` prefix on ``key`` between them;
+    None if some pair has none."""
     found = []
-    for role in stragglers:
+    for end in ends:
         j = next((j for j, c in enumerate(net.components)
-                  if j != skip and isinstance(c.proc, Branch) and c.proc.key == key
-                  and c.proc.sender == sender and c.proc.receiver == role), None)
+                  if j != skip and isinstance(c.proc, cls) and c.proc.key == key
+                  and (c.proc.sender, c.proc.receiver) == end), None)
         if j is None:
             return None
         found.append(j)
     return found
-
-
-def _find_output_components(net, key, receiver, stragglers, skip):
-    found = []
-    for role in stragglers:
-        j = next((j for j, c in enumerate(net.components)
-                  if j != skip and isinstance(c.proc, OutP) and c.proc.key == key
-                  and c.proc.receiver == receiver and c.proc.sender == role), None)
-        if j is None:
-            return None
-        found.append((j, role))
-    return found
-
-
-def _if_steps(net: Network, emit):
-    for i, comp in enumerate(net.components):
-        match comp.proc:
-            case IfP(expr, then, orelse):
-                w = _eval(expr)
-                if w is None:
-                    continue
-                branch = then if w == SomeV(True) else orelse
-                emit(ETau(), replace(net, components=_with_component(net, i, branch)))
 
 
 # ---------------------------------------------------------------------------
