@@ -24,8 +24,8 @@ from .epq import (
     Component,
     IfP,
     INACT,
-    Inact,
     InP,
+    KEY_BINDERS,
     Network,
     OutP,
     Proc,
@@ -34,9 +34,12 @@ from .epq import (
     QSel,
     Queue,
     Request,
+    VAR_BINDERS,
     WaitIn,
     WaitOut,
     canon_table,
+    map_cont,
+    proc_conts,
     proc_free_names,
     rename_key,
     rename_var,
@@ -208,13 +211,36 @@ def _chain_exists(nodes, n1, s1, n2, s2, target: Thread) -> bool:
 # Merging
 
 
+_MERGE_RULE = {  # class: (path step of each continuation, why two prefixes differ)
+    Request: (("/req",), "different session requests"),
+    AcceptOnce: (("/acc",), "different session accepts"),
+    AcceptRepl: (("/acc",), "different session accepts"),
+    QOut: (("/out",), "different collective outputs"),
+    OutP: (("/out",), "different outputs"),
+    InP: (("/in",), "different inputs"),
+    QIn: (("/in",), "different collective inputs"),
+    QSel: (("/sel",), "different selections"),
+    WaitOut: (("/wait",), "different wait states"),
+    WaitIn: (("/wait",), "different wait states"),
+    IfP: (("/then", "/else"), "different conditional guards"),
+}
+
+
+def _erased(_: Proc) -> Proc:
+    return INACT
+
+
 def merge(p: Proc, q: Proc, path: str = "") -> Proc:
     """Join two alternative behaviours of one endpoint.
 
     Label branchings with the same session and roles union their arms,
-    merging shared labels recursively; everything else must agree up to
-    bound-name renaming.
+    merging shared labels recursively.  Any other two processes must have
+    the same prefix once ``q``'s bound key or variable is renamed to
+    ``p``'s, and their continuations merge pairwise; so equal processes
+    merge to themselves.
     """
+    if p == q:
+        return p
     if isinstance(p, Branch) and isinstance(q, Branch):
         if (p.key, p.receiver, p.sender) != (q.key, q.receiver, q.sender):
             raise NotMergeable(path, f"branchings on different points: {p.key}[{p.receiver}] "
@@ -226,57 +252,16 @@ def merge(p: Proc, q: Proc, path: str = "") -> Proc:
         return Branch(p.key, p.receiver, p.sender, tuple(sorted(arms.items())))
     if type(p) is not type(q):
         raise NotMergeable(path, f"{type(p).__name__} vs {type(q).__name__}")
-    match p:
-        case Inact():
-            return p
-        case Request(svc, roles, key, cont):
-            if (svc, roles) != (q.svc, q.roles):
-                raise NotMergeable(path, "different session requests")
-            return Request(svc, roles, key, merge(cont, rename_key(q.cont, q.key, key), path + "/req"))
-        case AcceptOnce(svc, role, key, cont) | AcceptRepl(svc, role, key, cont):
-            if (svc, role) != (q.svc, q.role):
-                raise NotMergeable(path, "different session accepts")
-            return replace(p, cont=merge(cont, rename_key(q.cont, q.key, key), path + "/acc"))
-        case QOut(key, sender, receivers, quality, expr, cont):
-            if (key, sender, receivers, quality, expr) != (q.key, q.sender, q.receivers,
-                                                           q.quality, q.expr):
-                raise NotMergeable(path, "different collective outputs")
-            return replace(p, cont=merge(cont, q.cont, path + "/out"))
-        case OutP(key, sender, receiver, expr, cont):
-            if (key, sender, receiver, expr) != (q.key, q.sender, q.receiver, q.expr):
-                raise NotMergeable(path, "different outputs")
-            return replace(p, cont=merge(cont, q.cont, path + "/out"))
-        case InP(key, receiver, sender, var, cont):
-            if (key, receiver, sender) != (q.key, q.receiver, q.sender):
-                raise NotMergeable(path, "different inputs")
-            qc = q.cont if q.var == var else rename_var(q.cont, q.var, var)
-            return replace(p, cont=merge(cont, qc, path + "/in"))
-        case QIn(key, senders, receiver, quality, var, op, cont):
-            if (key, senders, receiver, quality, op) != (q.key, q.senders, q.receiver,
-                                                         q.quality, q.op):
-                raise NotMergeable(path, "different collective inputs")
-            qc = q.cont if q.var == var else rename_var(q.cont, q.var, var)
-            return replace(p, cont=merge(cont, qc, path + "/in"))
-        case QSel(key, sender, receivers, quality, label, cont):
-            if (key, sender, receivers, quality, label) != (q.key, q.sender, q.receivers,
-                                                            q.quality, q.label):
-                raise NotMergeable(path, "different selections")
-            return replace(p, cont=merge(cont, q.cont, path + "/sel"))
-        case WaitOut(key, sender, receivers, cont):
-            if (key, sender, receivers) != (q.key, q.sender, q.receivers):
-                raise NotMergeable(path, "different wait states")
-            return replace(p, cont=merge(cont, q.cont, path + "/wait"))
-        case WaitIn(key, senders, receiver, op, var, cont):
-            if (key, senders, receiver, op) != (q.key, q.senders, q.receiver, q.op):
-                raise NotMergeable(path, "different wait states")
-            qc = q.cont if q.var == var else rename_var(q.cont, q.var, var)
-            return replace(p, cont=merge(cont, qc, path + "/wait"))
-        case IfP(expr, then, orelse):
-            if expr != q.expr:
-                raise NotMergeable(path, "different conditional guards")
-            return IfP(expr, merge(then, q.then, path + "/then"),
-                       merge(orelse, q.orelse, path + "/else"))
-    raise TypeError(f"not a process: {p!r}")
+    p_conts, q_conts, bound = proc_conts(p), proc_conts(q), {}
+    if isinstance(q, KEY_BINDERS):
+        bound, q_conts = {"key": p.key}, (rename_key(q.cont, q.key, p.key),)
+    elif isinstance(q, VAR_BINDERS) and q.var != p.var:
+        bound, q_conts = {"var": p.var}, (rename_var(q.cont, q.var, p.var),)
+    steps, reason = _MERGE_RULE[type(p)]
+    if map_cont(p, _erased) != map_cont(q, _erased, **bound):
+        raise NotMergeable(path, reason)
+    merged = iter([merge(a, b, path + step) for a, b, step in zip(p_conts, q_conts, steps)])
+    return map_cont(p, lambda _: next(merged))
 
 
 def mergeable(p: Proc, q: Proc) -> bool:

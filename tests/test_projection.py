@@ -8,6 +8,7 @@ from gcq.epq import (
     AcceptRepl,
     Branch,
     Component,
+    IfP,
     INACT,
     InP,
     Network,
@@ -17,6 +18,9 @@ from gcq.epq import (
     QSel,
     Queue,
     Request,
+    WaitIn,
+    WaitOut,
+    map_cont,
     net_canon,
     net_congruent,
 )
@@ -45,10 +49,56 @@ from gcq.syntax import (
     Q_ANY,
     Select,
     Seq,
+    Var,
     athr,
     q_ratio,
     seq,
 )
+
+# One pair per prefix class whose prefixes differ, with the message merge
+# gives when the pair sits on one side of a conditional under a request and
+# a label (see ``_nested``); then a pair of different classes and a pair of
+# branchings on different points.
+MISMATCHED = [
+    ((Request("s", ("A", "B"), "j", INACT), Request("t", ("A", "B"), "i", INACT)),
+     "then", "/req/then/l: different session requests"),
+    ((AcceptOnce("s", "A", "j", INACT), AcceptOnce("s", "B", "i", INACT)),
+     "else", "/req/else/l: different session accepts"),
+    ((AcceptRepl("s", "A", "j", INACT), AcceptRepl("t", "A", "i", INACT)),
+     "then", "/req/then/l: different session accepts"),
+    ((QOut("k", "A", ("B",), Q_ALL, Lit(1), INACT), QOut("k", "A", ("B",), Q_ANY, Lit(1), INACT)),
+     "else", "/req/else/l: different collective outputs"),
+    ((OutP("k", "A", "B", Lit(1), INACT), OutP("k", "A", "B", Lit(2), INACT)),
+     "then", "/req/then/l: different outputs"),
+    ((InP("k", "A", "B", "x", INACT), InP("k", "A", "C", "y", INACT)),
+     "else", "/req/else/l: different inputs"),
+    ((QIn("k", ("B",), "A", Q_ALL, "x", "sum", INACT), QIn("k", ("B",), "A", Q_ALL, "y", "max", INACT)),
+     "then", "/req/then/l: different collective inputs"),
+    ((QSel("k", "A", ("B",), Q_ALL, "l", INACT), QSel("k", "A", ("B",), Q_ALL, "m", INACT)),
+     "else", "/req/else/l: different selections"),
+    ((WaitOut("k", "A", ("B",), INACT), WaitOut("k", "A", ("C",), INACT)),
+     "then", "/req/then/l: different wait states"),
+    ((WaitIn("k", ("B",), "A", "sum", "x", INACT), WaitIn("j", ("B",), "A", "sum", "y", INACT)),
+     "else", "/req/else/l: different wait states"),
+    ((IfP(Var("g"), INACT, INACT), IfP(Var("h"), INACT, INACT)),
+     "then", "/req/then/l: different conditional guards"),
+    ((QOut("k", "A", ("B",), Q_ALL, Lit(1), INACT), InP("k", "A", "B", "x", INACT)),
+     "else", "/req/else/l: QOut vs InP"),
+    ((Branch("k", "A", "B", (("l", INACT),)), Branch("k", "C", "B", (("l", INACT),))),
+     "then", "/req/then/l: branchings on different points: k[A] vs k[C]"),
+]
+
+# The path step merge adds below each prefix class.
+CONT_STEPS = {Request: "/req", AcceptOnce: "/acc", AcceptRepl: "/acc", QOut: "/out",
+              OutP: "/out", InP: "/in", QIn: "/in", QSel: "/sel", WaitOut: "/wait",
+              WaitIn: "/wait", IfP: "/then"}
+
+
+def _nested(x, side: str):
+    """``x`` under label ``l`` on one side of a conditional, under a request."""
+    arm = Branch("k", "A", "B", (("l", x),))
+    return Request("svc", ("A", "B"), "k",
+                   IfP(Var("g"), arm, INACT) if side == "then" else IfP(Var("g"), INACT, arm))
 
 
 class TestLinearity:
@@ -111,6 +161,31 @@ class TestMerge:
         p = AcceptRepl("a", "B", "k", InP("k", "B", "A", "x", INACT))
         q = AcceptRepl("a", "B", "j", InP("j", "B", "A", "y", INACT))
         assert mergeable(p, q)
+
+    @pytest.mark.parametrize("pair,side,message", MISMATCHED,
+                             ids=[f"{type(p).__name__}-{type(q).__name__}-{side}"
+                                  for (p, q), side, _ in MISMATCHED])
+    def test_mismatch_message(self, pair, side, message):
+        p, q = pair
+        with pytest.raises(NotMergeable) as exc:
+            merge(_nested(p, side), _nested(q, side))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("p", [pair[0] for pair, _, _ in MISMATCHED[:11]],
+                             ids=lambda p: type(p).__name__)
+    def test_continuation_mismatch_message(self, p):
+        other = OutP("k", "A", "B", Lit(1), INACT)
+        with pytest.raises(NotMergeable) as exc:
+            merge(map_cont(p, lambda _: INACT), map_cont(p, lambda _: other))
+        assert str(exc.value) == f"{CONT_STEPS[type(p)]}: Inact vs OutP"
+
+    def test_bound_names_do_not_matter(self):
+        def body(key, var):
+            return InP(key, "A", "B", var, OutP(key, "A", "B", Var(var), INACT))
+        p = _nested(Request("s", ("A", "B"), "j", body("j", "x")), "else")
+        q = _nested(Request("s", ("A", "B"), "i", body("i", "y")), "else")
+        assert merge(p, q) == p
+        assert merge(q, p) == q
 
 
 class TestThreadProjection:
