@@ -265,7 +265,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
     start_conf = Configuration.initial(c)
     try:
         start_net = epp(c) if net is None else net
-    except Exception as exc:
+    except ValueError as exc:  # ProjectionUndefined, NotMergeable
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
     table = canon_table()
     frontier = deque([(start_conf, start_net, 0)])
@@ -407,7 +407,7 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
     """
     try:
         start = epp(c)
-    except Exception as exc:
+    except ValueError as exc:  # ProjectionUndefined, NotMergeable
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
     if is_quiescent(start) and not net_enabled(start):
         return Verdict("Pass", "projection is inert", 1)

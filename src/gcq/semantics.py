@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional
 from .schedule import ALWAYS, AvailabilityOracle
 from .syntax import (
     NONE,
+    ArityMismatch,
     Bcast,
     CapState,
     Choreography,
@@ -318,7 +319,7 @@ def _capable_subsets(sigma, quality, candidates, key):
     """Quality-satisfying subsets whose members hold their required atoms."""
     try:
         subsets = quality_subsets(quality, tuple(p.thread for p in candidates))
-    except Exception:
+    except ArityMismatch:  # no candidates, or a ratio of another arity
         return []
     by_thread = {p.thread: p for p in candidates}
     out = []

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chorfixtures import chained_starts, sensor_family, sensors, sensors_partial, typed_example
-from gcq import correspond, epq, netsem, projection
+from gcq import cli, correspond, epq, netsem, projection, semantics
 from gcq.correspond import (
     Verdict,
     availability_check,
@@ -157,6 +157,28 @@ class TestCosim:
     def test_counterexample_found_at_every_prune_depth(self, name, prune_depth):
         chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=True).chor
         assert cosimulate(chor, prune_depth=prune_depth).status == "CounterexampleFound"
+
+
+class TestFaultsAreNotVerdicts:
+    """A fault inside a rule or inside the projection reaches the command
+    line as an internal error, not as a stuck network or a failed
+    precondition."""
+
+    @pytest.mark.parametrize("module,name,command", [
+        (netsem, "eval_quality", "availability"),
+        (semantics, "quality_subsets", "cosim"),
+        (correspond, "epp", "cosim"),
+        (correspond, "epp", "availability"),
+    ], ids=["wait-rule", "capable-subsets", "cosim-epp", "availability-epp"])
+    def test_fault_is_an_internal_error(self, module, name, command, monkeypatch, capsys):
+        def broken(*args):
+            raise TypeError("planted fault")
+
+        monkeypatch.setattr(module, name, broken)
+        code = cli.main([command, str(GOLDEN / "sensors_all.gcq")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("internal error: TypeError: planted fault")
 
 
 class TestUnicastEncodings:
