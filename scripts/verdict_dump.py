@@ -11,11 +11,12 @@ capability-check twins of the benchmark (``check`` only).  Each golden
 program also runs ``availability --schedule`` under a crash of t1 at step
 5, a Bernoulli oracle and a three-entry script, and each golden and corpus
 program runs ``run-global --seed 1``, whose trace shows the names the
-global semantics creates and substitutes.  The texts come from
-``perfbench/inputs.py``.  Each line is ``name command exit-code json``,
-with a trace's JSON lines joined by spaces; the output depends on nothing
-but the sources, so two runs under different ``PYTHONHASHSEED`` values
-must print the same bytes.
+global semantics creates and substitutes, and ``run-net --seed 1``, whose
+trace follows the successor that ``netsem.net_enabled`` keeps for each
+endpoint step.  The texts come from ``perfbench/inputs.py``.  Each line is
+``name command exit-code json``, with a trace's JSON lines joined by
+spaces; the output depends on nothing but the sources, so two runs under
+different ``PYTHONHASHSEED`` values must print the same bytes.
 
 ``--src`` names the ``gcq`` source tree to import (default: this
 checkout's ``src``), so one script and one set of inputs can run against
@@ -33,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 COMMANDS = ("check", "cosim", "availability")
-GLOBAL_RUN = ("run-global", None)
+TRACE_RUNS = [("run-global", None), ("run-net", None)]
 SCHEDULES = {
     "crash5": {"mode": "crash", "thread": "t1", "from_step": 5},
     "bernoulli": {"mode": "bernoulli", "p": 0.8, "seed": 1},
@@ -49,9 +50,9 @@ def programs(inputs):
     for name, (lax, _) in inputs.GOLDEN_MATRIX.items():
         text = (ROOT / "golden" / f"{name}.gcq").read_text(encoding="utf-8")
         yield (name, text, ("--lax-select",) if lax else (),
-               runs + [("availability", s) for s in SCHEDULES] + [GLOBAL_RUN])
+               runs + [("availability", s) for s in SCHEDULES] + TRACE_RUNS)
     for item in sorted(inputs.corpus_items(0), key=lambda it: it.name):
-        yield item.name, item.text, (), runs + [GLOBAL_RUN]
+        yield item.name, item.text, (), runs + TRACE_RUNS
     for item in inputs.sensor_family_items(1):
         flags = next((s.flags for s in item.steps if s.flags), ())
         yield item.name, item.text, flags, runs
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
             for command, sched in runs:
                 options = ["--schedule", str(Path(work) / f"{sched}.json")] if sched else []
                 label = f"{command} --schedule {sched}" if sched else command
-                if command == "run-global":
+                if command in ("run-global", "run-net"):
                     options, label = ["--seed", "1"], f"{command} --seed 1"
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
