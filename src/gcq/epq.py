@@ -186,8 +186,6 @@ Proc = Union[Inact, Request, AcceptOnce, AcceptRepl, QOut, InP, OutP, QIn, QSel,
              Branch, WaitOut, WaitIn, IfP]
 INACT = Inact()
 
-RUNTIME_ONLY = (WaitOut, WaitIn)
-
 
 # ---------------------------------------------------------------------------
 # Queue messages

@@ -154,9 +154,6 @@ class _Parser:
     def at(self, *texts: str) -> bool:
         return self.peek().text in texts
 
-    def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if tok.text != text:

@@ -641,9 +641,6 @@ class FreeNames:
     vars: frozenset[tuple[VarName, Thread]]
     roles: frozenset[Role]
 
-    def all_idents(self) -> frozenset[str]:
-        return self.threads | self.sessions | self.services | frozenset(v for v, _ in self.vars)
-
 
 def _free(c: Choreography) -> set[Name]:
     inner = set().union(*map(_free, chor_conts(c)))
