@@ -53,12 +53,22 @@ def _oracle_from_args(args):
     return schedule.ALWAYS
 
 
+def _analyses(prog):
+    """The capability, session and linearity reports of a program."""
+    return (check_capabilities([], prog.chor),
+            check_session_only(GammaEnv(prog.services), prog.chor, {}),
+            check_linearity(prog.chor))
+
+
+def _trace_exit(trace) -> int:
+    if trace.verdict == "Completed":
+        return EXIT_PASS
+    return EXIT_REJECT if trace.verdict == "Stuck" else EXIT_INCONCLUSIVE
+
+
 def cmd_check(args) -> int:
     prog = _load_program(args.input, args.lax_select)
-    gamma = GammaEnv(prog.services)
-    caps = check_capabilities([], prog.chor)
-    sess = check_session_only(gamma, prog.chor, {})
-    lin = check_linearity(prog.chor)
+    caps, sess, lin = _analyses(prog)
     ok = caps.ok and sess.ok and lin.ok
     if args.json:
         print(json.dumps({"ok": ok, "capabilities": caps.to_json(),
@@ -81,9 +91,7 @@ def cmd_run_global(args) -> int:
     trace = run(conf, oracle=_oracle_from_args(args), policy=args.seed,
                 max_steps=args.bound)
     print(trace.to_jsonl())
-    if trace.verdict == "Completed":
-        return EXIT_PASS
-    return EXIT_REJECT if trace.verdict == "Stuck" else EXIT_INCONCLUSIVE
+    return _trace_exit(trace)
 
 
 def cmd_project(args) -> int:
@@ -152,9 +160,7 @@ def cmd_run_net(args) -> int:
     trace = netsem.net_run(net, oracle=_oracle_from_args(args), policy=args.seed,
                            max_steps=args.bound)
     print(trace.to_jsonl())
-    if trace.verdict == "Completed":
-        return EXIT_PASS
-    return EXIT_REJECT if trace.verdict == "Stuck" else EXIT_INCONCLUSIVE
+    return _trace_exit(trace)
 
 
 def _junit_xml(name: str, verdict) -> str:
@@ -172,11 +178,7 @@ def _junit_xml(name: str, verdict) -> str:
 
 def cmd_cosim(args) -> int:
     prog = _load_program(args.input, args.lax_select)
-    gamma = GammaEnv(prog.services)
-    caps = check_capabilities([], prog.chor)
-    sess = check_session_only(gamma, prog.chor, {})
-    lin = check_linearity(prog.chor)
-    if not (caps.ok and sess.ok and lin.ok):
+    if not all(report.ok for report in _analyses(prog)):
         verdict = correspond.Verdict("PreconditionFailed",
                                      "the program is not well-typed and linear")
     else:
