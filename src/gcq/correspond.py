@@ -264,7 +264,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
     """
     start_conf = Configuration.initial(c)
     try:
-        start_net = epp(c) if net is None else net
+        start_net = _projection(c) if net is None else net
     except ValueError as exc:  # ProjectionUndefined, NotMergeable
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
     table = canon_table()
@@ -280,7 +280,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
             continue
         # Soundness direction
         for glabel, conf2 in _global_steps(conf):
-            target = epp(conf2.chor)
+            target = _projection(conf2.chor)
             try:
                 matched = _first_pruning(target, fire_labels(net, [glabel]), prune_depth)
             except PruningInconclusive:
@@ -353,7 +353,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                     for lab in required_group(g):
                         want[_start_key_agnostic(lab)] += 1
                 if want[_start_key_agnostic(adjusted)] > 0:
-                    target = epp(conf2.chor)
+                    target = _projection(conf2.chor)
                     fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
                     try:
                         if _first_pruning(target, fired, prune_depth) is not None:
@@ -381,6 +381,15 @@ def _first_pruning(target: Network, nets: list[Network], prune_depth: int) -> Op
     if unsure is not None:
         raise unsure
     return None
+
+
+def _projection(c: Choreography) -> Network:
+    """``epp(c)``, computed once per choreography by the running verdict."""
+    table = canon_table()
+    net = table.projections.get(c)
+    if net is None:
+        net = table.projections[c] = epp(c)
+    return net
 
 
 def _global_steps(conf: Configuration) -> list:

@@ -552,20 +552,24 @@ def net_congruent(n1: Network, n2: Network) -> bool:
 
 
 class CanonTable:
-    """One verdict's canonical forms, each computed once: every network's
-    canonical ``Network``, the searches' state identity, built from
-    ``comps``, the per-component memo of :func:`net_canon`.  ``steps``
-    holds each network's transitions before any oracle filters them
+    """One verdict's memos, each entry computed once and only when read.
+    ``forms`` holds the canonical ``Network`` of each network a search asks
+    :meth:`canon` for, the searches' state identity, built from ``comps``,
+    the per-component memo of :func:`net_canon`.  ``steps`` holds each
+    network's transitions before any oracle filters them
     (``netsem.net_enabled``), keyed on the exact network, since labels
     carry its session keys; ``global_steps`` holds each configuration's
-    ``semantics.enabled``, keyed alike.  ``prune_answers`` maps a top-level ``prunes``
-    query (canonical p, canonical q, depth) to True, False or what it raised."""
+    ``semantics.enabled``, keyed alike, and ``projections`` each
+    choreography's ``projection.epp``.  ``prune_answers`` maps a top-level
+    ``prunes`` query (canonical p, canonical q, depth) to True, False or
+    what it raised."""
 
     def __init__(self):
         self.forms: dict[Network, Network] = {}
         self.comps: dict = {}
         self.steps: dict[Network, list] = {}
         self.global_steps: dict = {}
+        self.projections: dict = {}
         self.prune_answers: dict = {}
 
     def canon(self, net: Network) -> Network:

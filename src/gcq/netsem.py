@@ -59,6 +59,7 @@ from .syntax import (
     fresh_name,
     label_first_sorted,
     opt_to_json,
+    stable_repr,
 )
 
 # ---------------------------------------------------------------------------
@@ -242,18 +243,49 @@ def sync_allowed(oracle: AvailabilityOracle, step_index: int, guard) -> bool:
 
 
 def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
-    """Every (label, canonical successor) once, in successor order, with
-    its ``(guard, successor)`` emissions in component and then queue order;
-    a synchronization's guard is ``(component, session, message, role)``,
-    other guards are None.
+    """Every (label, successor up to congruence) once, in successor order,
+    with its ``(guard, successor)`` emissions in component and then queue
+    order; a synchronization's guard is ``(component, session, message,
+    role)``, other guards are None.
 
     The successor order is that of the text ``(label, canonical successor)``
     (:func:`syntax.label_first_sorted`), and each label comes from one rule,
-    so the order in which the rules run does not show."""
+    so the order in which the rules run does not show.  A successor is
+    canonicalized only where this result depends on it: when its label has
+    other emissions, whose congruent successors merge, and when label texts
+    tie or one is a prefix of another, so that the order reads successors.
+    A network with one emission renders no text."""
+    pairs: dict = {}  # (label, canonical successor, or a lone one) -> emissions
+    for label, emissions in _emissions(net).items():
+        if len(emissions) == 1:
+            pairs[label, _Lone(emissions[0][1], table)] = emissions
+            continue
+        for emission in emissions:
+            pairs.setdefault((label, table.canon(emission[1])), []).append(emission)
+    order = label_first_sorted(pairs) if len(pairs) > 1 else pairs
+    return [(key[0], pairs[key]) for key in order]
+
+
+class _Lone:
+    """The only successor of its label, in a sort key: its text is that of
+    its canonical form, computed if the sort reads it."""
+
+    __slots__ = ("succ", "table")
+
+    def __init__(self, succ: Network, table):
+        self.succ, self.table = succ, table
+
+    def __repr__(self) -> str:
+        return stable_repr(self.table.canon(self.succ))
+
+
+def _emissions(net: Network) -> dict:
+    """Each label's ``(guard, successor)`` emissions under the thirteen
+    rules, in component and then queue order."""
     found: dict = {}
 
     def emit(label: ELabel, succ: Network, guard=None):
-        found.setdefault((label, table.canon(succ)), []).append((guard, succ))
+        found.setdefault(label, []).append((guard, succ))
 
     names = None  # the network's names, for the key of a new session
     for i, comp in enumerate(net.components):
@@ -319,16 +351,18 @@ def _transitions(net: Network, table) -> list[tuple[ELabel, list]]:
                 w = _eval(expr)
                 if w is not None:
                     emit(ETau(), _step(net, i, then if w == SomeV(True) else orelse))
-    return [(key[0], found[key]) for key in label_first_sorted(found)]
+    return found
 
 
 def _step(net: Network, i: int, proc: Proc, queue: Optional[Queue] = None) -> Network:
     """``net`` with component ``i`` become ``proc`` and ``queue`` replacing
     the queue of its session."""
     comps = list(net.components)
-    comps[i] = replace(comps[i], proc=proc)
-    succ = replace(net, components=tuple(comps))
-    return succ if queue is None else succ.with_queue(queue)
+    comp = comps[i]
+    comps[i] = Component(proc, comp.owner, comp.service)
+    queues = net.queues if queue is None else tuple(
+        queue if q.key == queue.key else q for q in net.queues)
+    return Network(tuple(comps), queues, net.restricted)
 
 
 def _messages(net: Network, key: str, kind: type, party: Role, role: Optional[Role]):

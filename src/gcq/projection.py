@@ -412,7 +412,9 @@ def _strip_replicated(net: Network, keep: frozenset = frozenset()
 
 
 def _merge_networks(pc: Network, qc: Network) -> Optional[Network]:
-    """Component-wise merge of two canonical networks; None when undefined."""
+    """Component-wise merge of two canonical networks; None when undefined.
+    Raises :class:`PruningInconclusive` when pairing a bucket's components
+    ran out of its budget."""
     if pc.restricted != qc.restricted or pc.queues != qc.queues:
         return None
 
@@ -439,13 +441,15 @@ def _merge_networks(pc: Network, qc: Network) -> Optional[Network]:
 
 
 def _merge_bucket(pcomps, qcomps, limit: int = 720):
-    """Pair same-key components across the networks by mergeability."""
+    """Pair same-key components across the networks by mergeability; None
+    when no pairing merges, and :class:`PruningInconclusive` when ``limit``
+    pairings were tried and more remain."""
     if not pcomps:
         return list(qcomps)
     perms = itertools.permutations(range(len(qcomps)), len(pcomps))
     for tried, assignment in enumerate(perms):
         if tried >= limit:
-            return None
+            raise PruningInconclusive(f"pairing components ran out after {limit} assignments")
         try:
             out = list(qcomps)
             for pi, qi in enumerate(assignment):
@@ -461,7 +465,9 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
     """Decide whether ``q`` is ``p`` plus unused replicated services.
 
     The simulation clause is checked by bounded co-exploration; running out
-    of depth raises :class:`PruningInconclusive` rather than answering.
+    of depth, or of the budget for pairing components, raises
+    :class:`PruningInconclusive` rather than answering.  Once ``q``'s unused
+    services are stripped, a network equal to ``p`` is answered at once.
     The running verdict keeps each top-level answer, which is final; ``_memo``
     holds one call's provisional coinductive True entries, so it is not shared.
     """
@@ -484,7 +490,6 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
     key = (pc, qc)
     if key in _memo:
         return _memo[key]
-    _memo[key] = True  # coinductive reading of the simulation clause
     p_groups = frozenset((c.service or (c.proc.svc, c.proc.role))
                          for c in pc.components if c.is_replicated())
     q0, stripped = _strip_replicated(qc, keep=p_groups)
@@ -494,8 +499,10 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
         _memo[key] = False
         return False
     if depth <= 0:
-        _memo.pop(key, None)
         raise PruningInconclusive("pruning simulation ran out of depth")
+    if q0 == pc:
+        return True  # the identity relation is a simulation
+    _memo[key] = True  # coinductive reading of the simulation clause
     q_steps = net_enabled(q0)
     p_steps = net_enabled(pc) if q_steps else []
     unsure = False  # some step of q0 only the depth kept from a match

@@ -938,10 +938,19 @@ def stable_repr(x) -> str:
         return f"frozenset({{{', '.join(sorted(map(stable_repr, x)))}}})" if x else "frozenset()"
     if isinstance(x, tuple):
         return f"({', '.join(map(stable_repr, x))}{',' if len(x) == 1 else ''})"
-    if is_dataclass(x):
-        args = ", ".join(f"{f.name}={stable_repr(getattr(x, f.name))}" for f in fields(x) if f.repr)
-        return f"{type(x).__qualname__}({args})"
-    return repr(x)
+    cls = type(x)
+    try:
+        names = _REPR_FIELDS[cls]
+    except KeyError:
+        names = _REPR_FIELDS[cls] = (tuple(f.name for f in fields(cls) if f.repr)
+                                     if is_dataclass(cls) else None)
+    if names is None:
+        return repr(x)
+    args = ", ".join(f"{name}={stable_repr(getattr(x, name))}" for name in names)
+    return f"{cls.__qualname__}({args})"
+
+
+_REPR_FIELDS: dict = {}  # type -> names of its dataclass repr fields, or None
 
 
 def label_first_sorted(pairs: Iterable[tuple]) -> list[tuple]:

@@ -1,7 +1,7 @@
 """Label correspondence, co-simulation and availability on the golden set."""
 
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -482,6 +482,94 @@ class TestStateIdentity:
                 assert net not in known  # neither met before nor a form already computed
                 known |= {net, form}
             assert computed
+
+    def test_projection_once_per_choreography(self, monkeypatch):
+        """Over one co-simulation, each residual choreography is projected once."""
+        chor = parse((GOLDEN / "sensors_23.gcq").read_text()).chor
+        projected = Counter()
+        real = correspond.epp
+        monkeypatch.setattr(correspond, "epp", lambda c: projected.update([c]) or real(c))
+        assert cosimulate(chor).passed
+        assert len(projected) > 1 and set(projected.values()) == {1}
+
+    def test_lone_successor_not_canonicalized(self):
+        """A network with one emission returns its successor unrendered and
+        not canonicalized: only a search that reads it pays for its form."""
+        net = epq.Network((epq.Component(epq.IfP(Lit(True), epq.INACT, epq.INACT), owner="t"),))
+
+        @epq.per_verdict
+        def step():
+            (label, succ), = net_enabled(net)
+            return label, succ, epq.canon_table().forms
+
+        label, succ, forms = step()
+        assert label == ETau() and succ.components[0].proc == epq.INACT and forms == {}
+
+
+def _parent_stable_repr(x) -> str:
+    """``syntax.stable_repr`` as first written: fields looked up on every node."""
+    if isinstance(x, frozenset):
+        return (f"frozenset({{{', '.join(sorted(map(_parent_stable_repr, x)))}}})"
+                if x else "frozenset()")
+    if isinstance(x, tuple):
+        return f"({', '.join(map(_parent_stable_repr, x))}{',' if len(x) == 1 else ''})"
+    if is_dataclass(x):
+        args = ", ".join(f"{f.name}={_parent_stable_repr(getattr(x, f.name))}"
+                         for f in fields(x) if f.repr)
+        return f"{type(x).__qualname__}({args})"
+    return repr(x)
+
+
+def _reference_transitions(net) -> list:
+    """``netsem._transitions`` by its defining rule: every emission keyed on
+    (label, canonical successor), the keys sorted by their full text."""
+    found: dict = {}
+    for label, emissions in netsem._emissions(net).items():
+        for guard, succ in emissions:
+            found.setdefault((label, epq.net_canon(succ)), []).append((guard, succ))
+    return [(key[0], found[key]) for key in sorted(found, key=_parent_stable_repr)]
+
+
+def test_transitions_match_the_reference():
+    """On every network reachable from the programs, breadth first over every
+    emission and one network per canonical form, ``_transitions`` lists the
+    reference's labels, guards and exact successors in the reference's
+    order; and ``stable_repr`` renders each label, network and reachable
+    configuration as its first definition did."""
+    def same_text(term):
+        assert stable_repr(term) == _parent_stable_repr(term)
+
+    networks = configurations = 0
+    for chor in _order_programs():
+        @epq.per_verdict
+        def explore():
+            table = epq.canon_table()
+            nets = [epp(chor)]
+            seen = {table.canon(nets[0])}
+            for net in nets:
+                steps = netsem._transitions(net, table)
+                assert steps == _reference_transitions(net)
+                same_text(net)
+                for label, emissions in steps:
+                    same_text(label)
+                    for _, succ in emissions:
+                        if table.canon(succ) not in seen:
+                            seen.add(table.canon(succ))
+                            nets.append(succ)
+            return len(nets)
+
+        networks += explore()
+        confs = [Configuration.initial(chor)]
+        seen = {confs[0].canon_key()}
+        for conf in confs:
+            same_text(conf)
+            for label, succ in enabled(conf):
+                same_text(label)
+                if succ.canon_key() not in seen:
+                    seen.add(succ.canon_key())
+                    confs.append(succ)
+        configurations += len(confs)
+    assert networks > 1500 and configurations > 500  # 1,723 and 544 when written
 
 
 def _reachable(chor, limit=40) -> list:

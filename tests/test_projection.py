@@ -20,15 +20,18 @@ from gcq.epq import (
     Request,
     WaitIn,
     WaitOut,
+    canon_table,
     map_cont,
     net_canon,
     net_congruent,
+    per_verdict,
 )
 from gcq.netsem import net_run
 from gcq.projection import (
     NotMergeable,
     ProjectionUndefined,
     PruningInconclusive,
+    _merge_bucket,
     check_linearity,
     epp,
     merge,
@@ -327,3 +330,66 @@ class TestPruning:
                      Component(project_thread(c, "b"), owner="b")),
                     (Queue("k"),))
         assert prunes(p, q)
+
+    def test_unused_service_pruned_without_simulation(self):
+        """Once the unused service is stripped, ``q`` is ``p`` itself: the
+        answer needs no step of either network, except at depth 0."""
+        net = epp(sensors())
+        extra = Component(AcceptRepl("other", "Z", "k9", INACT), service=("other", "Z"))
+        bigger = Network(net.components + (extra,), net.queues, net.restricted)
+
+        @per_verdict
+        def answer(depth):
+            assert prunes(net, bigger, depth)
+            return canon_table().steps
+
+        for depth in (1, 2, 12):
+            assert answer(depth) == {}
+        with pytest.raises(PruningInconclusive):
+            per_verdict(prunes)(net, bigger, 0)
+
+
+def _outputs(n: int) -> list:
+    """``n`` anonymous components with pairwise unmergeable outputs."""
+    return [Component(OutP("k", "A", "B", Lit(i), INACT)) for i in range(n)]
+
+
+def _arms(i: int, first=None) -> Component:
+    """A branching whose arm ``m`` outputs ``i``, after an arm ``a`` that
+    outputs ``first`` unless it is None: it merges into another such
+    component exactly when their ``i`` agree."""
+    arms = [("m", i)] if first is None else [("a", first), ("m", i)]
+    return Component(Branch("k", "B", "A", tuple(
+        (label, OutP("k", "B", "A", Lit(v), INACT)) for label, v in arms)))
+
+
+class TestMergeBudget:
+    """Pairing same-key components tries at most 720 assignments; running
+    out of them is inconclusive, not a failed merge."""
+
+    def test_six_components_pair_in_reverse(self):
+        ps = _outputs(6)
+        assert _merge_bucket(ps, list(reversed(ps))) == list(reversed(ps))
+
+    def test_seven_components_run_out(self):
+        ps = _outputs(7)
+        with pytest.raises(PruningInconclusive):
+            _merge_bucket(ps, list(reversed(ps)))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_prunes_reports_the_budget(self, n):
+        """``q``'s first arms sort its components against ``p``'s, so the
+        pairing that merges is the last one tried."""
+        p = Network(tuple(_arms(i) for i in range(n)), (Queue("k"),))
+        q = Network(tuple(_arms(i, n - 1 - i) for i in range(n)), (Queue("k"),))
+
+        def outputs(net):
+            return [c.proc.label_map()["m"].expr for c in net_canon(net).components]
+
+        assert outputs(p) == [Lit(i) for i in range(n)]
+        assert outputs(q) == [Lit(i) for i in reversed(range(n))]
+        if n == 6:
+            assert prunes(p, q)
+        else:
+            with pytest.raises(PruningInconclusive):
+                prunes(p, q)
