@@ -6,6 +6,13 @@ selector may pick to its continuation protocol.  The session judgment
 ``Gamma; Psi |- C |> Delta`` is split into two independent analyses: the
 capability analysis of :mod:`gcq.captypes` and a protocol-conformance
 analysis that never looks at capabilities.
+
+A type may swap role-disjoint steps (Carbone & Montesi, POPL 2013): a
+bcast or reduce with a disjoint bcast, reduce or branching after it, and a
+branching with a disjoint head that every one of its arms begins with (the
+same bcast or reduce and sort, or a branching on the same labels), which
+then moves out of the arms.  A step is taken by lifting it to the head
+through these swaps (:func:`_lift`), not by listing the swap variants.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Union
 
-from .captypes import Failure, Report, check_capabilities, describe_interaction
+from .captypes import Failure, Report, _comm_parts, check_capabilities, describe_interaction
 from .linlog import Formula
 from .syntax import (
     Bcast,
@@ -44,6 +51,7 @@ from .syntax import (
     Value,
     Var,
     VarName,
+    inter_parts,
     subterms,
 )
 
@@ -150,94 +158,7 @@ def _head_roles(g: GlobalType) -> frozenset[Role]:
 
 
 # ---------------------------------------------------------------------------
-# Type-level swap relation and transitions
-
-
-def _tswap_here(g: GlobalType) -> list[GlobalType]:
-    out = []
-    # prefix-prefix swaps: bcast/reduce heads over a disjoint next constructor
-    if isinstance(g, (BcastT, RedT)):
-        head_roles = _head_roles(g)
-        inner = g.cont
-        if isinstance(inner, (BcastT, RedT)) and head_roles.isdisjoint(_head_roles(inner)):
-            out.append(_replace_cont(inner, _replace_cont(g, inner.cont)))
-        if isinstance(inner, BranchT) and head_roles.isdisjoint(_head_roles(inner)):
-            out.append(BranchT(inner.sender, inner.receivers,
-                               tuple((l, _replace_cont(g, gi)) for l, gi in inner.branches)))
-    match g:
-        case BranchT(a, bs, branches):
-            head_roles = frozenset({a}) | frozenset(bs)
-            # branch-over-branch: every branch continues with the same inner branch head
-            inners = [gi for _, gi in branches]
-            if inners and all(isinstance(gi, BranchT) for gi in inners):
-                first: BranchT = inners[0]
-                same = all(gi.sender == first.sender and gi.receivers == first.receivers
-                           and tuple(l for l, _ in gi.branches) == tuple(l for l, _ in first.branches)
-                           for gi in inners)
-                if same and head_roles.isdisjoint(frozenset({first.sender}) | frozenset(first.receivers)):
-                    new_branches = []
-                    for j, (l2, _) in enumerate(first.branches):
-                        inner_map = {l1: inners[i].branches[j][1] for i, (l1, _) in enumerate(branches)}
-                        new_branches.append((l2, branch_t(a, bs, inner_map)))
-                    out.append(BranchT(first.sender, first.receivers, tuple(new_branches)))
-            # branch over a uniform bcast/reduce: hoist the prefix out
-            if inners and all(isinstance(gi, (BcastT, RedT)) for gi in inners):
-                first = inners[0]
-                same = all(_strip_cont(gi) == _strip_cont(first) for gi in inners)
-                if same and head_roles.isdisjoint(_head_roles(first)):
-                    hoisted_branches = {l: gi.cont for (l, _), gi in zip(branches, inners)}
-                    out.append(_replace_cont(first, branch_t(a, bs, hoisted_branches)))
-        case _:
-            pass
-    return out
-
-
-def _replace_cont(g: GlobalType, cont: GlobalType) -> GlobalType:
-    match g:
-        case BcastT():
-            return replace(g, cont=cont)
-        case RedT():
-            return replace(g, cont=cont)
-    raise TypeError(f"no continuation to replace in {g!r}")
-
-
-def _strip_cont(g: GlobalType):
-    match g:
-        case BcastT(a, bs, s, _):
-            return ("bcast", a, bs, s)
-        case RedT(as_, b, s, _):
-            return ("red", tuple(as_), b, s)
-    return None
-
-
-def _tswap_variants(g: GlobalType) -> list[GlobalType]:
-    out = list(_tswap_here(g))
-    match g:
-        case BcastT() | RedT():
-            out += [_replace_cont(g, v) for v in _tswap_variants(g.cont)]
-        case BranchT(a, bs, branches):
-            for i, (l, gi) in enumerate(branches):
-                for v in _tswap_variants(gi):
-                    new = list(branches)
-                    new[i] = (l, v)
-                    out.append(BranchT(a, bs, tuple(new)))
-        case _:
-            pass
-    return out
-
-
-def tswap_closure(g: GlobalType, bound: int = 4096) -> list[GlobalType]:
-    seen = {g}
-    frontier = [g]
-    while frontier and len(seen) < bound:
-        nxt = []
-        for t in frontier:
-            for v in _tswap_variants(t):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return list(seen)
+# Transitions up to type-level swaps
 
 
 @dataclass(frozen=True)
@@ -258,31 +179,60 @@ class TLabel:
         return f"select {self.a_roles[0]}->({','.join(self.b_roles)}):{self.label}"
 
 
-def _head_step(g: GlobalType, alpha: TLabel) -> Optional[GlobalType]:
+def _head_step(g: GlobalType, alpha: TLabel) -> Optional[tuple[GlobalType, GlobalType]]:
+    """``g``'s own head, its continuations cut, and what is left once the
+    head takes ``alpha``; None if the head does not take it."""
     match g, alpha.kind:
         case BcastT(sender, receivers, sort, cont), "bcast":
             if (sender,) == alpha.a_roles and frozenset(receivers) == frozenset(alpha.b_roles) \
                     and (alpha.sort is None or alpha.sort == sort):
-                return cont
+                return replace(g, cont=END_T), cont
         case RedT(senders, receiver, sort, cont), "red":
             if frozenset(senders) == frozenset(alpha.a_roles) and (receiver,) == alpha.b_roles \
                     and (alpha.sort is None or alpha.sort == sort):
-                return cont
+                return replace(g, cont=END_T), cont
         case BranchT(sender, receivers, branches), "sel":
             if (sender,) == alpha.a_roles and frozenset(receivers) == frozenset(alpha.b_roles):
                 for l, cont in branches:
                     if l == alpha.label:
-                        return cont
+                        cut = tuple((label, END_T) for label, _ in branches)
+                        return BranchT(sender, receivers, cut), cont
+    return None
+
+
+def _lift(g: GlobalType, alpha: TLabel) -> Optional[tuple[GlobalType, GlobalType]]:
+    """The head that swaps bring to the front of ``g`` to take ``alpha``,
+    its continuations cut, and the type left once it is taken; None if
+    no swap brings one.
+
+    A head whose roles are disjoint from ``alpha``'s is passed and kept in
+    the residual; a branching is passed only when every arm lifts the same
+    head, which is then hoisted out of all of them.  Any other head must
+    take ``alpha`` itself.
+    """
+    if not _head_roles(g).isdisjoint(alpha.a_roles + alpha.b_roles):
+        return _head_step(g, alpha)
+    match g:
+        case BcastT() | RedT():
+            lifted = _lift(g.cont, alpha)
+            if lifted is None:
+                return None
+            return lifted[0], replace(g, cont=lifted[1])
+        case BranchT(sender, receivers, branches):
+            arms = [_lift(gi, alpha) for _, gi in branches]
+            if not arms or any(a is None or a[0] != arms[0][0] for a in arms):
+                return None
+            return arms[0][0], BranchT(sender, receivers,
+                                       tuple((l, r) for (l, _), (_, r) in zip(branches, arms)))
     return None
 
 
 def gtype_step(g: GlobalType, alpha: TLabel) -> GlobalType:
     """Consume the interaction ``alpha``, possibly after type-level swaps."""
-    for variant in tswap_closure(g):
-        nxt = _head_step(variant, alpha)
-        if nxt is not None:
-            return nxt
-    raise NoMatch(f"type {g} cannot take {alpha}")
+    lifted = _lift(g, alpha)
+    if lifted is None:
+        raise NoMatch(f"type {g} cannot take {alpha}")
+    return lifted[1]
 
 
 # ---------------------------------------------------------------------------
@@ -479,115 +429,46 @@ class SessionChecker:
                 own = {(p.thread, key): p.role for p in actives + services}
                 return self.check(gamma.with_ownerships(own), cont, {**delta, key: binding.gtype})
 
-            case Bcast(sender, expr, receivers, _, key):
-                ok, g = self._session_head(where, delta, key)
-                if not ok:
-                    return False
-                if not self._owned(where, gamma, sender.thread, key, sender.role):
-                    return False
-                for p, _ in receivers:
-                    if not self._owned(where, gamma, p.thread, key, p.role):
-                        return False
-                try:
-                    s_actual = sort_of(expr, sender.thread, gamma)
-                except SortError as exc:
-                    self._fail("SortMismatch", where, str(exc))
-                    return False
-                alpha_sort = None
-                target = self._step(where, g, TLabel(
-                    "bcast", (sender.role,), tuple(p.role for p, _ in receivers), alpha_sort))
-                if target is None:
-                    return False
-                declared_sort = self._declared_sort(g, "bcast",
-                                                    (sender.role,), tuple(p.role for p, _ in receivers))
-                if declared_sort is not None and not sorts_match(s_actual, declared_sort):
-                    self._fail("SortMismatch", where,
-                               f"payload sort {s_actual} does not match protocol sort {declared_sort}")
-                    return False
-                new_vars = {(x, p.thread): declared_sort or (s_actual or "int")
-                            for p, x in receivers}
-                return self.check(gamma.with_var_sorts(new_vars), cont, {**delta, key: target})
-
-            case Reduce(senders, receiver, bind_var, _, _, key):
-                ok, g = self._session_head(where, delta, key)
-                if not ok:
-                    return False
-                if not self._owned(where, gamma, receiver.thread, key, receiver.role):
-                    return False
-                for p, _ in senders:
-                    if not self._owned(where, gamma, p.thread, key, p.role):
-                        return False
-                sorts = []
-                for p, e in senders:
-                    try:
-                        sorts.append(sort_of(e, p.thread, gamma))
-                    except SortError as exc:
-                        self._fail("SortMismatch", where, str(exc))
-                        return False
-                target = self._step(where, g, TLabel(
-                    "red", tuple(p.role for p, _ in senders), (receiver.role,), None))
-                if target is None:
-                    return False
-                declared_sort = self._declared_sort(g, "red",
-                                                    tuple(p.role for p, _ in senders), (receiver.role,))
-                if declared_sort is not None:
-                    for s_actual in sorts:
-                        if not sorts_match(s_actual, declared_sort):
-                            self._fail("SortMismatch", where,
-                                       f"contribution sort {s_actual} vs protocol sort {declared_sort}")
-                            return False
-                new_vars = {(bind_var, receiver.thread): declared_sort or "int"}
-                return self.check(gamma.with_var_sorts(new_vars), cont, {**delta, key: target})
-
-            case Select(sender, receivers, _, key, label):
-                ok, g = self._session_head(where, delta, key)
-                if not ok:
-                    return False
-                if not self._owned(where, gamma, sender.thread, key, sender.role):
-                    return False
-                for p in receivers:
-                    if not self._owned(where, gamma, p.thread, key, p.role):
-                        return False
-                target = self._step(where, g, TLabel(
-                    "sel", (sender.role,), tuple(p.role for p in receivers), None, label),
-                    missing_code="LabelNotOffered")
-                if target is None:
-                    return False
-                return self.check(gamma, cont, {**delta, key: target})
-        raise TypeError(f"not an interaction: {inter!r}")
-
-    def _session_head(self, where, delta, key):
+        principal, candidates, _, key = _comm_parts(inter)
         g = delta.get(key)
         if g is None:
             self._fail("SessionUntracked", where, f"session {key!r} has no protocol")
-            return False, None
-        return True, g
-
-    def _owned(self, where, gamma, thread, key, role) -> bool:
-        actual = gamma.ownerships.get((thread, key))
-        if actual != role:
-            self._fail("RoleNotOwned", where,
-                       f"{thread} does not own role {role} in session {key} (has {actual})")
             return False
-        return True
-
-    def _step(self, where, g, alpha, missing_code="ProtocolMismatch"):
+        for p in (principal, *candidates):
+            actual = gamma.ownerships.get((p.thread, key))
+            if actual != p.role:
+                self._fail("RoleNotOwned", where,
+                           f"{p.thread} does not own role {p.role} in session {key} (has {actual})")
+                return False
+        parts = inter_parts(inter)
         try:
-            return gtype_step(g, alpha)
-        except NoMatch:
-            self._fail(missing_code, where, f"protocol {g} does not offer {alpha}")
-            return None
+            sorts = [sort_of(e, at, gamma) for e, at in parts.exprs]
+        except SortError as exc:
+            self._fail("SortMismatch", where, str(exc))
+            return False
+        kind = _KINDS[type(inter)]
+        a_roles, b_roles = (principal.role,), tuple(p.role for p in candidates)
+        if kind == "red":
+            a_roles, b_roles = b_roles, a_roles
+        alpha = TLabel(kind, a_roles, b_roles, None, getattr(inter, "label", None))
+        lifted = _lift(g, alpha)
+        if lifted is None:
+            self._fail("LabelNotOffered" if kind == "sel" else "ProtocolMismatch", where,
+                       f"protocol {g} does not offer {alpha}")
+            return False
+        head, residual = lifted
+        # a selection evaluates and binds nothing, so only a bcast or reduce head's sort is read
+        for s_actual in sorts:
+            if not sorts_match(s_actual, head.sort):
+                self._fail("SortMismatch", where, _SORT_CLASH[kind].format(s_actual, head.sort))
+                return False
+        new_vars = {(x, at): head.sort for _, x, at in parts.binds}
+        return self.check(gamma.with_var_sorts(new_vars), cont, {**delta, key: residual})
 
-    def _declared_sort(self, g: GlobalType, kind: str, a_roles, b_roles) -> Optional[Sort]:
-        for variant in tswap_closure(g):
-            match variant, kind:
-                case BcastT(sender, receivers, sort, _), "bcast":
-                    if (sender,) == a_roles and frozenset(receivers) == frozenset(b_roles):
-                        return sort
-                case RedT(senders, receiver, sort, _), "red":
-                    if frozenset(senders) == frozenset(a_roles) and (receiver,) == b_roles:
-                        return sort
-        return None
+
+_KINDS = {Bcast: "bcast", Reduce: "red", Select: "sel"}
+_SORT_CLASH = {"bcast": "payload sort {} does not match protocol sort {}",
+               "red": "contribution sort {} vs protocol sort {}"}
 
 
 def check_session_only(gamma: GammaEnv, c: Choreography, delta: DeltaEnv | None = None) -> Report:

@@ -39,6 +39,7 @@ from .epq import (
     WaitOut,
     canon_table,
     map_cont,
+    proc_canon,
     proc_conts,
     proc_free_names,
     rename_key,
@@ -441,9 +442,10 @@ def _merge_networks(pc: Network, qc: Network) -> Optional[Network]:
 
 
 def _merge_bucket(pcomps, qcomps, limit: int = 720):
-    """Pair same-key components across the networks by mergeability; None
-    when no pairing merges, and :class:`PruningInconclusive` when ``limit``
-    pairings were tried and more remain."""
+    """Pair same-key components across the networks so that each of
+    ``pcomps`` merges into its partner without changing it, up to bound
+    names; None when no pairing does, and :class:`PruningInconclusive` when
+    ``limit`` pairings were tried and more remain."""
     if not pcomps:
         return list(qcomps)
     perms = itertools.permutations(range(len(qcomps)), len(pcomps))
@@ -451,13 +453,15 @@ def _merge_bucket(pcomps, qcomps, limit: int = 720):
         if tried >= limit:
             raise PruningInconclusive(f"pairing components ran out after {limit} assignments")
         try:
-            out = list(qcomps)
-            for pi, qi in enumerate(assignment):
-                out[qi] = replace(qcomps[qi],
-                                  proc=merge(pcomps[pi].proc, qcomps[qi].proc))
-            return out
+            merged = [merge(pcomps[pi].proc, qcomps[qi].proc) for pi, qi in enumerate(assignment)]
         except NotMergeable:
             continue
+        if all(m == qcomps[qi].proc or proc_canon(m) == proc_canon(qcomps[qi].proc)
+               for m, qi in zip(merged, assignment)):
+            out = list(qcomps)
+            for m, qi in zip(merged, assignment):
+                out[qi] = replace(qcomps[qi], proc=m)
+            return out
     return None
 
 

@@ -125,3 +125,16 @@ def chained_starts():
     bc2 = Bcast(sender=athr("w", "B", {"W0"}, {"W1"}), expr=Lit(7),
                 receivers=((athr("p", "A", {"P2"}, {"P3"}), "y"),), quality=Q_ALL, key="k2")
     return seq(i1, bc1, i2, bc2)
+
+
+def disjoint_bcasts(n, performed):
+    """Source text of a typed program whose protocol is ``n`` role-disjoint
+    broadcasts ``A->(B)``, ``C->(D)``, ... in that order, and whose body
+    performs the broadcasts numbered in ``performed``, in that order."""
+    pairs = [(chr(65 + 2 * i), chr(66 + 2 * i)) for i in range(n)]
+    protocol = "".join(f"bcast {a}->({b})<int> . " for a, b in pairs) + "end"
+    parts = [f"{r.lower()}[{r}]" for pair in pairs for r in pair]
+    steps = "".join(f"  bcast k [all] {pairs[i][0].lower()}[{pairs[i][0]}].{i} -> "
+                    f"({pairs[i][1].lower()}[{pairs[i][1]}]: x{i});\n" for i in performed)
+    return (f"service s : {protocol};\n\nchoreography {{\n"
+            f"  start k (s) ({', '.join(parts[:-1])}) -> ({parts[-1]});\n{steps}  end\n}}\n")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from chorfixtures import disjoint_bcasts
 from gcq import correspond
 from gcq.cli import main
 from gcq.parser import parse
@@ -156,17 +157,25 @@ class TestRuns:
         assert lines[-1]["verdict"] == "Completed"
         assert [l["kind"] for l in lines[:-1]] == ["init", "select", "reduce"]
 
-    def test_run_global_independent_of_hash_seed(self):
-        # labels carry frozensets, whose repr order follows the hash seed
-        outs = set()
-        for seed in ("0", "1"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "gcq.cli", "run-global", str(GOLDEN / "sensors_23.gcq"),
-                 "--seed", "7"],
-                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
-            assert proc.returncode == 0, proc.stderr
-            outs.add(proc.stdout)
-        assert len(outs) == 1
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        residue = tmp_path / "residue.gcq"
+        residue.write_text(disjoint_bcasts(3, [0]))
+        for command, code, expected in [
+                # labels carry frozensets, whose repr order follows the hash seed
+                (["run-global", str(GOLDEN / "sensors_23.gcq"), "--seed", "7"], 0,
+                 '{"verdict": "Completed"}'),
+                # the protocol left unfinished keeps its source order
+                (["check", "--json", str(residue)], 1,
+                 "unfinished sessions: k: bcast C->(D)<int>.bcast E->(F)<int>.end")]:
+            outs = set()
+            for seed in ("0", "1", "2", "3"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gcq.cli", *command],
+                    capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+                assert proc.returncode == code, proc.stderr
+                outs.add(proc.stdout)
+            assert len(outs) == 1, command
+            assert expected in outs.pop()
 
     def test_run_net_from_gcq(self, capsys):
         code, out, _ = run_cli("run-net", str(GOLDEN / "sensors_all.gcq"),

@@ -1,8 +1,12 @@
 """Session types: transitions, swap closure, the judgment, label typing."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from chorfixtures import sensors, typed_example
+from chorfixtures import disjoint_bcasts, sensors, typed_example
+from gtype_closure import closure_steps, declared_sort, tswap_closure
 from gcq.gtypes import (
     BcastT,
     BranchT,
@@ -22,10 +26,11 @@ from gcq.gtypes import (
     gtype_step,
     infer_gamma,
     infer_protocol,
-    tswap_closure,
     type_label,
+    _lift,
 )
 from gcq.captypes import check_capabilities
+from gcq.parser import parse
 from gcq.semantics import Configuration, run, step
 from gcq.syntax import (
     GInitL,
@@ -79,6 +84,7 @@ class TestTypeTransitions:
         assert stepped == BcastT("A", ("B",), "int", END_T)
         swapped = RedT(("C",), "D", "int", BcastT("A", ("B",), "int", END_T))
         assert swapped in tswap_closure(g)
+        assert [r for _, r in closure_steps(g, TLabel("red", ("C",), ("D",), "int"))] == [stepped]
 
     def test_overlapping_prefixes_do_not_commute(self):
         g = BcastT("A", ("B",), "int", RedT(("B",), "A", "int", END_T))
@@ -93,6 +99,130 @@ class TestTypeTransitions:
         g = SENSOR_G
         stepped = gtype_step(g, TLabel("bcast", ("M",), ("S1", "S2", "S3"), "date"))
         assert gtype_roles(stepped) <= gtype_roles(g)
+
+    def test_prefix_passes_a_branching(self):
+        g = BcastT("A", ("B",), "int",
+                   branch_t("C", ("D",), {"x": END_T, "y": RedT(("D",), "C", "int", END_T)}))
+        assert gtype_step(g, TLabel("sel", ("C",), ("D",), None, "y")) \
+            == BcastT("A", ("B",), "int", RedT(("D",), "C", "int", END_T))
+
+    def test_branching_passes_a_branching(self):
+        def inner(u, v):
+            return branch_t("C", ("D",), {"u": u, "v": v})
+        g = branch_t("A", ("B",), {"x": inner(END_T, BcastT("A", ("B",), "int", END_T)),
+                                   "y": inner(END_T, BcastT("B", ("A",), "date", END_T))})
+        assert gtype_step(g, TLabel("sel", ("C",), ("D",), None, "v")) \
+            == branch_t("A", ("B",), {"x": BcastT("A", ("B",), "int", END_T),
+                                      "y": BcastT("B", ("A",), "date", END_T)})
+
+    def test_uniform_arms_hoist(self):
+        tail = RedT(("B",), "A", "int", END_T)
+        g = branch_t("A", ("B",), {"x": BcastT("C", ("D",), "int", END_T),
+                                   "y": BcastT("C", ("D",), "int", tail)})
+        alpha = TLabel("bcast", ("C",), ("D",), None)
+        assert gtype_step(g, alpha) == branch_t("A", ("B",), {"x": END_T, "y": tail})
+        assert _lift(g, alpha)[0].sort == "int"
+
+    @pytest.mark.parametrize("sort", [None, "int", "date"])
+    def test_arms_of_different_sorts_do_not_hoist(self, sort):
+        g = branch_t("A", ("B",), {"x": BcastT("C", ("D",), "int", END_T),
+                                   "y": BcastT("C", ("D",), "date", END_T)})
+        with pytest.raises(NoMatch):
+            gtype_step(g, TLabel("bcast", ("C",), ("D",), sort))
+
+
+ROLES = ("A", "B", "C", "D")
+
+
+def _random_head(rng):
+    """A bcast or reduce (with an ``END_T`` continuation) or a branching
+    head (a label set) over two or three of four roles, most often over
+    {A, B} or {C, D}, so that heads are often disjoint."""
+    if rng.random() < 0.7:
+        roles = rng.sample(rng.choice((ROLES[:2], ROLES[2:])), 2)
+    else:
+        roles = rng.sample(ROLES, rng.choice((2, 3)))
+    match rng.choice(("bcast", "red", "sel")):
+        case "bcast":
+            return BcastT(roles[0], tuple(roles[1:]), rng.choice(("int", "date")), END_T)
+        case "red":
+            return RedT(tuple(roles[:-1]), roles[-1], rng.choice(("int", "date")), END_T)
+    labels = rng.choice((("x",), ("y",), ("x", "y")))
+    return BranchT(roles[0], tuple(roles[1:]), tuple((l, END_T) for l in labels))
+
+
+def _random_gtype(rng, size):
+    """A type of at most ``size`` constructors.  One in three branchings
+    gives all its arms one head (its sort redrawn one time in five), which
+    is what the swaps that pass a branching need."""
+    if size <= 0 or rng.random() < 0.15:
+        return END_T
+    head = _random_head(rng)
+    if isinstance(head, (BcastT, RedT)):
+        return replace(head, cont=_random_gtype(rng, size - 1))
+    arms = head.branches
+    share = (size - 1) // len(arms)
+    if len(arms) > 1 and rng.random() < 1 / 3:
+        inner = _random_head(rng)
+        size_in = max(0, share - 1)
+
+        def arm():
+            if isinstance(inner, BranchT):
+                share_in = size_in // len(inner.branches)
+                return replace(inner, branches=tuple((l, _random_gtype(rng, share_in))
+                                                     for l, _ in inner.branches))
+            sort = rng.choice(("int", "date")) if rng.random() < 0.2 else inner.sort
+            return replace(inner, sort=sort, cont=_random_gtype(rng, size_in))
+        return replace(head, branches=tuple((l, arm()) for l, _ in arms))
+    return replace(head, branches=tuple((l, _random_gtype(rng, share)) for l, _ in arms))
+
+
+def _random_label(rng, g):
+    """A label of one of ``g``'s constructors below its head (now and then
+    of one drawn at random), with a sort and a branch label drawn at random."""
+    heads = [t for t in _subtypes(g) if t != END_T] if rng.random() < 0.9 else []
+    heads = heads[1:] or heads
+    h = rng.choice(heads) if heads else _random_head(rng)
+    sort = rng.choice((None, None, "int", "date"))
+    match h:
+        case BcastT(sender, receivers, _, _):
+            return TLabel("bcast", (sender,), tuple(rng.sample(receivers, len(receivers))), sort)
+        case RedT(senders, receiver, _, _):
+            return TLabel("red", tuple(rng.sample(senders, len(senders))), (receiver,), sort)
+    return TLabel("sel", (h.sender,), h.receivers, None, rng.choice(("x", "y")))
+
+
+def _subtypes(g):
+    yield g
+    match g:
+        case BcastT() | RedT():
+            yield from _subtypes(g.cont)
+        case BranchT():
+            for _, gi in g.branches:
+                yield from _subtypes(gi)
+
+
+class TestAgainstTheClosure:
+    """``gtype_step`` lifts the step to the head; the closure of swap
+    variants (``tests/gtype_closure.py``) is the specification."""
+
+    def test_random_types_and_labels(self):
+        rng = random.Random(15)
+        taken = 0
+        for _ in range(3000):
+            g = _random_gtype(rng, rng.randint(1, 6))
+            alpha = _random_label(rng, g)
+            steps = closure_steps(g, alpha)
+            lifted = _lift(g, alpha)
+            assert (lifted is not None) == bool(steps), (g, alpha)
+            if not steps:
+                continue
+            taken += 1
+            assert gtype_step(g, alpha) in tswap_closure(steps[0][1]), (g, alpha)
+            if alpha.kind != "sel":
+                any_sort = replace(alpha, sort=None)
+                assert _lift(g, any_sort)[0].sort == declared_sort(g, any_sort), (g, alpha)
+        assert taken >= 300
 
 
 class TestSessionJudgment:
@@ -128,6 +258,11 @@ class TestSessionJudgment:
     def test_undeclared_service_rejected(self):
         report = check_session(GammaEnv(), [], typed_example())
         assert any(f.code == "ServiceNotDeclared" for f in report.failures)
+
+    def test_disjoint_steps_in_reverse_order_accepted(self):
+        prog = parse(disjoint_bcasts(9, reversed(range(9))))
+        report = check_session_only(GammaEnv(prog.services), prog.chor)
+        assert report.ok, report.failures
 
     def test_label_not_offered(self):
         gamma = GammaEnv({"temperature": ServiceBinding(

@@ -363,6 +363,34 @@ def _arms(i: int, first=None) -> Component:
         (label, OutP("k", "B", "A", Lit(v), INACT)) for label, v in arms)))
 
 
+def _labels(*labels: str) -> Component:
+    """A branching offering ``labels``, each ending at once: two such
+    components merge into one offering both label sets."""
+    return Component(Branch("k", "B", "A", tuple((l, INACT) for l in labels)))
+
+
+class TestMergePairing:
+    """Each of ``p``'s components must merge into its partner in ``q``
+    without changing it, so the answer does not follow the order in which
+    the canonical sort puts ``q``'s components."""
+
+    @pytest.mark.parametrize("q_labels", [(("x",), ("a", "y")), (("x", "z"), ("y",))])
+    def test_answer_ignores_component_order(self, q_labels):
+        p = Network((_labels("x"), _labels("y")), (Queue("k"),))
+        q = Network(tuple(_labels(*ls) for ls in q_labels), (Queue("k"),))
+        assert prunes(p, q)
+
+    def test_merge_is_compared_up_to_bound_names(self):
+        """``q``'s arm ``a`` binds first, so its arm ``x`` names its variable
+        apart from ``p``'s; the merge keeps ``p``'s name, and still leaves
+        ``q``'s component as it was."""
+        def branch(*labels):
+            arms = tuple((l, InP("k", "B", "A", "v", INACT)) for l in labels)
+            return Network((Component(Branch("k", "B", "A", arms)),), (Queue("k"),))
+
+        assert prunes(branch("x"), branch("a", "x"))
+
+
 class TestMergeBudget:
     """Pairing same-key components tries at most 720 assignments; running
     out of them is inconclusive, not a failed merge."""
