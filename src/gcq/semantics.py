@@ -7,6 +7,8 @@ are held in the store; chosen receivers see the payload, absent ones have
 their variables bound to ``none``.  Interactions may fire out of syntactic
 order through the swap congruence, but only reorderings of
 thread-disjoint interactions are admitted (no general asynchrony rule).
+A step takes each head that the swap rules can bring to the front, lifted
+there by one pass over the term; the congruence class is never listed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .schedule import ALWAYS, AvailabilityOracle
@@ -40,7 +43,6 @@ from .syntax import (
     Stuck,
     alpha_canonical,
     apply_op,
-    chor_conts,
     eval_expr,
     exchange,
     free_names,
@@ -48,7 +50,6 @@ from .syntax import (
     glabel_to_json,
     interaction_threads,
     label_first_sorted,
-    map_chor,
     quality_subsets,
     rename_free,
     state_update,
@@ -111,69 +112,34 @@ def _occurrence_order(c: Choreography) -> dict[str, int]:
 # Swap congruence
 
 
-def _swap_here(c: Choreography) -> list[Choreography]:
-    out = []
-    match c:
-        case Seq(eta, Seq(eta2, rest)):
-            if interaction_threads(eta).isdisjoint(interaction_threads(eta2)):
-                out.append(Seq(eta2, Seq(eta, rest)))
-        case _:
-            pass
-    match c:
-        case Seq(eta, If(guard, at, c1, c2)):
-            if at not in interaction_threads(eta):
-                out.append(If(guard, at, Seq(eta, c1), Seq(eta, c2)))
-        case If(guard, at, Seq(eta1, c1), Seq(eta2, c2)) if eta1 == eta2:
-            if at not in interaction_threads(eta1):
-                out.append(Seq(eta1, If(guard, at, c1, c2)))
-        case _:
-            pass
-    match c:
-        case If(g1, p, If(g2, r, c1, c2), If(g3, r2, c3, c4)) if g2 == g3 and r == r2 and p != r:
-            out.append(If(g2, r, If(g1, p, c1, c3), If(g1, p, c2, c4)))
-        case _:
-            pass
-    return out
+def _lifts(c: Choreography) -> list[Choreography]:
+    """``c`` and, for each other head that swaps bring to its front, one
+    term with that head first.
 
-
-def _swap_variants(c: Choreography) -> list[Choreography]:
-    """One swap-rule application anywhere inside the term."""
-    out = list(_swap_here(c))
-    conts = chor_conts(c)
-    for i, k in enumerate(conts):
-        for v in _swap_variants(k):
-            replaced = iter(conts[:i] + (v,) + conts[i + 1:])
-            out.append(map_chor(c, lambda _: next(replaced)))
-    return out
-
-
-def swap_closure(c: Choreography, bound: Optional[int] = None,
-                 canon: Optional[Choreography] = None) -> list[Choreography]:
-    """All terms reachable by swap rules plus structural congruence.
-
-    Terms are finite and small, so the closure is explored exhaustively by
-    default; ``bound`` caps the number of representatives if needed.
-    ``canon`` is ``chor_canon(c)`` when the caller already has it.
+    A head passes a thread-disjoint interaction (into both arms of it, if
+    the head is a conditional whose deciding thread the interaction does
+    not involve).  A head that both arms of a conditional lift (the same
+    interaction, not involving the deciding thread, or a conditional on the
+    same guard and thread, decided by another thread) is hoisted out of it.
     """
-    seen = {chor_canon(c) if canon is None else canon: c}
-    frontier = [c]
-    while frontier:
-        nxt = []
-        for term in frontier:
-            for v in _swap_variants(term):
-                key = chor_canon(v)
-                if key not in seen:
-                    seen[key] = v
-                    nxt.append(v)
-                    if bound is not None and len(seen) >= bound:
-                        return list(seen.values())
-        frontier = nxt
-    return list(seen.values())
-
-
-def swap_equal(c1: Choreography, c2: Choreography) -> bool:
-    target = chor_canon(c2)
-    return any(chor_canon(v) == target for v in swap_closure(c1))
+    out = [c]
+    match c:
+        case Seq(eta, cont):
+            threads = interaction_threads(eta)
+            for lifted in _lifts(cont):
+                match lifted:
+                    case Seq(eta2, rest) if threads.isdisjoint(interaction_threads(eta2)):
+                        out.append(Seq(eta2, Seq(eta, rest)))
+                    case If(guard, at, c1, c2) if at not in threads:
+                        out.append(If(guard, at, Seq(eta, c1), Seq(eta, c2)))
+        case If(guard, at, then, orelse):
+            for l1, l2 in product(_lifts(then), _lifts(orelse)):
+                match l1, l2:
+                    case Seq(eta, c1), Seq(eta2, c2) if eta == eta2 and at not in interaction_threads(eta):
+                        out.append(Seq(eta, If(guard, at, c1, c2)))
+                    case If(g, r, c1, c2), If(g2, r2, c3, c4) if (g, r) == (g2, r2) and r != at:
+                        out.append(If(g, r, If(guard, at, c1, c3), If(guard, at, c2, c4)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +307,13 @@ def enabled(conf: Configuration) -> list[tuple[GLabel, Configuration]]:
     """Every transition derivable for the configuration, deterministically ordered.
 
     The enumeration is closed under structural and swap congruence: any
-    interaction that some congruent reordering brings to the head may fire.
+    head that swaps bring to the front (:func:`_lifts`) may fire.  Each label
+    has one successor per swap class of the terms it leads to.
     """
     seen = {}
-    for variant in swap_closure(conf.chor, canon=conf.canon_key()[1]):
-        vbinders, vcore = split_prenex(variant)
-        for label, succ in _head_transitions(conf.sigma, vcore, vbinders, conf.used):
+    binders, core = split_prenex(conf.chor)
+    for lifted in _lifts(core):
+        for label, succ in _head_transitions(conf.sigma, lifted, binders, conf.used):
             seen.setdefault((label, succ.canon_key()), (label, succ))
     return [seen[key] for key in label_first_sorted(seen)]
 

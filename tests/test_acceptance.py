@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from chor_closure import swap_closure
 from chorfixtures import sensors, sensors_partial, linearity_race, typed_example
 from gcq.captypes import check_capabilities, state_satisfies
 from gcq.correspond import availability_check, cosimulate, drop_receiver, swap_select_label
@@ -21,7 +22,7 @@ from gcq.linlog import formula_size, own, prove, replay, Tensor
 from gcq.parser import parse, pretty_print_program, SourceProgram
 from gcq.projection import check_linearity, epp
 from gcq.schedule import ScriptOracle, TolerantFailure
-from gcq.semantics import ALWAYS, Configuration, enabled, enabled_under, step, swap_closure
+from gcq.semantics import ALWAYS, Configuration, enabled, enabled_under, step
 from gcq.syntax import CapState, GSelectL, Q_ALL, Q_ANY, SomeV, free_names, q_ratio
 from metahelpers import advance, adversarial_oracles, assert_preserved, initial_state
 from oracle_mall import brute_provable

@@ -8,12 +8,13 @@ import random
 
 import pytest
 
+from chor_closure import swap_closure
 from chorfixtures import sensors
 from gcq.captypes import check_capabilities, state_satisfies
 from gcq.genchor import GenConfig, corpus
 from gcq.linlog import Own, own
 from gcq.projection import epp
-from gcq.semantics import Configuration, enabled, enabled_under, swap_closure, split_prenex
+from gcq.semantics import Configuration, enabled, enabled_under, split_prenex
 from gcq.syntax import (
     Bcast,
     Choreography,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from chor_closure import swap_closure
 from chorfixtures import chained_starts, sensors, sensors_partial, linearity_race, typed_example
 from gcq.epq import (
     AcceptOnce,
@@ -41,7 +42,7 @@ from gcq.projection import (
     service_merge,
 )
 from gcq.correspond import fire_labels
-from gcq.semantics import Configuration, enabled, swap_closure
+from gcq.semantics import Configuration, enabled
 from gcq.syntax import (
     Bcast,
     END,

@@ -4,17 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chorfixtures import sensors, sensors_partial
+from chor_closure import closure_enabled, covers, swap_closure, swap_equal
+from chorfixtures import disjoint_bcasts, sensors, sensors_partial
+from gcq.correspond import cosimulate
+from gcq.genchor import GenConfig, corpus, interleaved_corpus
+from gcq.parser import parse
 from gcq.schedule import BernoulliOracle, ScriptOracle, SingleFailure, TolerantFailure
 from gcq.semantics import (
     ALWAYS,
     Configuration,
+    _lifts,
     enabled,
     enabled_under,
     run,
+    split_prenex,
     step,
-    swap_closure,
-    swap_equal,
 )
 from gcq.syntax import (
     CapState,
@@ -250,3 +254,83 @@ class TestSwap:
         base = sorted(map(repr, interactions_of(c)))
         for v in swap_closure(c):
             assert sorted(map(repr, interactions_of(v))) == base
+
+
+def _head(c):
+    """What a term fires first: its leading interaction, or its
+    conditional's guard and deciding thread."""
+    match c:
+        case Seq(eta, _):
+            return eta
+        case If(guard, at, _, _):
+            return guard, at
+    return None
+
+
+def _reachable(chor, cap=30):
+    confs = [Configuration.initial(chor)]
+    seen = {confs[0].canon_key()}
+    for conf in confs:
+        for _, succ in enabled(conf):
+            if len(confs) < cap and succ.canon_key() not in seen:
+                seen.add(succ.canon_key())
+                confs.append(succ)
+    return confs
+
+
+class TestLift:
+    """``enabled`` lifts each head that swaps bring to the front; the
+    enumerated closure (``chor_closure``) is the specification."""
+
+    def test_lifts_are_swap_equal_and_reach_every_head(self):
+        eta = bcast("a", ["b"], key="k1")
+        inner = If(Lit(False), "r", seq(bcast("r", ["s"])), END)
+        terms = [
+            seq(bcast("a", ["b"], key="k1"), bcast("c", ["d"], key="k2"), bcast("a", ["d"], key="k3")),
+            Seq(eta, If(Lit(True), "c", END, END)),
+            If(Lit(True), "c", Seq(eta, END), Seq(eta, seq(bcast("c", ["d"])))),
+            If(Lit(True), "p", inner, If(Lit(False), "r", END, seq(bcast("p", ["q"])))),
+            If(Lit(True), "p", inner, If(Lit(False), "p", END, END)),
+            If(Lit(True), "r", inner, If(Lit(False), "r", END, END)),  # one decider: no hoist
+            If(Lit(True), "a", Seq(eta, END), Seq(eta, END)),  # the decider is in eta: no hoist
+        ]
+        for c in terms:
+            lifts = _lifts(c)
+            assert all(swap_equal(c, lifted) for lifted in lifts)
+            heads = [_head(lifted) for lifted in lifts]
+            assert len(set(heads)) == len(heads)
+            assert set(heads) == {_head(v) for v in swap_closure(c)}
+
+    @pytest.mark.parametrize("programs", [
+        lambda: interleaved_corpus(24, seed=5),
+        lambda: corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5)),
+    ], ids=["interleaved", "seed23"])
+    def test_covers_the_closure_on_seeded_corpora(self, programs):
+        """On every configuration reachable from the programs (at most 30
+        each): the lifts reach the closure's heads, and ``enabled`` has the
+        closure's labels and a swap-equal successor for each of its own."""
+        checked = 0
+        for chor in programs():
+            for conf in _reachable(chor):
+                core = split_prenex(conf.chor)[1]
+                assert {_head(lifted) for lifted in _lifts(core)} \
+                    == {_head(split_prenex(v)[1]) for v in swap_closure(conf.chor)}
+                assert covers(enabled(conf), closure_enabled(conf))
+                checked += 1
+        assert checked > 300
+
+    def test_one_successor_per_swap_class(self):
+        """A start followed by three thread-disjoint broadcasts: the closure
+        fires the start once per order of the broadcasts, the lift once."""
+        conf = Configuration.initial(parse(disjoint_bcasts(3, range(3))).chor)
+        assert len(closure_enabled(conf)) == 6
+        steps = enabled(conf)
+        assert [type(label) for label, _ in steps] == [GInitL]
+        assert cosimulate(conf.chor).pairs_explored == 9
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_disjoint_broadcasts_explore_one_pair_per_subset(self, n):
+        """Each set of broadcasts already fired is one pair, plus the start."""
+        verdict = cosimulate(parse(disjoint_bcasts(n, range(n))).chor)
+        assert verdict.status == "Pass"
+        assert verdict.pairs_explored == 2 ** n + 1
