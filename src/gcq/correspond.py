@@ -151,8 +151,7 @@ def _keyless_start(lab: Start):
     return ("start*", tuple(sorted(lab.actives)), tuple(sorted(lab.services)), lab.svc)
 
 
-def fire_labels(net: Network, glabels: Iterable, already_fired=None,
-                oracle=ALWAYS) -> list[Network]:
+def fire_labels(net: Network, glabels: Iterable, already_fired=None) -> list[Network]:
     """Networks reached by firing exactly the endpoint groups of the labels.
 
     Fresh session names the network invents for initiations are aligned to
@@ -200,7 +199,7 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None,
         if state in expanded:
             return
         expanded.add(state)
-        options = net_enabled(current, oracle)
+        options = net_enabled(current)
         forced = next((step for step in options if listed[_sync_triple(step[0])] == 1
                        and remaining[step[0]] > 0), None)
         for lab, succ in options if forced is None else [forced]:
@@ -348,15 +347,10 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                     if target_key is not None and target_key != elabel.key:
                         adjusted_net1 = _rename_net_session(net1, elabel.key, target_key)
                         adjusted = replace(elabel, key=target_key)
-                want = Counter()
-                for g in seq:
-                    for lab in required_group(g):
-                        want[_start_key_agnostic(lab)] += 1
-                if want[_start_key_agnostic(adjusted)] > 0:
-                    target = _projection(conf2.chor)
-                    fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
+                fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
+                if fired:
                     try:
-                        if _first_pruning(target, fired, prune_depth) is not None:
+                        if _first_pruning(_projection(conf2.chor), fired, prune_depth) is not None:
                             return True
                     except PruningInconclusive as exc:
                         unsure = exc

@@ -54,7 +54,7 @@ from .syntax import (
     Role,
     SomeV,
     apply_op,
-    eval_expr,
+    eval_closed,
     eval_quality,
     fresh_name,
     label_first_sorted,
@@ -206,13 +206,6 @@ def _net_names(net: Network) -> frozenset[str]:
     return frozenset(out)
 
 
-def _eval(expr) -> Optional[OptValue]:
-    try:
-        return eval_expr(expr, {})
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: int = 0
                 ) -> list[tuple[ELabel, Network]]:
     """All transitions of the network, deterministically ordered.
@@ -297,7 +290,7 @@ def _emissions(net: Network) -> dict:
             case QOut(key, sender, receivers, quality, what, cont) | QSel(
                     key, sender, receivers, quality, what, cont):
                 queue = net.queue_for(key)
-                payload = LabelPayload(what) if isinstance(p, QSel) else _eval(what)
+                payload = LabelPayload(what) if isinstance(p, QSel) else eval_closed(what)
                 if queue is not None and payload is not None:
                     msg = OutMsg(sender, quality, tuple((r, False) for r in receivers), payload)
                     emit(EUp(), _step(net, i, WaitOut(key, sender, receivers, cont),
@@ -326,7 +319,7 @@ def _emissions(net: Network) -> dict:
                          (comp, key, msg, receiver))
             case OutP(key, sender, receiver, expr, cont):
                 for queue, idx, msg in _messages(net, key, InMsg, receiver, sender):
-                    w = _eval(expr)
+                    w = eval_closed(expr)
                     if w is None:
                         continue
                     delivered = replace(msg, contributors=tuple(
@@ -348,7 +341,7 @@ def _emissions(net: Network) -> dict:
                     if released is not None:
                         emit(*released)
             case IfP(expr, then, orelse):
-                w = _eval(expr)
+                w = eval_closed(expr)
                 if w is not None:
                     emit(ETau(), _step(net, i, then if w == SomeV(True) else orelse))
     return found

@@ -14,7 +14,7 @@ a network evolution no longer uses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .epq import (
@@ -45,7 +45,7 @@ from .epq import (
     rename_key,
     rename_var,
 )
-from .captypes import Failure, Report, describe_interaction, listed_twice
+from .captypes import Failure, Report, _comm_parts, describe_interaction, listed_twice
 from .netsem import net_enabled
 from .semantics import split_prenex
 from .syntax import (
@@ -54,7 +54,6 @@ from .syntax import (
     End,
     If,
     Init,
-    Interaction,
     New,
     Reduce,
     Select,
@@ -90,44 +89,36 @@ class Node:
     """Interaction node: an AST position abstracted to its participants."""
 
     index: int
-    kind: str  # "init" | "out" (one-to-many) | "in" (many-to-one)
-    principals: tuple[Thread, ...]  # init: actives; out: (sender,); in: senders
-    others: tuple[Thread, ...]      # init: services; out: receivers; in: (receiver,)
-    svc: Optional[str] = None
+    principals: tuple[Thread, ...]  # start: actives; communication: senders
+    others: tuple[Thread, ...]      # start: services; communication: receivers
+    svc: Optional[str] = None       # the service of a start; None for a communication
 
     def threads(self) -> frozenset[Thread]:
         return frozenset(self.principals) | frozenset(self.others)
 
 
 def _nodes_with_scope(c: Choreography, scope: tuple[int, ...] = (), counter=None) -> list[tuple[Node, tuple[int, ...]]]:
+    """Interaction nodes with their branch paths; node ``i`` is at position ``i``."""
     counter = counter if counter is not None else itertools.count()
-    out: list[tuple[Node, tuple[int, ...]]] = []
     match c:
         case End():
-            return out
+            return []
         case New(_, _, body):
             return _nodes_with_scope(body, scope, counter)
         case If(_, _, then, orelse):
-            out += _nodes_with_scope(then, scope + (0,), counter)
-            out += _nodes_with_scope(orelse, scope + (1,), counter)
-            return out
+            return (_nodes_with_scope(then, scope + (0,), counter)
+                    + _nodes_with_scope(orelse, scope + (1,), counter))
+        case Seq(Init(actives, services, svc, _), cont):
+            node = Node(next(counter), tuple(p.thread for p in actives),
+                        tuple(p.thread for p in services), svc)
+            return [(node, scope)] + _nodes_with_scope(cont, scope, counter)
         case Seq(inter, cont):
-            idx = next(counter)
-            match inter:
-                case Init(actives, services, svc, _):
-                    node = Node(idx, "init", tuple(p.thread for p in actives),
-                                tuple(p.thread for p in services), svc)
-                case Bcast(sender, _, receivers, _, _):
-                    node = Node(idx, "out", (sender.thread,),
-                                tuple(p.thread for p, _ in receivers))
-                case Select(sender, receivers, _, _, _):
-                    node = Node(idx, "out", (sender.thread,),
-                                tuple(p.thread for p in receivers))
-                case Reduce(senders, receiver, _, _, _, _):
-                    node = Node(idx, "in", tuple(p.thread for p, _ in senders),
-                                (receiver.thread,))
-            out.append((node, scope))
-            return out + _nodes_with_scope(cont, scope, counter)
+            principal, candidates, _, _ = _comm_parts(inter)
+            ends = (principal.thread,), tuple(p.thread for p in candidates)
+            # a reduce's principal is its receiver
+            senders, receivers = ends[::-1] if isinstance(inter, Reduce) else ends
+            node = Node(next(counter), senders, receivers)
+            return [(node, scope)] + _nodes_with_scope(cont, scope, counter)
     raise TypeError(f"not a choreography: {c!r}")
 
 
@@ -137,75 +128,42 @@ def _precedes(s1: tuple[int, ...], s2: tuple[int, ...]) -> bool:
     return s1[:shorter] == s2[:shorter]
 
 
-def _dependency(n1: Node, n2: Node) -> frozenset[Thread]:
-    """Threads p with an interaction dependency ``n1 <_p n2``."""
-    out = set()
-    if n1.kind == "init":
-        parts = n1.threads()
-        if n2.kind == "out" and n2.principals[0] in parts:
-            out.add(n2.principals[0])
-        if n2.kind == "in":
-            for p in n2.principals:
-                if p in parts:
-                    out.add(p)
-        if n2.kind == "init":
-            for p in n2.principals:
-                if p in parts:
-                    out.add(p)
-    if n1.kind == "in":
-        receiver = n1.others[0]
-        if receiver in n2.threads():
-            out.add(receiver)
-    if n1.kind == "out":
-        for p in n1.others:
-            if p in n2.threads():
-                out.add(p)
-    return frozenset(out)
-
-
 def check_linearity(c: Choreography) -> Report:
     """No races between session starts that share a service name.
 
     For every earlier start on the same service, each active thread of the
     later start must be reachable through a chain of interaction
-    dependencies rooted at the earlier start.
+    dependencies rooted at the earlier start.  A dependency ``n1 <_p n2``
+    passes from a start through its participants that are principals of
+    ``n2`` (the actives of a start, the senders of a communication), and
+    from a communication through its receivers that take part in ``n2``.
+    It runs forward in index order, so one pass over the nodes between the
+    two starts, on neither's other branch, collects the threads that the
+    reached nodes pass on.
     """
     _, core = split_prenex(c)
     nodes = _nodes_with_scope(core)
     failures: list[Failure] = []
-    inits = [(n, s) for n, s in nodes if n.kind == "init"]
+    inits = [(n, s) for n, s in nodes if n.svc is not None]
     for (n1, s1), (n2, s2) in itertools.combinations(inits, 2):
         if n1.svc != n2.svc or not _precedes(s1, s2):
             continue
+        by_start, by_comm = set(n1.threads()), set()
+        for m, sm in nodes[n1.index + 1:n2.index]:
+            if _precedes(s1, sm) and _precedes(sm, s2) and (
+                    by_start.intersection(m.principals) or by_comm.intersection(m.threads())):
+                if m.svc is None:
+                    by_comm.update(m.others)
+                else:
+                    by_start.update(m.threads())
         for target in n2.principals:
-            if not _chain_exists(nodes, n1, s1, n2, s2, target):
+            if target not in by_start and target not in by_comm:
                 failures.append(Failure(
                     "NotLinear",
                     f"start#{n1.index}({n1.svc}) then start#{n2.index}({n2.svc})",
                     f"active thread {target!r} of the later start has no dependency "
                     f"chain from the earlier one"))
     return Report(not failures, failures)
-
-
-def _chain_exists(nodes, n1, s1, n2, s2, target: Thread) -> bool:
-    """Search for ``n1 <_p ... <_target n2`` through intermediate nodes."""
-    between = [(m, sm) for m, sm in nodes
-               if n1.index <= m.index <= n2.index
-               and _precedes(s1, sm) and _precedes(sm, s2)]
-    reach = {n1.index}
-    changed = True
-    while changed:
-        changed = False
-        for (m1, _), (m2, _) in itertools.permutations(between, 2):
-            if m1.index in reach and m2.index not in reach and m1.index < m2.index:
-                deps = _dependency(m1, m2)
-                if m2.index == n2.index:
-                    if target in deps:
-                        return True
-                elif deps:
-                    reach.add(m2.index)
-                    changed = True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +351,9 @@ def epp(c: Choreography) -> Network:
 # Pruning
 
 
-def _strip_replicated(net: Network, keep: frozenset = frozenset()
-                      ) -> tuple[Network, tuple[Component, ...]]:
-    """Largest set of replicated components whose service is unused elsewhere.
+def _strip_replicated(net: Network, keep: frozenset = frozenset()) -> Network:
+    """``net`` without the largest set of replicated components whose
+    service is unused elsewhere.
 
     ``keep`` lists (service, role) groups the pruned side still carries; the
     split may leave any replicated process in place, so those stay.
@@ -404,20 +362,19 @@ def _strip_replicated(net: Network, keep: frozenset = frozenset()
                 if c.is_replicated() and (c.service or (c.proc.svc, c.proc.role)) not in keep]
     while True:
         kept = [c for c in net.components if c not in stripped]
-        base = Network(tuple(kept), net.queues, net.restricted)
         names = frozenset().union(*(proc_free_names(c.proc) for c in kept)) if kept else frozenset()
         back = [c for c in stripped if c.proc.svc in names]
         if not back:
-            return base, tuple(stripped)
+            return Network(tuple(kept), net.queues, net.restricted)
         stripped = [c for c in stripped if c not in back]
 
 
-def _merge_networks(pc: Network, qc: Network) -> Optional[Network]:
-    """Component-wise merge of two canonical networks; None when undefined.
-    Raises :class:`PruningInconclusive` when pairing a bucket's components
-    ran out of its budget."""
+def _merges_into(pc: Network, qc: Network) -> bool:
+    """Whether ``pc`` has ``qc``'s queues and restricted names and each of its
+    components pairs with a same-key one of ``qc`` (:func:`_merge_bucket`);
+    raises :class:`PruningInconclusive` when a bucket ran out of its budget."""
     if pc.restricted != qc.restricted or pc.queues != qc.queues:
-        return None
+        return False
 
     def keyed(net: Network):
         out: dict = {}
@@ -427,27 +384,18 @@ def _merge_networks(pc: Network, qc: Network) -> Optional[Network]:
         return out
 
     pk, qk = keyed(pc), keyed(qc)
-    merged = []
     for k, qcomps in qk.items():
         pcomps = pk.pop(k, [])
-        if len(pcomps) > len(qcomps):
-            return None
-        bucket = _merge_bucket(pcomps, qcomps)
-        if bucket is None:
-            return None
-        merged.extend(bucket)
-    if pk:
-        return None  # the left network has components the right cannot absorb
-    return Network(tuple(merged), qc.queues, qc.restricted)
+        if len(pcomps) > len(qcomps) or not _merge_bucket(pcomps, qcomps):
+            return False
+    return not pk  # else the left network has components the right cannot absorb
 
 
-def _merge_bucket(pcomps, qcomps, limit: int = 720):
-    """Pair same-key components across the networks so that each of
+def _merge_bucket(pcomps, qcomps, limit: int = 720) -> bool:
+    """Whether same-key components pair across the networks so that each of
     ``pcomps`` merges into its partner without changing it, up to bound
-    names; None when no pairing does, and :class:`PruningInconclusive` when
-    ``limit`` pairings were tried and more remain."""
-    if not pcomps:
-        return list(qcomps)
+    names; raises :class:`PruningInconclusive` when ``limit`` pairings were
+    tried and more remain."""
     perms = itertools.permutations(range(len(qcomps)), len(pcomps))
     for tried, assignment in enumerate(perms):
         if tried >= limit:
@@ -458,22 +406,22 @@ def _merge_bucket(pcomps, qcomps, limit: int = 720):
             continue
         if all(m == qcomps[qi].proc or proc_canon(m) == proc_canon(qcomps[qi].proc)
                for m, qi in zip(merged, assignment)):
-            out = list(qcomps)
-            for m, qi in zip(merged, assignment):
-                out[qi] = replace(qcomps[qi], proc=m)
-            return out
-    return None
+            return True
+    return False
 
 
 def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
     """Decide whether ``q`` is ``p`` plus unused replicated services.
 
-    The simulation clause is checked by bounded co-exploration; running out
-    of depth, or of the budget for pairing components, raises
-    :class:`PruningInconclusive` rather than answering.  Once ``q``'s unused
-    services are stripped, a network equal to ``p`` is answered at once.
-    The running verdict keeps each top-level answer, which is final; ``_memo``
-    holds one call's provisional coinductive True entries, so it is not shared.
+    Once ``q``'s unused services are stripped, each of ``p``'s components
+    must merge, unchanged up to bound names, into a distinct one of the rest
+    with its owner or service (the merged network would be the rest again,
+    so it is not built), and a rest equal to ``p`` is answered at once.  The
+    simulation clause is checked by bounded co-exploration; running out of
+    depth, or of the budget for pairing components, raises
+    :class:`PruningInconclusive` rather than answering.  The running
+    verdict keeps each top-level answer, which is final; ``_memo`` holds one
+    call's provisional coinductive True entries, so it is not shared.
     """
     table = canon_table()
     pc, qc = table.canon(p), table.canon(q)
@@ -496,10 +444,8 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
         return _memo[key]
     p_groups = frozenset((c.service or (c.proc.svc, c.proc.role))
                          for c in pc.components if c.is_replicated())
-    q0, stripped = _strip_replicated(qc, keep=p_groups)
-    q0c = table.canon(q0)
-    merged = _merge_networks(pc, q0c)
-    if merged is None or table.canon(merged) != q0c:
+    q0 = _strip_replicated(qc, keep=p_groups)
+    if not _merges_into(pc, table.canon(q0)):
         _memo[key] = False
         return False
     if depth <= 0:

@@ -43,7 +43,7 @@ from .syntax import (
     Stuck,
     alpha_canonical,
     apply_op,
-    eval_expr,
+    eval_closed,
     exchange,
     free_names,
     fresh_name,
@@ -176,20 +176,13 @@ class Configuration:
         return key
 
 
-def _eval_closed(expr, thread):
-    try:
-        return eval_expr(expr, {})
-    except (KeyError, TypeError, ValueError):
-        return None  # open or ill-sorted expression: no evaluation premise holds
-
-
 def _head_transitions(sigma: CapState, core: Choreography, binders, used) -> list[tuple[GLabel, Configuration]]:
     out: list[tuple[GLabel, Configuration]] = []
     match core:
         case Seq(inter, cont):
             out.extend(_fire_interaction(sigma, inter, cont, binders, used))
         case If(guard, at, then, orelse):
-            w = _eval_closed(guard, at)
+            w = eval_closed(guard)
             if w is not None:
                 branch = then if w == SomeV(True) else orelse
                 conf = Configuration(sigma, wrap_prenex(binders, branch), used)
@@ -228,7 +221,7 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
         case Bcast(sender, expr, receivers, quality, key):
             if not sender.req <= sigma.caps(sender.thread, key):
                 return out
-            w = _eval_closed(expr, sender.thread)
+            w = eval_closed(expr)
             if w is None:
                 return out
             cand = tuple(p for p, _ in receivers)
@@ -262,7 +255,7 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
             for chosen in _capable_subsets(sigma, quality, cand, key):
                 contribs = []
                 for t in sorted(chosen):
-                    w = _eval_closed(exprs[t], t)
+                    w = eval_closed(exprs[t])
                     if w is None:
                         break
                     contribs.append((t, w))

@@ -302,6 +302,15 @@ def eval_expr(e: Expr, env: Mapping[VarName, OptValue] | None = None) -> OptValu
     raise TypeError(f"not an expression: {e!r}")
 
 
+def eval_closed(e: Expr) -> Optional[OptValue]:
+    """``eval_expr`` of ``e`` with no variables bound, or None when ``e`` is
+    open or ill-sorted: no evaluation premise holds."""
+    try:
+        return eval_expr(e, {})
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def apply_op(op: str, contributions: Iterable[OptValue]) -> OptValue:
     """Aggregate a multiset of optional values.
 

@@ -3,18 +3,24 @@
 ``sensors`` is the temperature-measurement protocol: three sensors and a
 monitor start a session, the monitor collectively selects ``measure``, and
 the sensors reduce their readings back with ``avg``.  ``sensors_partial`` is its
-blocking variant whose reduce only involves two of the three sensors.
+blocking variant whose reduce only involves two of the three sensors.  The
+seeded families at the end are random inputs for one analysis each.
 """
 
+import random
+
 from gcq.syntax import (
+    END,
     Bcast,
     Date,
+    If,
     Init,
     Lit,
     Q_ALL,
     Q_ANY,
     Reduce,
     Select,
+    Seq,
     athr,
     seq,
 )
@@ -138,3 +144,76 @@ def disjoint_bcasts(n, performed):
                     f"({pairs[i][1].lower()}[{pairs[i][1]}]: x{i});\n" for i in performed)
     return (f"service s : {protocol};\n\nchoreography {{\n"
             f"  start k (s) ({', '.join(parts[:-1])}) -> ({parts[-1]});\n{steps}  end\n}}\n")
+
+
+def hoisting_family(count, seed):
+    """Seeded conditionals whose two arms begin alike, so the swap rules
+    may hoist a head out of them: the same broadcast, whose threads
+    sometimes include the deciding thread, or two conditionals on one guard
+    and thread, which is sometimes the outer deciding thread.  About half
+    follow a broadcast, past which the conditional may move."""
+    rng = random.Random(seed)
+    threads = "abcd"
+
+    def bcast():
+        sender, receiver = rng.sample(threads, 2)
+        return Bcast(athr(sender, sender.upper()), Lit(1),
+                     ((athr(receiver, receiver.upper()), "x"),), Q_ALL, "k")
+
+    def tail():
+        return rng.choice([END, seq(bcast())])
+
+    def guard():
+        return Lit(rng.random() < 0.5)
+
+    out = []
+    for _ in range(count):
+        at = rng.choice(threads)
+        if rng.random() < 0.5:
+            eta = bcast()
+            c = If(guard(), at, Seq(eta, tail()), Seq(eta, tail()))
+        else:
+            g, r = guard(), rng.choice(threads)
+            c = If(guard(), at, If(g, r, tail(), tail()), If(g, r, tail(), tail()))
+        out.append(Seq(bcast(), c) if rng.random() < 0.5 else c)
+    return out
+
+
+def racy_family(count, seed):
+    """Seeded programs of two to four session starts, the first two drawn
+    on service ``a`` and the others on ``a`` or ``b``, shuffled among up to
+    four communications over five threads; now and then the rest of a
+    program becomes a conditional's first arm and part of it, reshuffled,
+    the second.  Some starts race and some are chained."""
+    rng = random.Random(seed)
+    threads = "pqrst"
+    pool = [athr(t, t.upper()) for t in threads]
+
+    def start(i, svc):
+        *actives, service = rng.sample(pool, rng.randint(2, 3))
+        return Init(tuple(actives), (service,), svc, f"k{i}")
+
+    def comm():
+        principal, *others = rng.sample(pool, rng.randint(2, 3))
+        match rng.randrange(3):
+            case 0:
+                return Bcast(principal, Lit(1), tuple((p, "x") for p in others), Q_ALL, "k0")
+            case 1:
+                return Select(principal, tuple(others), Q_ALL, "k0", "l")
+        return Reduce(tuple((p, Lit(1)) for p in others), principal, "x", Q_ALL, "sum", "k0")
+
+    def body(items):
+        if not items:
+            return END
+        if len(items) > 1 and rng.random() < 0.15:
+            other = rng.sample(items, rng.randint(1, len(items)))
+            return If(Lit(True), rng.choice(threads), body(items), body(other))
+        return Seq(items[0], body(items[1:]))
+
+    out = []
+    for _ in range(count):
+        svcs = ["a", "a"] + [rng.choice("ab") for _ in range(rng.randint(0, 2))]
+        items = [start(i, svc) for i, svc in enumerate(svcs)] + [comm() for _ in range(rng.randint(0, 4))]
+        rng.shuffle(items)
+        out.append(body(items))
+    return out

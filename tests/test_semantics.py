@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chor_closure import closure_enabled, covers, swap_closure, swap_equal
-from chorfixtures import disjoint_bcasts, sensors, sensors_partial
+from chorfixtures import disjoint_bcasts, hoisting_family, sensors, sensors_partial
 from gcq.correspond import cosimulate
 from gcq.genchor import GenConfig, corpus, interleaved_corpus
 from gcq.parser import parse
@@ -304,7 +304,8 @@ class TestLift:
     @pytest.mark.parametrize("programs", [
         lambda: interleaved_corpus(24, seed=5),
         lambda: corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5)),
-    ], ids=["interleaved", "seed23"])
+        lambda: hoisting_family(100, seed=3),
+    ], ids=["interleaved", "seed23", "hoisting"])
     def test_covers_the_closure_on_seeded_corpora(self, programs):
         """On every configuration reachable from the programs (at most 30
         each): the lifts reach the closure's heads, and ``enabled`` has the
