@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the ``--json`` verdicts of ``gcq check | cosim | availability``.
+"""Print the ``--json`` verdicts of ``gcq check | cosim | availability``
+and the ``project`` output of the golden programs.
 
     python3 scripts/verdict_dump.py > after.txt
     python3 scripts/verdict_dump.py --src ../base/src > before.txt
@@ -13,10 +14,14 @@ program also runs ``availability --schedule`` under a crash of t1 at step
 program runs ``run-global --seed 1``, whose trace shows the names the
 global semantics creates and substitutes, and ``run-net --seed 1``, whose
 trace follows the successor that ``netsem.net_enabled`` keeps for each
-endpoint step.  The texts come from ``perfbench/inputs.py``.  Each line is
-``name command exit-code json``, with a trace's JSON lines joined by
-spaces; the output depends on nothing but the sources, so two runs under
-different ``PYTHONHASHSEED`` values must print the same bytes.
+endpoint step.  Each golden program also runs ``project``, which prints the
+manifest and the ``.epq`` text of every process, so a change to the text
+format shows here.  The texts come from ``perfbench/inputs.py``.  Each
+line is ``name command exit-code output``, with the output's lines joined
+by spaces.  Every input is named relative to the working directory, which
+is a fresh temporary one, so the manifest's ``program`` field is the bare
+file name.  The output depends on nothing but the sources, so two runs
+under different ``PYTHONHASHSEED`` values must print the same bytes.
 
 ``--src`` names the ``gcq`` source tree to import (default: this
 checkout's ``src``), so one script and one set of inputs can run against
@@ -27,6 +32,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -50,7 +56,7 @@ def programs(inputs):
     for name, (lax, _) in inputs.GOLDEN_MATRIX.items():
         text = (ROOT / "golden" / f"{name}.gcq").read_text(encoding="utf-8")
         yield (name, text, ("--lax-select",) if lax else (),
-               runs + [("availability", s) for s in SCHEDULES] + TRACE_RUNS)
+               runs + [("availability", s) for s in SCHEDULES] + TRACE_RUNS + [("project", None)])
     for item in sorted(inputs.corpus_items(0), key=lambda it: it.name):
         yield item.name, item.text, (), runs + TRACE_RUNS
     for item in inputs.sensor_family_items(1):
@@ -69,21 +75,25 @@ def main(argv=None) -> int:
     import inputs
     from gcq import cli
 
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        for name, data in SCHEDULES.items():
-            (Path(work) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
-        for name, text, flags, runs in programs(inputs):
-            path = Path(work) / f"{name}.gcq"
-            path.write_text(text, encoding="utf-8")
-            for command, sched in runs:
-                options = ["--schedule", str(Path(work) / f"{sched}.json")] if sched else []
-                label = f"{command} --schedule {sched}" if sched else command
-                if command in ("run-global", "run-net"):
-                    options, label = ["--seed", "1"], f"{command} --seed 1"
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main([command, str(path), *options, *flags, "--json"])
-                print(name, label, code, " ".join(out.getvalue().split("\n")).strip())
+        os.chdir(work)
+        try:
+            for name, data in SCHEDULES.items():
+                Path(f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+            for name, text, flags, runs in programs(inputs):
+                Path(f"{name}.gcq").write_text(text, encoding="utf-8")
+                for command, sched in runs:
+                    options = ["--schedule", f"{sched}.json"] if sched else []
+                    label = f"{command} --schedule {sched}" if sched else command
+                    if command in ("run-global", "run-net"):
+                        options, label = ["--seed", "1"], f"{command} --seed 1"
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = cli.main([command, f"{name}.gcq", *options, *flags, "--json"])
+                    print(name, label, code, " ".join(out.getvalue().split("\n")).strip())
+        finally:
+            os.chdir(home)
     return 0
 
 

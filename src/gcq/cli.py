@@ -47,7 +47,7 @@ def _load_program(path: str, lax: bool):
 
 
 def _oracle_from_args(args):
-    if getattr(args, "schedule", None):
+    if args.schedule:
         data = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
         return schedule.load_schedule(data)
     return schedule.ALWAYS
@@ -216,30 +216,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check, run, project and co-simulate failure-aware choreographies.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, bound_default=1000):
+    def common(p, *, seed=False, bound=None, schedule=False):
         p.add_argument("input", help="input .gcq program")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--explain", action="store_true", help="show failing analyses in detail")
         p.add_argument("--lax-select", action="store_true",
                        help="accept selections with quality predicates other than 'all'")
-        p.add_argument("--seed", type=int, default=None, help="policy seed for runs")
-        p.add_argument("--bound", type=int, default=bound_default, help="step/depth budget")
-        p.add_argument("--schedule", help="availability schedule JSON file")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="policy seed for runs")
+        if bound is not None:
+            p.add_argument("--bound", type=int, default=bound, help="step/depth budget")
+        if schedule:
+            p.add_argument("--schedule", help="availability schedule JSON file")
 
     p = sub.add_parser("check", help="capability, session and linearity analyses")
     common(p)
     p = sub.add_parser("run-global", help="run the choreography semantics")
-    common(p)
+    common(p, seed=True, bound=1000, schedule=True)
     p = sub.add_parser("project", help="emit per-thread endpoint processes")
     common(p)
     p.add_argument("-o", "--out", help="output directory for .epq files and manifest")
     p = sub.add_parser("run-net", help="run the projected network (or a manifest.json)")
-    common(p)
+    common(p, seed=True, bound=1000, schedule=True)
     p = sub.add_parser("cosim", help="co-simulate the projection against the source")
-    common(p, bound_default=32)
+    common(p, bound=32)
     p.add_argument("--xml", help="write a JUnit-style XML report")
     p = sub.add_parser("availability", help="search for stuck reachable networks")
-    common(p, bound_default=64)
+    common(p, bound=64, schedule=True)
     return ap
 
 

@@ -31,7 +31,7 @@ from .syntax import (
     map_vars,
     value_expr,
 )
-from .parser import ParseError, print_expr, _Parser, _TOKEN_RE
+from .parser import ParseError, print_expr, tokenize, _Parser, _TOKEN_RE
 
 # ---------------------------------------------------------------------------
 # Process syntax
@@ -603,106 +603,72 @@ def canon_table() -> CanonTable:
 # ---------------------------------------------------------------------------
 # Text format
 
+# The one definition of the ``.epq`` text: each class with a prefix, the
+# noun its errors use, and its text, whose ``{field}`` holes are the
+# fields of that name.  A role-list field is written comma-separated; a
+# single role (``sender``, ``receiver``, ``role``) is read as a role list so
+# that several get their own error; ``quality`` is written ``[q]``.  Each
+# text but the branching's is followed by its continuation on the next line.
+_PREFIXES = {
+    Request: ("session request", "request {svc}[{roles}]({key}) ."),
+    AcceptOnce: ("accept", "accept {svc}[{role}]({key}) ."),
+    AcceptRepl: ("replicated accept", "accept! {svc}[{role}]({key}) ."),
+    QOut: ("collective output", "out! {key} [{sender} -> {receivers}] {quality} ({expr}) ."),
+    OutP: ("plain output", "out! {key} [{sender} -> {receiver}] ({expr}) ."),
+    InP: ("plain input", "in? {key} [{receiver} <- {sender}] ({var}) ."),
+    QIn: ("collective input", "in? {key} [{receiver} <- {senders}] {quality} ({var}, {op}) ."),
+    QSel: ("selection", "sel! {key} [{sender} -> {receivers}] {quality} : {label} ."),
+    Branch: ("branching", "branch? {key} [{receiver} <- {sender}]"),
+    WaitOut: ("output wait", "wait_out {key} [{sender} -> {receivers}] ."),
+    WaitIn: ("input wait", "wait_in {key} [{receiver} <- {senders}] ({var}, {op}) ."),
+}
+_HOLE = re.compile(r"\{(\w+)\}")
+_ONE_ROLE = frozenset({"sender", "receiver", "role"})
+_ROLES = _ONE_ROLE | {"roles", "senders", "receivers"}
+
+
+def _show(name: str, value) -> str:
+    if name == "quality":
+        return f"[{value}]"
+    if name == "expr":
+        return print_expr(value)
+    return ",".join(value) if isinstance(value, tuple) else value
+
 
 def print_proc(p: Proc, indent: str = "") -> str:
+    """The text of ``p`` in the ``.epq`` format, each line led by ``indent``:
+    ``end``, a conditional, or ``p``'s prefix from :data:`_PREFIXES` and then
+    its continuation, or a branching's arms, indented under it.
+    :func:`parse_proc` reads it back equal."""
     match p:
         case Inact():
             return indent + "end"
-        case Request(svc, roles, key, cont):
-            return (indent + f"request {svc}[{','.join(roles)}]({key}) .\n"
-                    + print_proc(cont, indent))
-        case AcceptOnce(svc, role, key, cont):
-            return indent + f"accept {svc}[{role}]({key}) .\n" + print_proc(cont, indent)
-        case AcceptRepl(svc, role, key, cont):
-            return indent + f"accept! {svc}[{role}]({key}) .\n" + print_proc(cont, indent)
-        case QOut(key, sender, receivers, quality, expr, cont):
-            return (indent + f"out! {key} [{sender} -> {','.join(receivers)}] [{quality}] "
-                    f"({print_expr(expr)}) .\n" + print_proc(cont, indent))
-        case OutP(key, sender, receiver, expr, cont):
-            return (indent + f"out! {key} [{sender} -> {receiver}] ({print_expr(expr)}) .\n"
-                    + print_proc(cont, indent))
-        case InP(key, receiver, sender, var, cont):
-            return (indent + f"in? {key} [{receiver} <- {sender}] ({var}) .\n"
-                    + print_proc(cont, indent))
-        case QIn(key, senders, receiver, quality, var, op, cont):
-            return (indent + f"in? {key} [{receiver} <- {','.join(senders)}] [{quality}] "
-                    f"({var}, {op}) .\n" + print_proc(cont, indent))
-        case QSel(key, sender, receivers, quality, label, cont):
-            return (indent + f"sel! {key} [{sender} -> {','.join(receivers)}] [{quality}] : "
-                    f"{label} .\n" + print_proc(cont, indent))
-        case Branch(key, receiver, sender, branches):
-            arms = []
-            for l, c in branches:
-                body = print_proc(c, indent + "    ")
-                arms.append(indent + f"  {l}:\n" + body)
-            return (indent + f"branch? {key} [{receiver} <- {sender}] {{\n"
-                    + ",\n".join(arms) + "\n" + indent + "}")
         case IfP(expr, then, orelse):
             return (indent + f"if {print_expr(expr)} {{\n" + print_proc(then, indent + "  ")
                     + "\n" + indent + "} else {\n" + print_proc(orelse, indent + "  ")
                     + "\n" + indent + "}")
-        case WaitOut(key, sender, receivers, cont):
-            return (indent + f"wait_out {key} [{sender} -> {','.join(receivers)}] .\n"
-                    + print_proc(cont, indent))
-        case WaitIn(key, senders, receiver, op, var, cont):
-            return (indent + f"wait_in {key} [{receiver} <- {','.join(senders)}] ({var}, {op}) .\n"
-                    + print_proc(cont, indent))
-    raise TypeError(f"not a process: {p!r}")
+    if type(p) not in _PREFIXES:
+        raise TypeError(f"not a process: {p!r}")
+    parts = _HOLE.split(_PREFIXES[type(p)][1])
+    parts[1::2] = [_show(name, getattr(p, name)) for name in parts[1::2]]
+    head = indent + "".join(parts)
+    if isinstance(p, Branch):
+        arms = [indent + f"  {l}:\n" + print_proc(c, indent + "    ") for l, c in p.branches]
+        return head + " {\n" + ",\n".join(arms) + "\n" + indent + "}"
+    return head + "\n" + print_proc(p.cont, indent)
 
 
 class _ProcParser(_Parser):
-    """Parser for the source fragment of the process text format: the
-    choreography tokens plus the '!' and '?' markers."""
+    """Parser for the ``.epq`` text: the choreography tokens plus the '!'
+    and '?' markers."""
 
     token_re = re.compile(r"(?P<bang>[!?])|" + _TOKEN_RE.pattern, re.VERBOSE)
-
-    def roles(self) -> tuple[str, ...]:
-        out = [self.ident("role").text]
-        while self.at(","):
-            self.next()
-            out.append(self.ident("role").text)
-        return tuple(out)
 
     def proc(self) -> Proc:
         tok = self.peek()
         if self.at("end"):
             self.next()
             return INACT
-        if self.at("request"):
-            self.next()
-            svc = self.ident().text
-            self.expect("[")
-            roles = self.roles()
-            self.expect("]")
-            self.expect("(")
-            key = self.ident().text
-            self.expect(")")
-            self.expect(".")
-            return Request(svc, roles, key, self.proc())
-        if self.at("accept"):
-            self.next()
-            repl = False
-            if self.at("!"):
-                self.next()
-                repl = True
-            svc = self.ident().text
-            self.expect("[")
-            role = self.ident().text
-            self.expect("]")
-            self.expect("(")
-            key = self.ident().text
-            self.expect(")")
-            self.expect(".")
-            cont = self.proc()
-            return AcceptRepl(svc, role, key, cont) if repl else AcceptOnce(svc, role, key, cont)
-        if tok.text == "out":
-            return self._out()
-        if tok.text == "in":
-            return self._in()
-        if tok.text == "sel":
-            return self._sel()
-        if tok.text == "branch":
-            return self._branch()
         if self.at("if"):
             self.next()
             e = self.expr()
@@ -714,97 +680,52 @@ class _ProcParser(_Parser):
             orelse = self.proc()
             self.expect("}")
             return IfP(e, then, orelse)
-        raise ParseError(f"expected a process, found {tok.text!r}", (tok.start, tok.end),
-                         ("request", "accept", "out", "in", "sel", "branch", "if", "end"))
+        start, failures = self.pos, []
+        for cls, (noun, text) in _PREFIXES.items():
+            self.pos = start
+            try:
+                fields = self._prefix(noun, text)
+            except ParseError as exc:
+                failures.append((self.pos, exc))
+                continue
+            if cls is Branch:
+                self.expect("{")
+                arms = self.comma_list(self._arm)
+                self.expect("}")
+                return Branch(**fields, branches=tuple(arms))
+            return cls(**fields, cont=self.proc())
+        furthest, exc = max(failures, key=lambda f: f[0])
+        if furthest == start:
+            keywords = [re.match(r"\w+", text)[0] for _, text in _PREFIXES.values()]
+            raise ParseError(f"expected a process, found {tok.text!r}", (tok.start, tok.end),
+                             (*dict.fromkeys(keywords), "if", "end"))
+        raise exc
 
-    def _bang(self):
-        tok = self.peek()
-        if tok.text != "!" and tok.text != "?":
-            raise ParseError(f"expected '!' or '?', found {tok.text!r}", (tok.start, tok.end))
-        self.next()
-
-    def _out(self) -> Proc:
-        tok = self.next()
-        self._bang()
-        key = self.ident().text
-        self.expect("[")
-        sender = self.ident().text
-        self.expect("->")
-        targets = self.roles()
-        self.expect("]")
-        quality = None
-        if self.at("["):
-            quality = self.quality()
-        self.expect("(")
-        e = self.expr()
-        self.expect(")")
-        self.expect(".")
-        cont = self.proc()
-        if quality is not None:
-            return QOut(key, sender, targets, quality, e, cont)
-        if len(targets) != 1:
-            raise ParseError("plain output has exactly one receiver", (tok.start, tok.end))
-        return OutP(key, sender, targets[0], e, cont)
-
-    def _in(self) -> Proc:
-        tok = self.next()
-        self._bang()
-        key = self.ident().text
-        self.expect("[")
-        receiver = self.ident().text
-        self.expect("<")
-        self.expect("-")
-        sources = self.roles()
-        self.expect("]")
-        quality = None
-        if self.at("["):
-            quality = self.quality()
-        self.expect("(")
-        var = self.ident().text
-        if quality is not None:
-            self.expect(",")
-            op = self.ident().text
-            self.expect(")")
-            self.expect(".")
-            return QIn(key, sources, receiver, quality, var, op, self.proc())
-        self.expect(")")
-        self.expect(".")
-        if len(sources) != 1:
-            raise ParseError("plain input has exactly one sender", (tok.start, tok.end))
-        return InP(key, receiver, sources[0], var, self.proc())
-
-    def _sel(self) -> Proc:
-        self.next()
-        self._bang()
-        key = self.ident().text
-        self.expect("[")
-        sender = self.ident().text
-        self.expect("->")
-        targets = self.roles()
-        self.expect("]")
-        quality = self.quality()
-        self.expect(":")
-        label = self.ident().text
-        self.expect(".")
-        return QSel(key, sender, targets, quality, label, self.proc())
-
-    def _branch(self) -> Proc:
-        self.next()
-        self._bang()
-        key = self.ident().text
-        self.expect("[")
-        receiver = self.ident().text
-        self.expect("<")
-        self.expect("-")
-        sender = self.ident().text
-        self.expect("]")
-        self.expect("{")
-        arms = [self._arm()]
-        while self.at(","):
-            self.next()
-            arms.append(self._arm())
-        self.expect("}")
-        return Branch(key, receiver, sender, tuple(arms))
+    def _prefix(self, noun: str, text: str) -> dict:
+        """The fields of a prefix that reads as ``text``.  Several roles in
+        a single-role field fail only once the rest has matched, as the
+        failure that got furthest."""
+        kw, fields, several = self.peek(), {}, None
+        for i, part in enumerate(_HOLE.split(text)):
+            if not i % 2:
+                for tok in tokenize(part, self.token_re)[:-1]:
+                    self.expect(tok.text)
+            elif part == "quality":
+                fields[part] = self.quality()
+            elif part == "expr":
+                fields[part] = self.expr()
+            elif part in _ROLES:
+                roles = tuple(self.comma_list(lambda: self.ident("role").text))
+                if part in _ONE_ROLE:
+                    if len(roles) > 1:
+                        several = several or part
+                    roles = roles[0]
+                fields[part] = roles
+            else:
+                fields[part] = self.ident().text
+        if several:
+            raise ParseError(f"{noun} has exactly one {several}", (kw.start, kw.end))
+        return fields
 
     def _arm(self) -> tuple[str, Proc]:
         label = self.ident().text
@@ -813,6 +734,11 @@ class _ProcParser(_Parser):
 
 
 def parse_proc(text: str) -> Proc:
+    """The process that ``text`` writes in the ``.epq`` format.  A prefix is
+    read by trying the texts of :data:`_PREFIXES` in order, so those that
+    share its keyword are told apart by what follows it; when none matches,
+    the failure that got furthest is raised as a :class:`ParseError` with
+    its span."""
     parser = _ProcParser(text)
     p = parser.proc()
     tok = parser.peek()

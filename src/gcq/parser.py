@@ -168,6 +168,14 @@ class _Parser:
                              (tok.start, tok.end), (what,))
         return self.next()
 
+    def comma_list(self, item) -> list:
+        """One or more ``item()`` results separated by commas."""
+        out = [item()]
+        while self.at(","):
+            self.next()
+            out.append(item())
+        return out
+
     def _note(self, node, start: int, end: int):
         self.spans[id(node)] = (start, end)
         return node
@@ -192,10 +200,7 @@ class _Parser:
                 name = self.ident("capability signature name").text
                 self.expect("=")
                 self.expect("{")
-                atoms = [self.ident("capability atom").text]
-                while self.at(","):
-                    self.next()
-                    atoms.append(self.ident("capability atom").text)
+                atoms = self.comma_list(self.atom)
                 self.expect("}")
                 self.expect(";")
                 caps[name] = frozenset(atoms)
@@ -241,10 +246,7 @@ class _Parser:
             self.expect("->")
             receivers = self.role_group()
             self.expect("{")
-            branches = [self.branch_arm()]
-            while self.at(","):
-                self.next()
-                branches.append(self.branch_arm())
+            branches = self.comma_list(self.branch_arm)
             self.expect("}")
             labels = [l for l, _ in branches]
             if len(set(labels)) != len(labels):
@@ -260,10 +262,7 @@ class _Parser:
 
     def role_group(self) -> tuple[str, ...]:
         self.expect("(")
-        roles = [self.ident("role").text]
-        while self.at(","):
-            self.next()
-            roles.append(self.ident("role").text)
+        roles = self.comma_list(lambda: self.ident("role").text)
         self.expect(")")
         return tuple(roles)
 
@@ -335,10 +334,7 @@ class _Parser:
             expr = self.expr()
             self.expect("->")
             self.expect("(")
-            receivers = [self.recv()]
-            while self.at(","):
-                self.next()
-                receivers.append(self.recv())
+            receivers = self.comma_list(self.recv)
             self.expect(")")
             end = self.tokens[self.pos - 1].end
             return self._note(Bcast(sender, expr, tuple(receivers), q, key), tok.start, end)
@@ -351,10 +347,7 @@ class _Parser:
                 raise ParseError(f"unknown aggregation operator {op_tok.text!r}",
                                  (op_tok.start, op_tok.end), AGG_OPS)
             self.expect("(")
-            senders = [self.send()]
-            while self.at(","):
-                self.next()
-                senders.append(self.send())
+            senders = self.comma_list(self.send)
             self.expect(")")
             self.expect("->")
             receiver = self.athr()
@@ -383,10 +376,7 @@ class _Parser:
 
     def athr_group(self) -> tuple[AnnotatedThread, ...]:
         self.expect("(")
-        out = [self.athr()]
-        while self.at(","):
-            self.next()
-            out.append(self.athr())
+        out = self.comma_list(self.athr)
         self.expect(")")
         return tuple(out)
 
@@ -399,20 +389,10 @@ class _Parser:
         off: frozenset[str] = frozenset()
         if self.at("{"):
             self.next()
-            first: list[str] = []
-            if not self.at(";", "}"):
-                first.append(self.ident("capability atom").text)
-                while self.at(","):
-                    self.next()
-                    first.append(self.ident("capability atom").text)
+            first = [] if self.at(";", "}") else self.comma_list(self.atom)
             if self.at(";"):
                 self.next()
-                second: list[str] = []
-                if not self.at("}"):
-                    second.append(self.ident("capability atom").text)
-                    while self.at(","):
-                        self.next()
-                        second.append(self.ident("capability atom").text)
+                second = [] if self.at("}") else self.comma_list(self.atom)
                 req, off = frozenset(first), frozenset(second)
             else:
                 # one-part annotation: an offer inside a session start,
@@ -423,6 +403,9 @@ class _Parser:
                     req = frozenset(first)
             self.expect("}")
         return AnnotatedThread(thread, role, req, off)
+
+    def atom(self) -> str:
+        return self.ident("capability atom").text
 
     def recv(self) -> tuple[AnnotatedThread, str]:
         p = self.athr()

@@ -371,8 +371,7 @@ def _strip_replicated(net: Network, keep: frozenset = frozenset()) -> Network:
 
 def _merges_into(pc: Network, qc: Network) -> bool:
     """Whether ``pc`` has ``qc``'s queues and restricted names and each of its
-    components pairs with a same-key one of ``qc`` (:func:`_merge_bucket`);
-    raises :class:`PruningInconclusive` when a bucket ran out of its budget."""
+    components pairs with a same-key one of ``qc`` (:func:`_merge_bucket`)."""
     if pc.restricted != qc.restricted or pc.queues != qc.queues:
         return False
 
@@ -391,23 +390,41 @@ def _merges_into(pc: Network, qc: Network) -> bool:
     return not pk  # else the left network has components the right cannot absorb
 
 
-def _merge_bucket(pcomps, qcomps, limit: int = 720) -> bool:
+def _merge_bucket(pcomps, qcomps) -> bool:
     """Whether same-key components pair across the networks so that each of
-    ``pcomps`` merges into its partner without changing it, up to bound
-    names; raises :class:`PruningInconclusive` when ``limit`` pairings were
-    tried and more remain."""
-    perms = itertools.permutations(range(len(qcomps)), len(pcomps))
-    for tried, assignment in enumerate(perms):
-        if tried >= limit:
-            raise PruningInconclusive(f"pairing components ran out after {limit} assignments")
-        try:
-            merged = [merge(pcomps[pi].proc, qcomps[qi].proc) for pi, qi in enumerate(assignment)]
-        except NotMergeable:
-            continue
-        if all(m == qcomps[qi].proc or proc_canon(m) == proc_canon(qcomps[qi].proc)
-               for m, qi in zip(merged, assignment)):
-            return True
-    return False
+    ``pcomps`` merges into a distinct partner in ``qcomps`` without changing
+    it, up to bound names.  The pairing is a bipartite matching, found by
+    augmenting paths (Kuhn 1955), and each pair is merged at most once.
+    Free partners are tried first, so an identity pairing merges each
+    component with its like-placed one and no other."""
+    fits: dict[tuple[int, int], bool] = {}
+
+    def fit(pi: int, qi: int) -> bool:
+        if (pi, qi) not in fits:
+            q = qcomps[qi].proc
+            try:
+                m = merge(pcomps[pi].proc, q)
+                fits[pi, qi] = m == q or proc_canon(m) == proc_canon(q)
+            except NotMergeable:
+                fits[pi, qi] = False
+        return fits[pi, qi]
+
+    partner: list[Optional[int]] = [None] * len(qcomps)  # the p index paired with each q
+
+    def place(pi: int, seen: set[int]) -> bool:
+        for qi, other in enumerate(partner):
+            if other is None and fit(pi, qi):
+                partner[qi] = pi
+                return True
+        for qi, other in enumerate(partner):
+            if other is not None and qi not in seen and fit(pi, qi):
+                seen.add(qi)
+                if place(other, seen):
+                    partner[qi] = pi
+                    return True
+        return False
+
+    return all(place(pi, set()) for pi in range(len(pcomps)))
 
 
 def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
@@ -418,8 +435,7 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
     with its owner or service (the merged network would be the rest again,
     so it is not built), and a rest equal to ``p`` is answered at once.  The
     simulation clause is checked by bounded co-exploration; running out of
-    depth, or of the budget for pairing components, raises
-    :class:`PruningInconclusive` rather than answering.  The running
+    depth raises :class:`PruningInconclusive` rather than answering.  The running
     verdict keeps each top-level answer, which is final; ``_memo`` holds one
     call's provisional coinductive True entries, so it is not shared.
     """

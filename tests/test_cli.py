@@ -146,6 +146,17 @@ class TestCheck:
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help", capsys=capsys)[0] == 0
 
+    @pytest.mark.parametrize("command,flag", [
+        ("check", "--seed"), ("check", "--bound"), ("check", "--schedule"),
+        ("project", "--seed"), ("project", "--bound"), ("project", "--schedule"),
+        ("cosim", "--seed"), ("cosim", "--schedule"), ("availability", "--seed"),
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, command, flag, capsys):
+        code, out, err = run_cli(command, str(GOLDEN / "sensors_all.gcq"), flag, "1",
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
+
 
 class TestRuns:
     def test_run_global_trace_deterministic(self, capsys):

@@ -1,6 +1,7 @@
 """Endpoint calculus: congruence, queue discipline, rule-level transitions."""
 
 from dataclasses import fields, is_dataclass, replace
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -497,7 +498,55 @@ class TestQueueNormalForm:
         assert queue_canon_msgs(tuple(current)) == base
 
 
+_PROC_CLASSES = get_args(epq.Proc)
+_ident = st.sampled_from(["k", "j", "x", "y"])
+_role = st.sampled_from(["A", "B", "C"])
+_roles = st.lists(_role, min_size=1, max_size=3).map(tuple)
+_quality = st.sampled_from([Q_ALL, Q_ANY, q_ratio(2, 3)])
+_expr = st.sampled_from([Lit(1), Lit(-2), Lit("s"), Var("x"), NoneE(), SomeE(Var("y")),
+                         Binop("+", Var("x"), Binop("*", Lit(2), Var("y"))),
+                         Unop("not", Binop("<", Var("x"), Lit(3)))])
+_any_proc = st.recursive(st.just(INACT), lambda cont: st.one_of(
+    st.builds(Request, _ident, _roles, _ident, cont),
+    st.builds(AcceptOnce, _ident, _role, _ident, cont),
+    st.builds(AcceptRepl, _ident, _role, _ident, cont),
+    st.builds(QOut, _ident, _role, _roles, _quality, _expr, cont),
+    st.builds(InP, _ident, _role, _role, _ident, cont),
+    st.builds(OutP, _ident, _role, _role, _expr, cont),
+    st.builds(QIn, _ident, _roles, _role, _quality, _ident, _ident, cont),
+    st.builds(QSel, _ident, _role, _roles, _quality, _ident, cont),
+    st.builds(Branch, _ident, _role, _role,
+              st.dictionaries(_ident, cont, min_size=1, max_size=3).map(
+                  lambda arms: tuple(arms.items()))),
+    st.builds(WaitOut, _ident, _role, _roles, cont),
+    st.builds(WaitIn, _ident, _roles, _role, _ident, _ident, cont),
+    st.builds(IfP, _expr, cont, cont),
+), max_leaves=6)
+
+
 class TestProcText:
+    @pytest.mark.parametrize("proc", [t for t in _terms() if isinstance(t, _PROC_CLASSES)],
+                             ids=lambda t: type(t).__name__)
+    def test_every_process_class_roundtrips(self, proc):
+        assert parse_proc(print_proc(proc)) == proc
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_proc)
+    def test_random_processes_roundtrip(self, proc):
+        assert parse_proc(print_proc(proc)) == proc
+
+    @pytest.mark.parametrize("text", [
+        "out? k [A -> B] (1) . end",
+        "in! k [B <- A] (x) . end",
+        "sel? k [A -> B] [all] : l . end",
+        "branch! k [B <- A] { l: end }",
+    ])
+    def test_markers_are_exact(self, text):
+        with pytest.raises(ParseError, match="expected '[!?]'") as info:
+            parse_proc(text)
+        lo, hi = info.value.span
+        assert (lo, hi) == (text.index(" ") - 1, text.index(" "))  # the keyword's marker
+
     @pytest.mark.parametrize("proc", [
         INACT,
         Request("a", ("A", "B"), "k", QOut("k", "A", ("B",), q_ratio(1, 1), Lit(1), INACT)),

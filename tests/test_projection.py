@@ -423,34 +423,37 @@ class TestMergePairing:
 
         assert prunes(branch("x"), branch("a", "x"))
 
+    @pytest.mark.parametrize("p_labels,expected", [
+        ((("x",), ("x", "y")), True),
+        ((("x", "y"), ("y",)), False),
+    ])
+    def test_a_taken_partner_is_passed_on(self, p_labels, expected):
+        """``p``'s first component takes ``q``'s first, the one ``p``'s
+        second needs; pairing moves it on to ``q``'s second when it fits
+        there."""
+        q = [_labels("x", "y"), _labels("x", "z")]
+        assert _merge_bucket([_labels(*ls) for ls in p_labels], q) is expected
 
-class TestMergeBudget:
-    """Pairing same-key components tries at most 720 assignments; running
-    out of them is inconclusive, not a failed merge."""
 
-    def test_six_components_pair_in_reverse(self):
-        ps = _outputs(6)
+class TestMergeManyComponents:
+    """Pairing same-key components is a matching, not a search over
+    assignments, so it answers however many components a bucket holds."""
+
+    @pytest.mark.parametrize("n", [6, 7, 12])
+    def test_components_pair_in_reverse(self, n):
+        ps = _outputs(n)
         assert _merge_bucket(ps, list(reversed(ps))) is True
 
-    def test_seven_components_run_out(self):
-        ps = _outputs(7)
-        with pytest.raises(PruningInconclusive):
-            _merge_bucket(ps, list(reversed(ps)))
-
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_prunes_reports_the_budget(self, n):
+    @pytest.mark.parametrize("n", [6, 7, 12])
+    def test_prunes_pairs_against_the_sort(self, n):
         """``q``'s first arms sort its components against ``p``'s, so the
-        pairing that merges is the last one tried."""
+        pairing that merges is not the one by position."""
         p = Network(tuple(_arms(i) for i in range(n)), (Queue("k"),))
         q = Network(tuple(_arms(i, n - 1 - i) for i in range(n)), (Queue("k"),))
 
         def outputs(net):
             return [c.proc.label_map()["m"].expr for c in net_canon(net).components]
 
-        assert outputs(p) == [Lit(i) for i in range(n)]
-        assert outputs(q) == [Lit(i) for i in reversed(range(n))]
-        if n == 6:
-            assert prunes(p, q)
-        else:
-            with pytest.raises(PruningInconclusive):
-                prunes(p, q)
+        assert sorted(map(repr, outputs(p))) == sorted(map(repr, outputs(q)))
+        assert outputs(p) != outputs(q)
+        assert prunes(p, q)
