@@ -7,21 +7,24 @@ and the ``project`` output of the golden programs.
     diff before.txt after.txt
 
 Inputs: the golden programs, the fixed seed-23 corpus and the n-sensor
-family of the verdict benchmark (all three commands each), and the
-capability-check twins of the benchmark (``check`` only).  Each golden
-program also runs ``availability --schedule`` under a crash of t1 at step
-5, a Bernoulli oracle and a three-entry script, and each golden and corpus
-program runs ``run-global --seed 1``, whose trace shows the names the
-global semantics creates and substitutes, and ``run-net --seed 1``, whose
-trace follows the successor that ``netsem.net_enabled`` keeps for each
-endpoint step.  Each golden program also runs ``project``, which prints the
-manifest and the ``.epq`` text of every process, so a change to the text
-format shows here.  The texts come from ``perfbench/inputs.py``.  Each
-line is ``name command exit-code output``, with the output's lines joined
-by spaces.  Every input is named relative to the working directory, which
-is a fresh temporary one, so the manifest's ``program`` field is the bare
-file name.  The output depends on nothing but the sources, so two runs
-under different ``PYTHONHASHSEED`` values must print the same bytes.
+family of the verdict benchmark (all three commands each), the
+capability-check twins of the benchmark, and the any/any and blocking
+twins at n = 2..8, whose reports list many failures in enumeration order
+(``check`` only).  Each golden program also runs ``availability
+--schedule`` under a crash of t1 at step 5, a Bernoulli oracle and a
+three-entry script, and each golden and corpus program runs ``run-global
+--seed 1``, whose trace shows the names the global semantics creates and
+substitutes, and ``run-net --seed 1``, whose trace follows the successor
+that ``netsem.net_enabled`` keeps for each endpoint step.  Each golden
+program also runs ``project``, which prints the manifest and the
+``.epq`` text of every process, so a change to the text format shows
+here.  The texts come from ``perfbench/inputs.py``.  Each line is ``name
+command exit-code output``, with the output written as a JSON string, so
+that a moved line break shows.  Every input is named relative to the
+working directory, which is a fresh temporary one, so the manifest's
+``program`` field is the bare file name.  The output depends on nothing
+but the sources, so two runs under different ``PYTHONHASHSEED`` values
+must print the same bytes.
 
 ``--src`` names the ``gcq`` source tree to import (default: this
 checkout's ``src``), so one script and one set of inputs can run against
@@ -64,6 +67,12 @@ def programs(inputs):
         yield item.name, item.text, flags, runs
     for item in inputs.check_family_items(1, ROOT / "golden")[len(inputs.GOLDEN_MATRIX):]:
         yield f"check_{item.name}", item.text, item.steps[0].flags, [("check", None)]
+    for n in range(2, 9):
+        readings, over = list(range(1, n + 1)), [i for i in range(1, n + 1) if i != 2]
+        for name, text in ((f"any_any{n}", inputs.sensor_text(n, "any", "any", readings, "avg")),
+                           (f"blocking{n}", inputs.sensor_text(n, "any", "any", readings, "avg",
+                                                               reduce_over=over))):
+            yield f"check_sensors_{name}", text, ("--lax-select",), [("check", None)]
 
 
 def main(argv=None) -> int:
@@ -91,7 +100,7 @@ def main(argv=None) -> int:
                     out = io.StringIO()
                     with contextlib.redirect_stdout(out):
                         code = cli.main([command, f"{name}.gcq", *options, *flags, "--json"])
-                    print(name, label, code, " ".join(out.getvalue().split("\n")).strip())
+                    print(name, label, code, json.dumps(out.getvalue(), ensure_ascii=False))
         finally:
             os.chdir(home)
     return 0

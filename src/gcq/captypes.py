@@ -4,24 +4,32 @@ A judgment ``Psi |- C`` reads: the formulas in ``Psi`` describe the program
 point immediately before ``C``.  Session starts extend the context with one
 ownership formula per participant; each collective interaction must, for
 every subset of participants that satisfies its quality predicate, derive
-the required capability atoms from the context by linear-logic provability,
-and its continuation must remain typable under the offered capabilities.
-A checked choreography can therefore never paint itself into a corner, no
-matter which tolerated subset of participants shows up.
+the required capability atoms from the context, and its continuation must
+remain typable under the offered capabilities.  A checked choreography can
+therefore never paint itself into a corner, no matter which tolerated
+subset of participants shows up.
+
+The report names, for each interaction and each context it is reached
+in, the first failing subset in the order of ``quality_subsets``, without
+duplicates.  ``tests/capability_reference.py`` finds it by deriving every
+subset's goal, ``CapabilityChecker._check_comm`` in one pass per context by
+three exact rules: only subsets of the threads that hold their ``req`` atom
+are enumerated; a continuation that does not name the session is checked
+under one subset; and once the verdict is ``False``, the enumeration stops
+when the continuation can report nothing new.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import linlog
-from .linlog import Context, Formula, Lolli, Own, Plus, Tensor, TrueF, TRUE
+from .linlog import Context, Formula, Own, TrueF, TRUE
 from .syntax import (
-    AnnotatedThread,
     ArityMismatch,
     Bcast,
-    CapState,
     Choreography,
     End,
     If,
@@ -32,7 +40,8 @@ from .syntax import (
     Select,
     Seq,
     free_names,
-    quality_subsets,
+    least_count,
+    subterms,
 )
 
 MAX_PARTICIPANTS = 16
@@ -82,10 +91,6 @@ def describe_interaction(eta: Interaction) -> str:
     return repr(eta)
 
 
-def ownership(p: AnnotatedThread, key: str, required: bool) -> Own:
-    return Own(p.thread, key, p.role, p.req if required else p.off)
-
-
 def init_ownerships(eta: Init) -> list[Own]:
     """Ownership formulas a session start contributes, actives first."""
     return [Own(p.thread, eta.key, p.role, p.off) for p in eta.actives + eta.services]
@@ -115,26 +120,74 @@ def listed_twice(eta: Interaction) -> list[str]:
             for name in sorted(set(names)) if names.count(name) > 1]
 
 
-def capability_goal(principal: AnnotatedThread, chosen: Iterable[AnnotatedThread], key: str) -> Formula:
-    parts = [ownership(principal, key, required=True)]
-    parts += [ownership(p, key, required=True) for p in sorted(chosen, key=lambda p: p.thread)]
-    return linlog.tensor_all(parts)
+class _Comm:
+    """What ``_check_comm`` reads of one ``Seq(eta, cont)``, computed once:
+    the failure that rejects ``eta`` in every context, if any; the
+    candidates' threads in sorted order and the least count; the
+    principal's and their ``req`` atoms, and their ``off`` atoms as ``cont``
+    sees them; and whether ``cont`` names the session."""
+
+    def __init__(self, c: Seq):
+        self.eta, self._failures, self.static = c.inter, {}, None
+        principal, candidates, quality, key = _comm_parts(self.eta)
+        twice = listed_twice(self.eta)
+        try:
+            self.least = least_count(quality, len(candidates))
+        except ArityMismatch as exc:
+            self.least, arity = 0, str(exc)
+        if len(candidates) > MAX_PARTICIPANTS:
+            self.static = self.failure("TooManyParticipants", f"{len(candidates)} participants "
+                                       f"exceed the bound {MAX_PARTICIPANTS}")
+        elif twice:
+            self.static = self.failure("DuplicateParticipant", f"listed twice: {', '.join(twice)}")
+        elif not self.least:
+            self.static = self.failure("QualityArity", arity)
+        elif self.least > len(candidates):
+            self.static = self.failure("NoSatisfyingSubset",
+                                       "no subset satisfies the quality predicate")
+        self.live = free_names(c.cont).sessions
+        self.single = key not in self.live
+        parts = (principal, *sorted(candidates, key=lambda p: p.thread))
+        self.threads = tuple(p.thread for p in parts[1:])
+        self.preq, *self.reqs = (Own(p.thread, key, p.role, p.req) for p in parts)
+        self.poff, *self.offs = (_finished(Own(p.thread, key, p.role, p.off), self.live)
+                                 for p in parts)
+
+    def failure(self, code: str, reason: str, subset=None) -> Failure:
+        return Failure(code, describe_interaction(self.eta), reason, subset)
+
+    def underivable(self, chosen: tuple[int, ...]) -> Failure:
+        """The failure of the candidates at the indices ``chosen``."""
+        if chosen not in self._failures:
+            goal = linlog.tensor_all([self.preq, *(self.reqs[i] for i in chosen)])
+            self._failures[chosen] = self.failure(
+                "CapabilityUnderivable", f"cannot derive {goal} from the context",
+                tuple(self.threads[i] for i in chosen))
+        return self._failures[chosen]
+
+    def reach(self) -> set[Failure]:
+        """Every failure the interaction can report, in any context."""
+        return {self.static} if self.static else {self.underivable((*range(self.least - 1), i))
+                                                  for i in range(self.least - 1, len(self.threads))}
 
 
-def updated_context(principal: AnnotatedThread, chosen: Iterable[AnnotatedThread],
-                    key: str, leftover: Context) -> Context:
-    offered = [ownership(principal, key, required=False)]
-    offered += [ownership(p, key, required=False) for p in sorted(chosen, key=lambda p: p.thread)]
-    return tuple(offered) + leftover
+def _finished(f: Formula, live: frozenset) -> Formula:
+    """``f``, without capabilities if it is an atom of a session not in ``live``."""
+    if isinstance(f, Own) and f.caps and f.session not in live:
+        return Own(f.thread, f.session, f.role, frozenset())
+    return f
 
 
 class CapabilityChecker:
-    """Decides ``Psi |- C`` and reports the first failure per interaction."""
+    """Decides ``Psi |- C`` and reports, for each interaction, the first
+    failing subset once per reachable context (see ``_check_comm``)."""
 
     def __init__(self):
         self.failures: list[Failure] = []
+        self._reported: set[Failure] = set()
         self._memo: dict = {}
-        self._sessions: dict = {}  # id of a continuation -> its free session keys
+        self._comms: dict = {}  # id of a Seq node -> its _Comm
+        self._reach: dict = {}  # id of a continuation -> the failures it can report, or None
 
     def check(self, psi: Context, c: Choreography) -> bool:
         for f in psi:
@@ -144,11 +197,9 @@ class CapabilityChecker:
 
     def _check(self, psi: Context, c: Choreography) -> bool:
         key = (linlog.multiset(psi), id(c))
-        if key in self._memo:
-            return self._memo[key]
-        ok = self._check_raw(psi, c)
-        self._memo[key] = ok
-        return ok
+        if key not in self._memo:
+            self._memo[key] = self._check_raw(psi, c)
+        return self._memo[key]
 
     def _check_raw(self, psi: Context, c: Choreography) -> bool:
         match c:
@@ -157,111 +208,90 @@ class CapabilityChecker:
             case New(_, _, body):
                 return self._check(psi, body)
             case If(_, _, then, orelse):
-                ok1 = self._check(psi, then)
-                ok2 = self._check(psi, orelse)
-                return ok1 and ok2
+                return self._check(psi, then) & self._check(psi, orelse)
             case Seq(inter, cont):
                 if isinstance(inter, Init):
                     return self._check_init(psi, inter, cont)
-                return self._check_comm(psi, inter, cont)
+                return self._check_comm(psi, c)
         raise TypeError(f"not a choreography: {c!r}")
 
-    def _fail(self, code: str, eta: Interaction, reason: str, subset=None) -> None:
-        failure = Failure(code, describe_interaction(eta), reason,
-                          tuple(sorted(subset)) if subset is not None else None)
-        if failure not in self.failures:  # reached again along another path
+    def _report(self, failure: Failure) -> None:
+        if failure not in self._reported:  # reached again along another path
+            self._reported.add(failure)
             self.failures.append(failure)
 
     def _check_init(self, psi: Context, eta: Init, cont: Choreography) -> bool:
-        ok = True
-        ctx_threads = linlog.context_threads(psi)
-        clash = {p.thread for p in eta.services} & ctx_threads
-        if clash:
-            self._fail("FreshnessViolation", eta,
-                       f"service threads already owned: {sorted(clash)}")
-            ok = False
+        clash = {p.thread for p in eta.services} & linlog.context_threads(psi)
+        reasons = [f"service threads already owned: {sorted(clash)}"] if clash else []
         if eta.key in linlog.context_keys(psi):
-            self._fail("FreshnessViolation", eta, f"session key {eta.key!r} already in use")
-            ok = False
-        extended = psi + tuple(init_ownerships(eta))
-        return self._check(extended, cont) and ok
+            reasons.append(f"session key {eta.key!r} already in use")
+        for reason in reasons:
+            self._report(Failure("FreshnessViolation", describe_interaction(eta), reason))
+        return self._check(psi + tuple(init_ownerships(eta)), cont) and not reasons
 
-    def _check_comm(self, psi: Context, eta: Interaction, cont: Choreography) -> bool:
+    def _comm(self, c: Seq) -> _Comm:
+        return self._comms.get(id(c)) or self._comms.setdefault(id(c), _Comm(c))
+
+    def _check_comm(self, psi: Context, c: Seq) -> bool:
         """Every tolerated subset derives its goal, and the continuation
-        checks under the context each subset leaves.
+        checks under the context each subset leaves.  The report gets the
+        first failing subset in enumeration order, after the continuation
+        failures of the subsets before it, unless it is reported already.
 
-        Before the continuation is checked, every ownership atom of a
-        session the continuation does not name loses its capabilities.
-        That changes no verdict: the continuation's goals are atoms of the
-        sessions it names, so no derivation in it consumes such an atom;
-        ``End`` accepts any leftover; and the freshness checks of later
-        starts read only an atom's thread and key, which stay.  Contexts
-        that differed only in a finished session then coincide, and the
-        memo checks the continuation once instead of once per subset.
+        1. Only subsets of the good threads (those holding their ``req``
+           atom) are enumerated.  The first failing subset is the first
+           ``least`` candidates if the principal or one of them is bad,
+           else the first ``least - 1`` and the least bad one.
+        2. The continuation sees no capabilities of a session it does not
+           name.  No derivation in it could consume them, ``End`` accepts
+           any leftover, and a start's freshness checks read only threads
+           and keys.  So if it does not name this session, every subset
+           leaves it the same context, and only the first is checked.
+        3. Once the verdict is ``False``, the enumeration stops when every
+           failure the continuation can report is reported.  A start's
+           freshness failures read the context, so a continuation that
+           holds a start has no such set (``_saturated``).
         """
-        principal, candidates, quality, key = _comm_parts(eta)
-        if len(candidates) > MAX_PARTICIPANTS:
-            self._fail("TooManyParticipants", eta,
-                       f"{len(candidates)} participants exceed the bound {MAX_PARTICIPANTS}")
+        comm = self._comm(c)
+        if comm.static:
+            self._report(comm.static)
             return False
-        twice = listed_twice(eta)
-        if twice:
-            self._fail("DuplicateParticipant", eta, f"listed twice: {', '.join(twice)}")
-            return False
-        by_thread = {p.thread: p for p in candidates}
-        try:
-            subsets = quality_subsets(quality, tuple(p.thread for p in candidates))
-        except ArityMismatch as exc:
-            self._fail("QualityArity", eta, str(exc))
-            return False
-        if not subsets:
-            self._fail("NoSatisfyingSubset", eta, "no subset satisfies the quality predicate")
-            return False
-        ok = True
-        reported = False
-        for chosen_threads in subsets:
-            chosen = [by_thread[t] for t in sorted(chosen_threads)]
-            leftover = self._derive(psi, principal, chosen, key)
-            if leftover is None:
-                ok = False
-                if not reported:
-                    goal = capability_goal(principal, chosen, key)
-                    self._fail("CapabilityUnderivable", eta,
-                               f"cannot derive {goal} from the context", subset=chosen_threads)
-                    reported = True
-                continue
-            ctx = updated_context(principal, chosen, key, leftover)
-            if not self._check(self._without_finished(ctx, cont), cont):
-                ok = False
+        first: dict = {}  # each atom of psi -> its first index
+        for i, f in enumerate(psi):
+            first.setdefault(f, i)
+        good = [i for i, a in enumerate(comm.reqs) if a in first] if comm.preq in first else []
+        bad, least = next((i for i, g in enumerate(good) if g != i), len(good)), comm.least
+        failing = None if bad == len(comm.threads) else \
+            tuple(range(least)) if bad < least else (*range(least - 1), bad)
+        ok, seen = failing is None, -1  # seen: len(self.failures) at the last saturation test
+        base = [_finished(f, comm.live) for f in psi] if good else ()
+        subsets = (chosen for k in range(least, len(good) + 1)
+                   for chosen in itertools.combinations(good, k))
+        for chosen in itertools.islice(subsets, 1) if comm.single else subsets:
+            if failing and (len(chosen), chosen) > (len(failing), failing):
+                self._report(comm.underivable(failing))
+                failing = None
+            if not ok and len(self.failures) != seen:
+                seen = len(self.failures)
+                if self._saturated(c.cont):
+                    break
+            taken = {first[comm.preq], *(first[comm.reqs[i]] for i in chosen)}
+            ctx = (comm.poff, *(comm.offs[i] for i in chosen),
+                   *(f for i, f in enumerate(base) if i not in taken))
+            ok &= self._check(ctx, c.cont)
+        if failing:
+            self._report(comm.underivable(failing))
         return ok
 
-    def _without_finished(self, ctx: Context, cont: Choreography) -> Context:
-        """``ctx`` with empty capabilities on the atoms of every session that
-        ``cont`` does not name (see ``_check_comm``)."""
-        live = self._sessions.get(id(cont))
-        if live is None:
-            live = self._sessions[id(cont)] = free_names(cont).sessions
-        return tuple(Own(f.thread, f.session, f.role, frozenset())
-                     if isinstance(f, Own) and f.caps and f.session not in live else f
-                     for f in ctx)
-
-    def _derive(self, psi: Context, principal, chosen, key) -> Optional[Context]:
-        """The context left after deriving the capability goal, or None.
-
-        ``check`` admits ownership atoms and ``true`` only, and the rules
-        add nothing else, so derivability is multiset inclusion of the
-        goal's exact atoms (``linlog.Prover`` agrees); one matching atom
-        per participant is taken, first match first.
-        """
-        need = [ownership(principal, key, required=True)]
-        need += [ownership(p, key, required=True) for p in chosen]
-        taken: list[int] = []
-        for atom in need:
-            idx = next((i for i, f in enumerate(psi) if f == atom and i not in taken), None)
-            if idx is None:
-                return None
-            taken.append(idx)
-        return tuple(f for i, f in enumerate(psi) if i not in taken)
+    def _saturated(self, cont: Choreography) -> bool:
+        """Whether every failure ``cont`` can report is reported; never if
+        ``cont`` starts a session."""
+        if id(cont) not in self._reach:
+            nodes = [n for n in subterms(cont) if isinstance(n, Seq)]
+            self._reach[id(cont)] = None if any(isinstance(n.inter, Init) for n in nodes) else \
+                set().union(*(self._comm(n).reach() for n in nodes))
+        reach = self._reach[id(cont)]
+        return reach is not None and reach <= self._reported
 
 
 def check_capabilities(psi: Iterable[Formula], c: Choreography) -> Report:
@@ -270,39 +300,3 @@ def check_capabilities(psi: Iterable[Formula], c: Choreography) -> Report:
     ctx = tuple(psi)
     ok = checker.check(ctx if ctx else (TRUE,), c)
     return Report(ok, checker.failures)
-
-
-# ---------------------------------------------------------------------------
-# State satisfaction
-
-
-def _sat(triples: frozenset, f: Formula) -> bool:
-    match f:
-        case TrueF():
-            return True
-        case Own(thread, session, _, caps):
-            return all((thread, session, a) in triples for a in caps)
-        case Tensor(l, r):
-            items = sorted(triples)
-            n = len(items)
-            for mask in range(1 << n):
-                left = frozenset(items[i] for i in range(n) if mask >> i & 1)
-                if _sat(left, l) and _sat(triples - left, r):
-                    return True
-            return False
-        case Plus(l, r):
-            # not covered by the entailment definition; read disjunctively
-            return _sat(triples, l) or _sat(triples, r)
-        case Lolli(_, _):
-            raise ValueError("state satisfaction is undefined for linear implications")
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def state_satisfies(sigma: CapState, psi: Iterable[Formula]) -> bool:
-    """Entailment between a capability store and a list of formulas.
-
-    The list is a conjunction: every formula must hold of the whole store.
-    Tensor splits the store's atom triples; an ownership formula holds when
-    all its atoms are present for that thread and session.
-    """
-    return all(_sat(sigma.triples, f) for f in psi)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .syntax import (
+    AGG_OPS,
     Expr,
     NoneV,
     OptValue,
@@ -722,7 +723,11 @@ class _ProcParser(_Parser):
                     roles = roles[0]
                 fields[part] = roles
             else:
-                fields[part] = self.ident().text
+                tok = self.ident()
+                if part == "op" and tok.text not in AGG_OPS:
+                    raise ParseError(f"unknown aggregation operator {tok.text!r}",
+                                     (tok.start, tok.end), AGG_OPS)
+                fields[part] = tok.text
         if several:
             raise ParseError(f"{noun} has exactly one {several}", (kw.start, kw.end))
         return fields

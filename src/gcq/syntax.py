@@ -98,17 +98,18 @@ def tolerates_absence(q: Quality, roles: Iterable[Role], role: Role) -> bool:
         return False
 
 
+def least_count(q: Quality, n: int) -> int:
+    """The least number of set flags out of ``n`` that satisfies ``q``, or
+    ``n + 1`` if none does; every predicate is monotone in that number."""
+    return next((k for k in range(n + 1) if eval_quality(q, [True] * k + [False] * (n - k))),
+                n + 1)
+
+
 def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozenset[Thread]]:
     """All subsets of ``candidates`` satisfying ``q``, smallest first, then by
-    sorted members.
-
-    Every predicate is monotone in the number of flags set, so the subsets
-    are exactly those at least as large as the least satisfying count.
-    """
+    sorted members: those at least as large as :func:`least_count`."""
     n = len(candidates)
-    least = next((k for k in range(n + 1)
-                  if eval_quality(q, [True] * k + [False] * (n - k))), n + 1)
-    out = [frozenset(c) for k in range(least, n + 1)
+    out = [frozenset(c) for k in range(least_count(q, n), n + 1)
            for c in itertools.combinations(sorted(candidates), k)]
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return out

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
-from gcq.captypes import check_capabilities, state_satisfies
+from gcq.captypes import check_capabilities
 from gcq.gtypes import (
     GammaEnv,
     check_session_only,
@@ -19,7 +20,7 @@ from gcq.gtypes import (
     infer_gamma,
     type_label,
 )
-from gcq.linlog import Own
+from gcq.linlog import Formula, Lolli, Own, Plus, Tensor, TrueF
 from gcq.semantics import Configuration, enabled, split_prenex
 from gcq.syntax import (
     CapState,
@@ -38,6 +39,42 @@ class TraceState:
     roles: dict  # (thread, session) -> role
     gamma: GammaEnv
     delta: dict  # session -> GlobalType
+
+
+# ---------------------------------------------------------------------------
+# State satisfaction
+
+
+def _sat(triples: frozenset, f: Formula) -> bool:
+    match f:
+        case TrueF():
+            return True
+        case Own(thread, session, _, caps):
+            return all((thread, session, a) in triples for a in caps)
+        case Tensor(l, r):
+            items = sorted(triples)
+            n = len(items)
+            for mask in range(1 << n):
+                left = frozenset(items[i] for i in range(n) if mask >> i & 1)
+                if _sat(left, l) and _sat(triples - left, r):
+                    return True
+            return False
+        case Plus(l, r):
+            # not covered by the entailment definition; read disjunctively
+            return _sat(triples, l) or _sat(triples, r)
+        case Lolli(_, _):
+            raise ValueError("state satisfaction is undefined for linear implications")
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def state_satisfies(sigma: CapState, psi: Iterable[Formula]) -> bool:
+    """Entailment between a capability store and a list of formulas.
+
+    The list is a conjunction: every formula must hold of the whole store.
+    Tensor splits the store's atom triples; an ownership formula holds when
+    all its atoms are present for that thread and session.
+    """
+    return all(_sat(sigma.triples, f) for f in psi)
 
 
 def initial_state(c: Choreography) -> TraceState:

@@ -14,7 +14,7 @@ import pytest
 
 from chor_closure import swap_closure
 from chorfixtures import sensors, sensors_partial, linearity_race, typed_example
-from gcq.captypes import check_capabilities, state_satisfies
+from gcq.captypes import check_capabilities
 from gcq.correspond import availability_check, cosimulate, drop_receiver, swap_select_label
 from gcq.genchor import GenConfig, corpus
 from gcq.gtypes import GammaEnv, ServiceBinding, check_session, check_session_only, infer_gamma

@@ -1,25 +1,44 @@
-"""Capability analysis: golden accept/reject matrix and state satisfaction."""
+"""Capability analysis: golden accept/reject matrix, agreement with the
+enumerating specification, and state satisfaction."""
 
 import itertools
+import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capability_reference as reference
 from chorfixtures import sensor_family, sensors, sensors_partial, typed_example
-from gcq.captypes import (
-    CapabilityChecker,
-    Failure,
-    capability_goal,
-    check_capabilities,
-    init_ownerships,
-    state_satisfies,
-)
-from gcq.genchor import concat, session_chain
+from gcq.captypes import CapabilityChecker, Failure, Report, check_capabilities, init_ownerships
+from gcq.genchor import concat, corpus, interleaved_corpus, session_chain
 from gcq.gtypes import check_session_only, infer_gamma
 from gcq.linlog import Lolli, Own, Plus, Prover, Tensor, TRUE, own, prove
+from gcq.parser import parse
 from gcq.projection import check_linearity
-from gcq.syntax import CapState, Q_ALL, Q_ANY, athr, q_ratio
+from gcq.syntax import (
+    Bcast,
+    CapState,
+    If,
+    Init,
+    Lit,
+    Q_ALL,
+    Q_ANY,
+    Reduce,
+    Select,
+    Seq,
+    athr,
+    inter_parts,
+    map_chor,
+    q_ratio,
+    seq,
+    subterms,
+)
+from metahelpers import state_satisfies
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 class TestGoldenMatrix:
@@ -128,8 +147,8 @@ OTHER = own("t9", "k", "Z", {"W"})
 
 
 class TestDerive:
-    """``_derive`` on contexts of ownership atoms and ``true``: the goal's
-    exact atoms, one per participant, first match first."""
+    """The specification's ``_derive`` on contexts of ownership atoms and
+    ``true``: the goal's exact atoms, one per participant, first match first."""
 
     PRINCIPAL = athr("t0", "M", {"Acc0"}, {"Ms0"})
     BY_THREAD = {"t1": athr("t1", "S1", {"Acc1"}, {"Ms1"}),
@@ -143,7 +162,7 @@ class TestDerive:
     ])
     def test_leftover(self, psi, chosen, leftover):
         parts = [self.BY_THREAD[t] for t in chosen]
-        assert CapabilityChecker()._derive(psi, self.PRINCIPAL, parts, "k") == leftover
+        assert reference.CapabilityChecker()._derive(psi, self.PRINCIPAL, parts, "k") == leftover
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([M, S1, S2, OTHER, TRUE]), max_size=5),
@@ -152,10 +171,10 @@ class TestDerive:
         """Derivable exactly when the prover derives the goal from some
         selection of one context formula per participant."""
         parts = [self.BY_THREAD[t] for t in chosen]
-        goal = capability_goal(self.PRINCIPAL, parts, "k")
+        goal = reference.capability_goal(self.PRINCIPAL, parts, "k")
         provable = any(prove([psi[i] for i in combo], goal).provable
                        for combo in itertools.combinations(range(len(psi)), len(parts) + 1))
-        derived = CapabilityChecker()._derive(tuple(psi), self.PRINCIPAL, parts, "k")
+        derived = reference.CapabilityChecker()._derive(tuple(psi), self.PRINCIPAL, parts, "k")
         assert (derived is not None) == provable
 
     @pytest.mark.parametrize("formula", [Plus(M, M), Plus(M, OTHER), Tensor(M, S2)])
@@ -241,3 +260,123 @@ class TestSessionChain:
         assert not report.ok
         assert {f.code for f in report.failures} == {"CapabilityUnderivable"}
         assert report.failures == check_capabilities([], second).failures
+
+
+def _mutant(c, rng: random.Random):
+    """``c`` with, at random, each interaction's quality replaced and each
+    annotated thread's ``req`` and ``off`` sets swapped or changed by one
+    atom of the program; a start's threads keep an empty ``req``."""
+    pool = sorted({a for n in subterms(c) if isinstance(n, Seq)
+                   for p in inter_parts(n.inter).athrs for a in p.req | p.off}) or ["X"]
+
+    def thread(p, start=False):
+        r = rng.random()
+        if r < 0.1:
+            p = replace(p, req=p.off, off=p.req)
+        elif r < 0.25:
+            p = replace(p, req=p.req ^ {rng.choice(pool)})
+        elif r < 0.4:
+            p = replace(p, off=p.off ^ {rng.choice(pool)})
+        return replace(p, req=frozenset()) if start else p
+
+    def quality(q, n):
+        if rng.random() < 0.5:
+            return q
+        return rng.choice([Q_ALL, Q_ANY, q_ratio(max(n - 1, 1), max(n, 1)), q_ratio(1, n + 1)])
+
+    def inter(eta):
+        match eta:
+            case Init(actives, services, svc, key):
+                return Init(tuple(thread(p, True) for p in actives),
+                            tuple(thread(p, True) for p in services), svc, key)
+            case Bcast(sender, expr, receivers, q, key):
+                return Bcast(thread(sender), expr, tuple((thread(p), x) for p, x in receivers),
+                             quality(q, len(receivers)), key)
+            case Reduce(senders, receiver, var, q, op, key):
+                return Reduce(tuple((thread(p), e) for p, e in senders), thread(receiver), var,
+                              quality(q, len(senders)), op, key)
+            case Select(sender, receivers, q, key, label):
+                return Select(thread(sender), tuple(map(thread, receivers)),
+                              quality(q, len(receivers)), key, label)
+
+    def walk(node):
+        fields = {"inter": inter(node.inter)} if isinstance(node, Seq) else {}
+        return map_chor(node, walk, **fields)
+
+    return walk(c)
+
+
+def _repeated_branches():
+    """Conditionals whose else-branch repeats the then-branch's rejected
+    protocol, so that it reaches each continuation with all of that
+    continuation's failures reported.  In the second, the else-branch has
+    started a session on the service thread that a later start takes, and
+    its selection needs an atom that sensor t3 lacks."""
+    family = sensor_family(3, Q_ANY, Q_ANY)
+    start, select, reduce = family.inter, family.cont.inter, family.cont.cont.inter
+    reduce_all = sensor_family(3, Q_ANY, Q_ALL).cont.cont.inter
+    weak = replace(select, receivers=(*select.receivers[:2],
+                                      replace(select.receivers[2], req=frozenset({"Foo"}))))
+    later = Init((athr("t5", "S1", off={"Acc1"}),), (athr("t9", "M", off={"Acc0"}),),
+                 "temperature", "k2")
+    earlier = replace(later, actives=(athr("t8", "S1", off={"Acc1"}),), key="k3")
+    return [Seq(start, If(Lit(True), "t0", seq(select, reduce_all), seq(select, reduce_all))),
+            Seq(start, If(Lit(True), "t0", seq(select, reduce, later),
+                          seq(earlier, weak, reduce, later)))]
+
+
+def _programs():
+    """The golden programs, two generated corpora, the n-sensor family, the
+    session chains, and 1,200 seeded mutants of them."""
+    programs = [parse(f.read_text(encoding="utf-8"), lax_select=True).chor
+                for f in sorted(GOLDEN.glob("*.gcq"))]
+    programs += corpus(300, seed=23) + interleaved_corpus(60, seed=4)
+    for n in range(2, 7):
+        qualities, over = [Q_ALL, Q_ANY, q_ratio(n - 1, n)], [i for i in range(1, n + 1) if i != 2]
+        for q1, q2 in itertools.product(qualities, qualities):
+            programs += [sensor_family(n, q1, q2), sensor_family(n, q1, q2, reduce_over=over)]
+    for q in (Q_ALL, Q_ANY, q_ratio(2, 3)):
+        programs += [session_chain(m, q) for m in range(1, 4)]
+        programs.append(concat(session_chain(2, q), sensor_family(3, Q_ANY, Q_ANY)))
+    programs += _repeated_branches()
+    rng = random.Random(19)
+    return programs + [_mutant(rng.choice(programs), rng) for _ in range(1200)]
+
+
+class TestAgainstReference:
+    """The one-pass checker gives the enumerating specification's report,
+    byte for byte, and records only the specification's verdicts."""
+
+    def test_reports_identical(self):
+        rejected = 0
+        for i, c in enumerate(_programs()):
+            spec, fast = reference.CapabilityChecker(), CapabilityChecker()
+            expected = Report(spec.check((TRUE,), c), spec.failures).to_json()
+            assert Report(fast.check((TRUE,), c), fast.failures).to_json() == expected, (i, c)
+            assert fast._memo.items() <= spec._memo.items(), (i, c)
+            rejected += not expected["ok"]
+        assert rejected >= 300
+
+
+class TestCheckCount:
+    """Counted, not timed: how often a term is checked under a context."""
+
+    def _calls(self, monkeypatch, chor) -> int:
+        calls = 0
+        check_raw = CapabilityChecker._check_raw
+
+        def counted(self, psi, c):
+            nonlocal calls
+            calls += 1
+            return check_raw(self, psi, c)
+
+        monkeypatch.setattr(CapabilityChecker, "_check_raw", counted)
+        assert not check_capabilities([], chor).ok
+        return calls
+
+    def test_any_all_stops_at_the_first_failure(self, monkeypatch):
+        assert self._calls(monkeypatch, sensor_family(16, Q_ANY, Q_ALL)) <= 10
+
+    def test_any_any_one_check_per_context(self, monkeypatch):
+        n = 10
+        assert self._calls(monkeypatch, sensor_family(n, Q_ANY, Q_ANY)) <= 2 ** n + 4 * n

@@ -309,6 +309,18 @@ class TestProjectRoundTrip:
         assert err.strip() == (f"{proc}:{lo}-{lo + len('measure')}: "
                                "syntax error: expected ':', found 'measure'")
 
+    def test_unknown_aggregation_operator_names_the_process_file(self, tmp_path, capsys):
+        assert run_cli("project", str(GOLDEN / "sensors_all.gcq"), "-o", str(tmp_path),
+                       capsys=capsys)[0] == 0
+        proc = tmp_path / "service_temperature_M.epq"
+        text = proc.read_text().replace(", avg)", ", foo)")
+        proc.write_text(text)
+        code, _, err = run_cli("run-net", str(tmp_path / "manifest.json"), capsys=capsys)
+        assert code == 1
+        lo = text.index("foo")
+        assert err.strip() == (f"{proc}:{lo}-{lo + 3}: "
+                               "syntax error: unknown aggregation operator 'foo'")
+
 
 class TestConditionalPipeline:
     def test_conditional_program_full_pipeline(self, tmp_path, capsys):

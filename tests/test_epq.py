@@ -57,7 +57,7 @@ from gcq.netsem import (
 )
 from gcq.parser import ParseError
 from gcq.syntax import (
-    Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio, stable_repr,
+    AGG_OPS, Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio, stable_repr,
 )
 
 
@@ -501,6 +501,7 @@ class TestQueueNormalForm:
 _PROC_CLASSES = get_args(epq.Proc)
 _ident = st.sampled_from(["k", "j", "x", "y"])
 _role = st.sampled_from(["A", "B", "C"])
+_op = st.sampled_from(AGG_OPS)
 _roles = st.lists(_role, min_size=1, max_size=3).map(tuple)
 _quality = st.sampled_from([Q_ALL, Q_ANY, q_ratio(2, 3)])
 _expr = st.sampled_from([Lit(1), Lit(-2), Lit("s"), Var("x"), NoneE(), SomeE(Var("y")),
@@ -513,13 +514,13 @@ _any_proc = st.recursive(st.just(INACT), lambda cont: st.one_of(
     st.builds(QOut, _ident, _role, _roles, _quality, _expr, cont),
     st.builds(InP, _ident, _role, _role, _ident, cont),
     st.builds(OutP, _ident, _role, _role, _expr, cont),
-    st.builds(QIn, _ident, _roles, _role, _quality, _ident, _ident, cont),
+    st.builds(QIn, _ident, _roles, _role, _quality, _ident, _op, cont),
     st.builds(QSel, _ident, _role, _roles, _quality, _ident, cont),
     st.builds(Branch, _ident, _role, _role,
               st.dictionaries(_ident, cont, min_size=1, max_size=3).map(
                   lambda arms: tuple(arms.items()))),
     st.builds(WaitOut, _ident, _role, _roles, cont),
-    st.builds(WaitIn, _ident, _roles, _role, _ident, _ident, cont),
+    st.builds(WaitIn, _ident, _roles, _role, _op, _ident, cont),
     st.builds(IfP, _expr, cont, cont),
 ), max_leaves=6)
 
@@ -564,6 +565,8 @@ class TestProcText:
         ("out! k [A -> B,C] [3/2] (1) . end", "ratio predicate requires", "3/2"),
         ("out! k [A -> B,C] (1) . end", "plain output has exactly one receiver", "out"),
         ("in? k [A <- B,C] (x) . end", "plain input has exactly one sender", "in"),
+        ("in? k [A <- B,C] [all] (x, foo) . end", "unknown aggregation operator 'foo'", "foo"),
+        ("wait_in k [A <- B] (x, avg2) . end", "unknown aggregation operator 'avg2'", "avg2"),
     ])
     def test_syntax_errors_carry_their_span(self, text, message, spanned):
         with pytest.raises(ParseError, match=message) as info:

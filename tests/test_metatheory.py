@@ -10,7 +10,7 @@ import pytest
 
 from chor_closure import swap_closure
 from chorfixtures import sensors
-from gcq.captypes import check_capabilities, state_satisfies
+from gcq.captypes import check_capabilities
 from gcq.genchor import GenConfig, corpus
 from gcq.linlog import Own, own
 from gcq.projection import epp
