@@ -42,12 +42,13 @@ from .syntax import (
     free_names,
     least_count,
     subterms,
+    term,
 )
 
 MAX_PARTICIPANTS = 16
 
 
-@dataclass(frozen=True)
+@term
 class Failure:
     code: str          # NoSatisfyingSubset | CapabilityUnderivable | FreshnessViolation | ...
     interaction: str   # printable description of the offending construct

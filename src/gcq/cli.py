@@ -207,6 +207,17 @@ def cmd_availability(args) -> int:
     return _verdict_exit(verdict)
 
 
+def _bound(text: str) -> int:
+    """A ``--bound``: a number of steps or a search depth, so not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  It names each command
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None, help="policy seed for runs")
         if bound is not None:
-            p.add_argument("--bound", type=int, default=bound, help="step/depth budget")
+            p.add_argument("--bound", type=_bound, default=bound, help="step/depth budget")
         if schedule:
             p.add_argument("--schedule", help="availability schedule JSON file")
 

@@ -15,7 +15,7 @@ pruning.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .epq import Network, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
@@ -47,6 +47,7 @@ from .syntax import (
     GSelectL,
     GTau,
     stable_repr,
+    term,
     tolerates_absence,
 )
 
@@ -93,14 +94,14 @@ def _start_key_agnostic(lab: ELabel):
             return lab
 
 
-@dataclass(frozen=True)
+@term
 class Witness:
     """Which endpoint positions realize which global label."""
 
     groups: tuple[tuple[GLabel, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
+@term
 class Correspondence:
     ok: bool
     witness: Optional[Witness] = None
@@ -141,7 +142,7 @@ def implements(globals_: Iterable[GLabel], endpoints: Iterable[ELabel]) -> Corre
 def _rename_net_session(net: Network, old: str, new: str) -> Network:
     if old == new:
         return net
-    comps = tuple(replace(c, proc=rename_key(c.proc, old, new)) for c in net.components)
+    comps = tuple(c.replace(proc=rename_key(c.proc, old, new)) for c in net.components)
     queues = tuple(Queue(new if q.key == old else q.key, q.msgs) for q in net.queues)
     restricted = frozenset(new if n == old else n for n in net.restricted)
     return Network(comps, queues, restricted)
@@ -209,11 +210,11 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None) -> list[Net
                     # greedy key assignment; ambiguous only when one window
                     # holds several starts with identical service and roles
                     target_key = next((k for k in pending if remaining[
-                        _start_key_agnostic(replace(lab, key=k))] > 0), None)
+                        _start_key_agnostic(lab.replace(key=k))] > 0), None)
                     if target_key is None:
                         continue
                     succ = _rename_net_session(succ, lab.key, target_key)
-                    lab = replace(lab, key=target_key)
+                    lab = lab.replace(key=target_key)
             key = _start_key_agnostic(lab)
             if remaining[key] > 0:
                 dfs(succ, remaining - Counter([key]))
@@ -346,7 +347,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                         None)
                     if target_key is not None and target_key != elabel.key:
                         adjusted_net1 = _rename_net_session(net1, elabel.key, target_key)
-                        adjusted = replace(elabel, key=target_key)
+                        adjusted = elabel.replace(key=target_key)
                 fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
                 if fired:
                     try:
@@ -482,7 +483,7 @@ def _forced_sync(net: Network, oracle) -> list:
 
 def drop_receiver(net: Network, owner: str) -> Network:
     """Mis-projection: remove one thread's process entirely."""
-    return replace(net, components=tuple(c for c in net.components if c.owner != owner))
+    return net.replace(components=tuple(c for c in net.components if c.owner != owner))
 
 
 def swap_select_label(net: Network, new_label: str) -> Network:
@@ -490,7 +491,7 @@ def swap_select_label(net: Network, new_label: str) -> Network:
     the first selection on each path."""
     def fix(proc):
         if isinstance(proc, QSel):
-            return replace(proc, label=new_label)
+            return proc.replace(label=new_label)
         return map_cont(proc, fix)
 
     comps = []
@@ -499,8 +500,8 @@ def swap_select_label(net: Network, new_label: str) -> Network:
         if not done:
             fixed = fix(comp.proc)
             if fixed != comp.proc:
-                comps.append(replace(comp, proc=fixed))
+                comps.append(comp.replace(proc=fixed))
                 done = True
                 continue
         comps.append(comp)
-    return replace(net, components=tuple(comps))
+    return net.replace(components=tuple(comps))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .syntax import (
@@ -30,6 +29,7 @@ from .syntax import (
     SomeV,
     Var,
     map_vars,
+    term,
     value_expr,
 )
 from .parser import ParseError, print_expr, tokenize, _Parser, _TOKEN_RE
@@ -38,36 +38,12 @@ from .parser import ParseError, print_expr, tokenize, _Parser, _TOKEN_RE
 # Process syntax
 
 
-def _term(cls):
-    """A frozen dataclass whose hash is computed once per object and kept.
-
-    A successor shares its unchanged subterms with its parent, so one stored
-    hash serves every later lookup in the searches' dicts and sets.  The
-    ``_hash`` field is ignored by ``==``, ``repr``, ``stable_repr``,
-    ``replace`` and match patterns.  Sound because no code sets a field after
-    construction (``__post_init__`` runs before any hash) and no term is
-    pickled across processes, whose hash seeds differ.
-    """
-    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "_hash": "Optional[int]"}
-    cls._hash = field(default=None, init=False, repr=False, compare=False, hash=False)
-    cls = dataclass(frozen=True)(cls)
-    structural = cls.__hash__
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_term
+@term
 class Inact:
     pass
 
 
-@_term
+@term
 class Request:
     svc: str
     roles: tuple[Role, ...]  # all session roles; the requester plays roles[0]
@@ -75,7 +51,7 @@ class Request:
     cont: "Proc"
 
 
-@_term
+@term
 class AcceptOnce:
     svc: str
     role: Role
@@ -83,7 +59,7 @@ class AcceptOnce:
     cont: "Proc"
 
 
-@_term
+@term
 class AcceptRepl:
     svc: str
     role: Role
@@ -91,7 +67,7 @@ class AcceptRepl:
     cont: "Proc"
 
 
-@_term
+@term
 class QOut:
     key: str
     sender: Role
@@ -101,7 +77,7 @@ class QOut:
     cont: "Proc"
 
 
-@_term
+@term
 class InP:
     key: str
     receiver: Role
@@ -110,7 +86,7 @@ class InP:
     cont: "Proc"
 
 
-@_term
+@term
 class OutP:
     key: str
     sender: Role
@@ -119,7 +95,7 @@ class OutP:
     cont: "Proc"
 
 
-@_term
+@term
 class QIn:
     key: str
     senders: tuple[Role, ...]
@@ -130,7 +106,7 @@ class QIn:
     cont: "Proc"
 
 
-@_term
+@term
 class QSel:
     key: str
     sender: Role
@@ -140,7 +116,7 @@ class QSel:
     cont: "Proc"
 
 
-@_term
+@term
 class Branch:
     key: str
     receiver: Role
@@ -158,7 +134,7 @@ class Branch:
         return dict(self.branches)
 
 
-@_term
+@term
 class WaitOut:
     key: str
     sender: Role
@@ -166,7 +142,7 @@ class WaitOut:
     cont: "Proc"
 
 
-@_term
+@term
 class WaitIn:
     key: str
     senders: tuple[Role, ...]
@@ -176,7 +152,7 @@ class WaitIn:
     cont: "Proc"
 
 
-@_term
+@term
 class IfP:
     expr: Expr
     then: "Proc"
@@ -192,7 +168,7 @@ INACT = Inact()
 # Queue messages
 
 
-@_term
+@term
 class LabelPayload:
     label: str
 
@@ -200,7 +176,7 @@ class LabelPayload:
 Payload = Union[SomeV, NoneV, LabelPayload]
 
 
-@_term
+@term
 class OutMsg:
     sender: Role
     quality: Quality
@@ -219,7 +195,7 @@ class OutMsg:
         return frozenset(r for r, _ in self.recipients)
 
 
-@_term
+@term
 class InMsg:
     quality: Quality
     contributors: tuple[tuple[Role, bool, OptValue], ...]
@@ -263,7 +239,7 @@ def msgs_commute(m1: Msg, m2: Msg) -> bool:
 # Networks
 
 
-@_term
+@term
 class Component:
     proc: Proc
     owner: Optional[str] = None          # thread for projected processes
@@ -273,13 +249,13 @@ class Component:
         return isinstance(self.proc, AcceptRepl)
 
 
-@_term
+@term
 class Queue:
     key: str
     msgs: tuple[Msg, ...] = ()
 
 
-@_term
+@term
 class Network:
     components: tuple[Component, ...] = ()
     queues: tuple[Queue, ...] = ()
@@ -293,7 +269,7 @@ class Network:
 
     def with_queue(self, queue: Queue) -> "Network":
         out = tuple(queue if q.key == queue.key else q for q in self.queues)
-        return replace(self, queues=out)
+        return self.replace(queues=out)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +303,10 @@ def map_cont(p: Proc, f: Callable[[Proc], Proc], **fields) -> Proc:
         case Inact():
             return p
         case Branch(_, _, _, branches):
-            return replace(p, branches=tuple((l, f(c)) for l, c in branches), **fields)
+            return p.replace(branches=tuple((l, f(c)) for l, c in branches), **fields)
         case IfP(_, then, orelse):
-            return replace(p, then=f(then), orelse=f(orelse), **fields)
-    return replace(p, cont=f(p.cont), **fields)
+            return p.replace(then=f(then), orelse=f(orelse), **fields)
+    return p.replace(cont=f(p.cont), **fields)
 
 
 def proc_free_names(p: Proc) -> frozenset[str]:

@@ -17,7 +17,7 @@ through these swaps (:func:`_lift`), not by listing the swap variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from .captypes import Failure, Report, _comm_parts, check_capabilities, describe_interaction
@@ -53,6 +53,7 @@ from .syntax import (
     VarName,
     inter_parts,
     subterms,
+    term,
 )
 
 SORTS = ("bool", "int", "string", "date", "float")
@@ -75,13 +76,13 @@ class NotInferable(ValueError):
 # Global type syntax
 
 
-@dataclass(frozen=True)
+@term
 class EndT:
     def __str__(self) -> str:
         return "end"
 
 
-@dataclass(frozen=True)
+@term
 class BcastT:
     sender: Role
     receivers: tuple[Role, ...]
@@ -92,7 +93,7 @@ class BcastT:
         return f"bcast {self.sender}->({','.join(self.receivers)})<{self.sort}>.{self.cont}"
 
 
-@dataclass(frozen=True)
+@term
 class RedT:
     senders: tuple[Role, ...]
     receiver: Role
@@ -103,7 +104,7 @@ class RedT:
         return f"reduce ({','.join(self.senders)})->{self.receiver}<{self.sort}>.{self.cont}"
 
 
-@dataclass(frozen=True)
+@term
 class BranchT:
     sender: Role
     receivers: tuple[Role, ...]
@@ -161,7 +162,7 @@ def _head_roles(g: GlobalType) -> frozenset[Role]:
 # Transitions up to type-level swaps
 
 
-@dataclass(frozen=True)
+@term
 class TLabel:
     """Abstract interaction consumed by a type transition."""
 
@@ -186,11 +187,11 @@ def _head_step(g: GlobalType, alpha: TLabel) -> Optional[tuple[GlobalType, Globa
         case BcastT(sender, receivers, sort, cont), "bcast":
             if (sender,) == alpha.a_roles and frozenset(receivers) == frozenset(alpha.b_roles) \
                     and (alpha.sort is None or alpha.sort == sort):
-                return replace(g, cont=END_T), cont
+                return g.replace(cont=END_T), cont
         case RedT(senders, receiver, sort, cont), "red":
             if frozenset(senders) == frozenset(alpha.a_roles) and (receiver,) == alpha.b_roles \
                     and (alpha.sort is None or alpha.sort == sort):
-                return replace(g, cont=END_T), cont
+                return g.replace(cont=END_T), cont
         case BranchT(sender, receivers, branches), "sel":
             if (sender,) == alpha.a_roles and frozenset(receivers) == frozenset(alpha.b_roles):
                 for l, cont in branches:
@@ -217,7 +218,7 @@ def _lift(g: GlobalType, alpha: TLabel) -> Optional[tuple[GlobalType, GlobalType
             lifted = _lift(g.cont, alpha)
             if lifted is None:
                 return None
-            return lifted[0], replace(g, cont=lifted[1])
+            return lifted[0], g.replace(cont=lifted[1])
         case BranchT(sender, receivers, branches):
             arms = [_lift(gi, alpha) for _, gi in branches]
             if not arms or any(a is None or a[0] != arms[0][0] for a in arms):
@@ -239,7 +240,7 @@ def gtype_step(g: GlobalType, alpha: TLabel) -> GlobalType:
 # Environments
 
 
-@dataclass(frozen=True)
+@term
 class ServiceBinding:
     gtype: GlobalType
     actives: Optional[tuple[Role, ...]] = None   # None: take the split from the start

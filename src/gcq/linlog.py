@@ -18,23 +18,22 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .syntax import CapAtom, Role, SessionKey, Thread
+from .syntax import CapAtom, Role, SessionKey, Thread, term
 
 
 class DepthExceeded(RuntimeError):
     """Search passed the configured depth cap; says nothing about provability."""
 
 
-@dataclass(frozen=True)
+@term
 class TrueF:
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@term
 class Own:
     thread: Thread
     session: SessionKey
@@ -45,7 +44,7 @@ class Own:
         return f"{self.thread}:{self.session}[{self.role}]{{{','.join(sorted(self.caps))}}}"
 
 
-@dataclass(frozen=True)
+@term
 class Tensor:
     left: "Formula"
     right: "Formula"
@@ -54,7 +53,7 @@ class Tensor:
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
+@term
 class Plus:
     left: "Formula"
     right: "Formula"
@@ -63,7 +62,7 @@ class Plus:
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
+@term
 class Lolli:
     left: "Formula"
     right: "Formula"
@@ -147,7 +146,7 @@ def context_keys(ctx: Context) -> frozenset[SessionKey]:
 # Proof trees
 
 
-@dataclass(frozen=True)
+@term
 class ProofNode:
     rule: str
     ctx: Context
@@ -155,7 +154,7 @@ class ProofNode:
     children: tuple["ProofNode", ...] = ()
 
 
-@dataclass(frozen=True)
+@term
 class ProofResult:
     provable: bool
     certificate: Optional[ProofNode] = None

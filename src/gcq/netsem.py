@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .epq import (
@@ -60,28 +60,29 @@ from .syntax import (
     label_first_sorted,
     opt_to_json,
     stable_repr,
+    term,
 )
 
 # ---------------------------------------------------------------------------
 # Labels
 
 
-@dataclass(frozen=True)
+@term
 class ETau:
     pass
 
 
-@dataclass(frozen=True)
+@term
 class EUp:
     """An output or selection was appended to its session queue."""
 
 
-@dataclass(frozen=True)
+@term
 class EDown:
     """A reduce placeholder was appended to its session queue."""
 
 
-@dataclass(frozen=True)
+@term
 class Start:
     actives: tuple[Role, ...]
     services: tuple[Role, ...]
@@ -89,7 +90,7 @@ class Start:
     key: str
 
 
-@dataclass(frozen=True)
+@term
 class BcOut:
     sender: Role
     receivers: tuple[Role, ...]
@@ -98,7 +99,7 @@ class BcOut:
     payload: OptValue
 
 
-@dataclass(frozen=True)
+@term
 class BcIn:
     sender: Role
     receiver: Role
@@ -106,7 +107,7 @@ class BcIn:
     payload: OptValue
 
 
-@dataclass(frozen=True)
+@term
 class RdOut:
     sender: Role
     receiver: Role
@@ -114,7 +115,7 @@ class RdOut:
     payload: OptValue
 
 
-@dataclass(frozen=True)
+@term
 class RdIn:
     senders: tuple[Role, ...]
     receiver: Role
@@ -123,7 +124,7 @@ class RdIn:
     payload: OptValue
 
 
-@dataclass(frozen=True)
+@term
 class SelOut:
     sender: Role
     receivers: tuple[Role, ...]
@@ -132,7 +133,7 @@ class SelOut:
     label: str
 
 
-@dataclass(frozen=True)
+@term
 class SelIn:
     sender: Role
     receiver: Role
@@ -313,7 +314,7 @@ def _emissions(net: Network) -> dict:
                     else:
                         label = BcIn(sender, receiver, key, msg.payload)
                         nxt = subst_var(p.cont, p.var, msg.payload)
-                    delivered = replace(msg, recipients=tuple(
+                    delivered = msg.replace(recipients=tuple(
                         (r, b or r == receiver) for r, b in msg.recipients))
                     emit(label, _step(net, i, nxt, _set_msg(queue, idx, delivered)),
                          (comp, key, msg, receiver))
@@ -322,7 +323,7 @@ def _emissions(net: Network) -> dict:
                     w = eval_closed(expr)
                     if w is None:
                         continue
-                    delivered = replace(msg, contributors=tuple(
+                    delivered = msg.replace(contributors=tuple(
                         (r, True, w) if r == sender else (r, b, s)
                         for r, b, s in msg.contributors))
                     emit(RdOut(sender, receiver, key, w),
@@ -396,14 +397,14 @@ def _start_steps(net: Network, i: int, names: frozenset[str], emit):
             continue
         key = fresh_name(req.key, names)
         new_comps = list(comps)
-        new_comps[i] = replace(comp, proc=rename_key(req.cont, req.key, key))
+        new_comps[i] = comp.replace(proc=rename_key(req.cont, req.key, key))
         actives = [req.roles[0]]
         services = []
         for (j, c), role in zip(assignment, remaining):
             body = rename_key(c.proc.cont, c.proc.key, key)
             if isinstance(c.proc, AcceptOnce):
                 actives.append(role)
-                new_comps[j] = replace(c, proc=body)
+                new_comps[j] = c.replace(proc=body)
             else:
                 services.append(role)
                 new_comps.append(Component(body, owner=c.owner, service=None))
@@ -428,9 +429,9 @@ def _release(net: Network, i: int, queue: Queue, idx: int) -> Optional[tuple[ELa
                                           if not b], i)
         if peers is None:
             return None
-        comps[i] = replace(comps[i], proc=subst_var(p.cont, p.var, result))
+        comps[i] = comps[i].replace(proc=subst_var(p.cont, p.var, result))
         for j in peers:
-            comps[j] = replace(comps[j], proc=comps[j].proc.cont)
+            comps[j] = comps[j].replace(proc=comps[j].proc.cont)
         label = RdIn(tuple(p.senders), p.receiver, msg.quality, p.key, result)
     else:
         selection = isinstance(msg.payload, LabelPayload)
@@ -438,14 +439,14 @@ def _release(net: Network, i: int, queue: Queue, idx: int) -> Optional[tuple[ELa
                        [(p.sender, r) for r, b in msg.recipients if not b], i)
         if peers is None:
             return None
-        comps[i] = replace(comps[i], proc=p.cont)
+        comps[i] = comps[i].replace(proc=p.cont)
         if selection:
             comps = [c for j, c in enumerate(comps) if j not in peers]
             label = SelOut(p.sender, tuple(p.receivers), msg.quality, p.key, msg.payload.label)
         else:
             for j in peers:
                 proc = comps[j].proc
-                comps[j] = replace(comps[j], proc=subst_var(proc.cont, proc.var, NONE))
+                comps[j] = comps[j].replace(proc=subst_var(proc.cont, proc.var, NONE))
             label = BcOut(p.sender, tuple(p.receivers), msg.quality, p.key, msg.payload)
     succ = Network(tuple(comps), net.queues, net.restricted)
     return label, succ.with_queue(_pop(queue, idx))

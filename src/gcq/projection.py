@@ -14,7 +14,6 @@ a network evolution no longer uses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .epq import (
@@ -61,6 +60,7 @@ from .syntax import (
     Thread,
     free_names,
     interactions_of,
+    term,
 )
 
 
@@ -84,7 +84,7 @@ class PruningInconclusive(RuntimeError):
 # Linearity
 
 
-@dataclass(frozen=True)
+@term
 class Node:
     """Interaction node: an AST position abstracted to its participants."""
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
-from .syntax import Quality, Role, tolerates_absence
+from .syntax import Quality, Role, term, tolerates_absence
 
 
 class AvailabilityOracle(Protocol):
@@ -42,7 +41,7 @@ class AlwaysAvailable:
 ALWAYS = AlwaysAvailable()
 
 
-@dataclass(frozen=True)
+@term
 class ScriptOracle:
     """Step-indexed availability script; the last entry applies forever.
 
@@ -62,7 +61,7 @@ class ScriptOracle:
         return (thread in threads) == (mode == "available")
 
 
-@dataclass(frozen=True)
+@term
 class BernoulliOracle:
     p: float
     seed: int
@@ -72,7 +71,7 @@ class BernoulliOracle:
         return random.Random(f"{self.seed}:{step}:{thread}").random() < self.p
 
 
-@dataclass(frozen=True)
+@term
 class SingleFailure:
     """Withhold one thread from every synchronization from a step onward."""
 
@@ -87,7 +86,7 @@ class SingleFailure:
         return thread != self.thread or step < self.from_step
 
 
-@dataclass(frozen=True)
+@term
 class TolerantFailure:
     """Withhold one thread only where the pending message tolerates it.
 

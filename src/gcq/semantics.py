@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .schedule import ALWAYS, AvailabilityOracle
 from .syntax import (
@@ -55,6 +55,7 @@ from .syntax import (
     state_update,
     substitute,
     subterms,
+    term,
     used_names,
 )
 
@@ -146,13 +147,12 @@ def _lifts(c: Choreography) -> list[Choreography]:
 # Configurations and transitions
 
 
-@dataclass(frozen=True)
+@term
 class Configuration:
     sigma: CapState
     chor: Choreography
     used: frozenset[str] = frozenset()
-    # canon_key(), computed once per object; ==, repr, stable_repr and replace ignore it
-    _canon: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _canon = None  # cache slot: canon_key(), computed when first asked for
 
     @classmethod
     def initial(cls, chor: Choreography, sigma: CapState = CapState()) -> "Configuration":
@@ -203,7 +203,7 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
                 nm = fresh_name(p.thread, pool)
                 pool.add(nm)
                 renaming[p.thread] = nm
-                new_services.append(replace(p, thread=nm))
+                new_services.append(p.replace(thread=nm))
             new_key = fresh_name(key, pool)
             pool.add(new_key)
             body = cont

@@ -14,8 +14,10 @@ concurrent readers.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import FrozenInstanceError
+from types import FunctionType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 Thread = str
@@ -38,10 +40,113 @@ class Stuck(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# Terms
+
+
+def term(cls=None, /, *, order=False):
+    """Make ``cls`` a frozen value class over its annotated fields, in the
+    order they are declared, as ``dataclass(frozen=True)`` would: the same
+    ``__init__`` (which runs ``__post_init__`` if the class has one),
+    class-strict ``==`` over the fields' tuple, ``repr`` text and
+    ``__match_args__``, and ``FrozenInstanceError`` on assignment.  With
+    ``order``, ``<`` and the rest compare the fields' tuples.
+
+    Besides, ``hash`` is that of the fields' tuple, computed on first use
+    and kept in the ``_hash`` slot, so a successor that shares a subterm
+    with its parent shares its hash too; and ``t.replace(**changes)`` is
+    ``dataclasses.replace`` without reflection.  The field names are kept
+    as ``__term_fields__``.  A class keeps other computed values in cache
+    slots of its own: an unannotated class attribute set to None, which
+    ``object.__setattr__`` fills, so ``==``, ``hash``, ``repr`` and
+    ``replace`` ignore it.  Sound because no code sets a field after
+    construction (``__post_init__`` runs before any hash) and no term is
+    pickled across processes, whose hash seeds differ.
+
+    The methods are compiled once per shape (number of fields, whether
+    there is a ``__post_init__``, ``order``) and each class gets a copy
+    with its field names put in: compiling them for each class, as
+    ``dataclass`` does, was most of the package's import.
+    """
+    if cls is None:
+        return lambda c: term(c, order=order)
+    names = tuple(cls.__annotations__)
+    own = vars(cls)
+    defaults = tuple(own[n] for n in names if n in own)
+    if any(n not in own for n in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with one")
+    ren = {f"__f{i}": n for i, n in enumerate(names)}.get
+    scope = {"__cls": cls, "__setattr": object.__setattr__, "__MISSING": _MISSING,
+             "__text": f"%s({', '.join(f'{n}=%r' for n in names)})"}
+    for method, code in _shape(len(names), hasattr(cls, "__post_init__"), order).items():
+        code = code.replace(co_varnames=tuple(ren(v, v) for v in code.co_varnames),
+                            co_names=tuple(ren(v, v) for v in code.co_names),
+                            co_consts=tuple(ren(c, c) if type(c) is str else c
+                                            for c in code.co_consts))
+        fn = FunctionType(code, scope, method, defaults if method == "__init__" else None)
+        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, fn)
+    cls.replace.__kwdefaults__ = dict.fromkeys(names, _MISSING)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__match_args__ = cls.__term_fields__ = names
+    cls._hash = None
+    return cls
+
+
+@functools.cache
+def _shape(n: int, post_init: bool, order: bool) -> dict:
+    """The code of each method of a term class of this shape, with the
+    fields named ``__f0``, ``__f1``, ..."""
+    names = [f"__f{i}" for i in range(n)]
+    this = "".join(f"self.{f}, " for f in names)
+    that = "".join(f"other.{f}, " for f in names)
+    src = [
+        f"def __init__({', '.join(['self', *names])}):",
+        *(f"  __setattr(self, {f!r}, {f})" for f in names),
+        "  self.__post_init__()" if post_init else "  pass",
+        "def __eq__(self, other):",
+        "  if other.__class__ is self.__class__:",
+        f"    return self is other or ({this}) == ({that})",
+        "  return NotImplemented",
+        "def __hash__(self):",
+        "  h = self._hash",
+        "  if h is None:",
+        f"    h = hash(({this}))",
+        "    __setattr(self, '_hash', h)",
+        "  return h",
+        "def __repr__(self):",
+        f"  return __text % (self.__class__.__qualname__, {this})",
+        f"def replace({', '.join(['self', *(['*'] if n else []), *names])}):",
+        f"  return __cls({''.join(f'self.{f} if {f} is __MISSING else {f}, ' for f in names)})",
+    ]
+    methods = ["__init__", "__eq__", "__hash__", "__repr__", "replace"]
+    if order:
+        for method, op in (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")):
+            src += [f"def {method}(self, other):",
+                    "  if other.__class__ is self.__class__:",
+                    f"    return ({this}) {op} ({that})",
+                    "  return NotImplemented"]
+            methods.append(method)
+    scope: dict = {}
+    exec("\n".join(src), scope)
+    return {method: scope[method].__code__ for method in methods}
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_MISSING = object()  # a field that ``replace`` keeps
+
+
+# ---------------------------------------------------------------------------
 # Quality predicates
 
 
-@dataclass(frozen=True)
+@term
 class Quality:
     """Monotone predicate over availability flag vectors.
 
@@ -119,7 +224,7 @@ def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozense
 # Values and expressions
 
 
-@dataclass(frozen=True, order=True)
+@term(order=True)
 class Date:
     """Calendar value, kept as its ISO text; ordering is textual."""
 
@@ -132,7 +237,7 @@ class Date:
 Value = Union[int, bool, str, float, Date]
 
 
-@dataclass(frozen=True)
+@term
 class SomeV:
     value: Value
 
@@ -140,7 +245,7 @@ class SomeV:
         return f"some({format_value(self.value)})"
 
 
-@dataclass(frozen=True)
+@term
 class NoneV:
     def __str__(self) -> str:
         return "none"
@@ -169,33 +274,33 @@ def opt_to_json(w: OptValue):
     return v
 
 
-@dataclass(frozen=True)
+@term
 class Lit:
     value: Value
 
 
-@dataclass(frozen=True)
+@term
 class Var:
     name: VarName
 
 
-@dataclass(frozen=True)
+@term
 class SomeE:
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@term
 class NoneE:
     pass
 
 
-@dataclass(frozen=True)
+@term
 class Unop:
     op: str  # "-" | "not"
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@term
 class Binop:
     op: str  # + - * = < and or
     left: "Expr"
@@ -350,7 +455,7 @@ def apply_op(op: str, contributions: Iterable[OptValue]) -> OptValue:
 # Annotated threads and interactions
 
 
-@dataclass(frozen=True)
+@term
 class AnnotatedThread:
     thread: Thread
     role: Role
@@ -368,15 +473,14 @@ def athr(thread: Thread, role: Role, req: Iterable[CapAtom] = (), off: Iterable[
     return AnnotatedThread(thread, role, frozenset(req), frozenset(off))
 
 
-@dataclass(frozen=True)
 class _Interaction:
-    # inter_parts(self) and the free names it holds, each computed when first
-    # asked for; ==, hash, repr, stable_repr and replace ignore them
-    _parts: Optional["InterParts"] = field(default=None, init=False, repr=False, compare=False)
-    _own: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
+    # cache slots: inter_parts(self) and the free names it holds, each
+    # computed when first asked for
+    _parts = None
+    _own = None
 
 
-@dataclass(frozen=True)
+@term
 class Init(_Interaction):
     actives: tuple[AnnotatedThread, ...]
     services: tuple[AnnotatedThread, ...]
@@ -394,7 +498,7 @@ class Init(_Interaction):
                 raise ValueError(f"session start must not require capabilities: {p}")
 
 
-@dataclass(frozen=True)
+@term
 class Bcast(_Interaction):
     sender: AnnotatedThread
     expr: Expr
@@ -403,7 +507,7 @@ class Bcast(_Interaction):
     key: SessionKey
 
 
-@dataclass(frozen=True)
+@term
 class Reduce(_Interaction):
     senders: tuple[tuple[AnnotatedThread, Expr], ...]
     receiver: AnnotatedThread
@@ -417,7 +521,7 @@ class Reduce(_Interaction):
             raise ValueError(f"unknown aggregation operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@term
 class Select(_Interaction):
     # Source programs restrict the quality to "all" (enforced by the parser);
     # semantics and typing handle arbitrary predicates so that lax variants
@@ -436,27 +540,32 @@ Interaction = Union[Init, Bcast, Reduce, Select]
 # Choreographies
 
 
-@dataclass(frozen=True)
-class End:
+class _Node:
+    # cache slot: the free names of the node, computed when first asked for
+    _names = None
+
+
+@term
+class End(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Seq:
+@term
+class Seq(_Node):
     inter: Interaction
     cont: "Choreography"
 
 
-@dataclass(frozen=True)
-class If:
+@term
+class If(_Node):
     guard: Expr
     at: Thread
     then: "Choreography"
     orelse: "Choreography"
 
 
-@dataclass(frozen=True)
-class New:
+@term
+class New(_Node):
     kind: str  # "thread" | "session"
     name: str
     body: "Choreography"
@@ -643,7 +752,7 @@ def interactions_of(c: Choreography) -> list[Interaction]:
 # Free names
 
 
-@dataclass(frozen=True)
+@term
 class FreeNames:
     threads: frozenset[Thread]
     sessions: frozenset[SessionKey]
@@ -652,12 +761,19 @@ class FreeNames:
     roles: frozenset[Role]
 
 
-def _free(c: Choreography) -> set[Name]:
-    inner = set().union(*map(_free, chor_conts(c)))
+def _free(c: Choreography) -> frozenset[Name]:
+    """The free names of node ``c``, from those its continuations keep.  It
+    runs once per node, whose ``_names`` slot keeps the result: a check
+    that asks for the free names of each continuation walks the term once."""
+    inner = set()
+    for k in chor_conts(c):
+        inner.update(_free(k) if k._names is None else k._names)
     binds = chor_binds(c)
     if binds:
         inner -= _hidden(binds, inner)
-    return inner | _own_names(c)
+    names = frozenset(inner.union(_own_names(c)))
+    object.__setattr__(c, "_names", names)
+    return names
 
 
 def free_names(c: Choreography) -> FreeNames:
@@ -665,7 +781,7 @@ def free_names(c: Choreography) -> FreeNames:
 
     The binders are those of :func:`chor_binds`.
     """
-    names = _free(c)
+    names = _free(c) if c._names is None else c._names
     return FreeNames(*(frozenset(n[1] for n in names if n[0] == sort)
                        for sort in ("thread", "session", "service")),
                      frozenset(n[1:] for n in names if n[0] == "var"),
@@ -856,12 +972,12 @@ def state_update(sigma: CapState, sigma_prime: CapState) -> CapState:
 # Semantic labels
 
 
-@dataclass(frozen=True)
+@term
 class GTau:
     pass
 
 
-@dataclass(frozen=True)
+@term
 class GInitL:
     actives: tuple[tuple[Thread, Role], ...]
     services: tuple[tuple[Thread, Role], ...]
@@ -869,7 +985,7 @@ class GInitL:
     key: SessionKey
 
 
-@dataclass(frozen=True)
+@term
 class GBcastL:
     sender: tuple[Thread, Role]
     receivers: tuple[tuple[Thread, Role], ...]
@@ -879,7 +995,7 @@ class GBcastL:
     value: OptValue
 
 
-@dataclass(frozen=True)
+@term
 class GReduceL:
     senders: tuple[tuple[Thread, Role], ...]
     receiver: tuple[Thread, Role]
@@ -891,7 +1007,7 @@ class GReduceL:
     op: str
 
 
-@dataclass(frozen=True)
+@term
 class GSelectL:
     sender: tuple[Thread, Role]
     receivers: tuple[tuple[Thread, Role], ...]
@@ -952,15 +1068,14 @@ def stable_repr(x) -> str:
     try:
         names = _REPR_FIELDS[cls]
     except KeyError:
-        names = _REPR_FIELDS[cls] = (tuple(f.name for f in fields(cls) if f.repr)
-                                     if is_dataclass(cls) else None)
+        names = _REPR_FIELDS[cls] = getattr(cls, "__term_fields__", None)
     if names is None:
         return repr(x)
     args = ", ".join(f"{name}={stable_repr(getattr(x, name))}" for name in names)
     return f"{cls.__qualname__}({args})"
 
 
-_REPR_FIELDS: dict = {}  # type -> names of its dataclass repr fields, or None
+_REPR_FIELDS: dict = {}  # type -> its term fields, or None
 
 
 def label_first_sorted(pairs: Iterable[tuple]) -> list[tuple]:

@@ -10,7 +10,6 @@ small types are given to it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from gcq.gtypes import BcastT, BranchT, GlobalType, RedT, Sort, TLabel, _head_roles, branch_t
@@ -32,10 +31,10 @@ def _tswap_here(g: GlobalType) -> list[GlobalType]:
         roles = _head_roles(g)
         inner = g.cont
         if isinstance(inner, (BcastT, RedT)) and roles.isdisjoint(_head_roles(inner)):
-            out.append(replace(inner, cont=replace(g, cont=inner.cont)))
+            out.append(inner.replace(cont=g.replace(cont=inner.cont)))
         if isinstance(inner, BranchT) and roles.isdisjoint(_head_roles(inner)):
             out.append(BranchT(inner.sender, inner.receivers,
-                               tuple((l, replace(g, cont=gi)) for l, gi in inner.branches)))
+                               tuple((l, g.replace(cont=gi)) for l, gi in inner.branches)))
     if isinstance(g, BranchT):
         a, bs, branches = g.sender, g.receivers, g.branches
         roles = _head_roles(g)
@@ -58,7 +57,7 @@ def _tswap_here(g: GlobalType) -> list[GlobalType]:
             same = all(_strip_cont(gi) == _strip_cont(first) for gi in inners)
             if same and roles.isdisjoint(_head_roles(first)):
                 hoisted = {l: gi.cont for (l, _), gi in zip(branches, inners)}
-                out.append(replace(first, cont=branch_t(a, bs, hoisted)))
+                out.append(first.replace(cont=branch_t(a, bs, hoisted)))
     return out
 
 
@@ -67,7 +66,7 @@ def _tswap_variants(g: GlobalType) -> list[GlobalType]:
     out = list(_tswap_here(g))
     match g:
         case BcastT() | RedT():
-            out += [replace(g, cont=v) for v in _tswap_variants(g.cont)]
+            out += [g.replace(cont=v) for v in _tswap_variants(g.cont)]
         case BranchT(a, bs, branches):
             for i, (l, gi) in enumerate(branches):
                 for v in _tswap_variants(gi):

@@ -3,7 +3,6 @@ enumerating specification, and state satisfaction."""
 
 import itertools
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 import capability_reference as reference
 from chorfixtures import sensor_family, sensors, sensors_partial, typed_example
+from gcq import syntax
 from gcq.captypes import CapabilityChecker, Failure, Report, check_capabilities, init_ownerships
 from gcq.genchor import concat, corpus, interleaved_corpus, session_chain
 from gcq.gtypes import check_session_only, infer_gamma
@@ -244,6 +244,22 @@ class TestSessionChain:
         report = check_capabilities([], session_chain(12, q_ratio(2, 3)))
         assert report.ok and report.failures == []
 
+    def test_free_names_computed_once_per_node(self, monkeypatch):
+        # each communication asks for the free names of its continuation;
+        # walking the rest of the chain each time makes 3m^2 calls
+        calls = 0
+        free = syntax._free
+
+        def counted(c):
+            nonlocal calls
+            calls += 1
+            return free(c)
+
+        monkeypatch.setattr(syntax, "_free", counted)
+        chor = session_chain(100, Q_ALL)
+        assert check_capabilities([], chor).ok
+        assert 0 < calls <= len(list(subterms(chor)))
+
     @pytest.mark.parametrize("q", [Q_ALL, Q_ANY, q_ratio(2, 3)], ids=str)
     def test_chain_is_well_typed_and_linear(self, q):
         chor = session_chain(3, q)
@@ -272,12 +288,12 @@ def _mutant(c, rng: random.Random):
     def thread(p, start=False):
         r = rng.random()
         if r < 0.1:
-            p = replace(p, req=p.off, off=p.req)
+            p = p.replace(req=p.off, off=p.req)
         elif r < 0.25:
-            p = replace(p, req=p.req ^ {rng.choice(pool)})
+            p = p.replace(req=p.req ^ {rng.choice(pool)})
         elif r < 0.4:
-            p = replace(p, off=p.off ^ {rng.choice(pool)})
-        return replace(p, req=frozenset()) if start else p
+            p = p.replace(off=p.off ^ {rng.choice(pool)})
+        return p.replace(req=frozenset()) if start else p
 
     def quality(q, n):
         if rng.random() < 0.5:
@@ -315,11 +331,11 @@ def _repeated_branches():
     family = sensor_family(3, Q_ANY, Q_ANY)
     start, select, reduce = family.inter, family.cont.inter, family.cont.cont.inter
     reduce_all = sensor_family(3, Q_ANY, Q_ALL).cont.cont.inter
-    weak = replace(select, receivers=(*select.receivers[:2],
-                                      replace(select.receivers[2], req=frozenset({"Foo"}))))
+    weak = select.replace(receivers=(*select.receivers[:2],
+                                      select.receivers[2].replace(req=frozenset({"Foo"}))))
     later = Init((athr("t5", "S1", off={"Acc1"}),), (athr("t9", "M", off={"Acc0"}),),
                  "temperature", "k2")
-    earlier = replace(later, actives=(athr("t8", "S1", off={"Acc1"}),), key="k3")
+    earlier = later.replace(actives=(athr("t8", "S1", off={"Acc1"}),), key="k3")
     return [Seq(start, If(Lit(True), "t0", seq(select, reduce_all), seq(select, reduce_all))),
             Seq(start, If(Lit(True), "t0", seq(select, reduce, later),
                           seq(earlier, weak, reduce, later)))]

@@ -157,6 +157,26 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {flag} 1" in err
 
+    @pytest.mark.parametrize("command", ["run-global", "run-net", "cosim", "availability"])
+    def test_negative_bound_is_a_usage_error(self, command, capsys):
+        code, out, err = run_cli(command, str(GOLDEN / "sensors_all.gcq"), "--bound", "-3",
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "argument --bound: must not be negative, got -3" in err
+
+    @pytest.mark.parametrize("command,last", [
+        ("run-global", {"verdict": "Budget"}),
+        ("run-net", {"quiescent": False, "verdict": "Budget"}),
+        ("cosim", {"status": "BudgetExceeded", "pairs_explored": 1,
+                   "detail": "exploration stopped at depth 0"}),
+        ("availability", {"status": "BudgetExceeded", "pairs_explored": 4,
+                          "detail": "exploration stopped at depth 0 under AlwaysAvailable()"}),
+    ])
+    def test_zero_bound_takes_no_step(self, command, last, capsys):
+        code, out, _ = run_cli(command, str(GOLDEN / "sensors_all.gcq"), "--bound", "0",
+                               capsys=capsys)
+        assert (code, json.loads(out.splitlines()[-1])) == (3, last)
+
 
 class TestRuns:
     def test_run_global_trace_deterministic(self, capsys):

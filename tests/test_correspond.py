@@ -1,7 +1,6 @@
 """Label correspondence, co-simulation and availability on the golden set."""
 
 from collections import Counter, deque
-from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -357,7 +356,7 @@ class TestStateIdentity:
         fresh = Configuration(conf.sigma, conf.chor, conf.used)
         assert fresh == conf and hash(fresh) == hash(conf)
         assert repr(fresh) == repr(conf) and stable_repr(fresh) == stable_repr(conf)
-        assert replace(conf, used=frozenset())._canon is None
+        assert conf.replace(used=frozenset())._canon is None
 
     @staticmethod
     def _canonicalized(monkeypatch) -> list:
@@ -506,9 +505,9 @@ def _parent_stable_repr(x) -> str:
                 if x else "frozenset()")
     if isinstance(x, tuple):
         return f"({', '.join(map(_parent_stable_repr, x))}{',' if len(x) == 1 else ''})"
-    if is_dataclass(x):
-        args = ", ".join(f"{f.name}={_parent_stable_repr(getattr(x, f.name))}"
-                         for f in fields(x) if f.repr)
+    names = getattr(type(x), "__term_fields__", None)
+    if names is not None:
+        args = ", ".join(f"{name}={_parent_stable_repr(getattr(x, name))}" for name in names)
         return f"{type(x).__qualname__}({args})"
     return repr(x)
 
@@ -758,11 +757,11 @@ def reference_fire_labels(net, glabels, already_fired=None, shortcut=False) -> l
                 pending = init_keys.get(correspond._keyless_start(lab), [])
                 if lab.key not in pending:
                     target_key = next((k for k in pending if remaining[
-                        correspond._start_key_agnostic(replace(lab, key=k))] > 0), None)
+                        correspond._start_key_agnostic(lab.replace(key=k))] > 0), None)
                     if target_key is None:
                         continue
                     succ = correspond._rename_net_session(succ, lab.key, target_key)
-                    lab = replace(lab, key=target_key)
+                    lab = lab.replace(key=target_key)
             key = correspond._start_key_agnostic(lab)
             if remaining[key] > 0:
                 dfs(succ, remaining - Counter([key]))

@@ -1,6 +1,5 @@
 """Endpoint calculus: congruence, queue discipline, rule-level transitions."""
 
-from dataclasses import fields, is_dataclass, replace
 from typing import get_args
 
 import pytest
@@ -15,7 +14,6 @@ from gcq.epq import (
     Component,
     IfP,
     INACT,
-    Inact,
     InMsg,
     InP,
     LabelPayload,
@@ -57,8 +55,9 @@ from gcq.netsem import (
 )
 from gcq.parser import ParseError
 from gcq.syntax import (
-    AGG_OPS, Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio, stable_repr,
+    AGG_OPS, Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio,
 )
+from termsamples import samples
 
 
 def out_msg(sender="A", q=Q_ALL, recipients=(("B", False),), payload=SomeV(1)):
@@ -117,56 +116,9 @@ class TestCongruence:
         assert net_congruent(Network((Component(p1),)), Network((Component(p2),)))
 
 
-def _terms() -> list:
-    """One term of each frozen class of ``epq``, built afresh on each call."""
-    out_msg_ = OutMsg("A", Q_ALL, (("B", False),), LabelPayload("l"))
-    in_msg = InMsg(Q_ANY, (("B", True, SomeV(1)),), "A")
-    comp = Component(InP("k", "B", "A", "x", Inact()), "t1", ("svc", "B"))
-    queue = Queue("k", (out_msg_, in_msg))
-    return [
-        Inact(),
-        Request("svc", ("A", "B"), "k", Inact()),
-        AcceptOnce("svc", "B", "k", Inact()),
-        AcceptRepl("svc", "B", "k", Inact()),
-        QOut("k", "A", ("B",), Q_ALL, Lit(1), Inact()),
-        InP("k", "B", "A", "x", Inact()),
-        OutP("k", "A", "B", Var("x"), Inact()),
-        QIn("k", ("B",), "A", Q_ANY, "x", "avg", Inact()),
-        QSel("k", "A", ("B",), Q_ALL, "l", Inact()),
-        Branch("k", "B", "A", (("r", Inact()), ("l", Inact()))),
-        WaitOut("k", "A", ("B",), Inact()),
-        WaitIn("k", ("B",), "A", "avg", "x", Inact()),
-        IfP(Var("x"), Inact(), Inact()),
-        LabelPayload("l"), out_msg_, in_msg, comp, queue,
-        Network((comp,), (queue,), frozenset({"k"})),
-    ]
-
-
 class TestStoredHash:
-    """Each term hashes its fields once and keeps the result."""
-
-    def test_every_class_covered(self):
-        classes = {c for c in vars(epq).values()
-                   if isinstance(c, type) and c.__module__ == "gcq.epq" and is_dataclass(c)}
-        assert {type(t) for t in _terms()} == classes
-
-    @pytest.mark.parametrize("i", range(len(_terms())))
-    def test_equal_terms_built_apart_hash_alike(self, i):
-        a, b = _terms()[i], _terms()[i]
-        assert a is not b and a == b and hash(a) == hash(b)
-        # the hash of the fields' tuple, as the generated one: set order cannot move
-        assert hash(a) == hash(tuple(getattr(a, f.name) for f in fields(a) if f.compare))
-
-    @pytest.mark.parametrize("i", range(len(_terms())))
-    def test_stored_hash_is_invisible(self, i):
-        term, twin = _terms()[i], _terms()[i]
-        before = repr(term), stable_repr(term)
-        hash(term)
-        assert term._hash is not None and twin._hash is None
-        assert (repr(term), stable_repr(term)) == before and term == twin
-        assert "_hash" not in type(term).__match_args__
-        copy = replace(term)
-        assert copy._hash is None and copy == term and hash(copy) == hash(term)
+    """A term hashes its fields once and keeps the result (the contract of
+    every term is in ``test_terms``)."""
 
     def test_second_hash_calls_no_field_hash(self):
         calls = []
@@ -526,7 +478,7 @@ _any_proc = st.recursive(st.just(INACT), lambda cont: st.one_of(
 
 
 class TestProcText:
-    @pytest.mark.parametrize("proc", [t for t in _terms() if isinstance(t, _PROC_CLASSES)],
+    @pytest.mark.parametrize("proc", [t for t in samples() if isinstance(t, _PROC_CLASSES)],
                              ids=lambda t: type(t).__name__)
     def test_every_process_class_roundtrips(self, proc):
         assert parse_proc(print_proc(proc)) == proc

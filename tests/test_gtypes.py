@@ -1,7 +1,6 @@
 """Session types: transitions, swap closure, the judgment, label typing."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -159,7 +158,7 @@ def _random_gtype(rng, size):
         return END_T
     head = _random_head(rng)
     if isinstance(head, (BcastT, RedT)):
-        return replace(head, cont=_random_gtype(rng, size - 1))
+        return head.replace(cont=_random_gtype(rng, size - 1))
     arms = head.branches
     share = (size - 1) // len(arms)
     if len(arms) > 1 and rng.random() < 1 / 3:
@@ -169,12 +168,12 @@ def _random_gtype(rng, size):
         def arm():
             if isinstance(inner, BranchT):
                 share_in = size_in // len(inner.branches)
-                return replace(inner, branches=tuple((l, _random_gtype(rng, share_in))
+                return inner.replace(branches=tuple((l, _random_gtype(rng, share_in))
                                                      for l, _ in inner.branches))
             sort = rng.choice(("int", "date")) if rng.random() < 0.2 else inner.sort
-            return replace(inner, sort=sort, cont=_random_gtype(rng, size_in))
-        return replace(head, branches=tuple((l, arm()) for l, _ in arms))
-    return replace(head, branches=tuple((l, _random_gtype(rng, share)) for l, _ in arms))
+            return inner.replace(sort=sort, cont=_random_gtype(rng, size_in))
+        return head.replace(branches=tuple((l, arm()) for l, _ in arms))
+    return head.replace(branches=tuple((l, _random_gtype(rng, share)) for l, _ in arms))
 
 
 def _random_label(rng, g):
@@ -220,7 +219,7 @@ class TestAgainstTheClosure:
             taken += 1
             assert gtype_step(g, alpha) in tswap_closure(steps[0][1]), (g, alpha)
             if alpha.kind != "sel":
-                any_sort = replace(alpha, sort=None)
+                any_sort = alpha.replace(sort=None)
                 assert _lift(g, any_sort)[0].sort == declared_sort(g, any_sort), (g, alpha)
         assert taken >= 300
 
@@ -248,9 +247,8 @@ class TestSessionJudgment:
     def test_sort_mismatch_rejected(self):
         bad = typed_example()
         # replace the date payload with an int literal
-        from dataclasses import replace as dreplace
         inter = bad.cont.inter
-        bad2 = seq(bad.inter, dreplace(inter, expr=Lit(3)), bad.cont.cont.inter)
+        bad2 = seq(bad.inter, inter.replace(expr=Lit(3)), bad.cont.cont.inter)
         report = check_session(sensor_gamma(), [], bad2)
         assert not report.ok
         assert any(f.code == "SortMismatch" for f in report.failures)
