@@ -12,10 +12,10 @@ capability-check twins of the benchmark, and the any/any and blocking
 twins at n = 2..8, whose reports list many failures in enumeration order
 (``check`` only).  Each golden program also runs ``availability
 --schedule`` under a crash of t1 at step 5, a Bernoulli oracle and a
-three-entry script, and each golden and corpus program runs ``run-global
---seed 1``, whose trace shows the names the global semantics creates and
-substitutes, and ``run-net --seed 1``, whose trace follows the successor
-that ``netsem.net_enabled`` keeps for each endpoint step.  Each golden
+three-entry script, and each golden, corpus and n-sensor program runs
+``run-global --seed 1``, whose trace shows the names the global semantics
+creates and substitutes, and ``run-net --seed 1``, whose trace follows the
+successor that ``netsem.net_enabled`` keeps for each endpoint step.  Each golden
 program also runs ``project``, which prints the manifest and the
 ``.epq`` text of every process, so a change to the text format shows
 here.  The texts come from ``perfbench/inputs.py``.  Each line is ``name
@@ -64,7 +64,7 @@ def programs(inputs):
         yield item.name, item.text, (), runs + TRACE_RUNS
     for item in inputs.sensor_family_items(1):
         flags = next((s.flags for s in item.steps if s.flags), ())
-        yield item.name, item.text, flags, runs
+        yield item.name, item.text, flags, runs + TRACE_RUNS
     for item in inputs.check_family_items(1, ROOT / "golden")[len(inputs.GOLDEN_MATRIX):]:
         yield f"check_{item.name}", item.text, item.steps[0].flags, [("check", None)]
     for n in range(2, 9):

@@ -39,6 +39,7 @@ from .syntax import (
     Reduce,
     Select,
     Seq,
+    comm_parts,
     free_names,
     least_count,
     subterms,
@@ -97,22 +98,10 @@ def init_ownerships(eta: Init) -> list[Own]:
     return [Own(p.thread, eta.key, p.role, p.off) for p in eta.actives + eta.services]
 
 
-def _comm_parts(eta: Interaction):
-    """Principal annotated thread and candidate (annotated thread) tuple."""
-    match eta:
-        case Bcast(sender, _, receivers, quality, key):
-            return sender, tuple(p for p, _ in receivers), quality, key
-        case Reduce(senders, receiver, _, quality, _, key):
-            return receiver, tuple(p for p, _ in senders), quality, key
-        case Select(sender, receivers, quality, key, _):
-            return sender, tuple(receivers), quality, key
-    raise TypeError(f"not a collective communication: {eta!r}")
-
-
 def listed_twice(eta: Interaction) -> list[str]:
     """``thread t`` and ``role r`` for each thread and role that a
     collective communication lists more than once."""
-    principal, candidates, _, _ = _comm_parts(eta)
+    principal, candidates, _, _ = comm_parts(eta)
     threads = [p.thread for p in (principal, *candidates)]
     roles = [p.role for p in (principal, *candidates)]
     if len(set(threads)) == len(threads) and len(set(roles)) == len(roles):
@@ -130,7 +119,7 @@ class _Comm:
 
     def __init__(self, c: Seq):
         self.eta, self._failures, self.static = c.inter, {}, None
-        principal, candidates, quality, key = _comm_parts(self.eta)
+        principal, candidates, quality, key = comm_parts(self.eta)
         twice = listed_twice(self.eta)
         try:
             self.least = least_count(quality, len(candidates))

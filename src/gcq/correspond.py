@@ -413,7 +413,7 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
         start = epp(c)
     except ValueError as exc:  # ProjectionUndefined, NotMergeable
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
-    if is_quiescent(start) and not net_enabled(start):
+    if is_quiescent(start):  # a quiescent network has no step
         return Verdict("Pass", "projection is inert", 1)
     oracles = oracles or [ALWAYS]
     table = canon_table()

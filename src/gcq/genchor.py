@@ -49,8 +49,6 @@ class GenConfig:
     max_threads: int = 4
     max_interactions: int = 6
     allow_if: bool = True
-    allow_weak_quality: bool = True
-    payload_vars: bool = True
     namespace: str = ""  # suffix for every generated identifier
 
 
@@ -119,13 +117,13 @@ class Generator:
     def _payload(self, s: _SessionState, t: str):
         rng = self.rng
         vars_here = s.int_vars.get(t, [])
-        if self.config.payload_vars and vars_here and rng.random() < 0.3:
+        if vars_here and rng.random() < 0.3:
             return Var(rng.choice(vars_here))
         return Lit(rng.randint(-9, 9))
 
     def _quality(self, n: int, terminal: bool) -> Quality:
         rng = self.rng
-        if not self.config.allow_weak_quality or rng.random() < 0.55:
+        if rng.random() < 0.55:
             return Q_ALL
         if n == 1 or rng.random() < 0.4:
             return Q_ANY

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .captypes import Failure, Report, _comm_parts, check_capabilities, describe_interaction
+from .captypes import Failure, Report, check_capabilities, describe_interaction
 from .linlog import Formula
 from .syntax import (
     Bcast,
@@ -51,6 +51,7 @@ from .syntax import (
     Value,
     Var,
     VarName,
+    comm_parts,
     inter_parts,
     subterms,
     term,
@@ -430,7 +431,7 @@ class SessionChecker:
                 own = {(p.thread, key): p.role for p in actives + services}
                 return self.check(gamma.with_ownerships(own), cont, {**delta, key: binding.gtype})
 
-        principal, candidates, _, key = _comm_parts(inter)
+        principal, candidates, _, key = comm_parts(inter)
         g = delta.get(key)
         if g is None:
             self._fail("SessionUntracked", where, f"session {key!r} has no protocol")

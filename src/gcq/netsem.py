@@ -45,7 +45,7 @@ from .epq import (
     subst_var,
 )
 from .schedule import ALWAYS, AvailabilityOracle
-from .semantics import make_policy
+from .semantics import drive
 from .syntax import (
     ArityMismatch,
     NONE,
@@ -485,7 +485,11 @@ class NetTrace:
     labels: list[ELabel]
     final: Network
     verdict: str  # Completed | Stuck | Budget
-    quiescent: bool = False
+
+    @property
+    def quiescent(self) -> bool:
+        """A run completes exactly when it ends in a quiescent network."""
+        return self.verdict == "Completed"
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(elabel_to_json(i, lab), sort_keys=True)
@@ -497,15 +501,5 @@ class NetTrace:
 
 def net_run(net: Network, oracle: AvailabilityOracle = ALWAYS, policy=None,
             max_steps: int = 2000) -> NetTrace:
-    pick = make_policy(policy)
-    labels: list[ELabel] = []
-    for i in range(max_steps):
-        options = net_enabled(net, oracle, i)
-        if not options:
-            if is_quiescent(net):
-                return NetTrace(labels, net, "Completed", quiescent=True)
-            return NetTrace(labels, net, "Stuck")
-        label, net = options[pick(len(options))]
-        labels.append(label)
-    verdict = "Completed" if is_quiescent(net) else "Budget"
-    return NetTrace(labels, net, verdict, quiescent=is_quiescent(net))
+    return NetTrace(*drive(net, lambda n, i: net_enabled(n, oracle, i), is_quiescent,
+                           policy, max_steps))

@@ -22,7 +22,7 @@ reads as the offer, anywhere else as the requirement.  Comments run from
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 from .gtypes import BcastT, BranchT, END_T, GlobalType, RedT, SORTS, ServiceBinding
 from .syntax import (
@@ -120,8 +120,6 @@ class SourceProgram:
     services: dict[str, ServiceBinding]
     caps_decls: dict[str, frozenset[str]]
     chor: Choreography
-    spans: dict[int, tuple[int, int]] = field(default_factory=dict)
-    text: str = ""
 
     def declared_atoms(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -134,11 +132,9 @@ class _Parser:
     token_re = _TOKEN_RE
 
     def __init__(self, text: str, lax_select: bool = False):
-        self.text = text
         self.tokens = tokenize(text, self.token_re)
         self.pos = 0
         self.lax_select = lax_select
-        self.spans: dict[int, tuple[int, int]] = {}
         self.in_init = False
 
     # -- token plumbing
@@ -176,10 +172,6 @@ class _Parser:
             out.append(item())
         return out
 
-    def _note(self, node, start: int, end: int):
-        self.spans[id(node)] = (start, end)
-        return node
-
     # -- program
 
     def program(self) -> SourceProgram:
@@ -211,8 +203,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"trailing input {tok.text!r}", (tok.start, tok.end), ("end of input",))
-        prog = SourceProgram(services, caps, body, self.spans, self.text)
-        self.spans[id(prog)] = (0, len(self.text))
+        prog = SourceProgram(services, caps, body)
         if caps:
             _validate_atoms(prog, kw.start)
         return prog
@@ -278,10 +269,9 @@ class _Parser:
     # -- choreographies
 
     def chor(self) -> Choreography:
-        tok = self.peek()
         if self.at("end"):
             self.next()
-            return self._note(End(), tok.start, tok.end)
+            return End()
         if self.at("if"):
             self.next()
             guard = self.expr()
@@ -294,11 +284,11 @@ class _Parser:
             self.expect("{")
             orelse = self.chor()
             self.expect("}")
-            return self._note(If(guard, at, then, orelse), tok.start, self.tokens[self.pos - 1].end)
+            return If(guard, at, then, orelse)
         inter = self.interaction()
         self.expect(";")
         cont = self.chor()
-        return self._note(Seq(inter, cont), tok.start, self.tokens[self.pos - 1].end)
+        return Seq(inter, cont)
 
     def interaction(self) -> Interaction:
         tok = self.peek()
@@ -321,10 +311,9 @@ class _Parser:
                 raise DuplicateThreadInInit(
                     f"thread listed twice in session start: {threads}", (tok.start, end))
             try:
-                node = Init(actives, services, svc, key)
+                return Init(actives, services, svc, key)
             except ValueError as exc:
                 raise ParseError(str(exc), (tok.start, end))
-            return self._note(node, tok.start, end)
         if self.at("bcast"):
             self.next()
             key = self.ident("session key").text
@@ -336,8 +325,7 @@ class _Parser:
             self.expect("(")
             receivers = self.comma_list(self.recv)
             self.expect(")")
-            end = self.tokens[self.pos - 1].end
-            return self._note(Bcast(sender, expr, tuple(receivers), q, key), tok.start, end)
+            return Bcast(sender, expr, tuple(receivers), q, key)
         if self.at("reduce"):
             self.next()
             key = self.ident("session key").text
@@ -353,9 +341,7 @@ class _Parser:
             receiver = self.athr()
             self.expect(":")
             bind_var = self.ident("variable").text
-            end = self.tokens[self.pos - 1].end
-            return self._note(Reduce(tuple(senders), receiver, bind_var, q, op_tok.text, key),
-                              tok.start, end)
+            return Reduce(tuple(senders), receiver, bind_var, q, op_tok.text, key)
         if self.at("select"):
             self.next()
             key = self.ident("session key").text
@@ -369,8 +355,7 @@ class _Parser:
             receivers = self.athr_group()
             self.expect(":")
             label = self.ident("label").text
-            end = self.tokens[self.pos - 1].end
-            return self._note(Select(sender, receivers, q, key, label), tok.start, end)
+            return Select(sender, receivers, q, key, label)
         raise ParseError(f"expected an interaction, found {tok.text!r}", (tok.start, tok.end),
                          ("start", "bcast", "reduce", "select", "if", "end"))
 

@@ -44,7 +44,7 @@ from .epq import (
     rename_key,
     rename_var,
 )
-from .captypes import Failure, Report, _comm_parts, describe_interaction, listed_twice
+from .captypes import Failure, Report, describe_interaction, listed_twice
 from .netsem import net_enabled
 from .semantics import split_prenex
 from .syntax import (
@@ -58,6 +58,7 @@ from .syntax import (
     Select,
     Seq,
     Thread,
+    comm_parts,
     free_names,
     interactions_of,
     term,
@@ -113,7 +114,7 @@ def _nodes_with_scope(c: Choreography, scope: tuple[int, ...] = (), counter=None
                         tuple(p.thread for p in services), svc)
             return [(node, scope)] + _nodes_with_scope(cont, scope, counter)
         case Seq(inter, cont):
-            principal, candidates, _, _ = _comm_parts(inter)
+            principal, candidates, _, _ = comm_parts(inter)
             ends = (principal.thread,), tuple(p.thread for p in candidates)
             # a reduce's principal is its receiver
             senders, receivers = ends[::-1] if isinstance(inter, Reduce) else ends

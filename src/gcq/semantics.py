@@ -43,6 +43,7 @@ from .syntax import (
     Stuck,
     alpha_canonical,
     apply_op,
+    comm_parts,
     eval_closed,
     exchange,
     free_names,
@@ -206,9 +207,7 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
                 new_services.append(p.replace(thread=nm))
             new_key = fresh_name(key, pool)
             pool.add(new_key)
-            body = cont
-            if renaming or new_key != key:
-                body = rename_free(cont, renaming, {key: new_key})
+            body = rename_free(cont, renaming, {key: new_key})
             sig_active = CapState([(p.thread, new_key, a) for p in actives for a in p.off])
             sig_service = CapState([(p.thread, new_key, a) for p in new_services for a in p.off])
             sigma2 = state_update(sigma, state_update(sig_active, sig_service))
@@ -218,59 +217,36 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
                            tuple((p.thread, p.role) for p in new_services), svc, new_key)
             out.append((label, conf))
 
-        case Bcast(sender, expr, receivers, quality, key):
-            if not sender.req <= sigma.caps(sender.thread, key):
+        case Bcast() | Select() | Reduce():
+            principal, cand, quality, key = comm_parts(inter)
+            if not principal.req <= sigma.caps(principal.thread, key):
                 return out
-            w = eval_closed(expr)
-            if w is None:
-                return out
-            cand = tuple(p for p, _ in receivers)
+            head, ends = (principal.thread, principal.role), tuple((p.thread, p.role) for p in cand)
             for chosen in _capable_subsets(sigma, quality, cand, key):
-                sigma2 = _exchange_all(sigma, [sender] + [p for p in cand if p.thread in chosen], key)
-                theta = {}
-                for p, x in receivers:
-                    theta[(x, p.thread)] = w if p.thread in chosen else NONE
+                # only the substitution and the label differ per kind
+                match inter:
+                    case Bcast(_, expr, receivers):
+                        w = eval_closed(expr)
+                        if w is None:
+                            continue
+                        theta = {(x, p.thread): w if p.thread in chosen else NONE
+                                 for p, x in receivers}
+                        label = GBcastL(head, ends, quality, key, chosen, w)
+                    case Select(label=lab):
+                        theta, label = {}, GSelectL(head, ends, quality, key, chosen, lab)
+                    case Reduce(senders, _, bind_var, _, op):
+                        exprs = {p.thread: e for p, e in senders}
+                        contribs = tuple((t, eval_closed(exprs[t])) for t in sorted(chosen))
+                        if any(w is None for _, w in contribs):
+                            continue
+                        result = apply_op(op, [w for _, w in contribs])
+                        if not isinstance(result, SomeV):
+                            continue  # the aggregation premise requires some(v)
+                        theta = {(bind_var, principal.thread): result}
+                        label = GReduceL(ends, head, quality, key, chosen, contribs, result, op)
+                sigma2 = _exchange_all(sigma, [principal] + [p for p in cand if p.thread in chosen], key)
                 conf = Configuration(sigma2, wrap_prenex(binders, substitute(cont, theta)), used)
-                label = GBcastL((sender.thread, sender.role),
-                                tuple((p.thread, p.role) for p, _ in receivers),
-                                quality, key, chosen, w)
                 out.append((label, conf))
-
-        case Select(sender, receivers, quality, key, lab):
-            if not sender.req <= sigma.caps(sender.thread, key):
-                return out
-            for chosen in _capable_subsets(sigma, quality, receivers, key):
-                sigma2 = _exchange_all(sigma, [sender] + [p for p in receivers if p.thread in chosen], key)
-                conf = Configuration(sigma2, wrap_prenex(binders, cont), used)
-                label = GSelectL((sender.thread, sender.role),
-                                 tuple((p.thread, p.role) for p in receivers),
-                                 quality, key, chosen, lab)
-                out.append((label, conf))
-
-        case Reduce(senders, receiver, bind_var, quality, op, key):
-            if not receiver.req <= sigma.caps(receiver.thread, key):
-                return out
-            cand = tuple(p for p, _ in senders)
-            exprs = {p.thread: e for p, e in senders}
-            for chosen in _capable_subsets(sigma, quality, cand, key):
-                contribs = []
-                for t in sorted(chosen):
-                    w = eval_closed(exprs[t])
-                    if w is None:
-                        break
-                    contribs.append((t, w))
-                else:
-                    result = apply_op(op, [w for _, w in contribs])
-                    if not isinstance(result, SomeV):
-                        continue  # the aggregation premise requires some(v)
-                    sigma2 = _exchange_all(
-                        sigma, [receiver] + [p for p in cand if p.thread in chosen], key)
-                    theta = {(bind_var, receiver.thread): result}
-                    conf = Configuration(sigma2, wrap_prenex(binders, substitute(cont, theta)), used)
-                    label = GReduceL(tuple((p.thread, p.role) for p, _ in senders),
-                                     (receiver.thread, receiver.role),
-                                     quality, key, chosen, tuple(contribs), result, op)
-                    out.append((label, conf))
     return out
 
 
@@ -368,18 +344,27 @@ class Trace:
         return "\n".join(lines)
 
 
+def drive(state, options, finished, policy=None, max_steps: int = 1000):
+    """Step from ``state`` until ``finished(state)`` holds, no step is left
+    or ``max_steps`` steps are taken; ``options(state, i)`` lists the steps
+    at step ``i`` and the policy (see :func:`make_policy`) picks one.
+    Returns the labels, the last state and the verdict: Completed, Stuck or
+    Budget."""
+    pick = make_policy(policy)
+    labels = []
+    for i in range(max_steps):
+        if finished(state):
+            return labels, state, "Completed"
+        steps = options(state, i)
+        if not steps:
+            return labels, state, "Stuck"
+        label, state = steps[pick(len(steps))]
+        labels.append(label)
+    return labels, state, "Completed" if finished(state) else "Budget"
+
+
 def run(conf: Configuration, oracle: AvailabilityOracle = ALWAYS, policy=None,
         max_steps: int = 1000) -> Trace:
     """Drive a configuration until completion, stuckness or budget exhaustion."""
-    pick = make_policy(policy)
-    labels: list[GLabel] = []
-    for i in range(max_steps):
-        if conf.is_end():
-            return Trace(labels, conf, "Completed")
-        options = enabled_under(conf, oracle, i)
-        if not options:
-            return Trace(labels, conf, "Stuck")
-        label, conf = options[pick(len(options))]
-        labels.append(label)
-    verdict = "Completed" if conf.is_end() else "Budget"
-    return Trace(labels, conf, verdict)
+    return Trace(*drive(conf, lambda c, i: enabled_under(c, oracle, i), Configuration.is_end,
+                        policy, max_steps))

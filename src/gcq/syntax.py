@@ -43,13 +43,12 @@ class Stuck(RuntimeError):
 # Terms
 
 
-def term(cls=None, /, *, order=False):
+def term(cls):
     """Make ``cls`` a frozen value class over its annotated fields, in the
     order they are declared, as ``dataclass(frozen=True)`` would: the same
     ``__init__`` (which runs ``__post_init__`` if the class has one),
     class-strict ``==`` over the fields' tuple, ``repr`` text and
-    ``__match_args__``, and ``FrozenInstanceError`` on assignment.  With
-    ``order``, ``<`` and the rest compare the fields' tuples.
+    ``__match_args__``, and ``FrozenInstanceError`` on assignment.
 
     Besides, ``hash`` is that of the fields' tuple, computed on first use
     and kept in the ``_hash`` slot, so a successor that shares a subterm
@@ -63,12 +62,10 @@ def term(cls=None, /, *, order=False):
     pickled across processes, whose hash seeds differ.
 
     The methods are compiled once per shape (number of fields, whether
-    there is a ``__post_init__``, ``order``) and each class gets a copy
+    there is a ``__post_init__``) and each class gets a copy
     with its field names put in: compiling them for each class, as
     ``dataclass`` does, was most of the package's import.
     """
-    if cls is None:
-        return lambda c: term(c, order=order)
     names = tuple(cls.__annotations__)
     own = vars(cls)
     defaults = tuple(own[n] for n in names if n in own)
@@ -77,7 +74,7 @@ def term(cls=None, /, *, order=False):
     ren = {f"__f{i}": n for i, n in enumerate(names)}.get
     scope = {"__cls": cls, "__setattr": object.__setattr__, "__MISSING": _MISSING,
              "__text": f"%s({', '.join(f'{n}=%r' for n in names)})"}
-    for method, code in _shape(len(names), hasattr(cls, "__post_init__"), order).items():
+    for method, code in _shape(len(names), hasattr(cls, "__post_init__")).items():
         code = code.replace(co_varnames=tuple(ren(v, v) for v in code.co_varnames),
                             co_names=tuple(ren(v, v) for v in code.co_names),
                             co_consts=tuple(ren(c, c) if type(c) is str else c
@@ -93,7 +90,7 @@ def term(cls=None, /, *, order=False):
 
 
 @functools.cache
-def _shape(n: int, post_init: bool, order: bool) -> dict:
+def _shape(n: int, post_init: bool) -> dict:
     """The code of each method of a term class of this shape, with the
     fields named ``__f0``, ``__f1``, ..."""
     names = [f"__f{i}" for i in range(n)]
@@ -118,17 +115,10 @@ def _shape(n: int, post_init: bool, order: bool) -> dict:
         f"def replace({', '.join(['self', *(['*'] if n else []), *names])}):",
         f"  return __cls({''.join(f'self.{f} if {f} is __MISSING else {f}, ' for f in names)})",
     ]
-    methods = ["__init__", "__eq__", "__hash__", "__repr__", "replace"]
-    if order:
-        for method, op in (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")):
-            src += [f"def {method}(self, other):",
-                    "  if other.__class__ is self.__class__:",
-                    f"    return ({this}) {op} ({that})",
-                    "  return NotImplemented"]
-            methods.append(method)
     scope: dict = {}
     exec("\n".join(src), scope)
-    return {method: scope[method].__code__ for method in methods}
+    return {method: scope[method].__code__
+            for method in ("__init__", "__eq__", "__hash__", "__repr__", "replace")}
 
 
 def _frozen_setattr(self, name, value):
@@ -224,9 +214,10 @@ def quality_subsets(q: Quality, candidates: tuple[Thread, ...]) -> list[frozense
 # Values and expressions
 
 
-@term(order=True)
+@term
 class Date:
-    """Calendar value, kept as its ISO text; ordering is textual."""
+    """Calendar value, kept as its ISO text; ``<`` in an expression
+    compares the texts."""
 
     iso: str
 
@@ -677,6 +668,21 @@ def inter_parts(eta: Interaction) -> InterParts:
     return parts
 
 
+def comm_parts(eta: Interaction) -> tuple[AnnotatedThread, tuple[AnnotatedThread, ...],
+                                          Quality, SessionKey]:
+    """A collective communication's principal (the sender of a broadcast or
+    selection, the receiver of a reduce), its candidates in field order,
+    its quality and its session key."""
+    match eta:
+        case Bcast(sender, _, receivers, quality, key):
+            return sender, tuple(p for p, _ in receivers), quality, key
+        case Reduce(senders, receiver, _, quality, _, key):
+            return receiver, tuple(p for p, _ in senders), quality, key
+        case Select(sender, receivers, quality, key, _):
+            return sender, tuple(receivers), quality, key
+    raise TypeError(f"not a collective communication: {eta!r}")
+
+
 def map_inter(eta: Interaction, thread: Callable[[Thread], Thread],
               key: Callable[[SessionKey], SessionKey], expr: Callable[[Expr, Thread], Expr],
               bound: Callable[[str], str]) -> Interaction:
@@ -929,10 +935,6 @@ class CapState:
     def keys(self) -> frozenset[tuple[Thread, SessionKey]]:
         return frozenset((t, k) for (t, k, _) in self._triples)
 
-    def set(self, t: Thread, k: SessionKey, atoms: Iterable[CapAtom]) -> "CapState":
-        kept = [tr for tr in self._triples if (tr[0], tr[1]) != (t, k)]
-        return CapState(kept + [(t, k, a) for a in atoms])
-
     def update(self, other: "CapState") -> "CapState":
         """Override shared (thread, session) keys with the entries of ``other``."""
         shared = other.keys()
@@ -959,9 +961,6 @@ class CapState:
     def __repr__(self) -> str:
         parts = [f"({t},{k})|->{{{','.join(sorted(atoms))}}}" for (t, k), atoms in self.items()]
         return "CapState{" + ", ".join(parts) + "}"
-
-
-EMPTY_STATE = CapState()
 
 
 def state_update(sigma: CapState, sigma_prime: CapState) -> CapState:

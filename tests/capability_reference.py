@@ -16,7 +16,6 @@ from gcq.captypes import (
     MAX_PARTICIPANTS,
     Failure,
     Report,
-    _comm_parts,
     describe_interaction,
     init_ownerships,
     listed_twice,
@@ -32,6 +31,7 @@ from gcq.syntax import (
     Interaction,
     New,
     Seq,
+    comm_parts,
     free_names,
     quality_subsets,
 )
@@ -125,7 +125,7 @@ class CapabilityChecker:
         that differed only in a finished session then coincide, and the
         memo checks the continuation once instead of once per subset.
         """
-        principal, candidates, quality, key = _comm_parts(eta)
+        principal, candidates, quality, key = comm_parts(eta)
         if len(candidates) > MAX_PARTICIPANTS:
             self._fail("TooManyParticipants", eta,
                        f"{len(candidates)} participants exceed the bound {MAX_PARTICIPANTS}")

@@ -217,6 +217,23 @@ class TestRuns:
         kinds = [json.loads(l).get("kind") for l in out.splitlines()[:-1]]
         assert "start" in kinds and "select-out" in kinds and "reduce-in" in kinds
 
+    def test_second_start_renames_its_service_thread(self, tmp_path, capsys):
+        # the key m is still fresh, but s is taken by the first session
+        prog = tmp_path / "restart.gcq"
+        prog.write_text("choreography {\n"
+                        "  start k (a) (t[A]) -> (s[B]);\n"
+                        "  bcast k [all] t[A].1 -> (s[B]: x);\n"
+                        "  start m (a) (t[A]) -> (s[B]);\n"
+                        "  bcast m [all] t[A].2 -> (s[B]: y);\n"
+                        "  end\n}\n")
+        code, out, _ = run_cli("run-global", str(prog), "--json", capsys=capsys)
+        assert code == 0
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert [(l["kind"], l["session"]) for l in lines[:-1]] == [
+            ("init", "k"), ("bcast", "k"), ("init", "m"), ("bcast", "m")]
+        assert lines[2]["services"] == lines[3]["chosen"] == ["s1"]
+        assert lines[-1] == {"verdict": "Completed"}
+
     def test_schedule_file_blocks_intolerant_run(self, tmp_path, capsys):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps({"mode": "script",
@@ -399,6 +416,16 @@ class TestCosimAvailability:
         assert json.loads(out) == {
             "status": "StuckNetworkFound", "pairs_explored": 16,
             "detail": "stuck non-quiescent network at depth 5 under AlwaysAvailable()"}
+
+    def test_availability_stuck_at_the_start(self, tmp_path, capsys):
+        # a projection that cannot step and is not quiescent is no inert Pass
+        prog = tmp_path / "inert.gcq"
+        prog.write_text("choreography { bcast k [all] t[A].x -> (s[B]: y); end }\n")
+        code, out, _ = run_cli("availability", str(prog), capsys=capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "StuckNetworkFound", "pairs_explored": 1,
+            "detail": "stuck non-quiescent network at depth 0 under AlwaysAvailable()"}
 
     def test_availability_budget_is_inconclusive(self, capsys):
         # the same stuck network lies past the bound: no Pass, exit 3

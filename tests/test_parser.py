@@ -115,10 +115,6 @@ class TestGoldenParsing:
             lo, hi = exc.value.span
             assert 0 <= lo <= hi <= len(bad)
 
-    def test_root_span_covers_input(self):
-        prog = parse(SENSORS_TEXT)
-        assert prog.spans[id(prog)] == (0, len(SENSORS_TEXT))
-
     def test_caps_single_part_reading(self):
         text = """choreography {
           start k (a) (t[A]{Off}) -> (s[B]);

@@ -18,7 +18,7 @@ from gcq.gtypes import GammaEnv
 from gcq.netsem import NetTrace
 from gcq.parser import SourceProgram
 from gcq.semantics import Trace
-from gcq.syntax import Q_ALL, Date, SomeV, stable_repr
+from gcq.syntax import Q_ALL, SomeV, stable_repr
 from termsamples import samples
 
 _MODULES = [importlib.import_module(f"gcq.{m.name}") for m in pkgutil.iter_modules(gcq.__path__)]
@@ -115,11 +115,3 @@ def test_match_patterns_read_fields_in_order():
             assert (sender, quality, recipients, value) == ("A", Q_ALL, (("B", False),), 1)
         case _:
             pytest.fail("no match")
-
-
-def test_ordered_terms_compare_their_fields():
-    assert Date("2016-01-02") < Date("2016-02-01") <= Date("2016-02-01")
-    assert Date("2016-03-01") > Date("2016-02-01") >= Date("2016-02-01")
-    assert sorted([Date("b"), Date("a")]) == [Date("a"), Date("b")]
-    with pytest.raises(TypeError):
-        Date("a") < "b"
