@@ -252,6 +252,44 @@ class Verdict:
                 "pairs_explored": self.pairs_explored}
 
 
+class _Search:
+    """The bounded breadth-first search of a verdict.
+
+    ``over(start, key, stopped)`` yields each state it reaches, and its
+    depth, once per identity ``key(state, depth)``; the caller checks the
+    state and hands its successors to :meth:`push`.  Every state at depth
+    up to ``bound`` is checked, and the bound cuts the search, with detail
+    ``stopped``, exactly when an unseen successor lies one level deeper.
+    ``explored`` and ``cuts``, the budgets that kept it from an answer in
+    the order they did, run on across the verdict's searches.
+    """
+
+    def __init__(self, bound: int):
+        self.bound, self.explored, self.cuts = bound, 0, []
+
+    def over(self, start, key, stopped: str):
+        self.key, self.stopped = key, stopped
+        self.frontier, self.seen = deque([(start, 0)]), {key(start, 0)}
+        while self.frontier:
+            self.explored += 1
+            yield self.frontier.popleft()
+
+    def push(self, state, depth: int) -> None:
+        key = self.key(state, depth)
+        if key not in self.seen:
+            if depth > self.bound:
+                self.cuts.append(self.stopped)
+            else:
+                self.seen.add(key)
+                self.frontier.append((state, depth))
+
+    def verdict(self, status: str = "Pass", detail: str = "") -> Verdict:
+        """A Pass is BudgetExceeded, with the first cut, once a budget cut the search."""
+        if status == "Pass" and self.cuts:
+            status, detail = "BudgetExceeded", self.cuts[0]
+        return Verdict(status, detail, self.explored)
+
+
 @per_verdict
 def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
                net: Optional[Network] = None) -> Verdict:
@@ -260,42 +298,35 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
     Soundness: every global step is realized by a group of endpoint steps
     whose residual network prunes to the residual projection.  Completeness:
     every endpoint step extends to a full group matching some global step.
-    ``net`` overrides the projected start network (mutation testing).
+    Every (configuration, network) pair at depth up to ``bound`` is checked
+    (:class:`_Search`).  ``net`` overrides the projected start network
+    (mutation testing).
     """
     start_conf = Configuration.initial(c)
+    table = canon_table()
     try:
-        start_net = _projection(c) if net is None else net
+        start_net = table.memo(table.projections, epp, c) if net is None else net
     except ValueError as exc:  # ProjectionUndefined, NotMergeable
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
-    table = canon_table()
-    frontier = deque([(start_conf, start_net, 0)])
-    seen = {(start_conf.canon_key(), table.canon(start_net))}
-    explored = 0
-    cut = None  # the first budget that kept the search from an answer
-    while frontier:
-        conf, net, depth = frontier.popleft()
-        explored += 1
-        if depth >= bound:
-            cut = cut or f"exploration stopped at depth {bound}"
-            continue
+    search = _Search(bound)
+    for (conf, net), depth in search.over(
+            (start_conf, start_net), lambda pair, _: (pair[0].canon_key(), table.canon(pair[1])),
+            f"exploration stopped at depth {bound}"):
         # Soundness direction
-        for glabel, conf2 in _global_steps(conf):
-            target = _projection(conf2.chor)
+        for glabel, conf2 in table.memo(table.global_steps, enabled, conf):
+            target = table.memo(table.projections, epp, conf2.chor)
             try:
                 matched = _first_pruning(target, fire_labels(net, [glabel]), prune_depth)
             except PruningInconclusive:
-                cut = cut or (f"soundness: prune depth {prune_depth} ran out for global step "
-                              f"{stable_repr(glabel)} at depth {depth}")
+                search.cuts.append(f"soundness: prune depth {prune_depth} ran out for global "
+                                   f"step {stable_repr(glabel)} at depth {depth}")
                 continue
             if matched is None:
-                return Verdict(
+                return search.verdict(
                     "CounterexampleFound",
                     f"soundness: global step {stable_repr(glabel)} at depth {depth} has no "
-                    f"realizing endpoint group", explored)
-            key = (conf2.canon_key(), table.canon(matched))
-            if key not in seen:
-                seen.add(key)
-                frontier.append((conf2, matched, depth + 1))
+                    f"realizing endpoint group")
+            search.push((conf2, matched), depth + 1)
         # Completeness direction: the fired endpoint label must belong to
         # the combined group of some global step sequence; an enqueue for a
         # group whose global turn comes later needs lookahead.
@@ -304,20 +335,18 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
             try:
                 completed = _complete_endpoint(conf, elabel, net1, prune_depth, lookahead)
             except PruningInconclusive:
-                cut = cut or (f"completeness: prune depth {prune_depth} ran out for endpoint step "
-                              f"{elabel} at depth {depth}")
+                search.cuts.append(f"completeness: prune depth {prune_depth} ran out for "
+                                   f"endpoint step {elabel} at depth {depth}")
                 continue
             if completed is None:
-                cut = cut or (f"completeness: lookahead of {lookahead} global steps ran out "
-                              f"for endpoint step {elabel} at depth {depth}")
+                search.cuts.append(f"completeness: lookahead of {lookahead} global steps ran "
+                                   f"out for endpoint step {elabel} at depth {depth}")
             elif not completed:
-                return Verdict(
+                return search.verdict(
                     "CounterexampleFound",
                     f"completeness: endpoint step {elabel} at depth {depth} completes "
-                    f"no global step sequence", explored)
-    if cut is not None:
-        return Verdict("BudgetExceeded", cut, explored)
-    return Verdict("Pass", "", explored)
+                    f"no global step sequence")
+    return search.verdict()
 
 
 def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: int,
@@ -332,12 +361,12 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
     :class:`PruningInconclusive` when none did but the prune depth kept one
     from an answer.
     """
-    unsure = None
+    table, unsure = canon_table(), None
     frontier = [(conf, [])]
     for _ in range(lookahead):
         nxt = []
         for cur, labels in frontier:
-            for glabel, conf2 in _global_steps(cur):
+            for glabel, conf2 in table.memo(table.global_steps, enabled, cur):
                 seq = labels + [glabel]
                 adjusted_net1, adjusted = net1, elabel
                 if isinstance(elabel, Start):
@@ -351,7 +380,8 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                 fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
                 if fired:
                     try:
-                        if _first_pruning(_projection(conf2.chor), fired, prune_depth) is not None:
+                        target = table.memo(table.projections, epp, conf2.chor)
+                        if _first_pruning(target, fired, prune_depth) is not None:
                             return True
                     except PruningInconclusive as exc:
                         unsure = exc
@@ -359,7 +389,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
         frontier = nxt
     if unsure is not None:
         raise unsure
-    return None if any(_global_steps(cur) for cur, _ in frontier) else False
+    return None if any(table.memo(table.global_steps, enabled, cur) for cur, _ in frontier) else False
 
 
 def _first_pruning(target: Network, nets: list[Network], prune_depth: int) -> Optional[Network]:
@@ -378,24 +408,6 @@ def _first_pruning(target: Network, nets: list[Network], prune_depth: int) -> Op
     return None
 
 
-def _projection(c: Choreography) -> Network:
-    """``epp(c)``, computed once per choreography by the running verdict."""
-    table = canon_table()
-    net = table.projections.get(c)
-    if net is None:
-        net = table.projections[c] = epp(c)
-    return net
-
-
-def _global_steps(conf: Configuration) -> list:
-    """``enabled(conf)``, computed once per configuration by the running verdict."""
-    table = canon_table()
-    steps = table.global_steps.get(conf)
-    if steps is None:
-        steps = table.global_steps[conf] = enabled(conf)
-    return steps
-
-
 # ---------------------------------------------------------------------------
 # Availability by design
 
@@ -407,7 +419,9 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
 
     Explores the projected network under each oracle; a state without
     transitions that is not quiescent (inert up to replicated services and
-    empty queues) is a counterexample.
+    empty queues) is a counterexample.  Every network at depth up to
+    ``bound`` is checked (:class:`_Search`); the count and the first cut
+    run on across the oracles.
     """
     try:
         start = epp(c)
@@ -415,41 +429,26 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
     if is_quiescent(start):  # a quiescent network has no step
         return Verdict("Pass", "projection is inert", 1)
-    oracles = oracles or [ALWAYS]
-    table = canon_table()
-    explored = 0
-    cut_under = None  # first oracle whose search the bound cut short
-    for oracle in oracles:
+    table, search = canon_table(), _Search(bound)
+    for oracle in oracles or [ALWAYS]:
         # under an oracle whose answers still change with the step, a state is (network, step)
         stepwise = oracle.settles_at != 0
-        frontier = deque([(start, 0)])
-        seen = {(table.canon(start), 0 if stepwise else None)}
-        while frontier:
-            net, depth = frontier.popleft()
-            explored += 1
+        for net, depth in search.over(
+                start, lambda net, depth: (table.canon(net), depth if stepwise else None),
+                f"exploration stopped at depth {bound} under {stable_repr(oracle)}"):
             options = net_enabled(net, oracle, depth)
             if not options:
                 if not is_quiescent(net):
-                    return Verdict(
+                    return search.verdict(
                         "StuckNetworkFound",
                         f"stuck non-quiescent network at depth {depth} under "
-                        f"{stable_repr(oracle)}", explored)
+                        f"{stable_repr(oracle)}")
                 continue
             if not stepwise:
                 options = _forced_sync(net, oracle) or options
             for _, succ in options:
-                key = (table.canon(succ), depth + 1 if stepwise else None)
-                if key in seen:
-                    continue
-                if depth >= bound:
-                    cut_under = cut_under or oracle
-                    break
-                seen.add(key)
-                frontier.append((succ, depth + 1))
-    if cut_under is not None:
-        return Verdict("BudgetExceeded", f"exploration stopped at depth {bound} under "
-                                         f"{stable_repr(cut_under)}", explored)
-    return Verdict("Pass", "", explored)
+                search.push(succ, depth + 1)
+    return search.verdict()
 
 
 def _forced_sync(net: Network, oracle) -> list:

@@ -434,9 +434,7 @@ def net_canon(net: Network, memo: Optional[dict] = None) -> Network:
     memo = {} if memo is None else memo
     entries = []
     for c in net.components:
-        entry = memo.get(c)
-        if entry is None:
-            entry = memo[c] = _comp_entry(c)
+        entry = CanonTable.memo(memo, _comp_entry, c)
         if entry:
             entries.append(entry)
     entries.sort(key=lambda e: e[1])
@@ -532,14 +530,12 @@ class CanonTable:
     """One verdict's memos, each entry computed once and only when read.
     ``forms`` holds the canonical ``Network`` of each network a search asks
     :meth:`canon` for, the searches' state identity, built from ``comps``,
-    the per-component memo of :func:`net_canon`.  ``steps`` holds each
-    network's transitions before any oracle filters them
-    (``netsem.net_enabled``), keyed on the exact network, since labels
-    carry its session keys; ``global_steps`` holds each configuration's
-    ``semantics.enabled``, keyed alike, and ``projections`` each
-    choreography's ``projection.epp``.  ``prune_answers`` maps a top-level
-    ``prunes`` query (canonical p, canonical q, depth) to True, False or
-    what it raised."""
+    the per-component memo of :func:`net_canon`.  :meth:`memo` keeps
+    ``netsem._transitions`` in ``steps``, keyed on the exact network, since
+    labels carry its session keys, ``semantics.enabled`` in
+    ``global_steps``, keyed alike, and ``projection.epp`` in
+    ``projections``.  ``prune_answers`` maps a top-level ``prunes`` query
+    (canonical p, canonical q, depth) to True, False or what it raised."""
 
     def __init__(self):
         self.forms: dict[Network, Network] = {}
@@ -555,6 +551,14 @@ class CanonTable:
             form = net_canon(net, self.comps)
             self.forms[net] = form = self.forms.setdefault(form, form)
         return form
+
+    @staticmethod
+    def memo(store: dict, fn, arg, *rest):
+        """``fn(arg, *rest)``, kept in ``store`` under ``arg`` when first read."""
+        value = store.get(arg)
+        if value is None:
+            value = store[arg] = fn(arg, *rest)
+        return value
 
 
 _tables: list[CanonTable] = []  # one per running verdict, innermost last

@@ -121,7 +121,7 @@ class Generator:
             return Var(rng.choice(vars_here))
         return Lit(rng.randint(-9, 9))
 
-    def _quality(self, n: int, terminal: bool) -> Quality:
+    def _quality(self, n: int) -> Quality:
         rng = self.rng
         if rng.random() < 0.55:
             return Q_ALL
@@ -154,7 +154,7 @@ class Generator:
         cands = rng.sample(others, count)
         kind = rng.choice(["bcast", "reduce", "select"])
         terminal = budget == 1
-        quality = Q_ALL if kind == "select" else self._quality(len(cands), terminal)
+        quality = Q_ALL if kind == "select" else self._quality(len(cands))
         weak = quality != Q_ALL
         # weak predicates: keep candidates determinate with idempotent
         # annotations, or burn them on a final progressing step

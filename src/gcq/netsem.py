@@ -216,11 +216,8 @@ def net_enabled(net: Network, oracle: AvailabilityOracle = ALWAYS, step_index: i
     per transition, the first emission the oracle allows.
     """
     table = canon_table()
-    steps = table.steps.get(net)
-    if steps is None:
-        steps = table.steps[net] = _transitions(net, table)
     out = []
-    for label, emissions in steps:
+    for label, emissions in table.memo(table.steps, _transitions, net, table):
         succ = next((s for guard, s in emissions if sync_allowed(oracle, step_index, guard)),
                     None)
         if succ is not None:

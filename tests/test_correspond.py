@@ -1,5 +1,7 @@
 """Label correspondence, co-simulation and availability on the golden set."""
 
+import json
+import re
 from collections import Counter, deque
 from pathlib import Path
 
@@ -126,6 +128,12 @@ class TestCosim:
     def test_dropped_receiver_counterexample(self):
         verdict = cosimulate(sensors(), net=drop_receiver(epp(sensors()), "t2"))
         assert verdict.status == "CounterexampleFound"
+
+    def test_bound_covers_the_start(self):
+        """The start pair is at depth 0, so bound 0 checks it."""
+        verdict = cosimulate(sensors(), bound=0, net=drop_receiver(epp(sensors()), "t2"))
+        assert (verdict.status, verdict.pairs_explored) == ("CounterexampleFound", 1)
+        assert "at depth 0 " in verdict.detail
 
     def test_swapped_label_counterexample(self):
         verdict = cosimulate(sensors(), net=swap_select_label(epp(sensors()), "calibrate"))
@@ -255,6 +263,74 @@ class TestAvailability:
         assert availability_check(chor, [TolerantFailure("z")]).pairs_explored == 10
         free = ScriptOracle((("unavailable", frozenset()),))
         assert availability_check(chor, [free]).pairs_explored == 10
+
+
+def _global_depth(chor) -> int:
+    """The largest least depth of a configuration: a breadth-first search
+    over ``semantics.enabled`` keyed by ``canon_key``."""
+    start = Configuration.initial(chor)
+    frontier, depth = deque([start]), {start.canon_key(): 0}
+    while frontier:
+        conf = frontier.popleft()
+        for _, conf2 in enabled(conf):
+            if conf2.canon_key() not in depth:
+                depth[conf2.canon_key()] = depth[conf.canon_key()] + 1
+                frontier.append(conf2)
+    return max(depth.values())
+
+
+def _endpoint_depth(chor, oracle) -> int:
+    """The largest least depth of a network under a step-free oracle: a
+    breadth-first search over ``net_enabled`` with the availability rule,
+    as ``_terminals`` runs it."""
+    @epq.per_verdict
+    def search():
+        table = epq.canon_table()
+        start = epp(chor)
+        frontier, depth = deque([start]), {table.canon(start): 0}
+        while frontier:
+            net = frontier.popleft()
+            options = net_enabled(net, oracle)
+            for _, succ in correspond._forced_sync(net, oracle) or options:
+                if table.canon(succ) not in depth:
+                    depth[table.canon(succ)] = depth[table.canon(net)] + 1
+                    frontier.append(succ)
+        return max(depth.values())
+    return search()
+
+
+class TestBoundMeaning:
+    """``--bound N`` means one thing to ``cosim`` and ``availability``: every
+    state at depth up to N is checked, and the verdict is ``BudgetExceeded``
+    exactly when an unseen successor lies at depth N + 1."""
+
+    LAX = {"sensors_any_all", "sensors_blocking"}
+    CASES = ([("cosim", name) for name in ("sensors_all", "sensors_23", "sensors_typed")]
+             + [("availability", p.stem) for p in sorted(GOLDEN.glob("*.gcq"))])
+
+    def _verdict(self, command, name, capsys, *bound) -> dict:
+        flags = ["--lax-select"] if name in self.LAX else []
+        cli.main([command, str(GOLDEN / f"{name}.gcq"), *flags, *bound])
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}-{n}" for c, n in CASES])
+    def test_least_bound_that_answers(self, command, name, capsys):
+        """A pass needs the bound to reach the deepest state, as a search
+        written here measures it; a stuck network needs its own depth."""
+        chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=name in self.LAX).chor
+        default = self._verdict(command, name, capsys)
+        if default["status"] == "Pass" and command == "cosim":
+            depth = _global_depth(chor)
+        elif default["status"] == "Pass":
+            oracles = [ALWAYS] + [TolerantFailure(t) for t in sorted(free_names(chor).threads)]
+            depth = max(_endpoint_depth(chor, oracle) for oracle in oracles)
+        else:
+            assert default["status"] == "StuckNetworkFound"
+            depth = int(re.search(r"at depth (\d+) ", default["detail"]).group(1))
+        at_depth = self._verdict(command, name, capsys, "--bound", str(depth))
+        assert (at_depth["status"], at_depth["detail"]) == (default["status"], default["detail"])
+        assert self._verdict(command, name, capsys, "--bound", str(depth - 1))["status"] \
+            == "BudgetExceeded"
 
 
 STEPS_APART = """
