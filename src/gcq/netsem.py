@@ -496,7 +496,7 @@ class NetTrace:
         return "\n".join(lines)
 
 
-def net_run(net: Network, oracle: AvailabilityOracle = ALWAYS, policy=None,
+def net_run(net: Network, oracle: AvailabilityOracle = ALWAYS, policy: int | None = None,
             max_steps: int = 2000) -> NetTrace:
     return NetTrace(*drive(net, lambda n, i: net_enabled(n, oracle, i), is_quiescent,
                            policy, max_steps))

@@ -52,6 +52,7 @@ from .syntax import (
     inter_parts,
     interactions_of,
     q_ratio,
+    seq,
 )
 
 KEYWORDS = frozenset("""
@@ -126,6 +127,14 @@ class SourceProgram:
         for atoms in self.caps_decls.values():
             out |= atoms
         return out
+
+
+# binding strength of the binary operators, read by the parser and the printer
+_PREC = {"or": 1, "and": 2, "=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
+_UNARY = max(_PREC.values()) + 1  # prefix "-" and "not" bind tighter than all of them
+_ATOM = _UNARY + 1  # the printer writes a payload after "." as an atom or in parentheses
+_COMPARISONS = ("=", "<")  # these do not chain
+_CONSTANTS = {"true": Lit(True), "false": Lit(False), "none": NoneE()}
 
 
 class _Parser:
@@ -269,26 +278,23 @@ class _Parser:
     # -- choreographies
 
     def chor(self) -> Choreography:
-        if self.at("end"):
-            self.next()
-            return End()
-        if self.at("if"):
-            self.next()
-            guard = self.expr()
-            self.expect("@")
-            at = self.ident("thread").text
-            self.expect("{")
-            then = self.chor()
-            self.expect("}")
-            self.expect("else")
-            self.expect("{")
-            orelse = self.chor()
-            self.expect("}")
-            return If(guard, at, then, orelse)
-        inter = self.interaction()
-        self.expect(";")
-        cont = self.chor()
-        return Seq(inter, cont)
+        inters = []
+        while not self.at("end", "if"):
+            inters.append(self.interaction())
+            self.expect(";")
+        if self.next().text == "end":
+            return seq(*inters, End())
+        guard = self.expr()
+        self.expect("@")
+        at = self.ident("thread").text
+        self.expect("{")
+        then = self.chor()
+        self.expect("}")
+        self.expect("else")
+        self.expect("{")
+        orelse = self.chor()
+        self.expect("}")
+        return seq(*inters, If(guard, at, then, orelse))
 
     def interaction(self) -> Interaction:
         tok = self.peek()
@@ -429,44 +435,19 @@ class _Parser:
         self.expect("]")
         return q
 
-    # -- expressions, by precedence climbing
+    # -- expressions, by precedence climbing over ``_PREC``
 
-    def expr(self) -> Expr:
-        return self._or()
-
-    def _or(self) -> Expr:
-        e = self._and()
-        while self.at("or"):
-            self.next()
-            e = Binop("or", e, self._and())
-        return e
-
-    def _and(self) -> Expr:
-        e = self._cmp()
-        while self.at("and"):
-            self.next()
-            e = Binop("and", e, self._cmp())
-        return e
-
-    def _cmp(self) -> Expr:
-        e = self._add()
-        if self.at("=", "<"):
-            op = self.next().text
-            e = Binop(op, e, self._add())
-        return e
-
-    def _add(self) -> Expr:
-        e = self._mul()
-        while self.at("+", "-"):
-            op = self.next().text
-            e = Binop(op, e, self._mul())
-        return e
-
-    def _mul(self) -> Expr:
+    def expr(self, prec: int = 1) -> Expr:
+        """An expression whose operators all bind at least as tightly as
+        ``prec``.  Operators associate to the left; a comparison takes no
+        comparison as its left operand, so ``1 < 2 < 3`` stops before the
+        second ``<``."""
         e = self._unary()
-        while self.at("*"):
-            self.next()
-            e = Binop("*", e, self._unary())
+        below = _UNARY  # the next operator must bind less tightly than this
+        while prec <= (p := _PREC.get(self.peek().text, 0)) < below:
+            op = self.next().text
+            e = Binop(op, e, self.expr(p + 1))
+            below = p if op in _COMPARISONS else p + 1
         return e
 
     def _unary(self) -> Expr:
@@ -493,15 +474,9 @@ class _Parser:
         if tok.kind == "string":
             self.next()
             return Lit(_unquote(tok.text))
-        if self.at("true"):
+        if tok.text in _CONSTANTS:
             self.next()
-            return Lit(True)
-        if self.at("false"):
-            self.next()
-            return Lit(False)
-        if self.at("none"):
-            self.next()
-            return NoneE()
+            return _CONSTANTS[tok.text]
         if self.at("some"):
             self.next()
             self.expect("(")
@@ -559,7 +534,6 @@ def parse_choreography(text: str, lax_select: bool = False) -> Choreography:
 # Pretty printing
 
 
-_PREC = {"or": 1, "and": 2, "=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
 
 
 def print_expr(e: Expr, parent_prec: int = 0) -> str:
@@ -576,82 +550,55 @@ def print_expr(e: Expr, parent_prec: int = 0) -> str:
         case SomeE(inner):
             return f"some({print_expr(inner)})"
         case Unop(op, operand):
-            body = ("not " if op == "not" else "-") + print_expr(operand, 6)
-            return f"({body})" if parent_prec > 6 else body
+            body = ("not " if op == "not" else "-") + print_expr(operand, _UNARY)
+            return f"({body})" if parent_prec > _UNARY else body
         case Binop(op, left, right):
             prec = _PREC[op]
             # comparisons do not chain: parenthesize both operands at equal level
-            left_prec = prec + 1 if op in ("=", "<") else prec
+            left_prec = prec + 1 if op in _COMPARISONS else prec
             body = f"{print_expr(left, left_prec)} {op} {print_expr(right, prec + 1)}"
             return f"({body})" if parent_prec > prec else body
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _print_caps(p: AnnotatedThread, in_init: bool) -> str:
-    if not p.req and not p.off:
-        return ""
-    req = ",".join(sorted(p.req))
-    off = ",".join(sorted(p.off))
-    if in_init:
-        return "{" + off + "}"
-    if p.off:
-        return "{" + req + ";" + off + "}"
-    return "{" + req + "}"
-
-
-def _print_athr(p: AnnotatedThread, in_init: bool = False) -> str:
-    return f"{p.thread}[{p.role}]{_print_caps(p, in_init)}"
+def _joined(athrs: tuple[AnnotatedThread, ...]) -> str:
+    return ", ".join(map(str, athrs))
 
 
 def print_interaction(eta: Interaction) -> str:
     match eta:
         case Init(actives, services, svc, key):
-            acts = ", ".join(_print_athr(p, True) for p in actives)
-            srvs = ", ".join(_print_athr(p, True) for p in services)
-            return f"start {key} ({svc}) ({acts}) -> ({srvs})"
+            return f"start {key} ({svc}) ({_joined(actives)}) -> ({_joined(services)})"
         case Bcast(sender, expr, receivers, quality, key):
-            rs = ", ".join(f"{_print_athr(p)}: {x}" for p, x in receivers)
-            return f"bcast {key} [{quality}] {_print_athr(sender)}.{print_expr(expr, 7)} -> ({rs})"
+            rs = ", ".join(f"{p}: {x}" for p, x in receivers)
+            return f"bcast {key} [{quality}] {sender}.{print_expr(expr, _ATOM)} -> ({rs})"
         case Reduce(senders, receiver, bind_var, quality, op, key):
-            ss = ", ".join(f"{_print_athr(p)}.{print_expr(e, 7)}" for p, e in senders)
-            return (f"reduce {key} [{quality}] {op} ({ss}) -> "
-                    f"{_print_athr(receiver)} : {bind_var}")
+            ss = ", ".join(f"{p}.{print_expr(e, _ATOM)}" for p, e in senders)
+            return f"reduce {key} [{quality}] {op} ({ss}) -> {receiver} : {bind_var}"
         case Select(sender, receivers, quality, key, label):
-            rs = ", ".join(_print_athr(p) for p in receivers)
-            return f"select {key} [{quality}] {_print_athr(sender)} -> ({rs}) : {label}"
+            return f"select {key} [{quality}] {sender} -> ({_joined(receivers)}) : {label}"
     raise TypeError(f"not an interaction: {eta!r}")
 
 
 def _print_chor(c: Choreography, indent: str) -> list[str]:
+    out = []
+    while isinstance(c, Seq):
+        out.append(indent + print_interaction(c.inter) + ";")
+        c = c.cont
     match c:
         case End():
-            return [indent + "end"]
-        case Seq(inter, cont):
-            return [indent + print_interaction(inter) + ";"] + _print_chor(cont, indent)
+            out.append(indent + "end")
         case If(guard, at, then, orelse):
-            out = [indent + f"if {print_expr(guard)} @ {at} {{"]
+            out.append(indent + f"if {print_expr(guard)} @ {at} {{")
             out += _print_chor(then, indent + "  ")
             out.append(indent + "} else {")
             out += _print_chor(orelse, indent + "  ")
             out.append(indent + "}")
-            return out
         case New(_, _, _):
             raise ValueError("restrictions are runtime-only and have no concrete syntax")
-    raise TypeError(f"not a choreography: {c!r}")
-
-
-def print_gtype(g: GlobalType) -> str:
-    match g:
-        case gt if gt == END_T:
-            return "end"
-        case BcastT(sender, receivers, sort, cont):
-            return f"bcast {sender} -> ({','.join(receivers)}) <{sort}> . {print_gtype(cont)}"
-        case RedT(senders, receiver, sort, cont):
-            return f"reduce ({','.join(senders)}) -> {receiver} <{sort}> . {print_gtype(cont)}"
-        case BranchT(sender, receivers, branches):
-            body = ", ".join(f"{l}: {print_gtype(gi)}" for l, gi in branches)
-            return f"branch {sender} -> ({','.join(receivers)}) {{{body}}}"
-    raise TypeError(f"not a global type: {g!r}")
+        case _:
+            raise TypeError(f"not a choreography: {c!r}")
+    return out
 
 
 def pretty_print(c: Choreography) -> str:
@@ -662,7 +609,7 @@ def pretty_print(c: Choreography) -> str:
 def pretty_print_program(prog: SourceProgram) -> str:
     lines = []
     for name, binding in sorted(prog.services.items()):
-        lines.append(f"service {name} : {print_gtype(binding.gtype)};")
+        lines.append(f"service {name} : {binding.gtype};")
     for name, atoms in sorted(prog.caps_decls.items()):
         lines.append(f"caps {name} = {{{', '.join(sorted(atoms))}}};")
     if lines:

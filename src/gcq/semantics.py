@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .schedule import ALWAYS, AvailabilityOracle
 from .syntax import (
@@ -308,26 +308,11 @@ def enabled_under(conf: Configuration, oracle: AvailabilityOracle, step_index: i
     return out
 
 
-Policy = Callable[[int], int]
-
-
-def make_policy(policy) -> Policy:
-    """'first', an int seed, or a callable index chooser."""
-    if policy == "first" or policy is None:
-        return lambda n: 0
-    if isinstance(policy, int):
-        rng = random.Random(policy)
-        return lambda n: rng.randrange(n)
-    return policy
-
-
-def step(conf: Configuration, choice=0) -> tuple[GLabel, Configuration]:
-    """Take one transition; ``choice`` is an index or a policy."""
+def step(conf: Configuration, choice: int = 0) -> tuple[GLabel, Configuration]:
+    """Take the ``choice``-th enabled transition."""
     options = enabled(conf)
     if not options:
         raise Stuck("no transition available")
-    if callable(choice):
-        choice = choice(len(options))
     return options[choice]
 
 
@@ -344,13 +329,13 @@ class Trace:
         return "\n".join(lines)
 
 
-def drive(state, options, finished, policy=None, max_steps: int = 1000):
+def drive(state, options, finished, policy: int | None = None, max_steps: int = 1000):
     """Step from ``state`` until ``finished(state)`` holds, no step is left
     or ``max_steps`` steps are taken; ``options(state, i)`` lists the steps
-    at step ``i`` and the policy (see :func:`make_policy`) picks one.
-    Returns the labels, the last state and the verdict: Completed, Stuck or
-    Budget."""
-    pick = make_policy(policy)
+    at step ``i`` and the policy picks one: the first if it is None, else
+    one drawn by ``random.Random(policy)``.  Returns the labels, the last
+    state and the verdict: Completed, Stuck or Budget."""
+    rng = None if policy is None else random.Random(policy)
     labels = []
     for i in range(max_steps):
         if finished(state):
@@ -358,12 +343,12 @@ def drive(state, options, finished, policy=None, max_steps: int = 1000):
         steps = options(state, i)
         if not steps:
             return labels, state, "Stuck"
-        label, state = steps[pick(len(steps))]
+        label, state = steps[rng.randrange(len(steps)) if rng else 0]
         labels.append(label)
     return labels, state, "Completed" if finished(state) else "Budget"
 
 
-def run(conf: Configuration, oracle: AvailabilityOracle = ALWAYS, policy=None,
+def run(conf: Configuration, oracle: AvailabilityOracle = ALWAYS, policy: int | None = None,
         max_steps: int = 1000) -> Trace:
     """Drive a configuration until completion, stuckness or budget exhaustion."""
     return Trace(*drive(conf, lambda c, i: enabled_under(c, oracle, i), Configuration.is_end,

@@ -905,6 +905,7 @@ def exchange(x: frozenset[CapAtom], y: frozenset[CapAtom], z: frozenset[CapAtom]
     return z
 
 
+@term
 class CapState:
     """Immutable store of capability atoms per thread and session.
 
@@ -912,55 +913,32 @@ class CapState:
     absent pair yields the empty set.
     """
 
-    __slots__ = ("_triples",)
+    triples: frozenset[tuple[Thread, SessionKey, CapAtom]] = frozenset()
 
-    def __init__(self, triples: Iterable[tuple[Thread, SessionKey, CapAtom]] = ()):
-        self._triples: frozenset[tuple[Thread, SessionKey, CapAtom]] = frozenset(triples)
+    def __post_init__(self):
+        object.__setattr__(self, "triples", frozenset(self.triples))
 
     @classmethod
     def of(cls, mapping: Mapping[tuple[Thread, SessionKey], Iterable[CapAtom]]) -> "CapState":
-        triples = []
-        for (t, k), atoms in mapping.items():
-            for a in atoms:
-                triples.append((t, k, a))
-        return cls(triples)
-
-    @property
-    def triples(self) -> frozenset[tuple[Thread, SessionKey, CapAtom]]:
-        return self._triples
+        return cls(frozenset((t, k, a) for (t, k), atoms in mapping.items() for a in atoms))
 
     def caps(self, t: Thread, k: SessionKey) -> frozenset[CapAtom]:
-        return frozenset(a for (t2, k2, a) in self._triples if t2 == t and k2 == k)
+        return frozenset(a for (t2, k2, a) in self.triples if t2 == t and k2 == k)
 
     def keys(self) -> frozenset[tuple[Thread, SessionKey]]:
-        return frozenset((t, k) for (t, k, _) in self._triples)
+        return frozenset((t, k) for (t, k, _) in self.triples)
 
     def update(self, other: "CapState") -> "CapState":
         """Override shared (thread, session) keys with the entries of ``other``."""
         shared = other.keys()
-        kept = [tr for tr in self._triples if (tr[0], tr[1]) not in shared]
-        return CapState(list(other._triples) + kept)
+        return CapState(other.triples | {tr for tr in self.triples if tr[:2] not in shared})
 
     def items(self) -> Iterator[tuple[tuple[Thread, SessionKey], frozenset[CapAtom]]]:
         for key in sorted(self.keys()):
             yield key, self.caps(*key)
 
     def names(self) -> frozenset[str]:
-        out: set[str] = set()
-        for t, k, _ in self._triples:
-            out.add(t)
-            out.add(k)
-        return frozenset(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CapState) and self._triples == other._triples
-
-    def __hash__(self) -> int:
-        return hash(self._triples)
-
-    def __repr__(self) -> str:
-        parts = [f"({t},{k})|->{{{','.join(sorted(atoms))}}}" for (t, k), atoms in self.items()]
-        return "CapState{" + ", ".join(parts) + "}"
+        return frozenset(n for t, k, _ in self.triples for n in (t, k))
 
 
 def state_update(sigma: CapState, sigma_prime: CapState) -> CapState:

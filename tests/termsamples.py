@@ -125,6 +125,7 @@ def samples() -> list:
         BernoulliOracle(0.5, 7),
         SingleFailure("t1", 4),
         TolerantFailure("t2"),
+        CapState(frozenset({("t1", "k", "X"), ("t2", "k", "Y")})),
         Configuration(CapState([("t1", "k", "X")]), chor, frozenset({"t1", "k"})),
         q,
         Date("2016-04-01"),

@@ -364,13 +364,13 @@ class TestConditionalPipeline:
         """A generated program with a conditional survives every stage."""
         from gcq.genchor import GenConfig, corpus
         from gcq.gtypes import infer_gamma
-        from gcq.parser import pretty_print, print_gtype
+        from gcq.parser import pretty_print
 
         chor = next(c for c in corpus(40, seed=99,
                                       config=GenConfig(max_threads=3, max_interactions=5))
                     if "If(" in repr(c))
         gamma = infer_gamma(chor)
-        decls = "".join(f"service {name} : {print_gtype(b.gtype)};\n"
+        decls = "".join(f"service {name} : {b.gtype};\n"
                         for name, b in gamma.services.items())
         src = tmp_path / "cond.gcq"
         src.write_text(decls + pretty_print(chor))

@@ -101,8 +101,8 @@ class TestImplements:
         """A full global run of the golden program implements a full network run."""
         from gcq.netsem import net_run
         c = sensors()
-        gtrace = run(Configuration.initial(c), policy="first")
-        ntrace = net_run(epp(c), policy="first")
+        gtrace = run(Configuration.initial(c))
+        ntrace = net_run(epp(c))
         assert gtrace.verdict == "Completed" and ntrace.verdict == "Completed"
         assert implements(gtrace.labels, ntrace.labels).ok
 
@@ -201,13 +201,13 @@ class TestUnicastEncodings:
         as_reduce = seq(init, Reduce(((athr("p", "A", {"P"}, {"P2"}), Lit(42)),),
                                      athr("q", "B", {"Q"}, {"Q2"}), "x", Q_ALL, "id", "k"))
         for chor in (as_bcast, as_reduce):
-            gtrace = run(Configuration.initial(chor), policy="first")
+            gtrace = run(Configuration.initial(chor))
             assert gtrace.verdict == "Completed"
-            ntrace = net_run(epp(chor), policy="first")
+            ntrace = net_run(epp(chor))
             assert ntrace.verdict == "Completed"
             assert cosimulate(chor, bound=16).passed
-        gb = run(Configuration.initial(as_bcast), policy="first").labels
-        gr = run(Configuration.initial(as_reduce), policy="first").labels
+        gb = run(Configuration.initial(as_bcast)).labels
+        gr = run(Configuration.initial(as_reduce)).labels
         (bcast_lab,) = [l for l in gb if isinstance(l, GBcastL)]
         (red_lab,) = [l for l in gr if isinstance(l, GReduceL)]
         assert bcast_lab.value == red_lab.result == SomeV(42)
@@ -232,8 +232,7 @@ class TestAvailability:
     def test_net_run_completes_with_one_sensor_withheld(self):
         """The 2/3 reduce finishes on two contributions when one sensor is down."""
         from gcq.netsem import RdIn, net_run
-        trace = net_run(epp(sensors(q2=q_ratio(2, 3))), oracle=TolerantFailure("t3"),
-                        policy="first")
+        trace = net_run(epp(sensors(q2=q_ratio(2, 3))), oracle=TolerantFailure("t3"))
         assert trace.verdict == "Completed"
         (rd,) = [l for l in trace.labels if isinstance(l, RdIn)]
         assert rd.payload == SomeV(0)  # avg(1, -2) rounds toward zero

@@ -280,7 +280,7 @@ class TestRuleLevel:
              Component(OutP("k", "A", "C", Lit(2), INACT), owner="a"),
              Component(OutP("k", "B", "C", Lit(3), INACT), owner="b")),
             (Queue("k"),))
-        trace = net_run(net, policy="first")
+        trace = net_run(net)
         assert trace.verdict == "Completed"
         kinds = [type(l).__name__ for l in trace.labels]
         assert kinds.count("RdOut") == 2 and kinds.count("RdIn") == 1

@@ -7,22 +7,22 @@ import pytest
 
 from chorfixtures import sensors, typed_example
 from gcq.epq import _ProcParser, print_proc
-from gcq.genchor import GenConfig, corpus
+from gcq.genchor import GenConfig, corpus, interleaved_corpus, session_chain
 from gcq.parser import (
     _TOKEN_RE,
     DuplicateThreadInInit,
     ParseError,
     SelectNotAll,
+    SourceProgram,
     UndeclaredCapability,
     parse,
     parse_choreography,
     pretty_print,
     pretty_print_program,
-    print_gtype,
     tokenize,
 )
 from gcq.projection import epp
-from gcq.gtypes import BranchT, END_T, RedT, branch_t
+from gcq.gtypes import BranchT, END_T, RedT, branch_t, infer_gamma
 from gcq.syntax import (
     Bcast,
     Binop,
@@ -40,6 +40,7 @@ from gcq.syntax import (
     SomeE,
     Var,
     athr,
+    interactions_of,
     q_ratio,
 )
 
@@ -166,12 +167,39 @@ class TestRoundTrip:
         c = parse(text).chor
         assert parse(pretty_print(c)).chor == c
 
+    def test_operators_associate_to_the_left(self):
+        text = "choreography { if 1 - 2 - 3 = x or y or z @ t { end } else { end } }"
+        diff = Binop("-", Binop("-", Lit(1), Lit(2)), Lit(3))
+        assert parse(text).chor.guard == Binop("or", Binop("or", Binop("=", diff, Var("x")),
+                                                            Var("y")), Var("z"))
+
+    @pytest.mark.parametrize("guard, op, at", [("1 < 2 < 3", "<", 24), ("x = 1 = y", "=", 24),
+                                               ("a and b = c = d", "=", 30)])
+    def test_comparisons_do_not_chain(self, guard, op, at):
+        with pytest.raises(ParseError) as exc:
+            parse(f"choreography {{ if {guard} @ t {{ end }} else {{ end }} }}")
+        assert str(exc.value) == f"expected '@', found '{op}'"
+        assert exc.value.span == (at, at + 1) and exc.value.expected == ("@",)
+
     def test_program_roundtrip(self):
-        prog = parse(SENSORS_TEXT)
-        again = parse(pretty_print_program(prog))
-        assert again.chor == prog.chor
-        assert again.services == prog.services
-        assert again.caps_decls == prog.caps_decls
+        """The printed program parses back; a binding's role splits are not
+        part of the text, so its global type is compared."""
+        chors = corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
+        chors += interleaved_corpus(30, seed=5)
+        progs = [parse(SENSORS_TEXT)] + [SourceProgram(infer_gamma(c).services, {}, c)
+                                         for c in chors]
+        for prog in progs:
+            again = parse(pretty_print_program(prog))
+            assert again.chor == prog.chor
+            assert ({name: b.gtype for name, b in again.services.items()}
+                    == {name: b.gtype for name, b in prog.services.items()})
+            assert again.caps_decls == prog.caps_decls
+
+    def test_long_sequence(self):
+        """Printing and parsing walk a chain of interactions in a loop, so
+        a long one fits the default recursion limit."""
+        chain = session_chain(1000, Q_ALL)
+        assert interactions_of(parse(pretty_print(chain)).chor) == interactions_of(chain)
 
     def test_thousand_random_terms(self):
         rng = random.Random(20160601)

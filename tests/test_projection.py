@@ -288,7 +288,7 @@ class TestEPP:
 
     def test_epp_runs_to_completion(self):
         for c in (sensors(), sensors(q2=q_ratio(2, 3)), typed_example()):
-            trace = net_run(epp(c), policy="first")
+            trace = net_run(epp(c))
             assert trace.verdict == "Completed", trace.final
 
     def test_swap_invariance(self):
