@@ -35,7 +35,6 @@ from .syntax import (
     If,
     Init,
     Interaction,
-    New,
     Reduce,
     Select,
     Seq,
@@ -195,8 +194,6 @@ class CapabilityChecker:
         match c:
             case End():
                 return True
-            case New(_, _, body):
-                return self._check(psi, body)
             case If(_, _, then, orelse):
                 return self._check(psi, then) & self._check(psi, orelse)
             case Seq(inter, cont):

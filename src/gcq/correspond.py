@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .epq import Network, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
+from .epq import CanonTable, Network, QSel, Queue, canon_table, map_cont, per_verdict, rename_key
 from .netsem import (
     BcIn,
     BcOut,
@@ -305,7 +305,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
     start_conf = Configuration.initial(c)
     table = canon_table()
     try:
-        start_net = table.memo(table.projections, epp, c) if net is None else net
+        start_net = _projection(table, start_conf) if net is None else net
     except ValueError as exc:  # ProjectionUndefined, NotMergeable
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
     search = _Search(bound)
@@ -314,7 +314,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
             f"exploration stopped at depth {bound}"):
         # Soundness direction
         for glabel, conf2 in table.memo(table.global_steps, enabled, conf):
-            target = table.memo(table.projections, epp, conf2.chor)
+            target = _projection(table, conf2)
             try:
                 matched = _first_pruning(target, fire_labels(net, [glabel]), prune_depth)
             except PruningInconclusive:
@@ -349,6 +349,11 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
     return search.verdict()
 
 
+def _projection(table: CanonTable, conf: Configuration) -> Network:
+    """``epp`` of ``conf``'s choreography and restrictions, kept in ``table``."""
+    return table.memo(table.projections, lambda pair: epp(*pair), (conf.chor, conf.binders))
+
+
 def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: int,
                        lookahead: int = 6) -> Optional[bool]:
     """Find global steps whose combined endpoint groups absorb the fired label.
@@ -380,7 +385,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                 fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
                 if fired:
                     try:
-                        target = table.memo(table.projections, epp, conf2.chor)
+                        target = _projection(table, conf2)
                         if _first_pruning(target, fired, prune_depth) is not None:
                             return True
                     except PruningInconclusive as exc:

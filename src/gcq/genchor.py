@@ -26,7 +26,6 @@ from .syntax import (
     Init,
     Interaction,
     Lit,
-    New,
     Q_ALL,
     Q_ANY,
     Quality,
@@ -230,11 +229,9 @@ def corpus(count: int, seed: int = 0, config: GenConfig | None = None) -> list[C
 
 
 def concat(c1: Choreography, c2: Choreography) -> Choreography:
-    """Sequence two choreographies (the first must be restriction-free)."""
+    """Sequence two choreographies."""
     if c1 == END:
         return c2
-    if isinstance(c1, New):
-        raise ValueError(f"cannot append after {c1!r}")
     return map_chor(c1, lambda k: concat(k, c2))
 
 

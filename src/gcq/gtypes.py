@@ -36,7 +36,6 @@ from .syntax import (
     If,
     Init,
     Lit,
-    New,
     NoneE,
     NoneV,
     OptValue,
@@ -264,12 +263,6 @@ class GammaEnv:
         return (frozenset(t for t, _ in self.ownerships)
                 | frozenset(t for _, t in self.var_sorts))
 
-    def drop_name(self, name: str) -> "GammaEnv":
-        return GammaEnv(self.services,
-                        {k: v for k, v in self.var_sorts.items() if k[1] != name},
-                        {k: v for k, v in self.ownerships.items()
-                         if k[0] != name and k[1] != name})
-
 
 DeltaEnv = Mapping[SessionKey, GlobalType]
 
@@ -373,9 +366,6 @@ class SessionChecker:
                                + ", ".join(f"{k}: {g}" for k, g in sorted(residue.items())))
                     return False
                 return True
-            case New(_, name, body):
-                return self.check(gamma.drop_name(name),
-                                  body, {k: g for k, g in delta.items() if k != name})
             case If(guard, at, then, orelse):
                 ok = True
                 try:
@@ -560,8 +550,6 @@ def infer_protocol(c: Choreography, key: SessionKey, gamma: GammaEnv | None = No
         match ch:
             case End():
                 return END_T
-            case New(_, _, body):
-                return walk(body, var_sorts)
             case If(_, _, then, orelse):
                 return merge_gtypes(walk(then, var_sorts), walk(orelse, dict(var_sorts)))
             case Seq(inter, cont):

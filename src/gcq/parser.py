@@ -37,7 +37,6 @@ from .syntax import (
     Init,
     Interaction,
     Lit,
-    New,
     NoneE,
     Q_ALL,
     Q_ANY,
@@ -594,8 +593,6 @@ def _print_chor(c: Choreography, indent: str) -> list[str]:
             out.append(indent + "} else {")
             out += _print_chor(orelse, indent + "  ")
             out.append(indent + "}")
-        case New(_, _, _):
-            raise ValueError("restrictions are runtime-only and have no concrete syntax")
         case _:
             raise TypeError(f"not a choreography: {c!r}")
     return out

@@ -46,14 +46,12 @@ from .epq import (
 )
 from .captypes import Failure, Report, describe_interaction, listed_twice
 from .netsem import net_enabled
-from .semantics import split_prenex
 from .syntax import (
     Bcast,
     Choreography,
     End,
     If,
     Init,
-    New,
     Reduce,
     Select,
     Seq,
@@ -104,8 +102,6 @@ def _nodes_with_scope(c: Choreography, scope: tuple[int, ...] = (), counter=None
     match c:
         case End():
             return []
-        case New(_, _, body):
-            return _nodes_with_scope(body, scope, counter)
         case If(_, _, then, orelse):
             return (_nodes_with_scope(then, scope + (0,), counter)
                     + _nodes_with_scope(orelse, scope + (1,), counter))
@@ -142,8 +138,7 @@ def check_linearity(c: Choreography) -> Report:
     two starts, on neither's other branch, collects the threads that the
     reached nodes pass on.
     """
-    _, core = split_prenex(c)
-    nodes = _nodes_with_scope(core)
+    nodes = _nodes_with_scope(c)
     failures: list[Failure] = []
     inits = [(n, s) for n, s in nodes if n.svc is not None]
     for (n1, s1), (n2, s2) in itertools.combinations(inits, 2):
@@ -238,18 +233,13 @@ def mergeable(p: Proc, q: Proc) -> bool:
 
 def project_thread(c: Choreography, thread) -> Proc:
     """Process for one thread; a thread not occurring projects to inaction."""
-    if hasattr(thread, "thread"):
-        thread = thread.thread
-    _, core = split_prenex(c)
-    return _project(core, thread)
+    return _project(c, getattr(thread, "thread", thread))
 
 
 def _project(c: Choreography, t: Thread) -> Proc:
     match c:
         case End():
             return INACT
-        case New(_, _, _):
-            raise ProjectionUndefined("projection is defined on restriction-free terms")
         case If(guard, at, then, orelse):
             if at == t:
                 return IfP(guard, _project(then, t), _project(orelse, t))
@@ -315,31 +305,32 @@ def _service_names(c: Choreography) -> frozenset[str]:
     return frozenset(eta.svc for eta in interactions_of(c) if isinstance(eta, Init))
 
 
-def epp(c: Choreography) -> Network:
-    """Endpoint projection of a restriction-prefixed, restriction-free-core term.
+def epp(c: Choreography, binders: tuple[tuple[str, str], ...] = ()) -> Network:
+    """Endpoint projection of ``c`` under the restrictions ``binders``, the
+    ``(kind, name)`` pairs a configuration keeps; a source program has none.
 
-    Threads freed by the leading restrictions are running service instances;
-    endpoint processes carry no thread identity, so their components are
-    anonymous like the instances a session start spawns.
+    Restricted threads are running service instances; endpoint processes
+    carry no thread identity, so their components are anonymous like the
+    instances a session start spawns.  Restricted sessions are the
+    network's restricted names.
     """
-    binders, core = split_prenex(c)
-    for eta in interactions_of(core):
+    for eta in interactions_of(c):
         if isinstance(eta, (Bcast, Reduce, Select)) and (twice := listed_twice(eta)):
             raise ProjectionUndefined(
                 f"{describe_interaction(eta)} lists a participant twice: {', '.join(twice)}")
     anonymous = frozenset(name for kind, name in binders if kind == "thread")
-    fn = free_names(core)
+    fn = free_names(c)
     components = []
     for t in sorted(fn.threads):
-        proc = project_thread(core, t)
+        proc = project_thread(c, t)
         components.append(Component(proc, owner=None if t in anonymous else t))
     queues = tuple(Queue(k, ()) for k in sorted(fn.sessions))
-    for svc in sorted(_service_names(core)):
+    for svc in sorted(_service_names(c)):
         for role in sorted(fn.roles):
-            group = service_merge(core, svc, role)
+            group = service_merge(c, svc, role)
             if not group:
                 continue
-            procs = [project_thread(core, s) for s in sorted(group)]
+            procs = [project_thread(c, s) for s in sorted(group)]
             out = procs[0]
             for other in procs[1:]:
                 out = merge(out, other, f"service {svc}[{role}]")

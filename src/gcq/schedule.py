@@ -106,10 +106,17 @@ def load_schedule(data) -> AvailabilityOracle:
     """Oracle from its JSON description (a dict or a JSON string)."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"a schedule must be a JSON object: {data!r}")
     mode = data.get("mode")
+    need = {"bernoulli": "p", "crash": "thread"}.get(mode)
+    if need is not None and need not in data:
+        raise ValueError(f"{mode} schedule needs a {need!r}: {data}")
     if mode == "script":
         steps = []
         for entry in data.get("steps", []):
+            if not isinstance(entry, dict):
+                raise ValueError(f"script step must be a JSON object: {entry!r}")
             if "available" in entry:
                 steps.append(("available", frozenset(entry["available"])))
             elif "unavailable" in entry:
@@ -120,7 +127,5 @@ def load_schedule(data) -> AvailabilityOracle:
     if mode == "bernoulli":
         return BernoulliOracle(float(data["p"]), int(data.get("seed", 0)))
     if mode == "crash":
-        if "thread" not in data:
-            raise ValueError(f"crash schedule needs a 'thread': {data}")
         return SingleFailure(str(data["thread"]), int(data.get("from_step", 0)))
     raise ValueError(f"unknown schedule mode {mode!r}")

@@ -35,7 +35,6 @@ from .syntax import (
     GTau,
     If,
     Init,
-    New,
     Reduce,
     Select,
     Seq,
@@ -65,46 +64,24 @@ from .syntax import (
 # Structural normal form
 
 
-def split_prenex(c: Choreography) -> tuple[tuple[tuple[str, str], ...], Choreography]:
-    """Leading restriction binders and the restriction-free core."""
-    binders = []
-    while isinstance(c, New):
-        binders.append((c.kind, c.name))
-        c = c.body
-    return tuple(binders), c
+def chor_canon(c: Choreography, binders: Iterable[tuple[str, str]] = ()) -> tuple:
+    """Canonical representative modulo structural congruence of ``c`` under
+    the restrictions ``binders``, ``(kind, name)`` pairs.
 
-
-def wrap_prenex(binders: Iterable[tuple[str, str]], core: Choreography) -> Choreography:
-    out = core
-    for kind, name in reversed(tuple(binders)):
-        out = New(kind, name, out)
-    return out
-
-
-def chor_canon(c: Choreography) -> Choreography:
-    """Canonical representative modulo structural congruence.
-
-    Restrictions are floated to a prenex position, unused binders dropped,
-    binder order fixed by first occurrence, and all binders renamed
-    canonically.
+    Unused restrictions are dropped and the rest ordered by first
+    occurrence; the result is their kinds and the term with them renamed
+    ``α1…αm`` and its own binders after them (:func:`alpha_canonical`).
     """
-    binders, core = split_prenex(c)
-    if core == END:
-        return END
-    used = used_names(core)
-    live = [b for b in binders if b[1] in used]
-    order = _occurrence_order(core)
-    live.sort(key=lambda b: order.get(b[1], 1 << 30))
-    return alpha_canonical(wrap_prenex(live, core))
+    used, order = used_names(c), _occurrence_order(c)
+    live = sorted((b for b in binders if b[1] in used), key=lambda b: order.get(b[1], 1 << 30))
+    return tuple(kind for kind, _ in live), alpha_canonical(c, live)
 
 
 def _occurrence_order(c: Choreography) -> dict[str, int]:
     def noted(node: Choreography) -> list[str]:
         if isinstance(node, Seq):
             return sorted(interaction_threads(node.inter)) + [node.inter.key]
-        if isinstance(node, If):
-            return [node.at]
-        return [node.name] if isinstance(node, New) else []
+        return [node.at] if isinstance(node, If) else []
 
     names = dict.fromkeys(name for node in subterms(c) for name in noted(node))
     return {name: i for i, name in enumerate(names)}
@@ -153,26 +130,25 @@ class Configuration:
     sigma: CapState
     chor: Choreography
     used: frozenset[str] = frozenset()
+    # the restrictions (kind, name) that session starts created, oldest first;
+    # structural congruence floats every restriction to the front
+    binders: tuple[tuple[str, str], ...] = ()
     _canon = None  # cache slot: canon_key(), computed when first asked for
 
     @classmethod
     def initial(cls, chor: Choreography, sigma: CapState = CapState()) -> "Configuration":
         # Names bound by a session start are placeholders until it fires, so
-        # the freshness source holds the free names, the store's names and
-        # any already-created restriction binders.
+        # the freshness source holds the free names and the store's names.
         fn = free_names(chor)
-        binders, _ = split_prenex(chor)
-        return cls(sigma, chor,
-                   fn.threads | fn.sessions | fn.services | sigma.names()
-                   | frozenset(nm for _, nm in binders))
+        return cls(sigma, chor, fn.threads | fn.sessions | fn.services | sigma.names())
 
     def is_end(self) -> bool:
-        return split_prenex(self.chor)[1] == END
+        return self.chor == END
 
     def canon_key(self):
         key = self._canon
         if key is None:
-            key = (self.sigma, chor_canon(self.chor))
+            key = (self.sigma, chor_canon(self.chor, self.binders))
             object.__setattr__(self, "_canon", key)
         return key
 
@@ -186,7 +162,7 @@ def _head_transitions(sigma: CapState, core: Choreography, binders, used) -> lis
             w = eval_closed(guard)
             if w is not None:
                 branch = then if w == SomeV(True) else orelse
-                conf = Configuration(sigma, wrap_prenex(binders, branch), used)
+                conf = Configuration(sigma, branch, used, binders)
                 out.append((GTau(), conf))
         case _:
             pass
@@ -211,8 +187,8 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
             sig_active = CapState([(p.thread, new_key, a) for p in actives for a in p.off])
             sig_service = CapState([(p.thread, new_key, a) for p in new_services for a in p.off])
             sigma2 = state_update(sigma, state_update(sig_active, sig_service))
-            new_binders = tuple(binders) + tuple(("thread", p.thread) for p in new_services) + (("session", new_key),)
-            conf = Configuration(sigma2, wrap_prenex(new_binders, body), frozenset(pool))
+            new_binders = binders + tuple(("thread", p.thread) for p in new_services) + (("session", new_key),)
+            conf = Configuration(sigma2, body, frozenset(pool), new_binders)
             label = GInitL(tuple((p.thread, p.role) for p in actives),
                            tuple((p.thread, p.role) for p in new_services), svc, new_key)
             out.append((label, conf))
@@ -245,7 +221,7 @@ def _fire_interaction(sigma, inter, cont, binders, used) -> list[tuple[GLabel, C
                         theta = {(bind_var, principal.thread): result}
                         label = GReduceL(ends, head, quality, key, chosen, contribs, result, op)
                 sigma2 = _exchange_all(sigma, [principal] + [p for p in cand if p.thread in chosen], key)
-                conf = Configuration(sigma2, wrap_prenex(binders, substitute(cont, theta)), used)
+                conf = Configuration(sigma2, substitute(cont, theta), used, binders)
                 out.append((label, conf))
     return out
 
@@ -280,9 +256,8 @@ def enabled(conf: Configuration) -> list[tuple[GLabel, Configuration]]:
     has one successor per swap class of the terms it leads to.
     """
     seen = {}
-    binders, core = split_prenex(conf.chor)
-    for lifted in _lifts(core):
-        for label, succ in _head_transitions(conf.sigma, lifted, binders, conf.used):
+    for lifted in _lifts(conf.chor):
+        for label, succ in _head_transitions(conf.sigma, lifted, conf.binders, conf.used):
             seen.setdefault((label, succ.canon_key()), (label, succ))
     return [seen[key] for key in label_first_sorted(seen)]
 

@@ -555,18 +555,7 @@ class If(_Node):
     orelse: "Choreography"
 
 
-@term
-class New(_Node):
-    kind: str  # "thread" | "session"
-    name: str
-    body: "Choreography"
-
-    def __post_init__(self):
-        if self.kind not in ("thread", "session"):
-            raise ValueError(f"unknown restriction kind {self.kind!r}")
-
-
-Choreography = Union[End, Seq, If, New]
+Choreography = Union[End, Seq, If]
 END = End()
 
 
@@ -586,12 +575,12 @@ def seq(*parts) -> Choreography:
 
 
 def chor_conts(c: Choreography) -> tuple[Choreography, ...]:
-    """The direct continuations of a term: ``cont``, the body of a
-    restriction, or both branches of a conditional."""
+    """The direct continuations of a term: ``cont``, or both branches of a
+    conditional."""
     match c:
         case End():
             return ()
-        case Seq(_, cont) | New(_, _, cont):
+        case Seq(_, cont):
             return (cont,)
         case If(_, _, then, orelse):
             return (then, orelse)
@@ -606,8 +595,6 @@ def map_chor(c: Choreography, f: Callable[[Choreography], Choreography], **field
             return c
         case Seq(inter, cont):
             return Seq(fields.pop("inter", inter), f(cont), **fields)
-        case New(kind, name, body):
-            return New(kind, fields.pop("name", name), f(body), **fields)
         case If(guard, at, then, orelse):
             return If(fields.pop("guard", guard), fields.pop("at", at), f(then), f(orelse),
                       **fields)
@@ -712,11 +699,9 @@ def map_inter(eta: Interaction, thread: Callable[[Thread], Thread],
 
 
 def chor_binds(c: Choreography) -> tuple[Name, ...]:
-    """What a node binds over its continuations: a restriction its name, an
-    interaction what :func:`inter_parts` lists."""
-    if isinstance(c, Seq):
-        return inter_parts(c.inter).binds
-    return ((c.kind, c.name),) if isinstance(c, New) else ()
+    """What a node binds over its continuations: an interaction what
+    :func:`inter_parts` lists."""
+    return inter_parts(c.inter).binds if isinstance(c, Seq) else ()
 
 
 def _own_names(c: Choreography) -> frozenset[Name]:
@@ -855,8 +840,6 @@ def _renamed(c: Choreography, env: Mapping[Name, object], new: Iterator[str]) ->
                                        lambda name: next(new, name))}
         case If(guard, at, _, _):
             return {"guard": expr(guard, at), "at": thread(at)}
-        case New(_, name, _):
-            return {"name": next(new, name)}
     return {}
 
 
@@ -879,15 +862,18 @@ def rename_free(c: Choreography, threads: Mapping[Thread, Thread],
 _CANON_PREFIX = "α"  # names no surface program can contain
 
 
-def alpha_canonical(c: Choreography) -> Choreography:
+def alpha_canonical(c: Choreography, free: Iterable[Name] = ()) -> Choreography:
     """Rename all binders to canonical de-Bruijn-style names.
 
-    Two terms are alpha-equivalent iff their canonical forms are equal.
-    Source names are preserved in the original term; this is only for
-    comparisons.
+    The free names listed in ``free``, ``("thread", t)`` or ``("session",
+    k)``, are renamed first, in their order, as if bound around ``c``: a
+    configuration's restrictions.  Two terms are alpha-equivalent iff their
+    canonical forms are equal.  Source names are preserved in the original
+    term; this is only for comparisons.
     """
     counter = itertools.count(1)
-    return _rename(c, {}, lambda: f"{_CANON_PREFIX}{next(counter)}")
+    env = {name: f"{_CANON_PREFIX}{next(counter)}" for name in free}
+    return _rename(c, env, lambda: f"{_CANON_PREFIX}{next(counter)}")
 
 
 def alpha_equal(c1: Choreography, c2: Choreography) -> bool:

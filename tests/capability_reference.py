@@ -29,7 +29,6 @@ from gcq.syntax import (
     If,
     Init,
     Interaction,
-    New,
     Seq,
     comm_parts,
     free_names,
@@ -80,8 +79,6 @@ class CapabilityChecker:
         match c:
             case End():
                 return True
-            case New(_, _, body):
-                return self._check(psi, body)
             case If(_, _, then, orelse):
                 ok1 = self._check(psi, then)
                 ok2 = self._check(psi, orelse)

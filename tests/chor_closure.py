@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from gcq.semantics import Configuration, _head_transitions, chor_canon, split_prenex
+from gcq.semantics import Configuration, _head_transitions, chor_canon
 from gcq.syntax import Choreography, GLabel, If, Seq, chor_conts, interaction_threads, map_chor
 
 
@@ -81,8 +81,7 @@ def closure_enabled(conf: Configuration) -> list[tuple[GLabel, Configuration]]:
     and ``canon_key`` (so swap duplicates stay), in no particular order."""
     seen = {}
     for variant in swap_closure(conf.chor):
-        binders, core = split_prenex(variant)
-        for label, succ in _head_transitions(conf.sigma, core, binders, conf.used):
+        for label, succ in _head_transitions(conf.sigma, variant, conf.binders, conf.used):
             seen.setdefault((label, succ.canon_key()), (label, succ))
     return list(seen.values())
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from gcq.captypes import Failure, Report
-from gcq.semantics import split_prenex
-from gcq.syntax import Bcast, Choreography, End, If, Init, New, Reduce, Select, Seq, Thread
+from gcq.syntax import Bcast, Choreography, End, If, Init, Reduce, Select, Seq, Thread
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,6 @@ def _nodes_with_scope(c: Choreography, scope: tuple[int, ...] = (), counter=None
     match c:
         case End():
             return out
-        case New(_, _, body):
-            return _nodes_with_scope(body, scope, counter)
         case If(_, _, then, orelse):
             out += _nodes_with_scope(then, scope + (0,), counter)
             out += _nodes_with_scope(orelse, scope + (1,), counter)
@@ -105,8 +102,7 @@ def check_linearity(c: Choreography) -> Report:
     later start must be reachable through a chain of interaction
     dependencies rooted at the earlier start.
     """
-    _, core = split_prenex(c)
-    nodes = _nodes_with_scope(core)
+    nodes = _nodes_with_scope(c)
     failures: list[Failure] = []
     inits = [(n, s) for n, s in nodes if n.kind == "init"]
     for (n1, s1), (n2, s2) in itertools.combinations(inits, 2):

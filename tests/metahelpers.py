@@ -21,7 +21,7 @@ from gcq.gtypes import (
     type_label,
 )
 from gcq.linlog import Formula, Lolli, Own, Plus, Tensor, TrueF
-from gcq.semantics import Configuration, enabled, split_prenex
+from gcq.semantics import Configuration, enabled
 from gcq.syntax import (
     CapState,
     Choreography,
@@ -114,11 +114,10 @@ def assert_preserved(state: TraceState) -> None:
     """Residual re-typechecks: capability side and session side."""
     conf = state.conf
     psi = context_of(conf.sigma, state.roles)
-    _, core = split_prenex(conf.chor)
-    cap = check_capabilities(psi, core)
+    cap = check_capabilities(psi, conf.chor)
     assert cap.ok, f"capability typing lost: {[f.to_json() for f in cap.failures]}"
     assert state_satisfies(conf.sigma, psi)
-    sess = check_session_only(state.gamma, core, state.delta)
+    sess = check_session_only(state.gamma, conf.chor, state.delta)
     assert sess.ok, f"session typing lost: {[f.to_json() for f in sess.failures]}"
 
 

@@ -51,7 +51,6 @@ from gcq.syntax import (
     If,
     Init,
     Lit,
-    New,
     NoneE,
     NoneV,
     Quality,
@@ -71,7 +70,7 @@ def samples() -> list:
     a = AnnotatedThread("t1", "A", frozenset({"X", "Y"}), frozenset({"Z", "W"}))
     b = AnnotatedThread("t2", "B")
     bcast = Bcast(a, Binop("+", Var("x"), Lit(1)), ((b, "y"),), q, "k")
-    chor = Seq(bcast, If(Unop("not", Lit(True)), "t1", End(), New("session", "k2", End())))
+    chor = Seq(bcast, If(Unop("not", Lit(True)), "t1", End(), End()))
     own = Own("t1", "k", "A", frozenset({"X", "Y"}))
     proof = ProofNode("id", (own,), own)
     out_msg = OutMsg("A", Quality("all"), (("B", False), ("C", True)), LabelPayload("l"))
@@ -126,7 +125,8 @@ def samples() -> list:
         SingleFailure("t1", 4),
         TolerantFailure("t2"),
         CapState(frozenset({("t1", "k", "X"), ("t2", "k", "Y")})),
-        Configuration(CapState([("t1", "k", "X")]), chor, frozenset({"t1", "k"})),
+        Configuration(CapState([("t1", "k", "X")]), chor, frozenset({"t1", "k"}),
+                      (("thread", "s1"), ("session", "k"))),
         q,
         Date("2016-04-01"),
         SomeV(Date("2016-04-01")),
@@ -145,7 +145,6 @@ def samples() -> list:
         End(),
         chor,
         chor.cont,
-        chor.cont.orelse,
         FreeNames(frozenset({"t1", "t2"}), frozenset({"k"}), frozenset({"svc"}),
                   frozenset({("x", "t1")}), frozenset({"A", "B"})),
         GTau(),

@@ -222,7 +222,6 @@ def test_criterion_7_availability_by_design(linear_corpus):
 def test_criterion_8_metatheory_lemmas(typed_corpus):
     """Structural lemmas on 500+ instances; swap invariance of projection."""
     from gcq.genchor import interleaved_corpus
-    from gcq.semantics import split_prenex
     from gcq.syntax import substitute, alpha_canonical
     from metahelpers import context_of, random_traces
     from test_metatheory import _with_free_var, fresh_own
@@ -232,7 +231,7 @@ def test_criterion_8_metatheory_lemmas(typed_corpus):
     for chor in typed_corpus:
         for _, _, nxt in random_traces(chor, seeds=[8], max_steps=6):
             psi = context_of(nxt.conf.sigma, nxt.roles)
-            _, core = split_prenex(nxt.conf.chor)
+            core = nxt.conf.chor
             extra = fresh_own(core, "a")
             assert check_capabilities(psi + (extra,), core).ok
             weakening += 1

@@ -249,6 +249,16 @@ class TestRuns:
                              "--schedule", str(sched), capsys=capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("schedule", [
+        [1, 2], {"mode": "script", "steps": [1]}, {"mode": "bernoulli"},
+    ], ids=["not-an-object", "script-step-not-an-object", "bernoulli-without-p"])
+    def test_malformed_schedule_is_an_input_error(self, schedule, tmp_path, capsys):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(schedule))
+        code, _, err = run_cli("availability", str(GOLDEN / "sensors_all.gcq"),
+                               "--schedule", str(sched), capsys=capsys)
+        assert code == 2 and err.startswith("error:"), err
+
 
 def crash_boundary(program: Path, thread: str) -> int:
     """The first crash step of ``thread`` from which the projection of

@@ -555,7 +555,8 @@ class TestStateIdentity:
         chor = parse((GOLDEN / "sensors_23.gcq").read_text()).chor
         projected = Counter()
         real = correspond.epp
-        monkeypatch.setattr(correspond, "epp", lambda c: projected.update([c]) or real(c))
+        monkeypatch.setattr(correspond, "epp",
+                            lambda c, binders: projected.update([(c, binders)]) or real(c, binders))
         assert cosimulate(chor).passed
         assert len(projected) > 1 and set(projected.values()) == {1}
 

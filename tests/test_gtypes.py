@@ -269,6 +269,44 @@ class TestSessionJudgment:
         report = check_session(gamma, [], sensors())
         assert any(f.code == "LabelNotOffered" for f in report.failures)
 
+    # each program fails the judgment once, at its first faulty construct
+    _BCAST_AB = "service s : bcast A -> (B) <int> . end;\n"
+    _START_AB = "start k (s) (t1[A]) -> (t2[B]);"
+    _DECLARED = ServiceBinding(BcastT("A", ("B",), "int", END_T))
+
+    @pytest.mark.parametrize("text,binding,code,reason", [
+        (_BCAST_AB + "choreography { bcast k [all] t1[A].1 -> (t2[B]: x); end }", None,
+         "SessionUntracked", "session 'k' has no protocol"),
+        (_BCAST_AB + f"choreography {{ {_START_AB} bcast k [all] t2[A].1 -> (t1[B]: x); end }}",
+         None, "RoleNotOwned", "t2 does not own role A in session k (has B)"),
+        ("service s : bcast A -> (B, C) <int> . end;\n"
+         f"choreography {{ {_START_AB} end }}", None,
+         "RoleMismatch", "protocol roles ['A', 'B', 'C'] not covered by ['A', 'B']"),
+        ("service s : end;\nchoreography { start k (s) (t1[A]) -> (t2[A]); end }", None,
+         "RoleMismatch", "participant roles must be pairwise distinct"),
+        (_BCAST_AB + f"choreography {{ {_START_AB} end }}", _DECLARED.replace(actives=("B",)),
+         "RoleMismatch", "declared active roles ('B',) vs ('A',)"),
+        (_BCAST_AB + f"choreography {{ {_START_AB} end }}", _DECLARED.replace(services=("A",)),
+         "RoleMismatch", "declared service roles ('A',) vs ('B',)"),
+        (f"service s : end;\nchoreography {{ {_START_AB} start m (s) (t1[A]) -> (t2[B]); end }}",
+         None, "FreshnessViolation", "service threads already known: ['t2']"),
+        (f"service s : end;\nchoreography {{ {_START_AB} start k (s) (t1[A]) -> (t3[B]); end }}",
+         None, "FreshnessViolation", "session 'k' already tracked"),
+        ("choreography { if 1 @ t1 { end } else { end } }", None,
+         "SortMismatch", "guard has sort int, wanted bool"),
+        ("choreography { if x @ t1 { end } else { end } }", None,
+         "SortMismatch", "variable x@t1 has no declared sort"),
+        (_BCAST_AB + f"choreography {{ {_START_AB} bcast k [all] t1[A].(true + 1) -> (t2[B]: x); "
+         "end }", None, "SortMismatch", "sort mismatch: bool vs int"),
+    ], ids=["untracked", "role-not-owned", "roles-unannounced", "roles-repeated",
+            "declared-actives", "declared-services", "service-thread-known", "key-tracked",
+            "guard-int", "guard-undeclared-var", "payload-sorts"])
+    def test_each_failure_of_the_judgment(self, text, binding, code, reason):
+        prog = parse(text)
+        gamma = GammaEnv({"s": binding} if binding else prog.services)
+        report = check_session_only(gamma, prog.chor)
+        assert [(f.code, f.reason) for f in report.failures] == [(code, reason)]
+
     def test_separation_of_analyses(self):
         """The full judgment is exactly the conjunction of its two halves."""
         for c, gamma in [(sensors(), sensors_branch_gamma()), (typed_example(), sensor_gamma())]:

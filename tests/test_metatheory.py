@@ -14,14 +14,13 @@ from gcq.captypes import check_capabilities
 from gcq.genchor import GenConfig, corpus
 from gcq.linlog import Own, own
 from gcq.projection import epp
-from gcq.semantics import Configuration, enabled, enabled_under, split_prenex
+from gcq.semantics import Configuration, enabled, enabled_under
 from gcq.syntax import (
     Bcast,
     Choreography,
     If,
     Init,
     Lit,
-    New,
     Reduce,
     Select,
     Seq,
@@ -94,7 +93,7 @@ class TestStructuralLemmas:
         c = CORPUS[idx]
         for state, _, nxt in random_traces(c, seeds=[3], max_steps=8):
             psi = context_of(nxt.conf.sigma, nxt.roles)
-            _, core = split_prenex(nxt.conf.chor)
+            core = nxt.conf.chor
             extended = psi + (fresh_own(core, "w"),)
             assert check_capabilities(extended, core).ok
 
@@ -103,7 +102,7 @@ class TestStructuralLemmas:
         c = CORPUS[idx]
         for state, _, nxt in random_traces(c, seeds=[4], max_steps=8):
             psi = context_of(nxt.conf.sigma, nxt.roles)
-            _, core = split_prenex(nxt.conf.chor)
+            core = nxt.conf.chor
             extra = fresh_own(core, "s")
             assert check_capabilities(psi + (extra,), core).ok
             assert check_capabilities(psi, core).ok  # removing the unused atom

@@ -17,7 +17,6 @@ from gcq.semantics import (
     enabled,
     enabled_under,
     run,
-    split_prenex,
     step,
 )
 from gcq.syntax import (
@@ -37,6 +36,7 @@ from gcq.syntax import (
     Stuck,
     athr,
     q_ratio,
+    rename_free,
     seq,
 )
 
@@ -101,6 +101,31 @@ SETTLING_ORACLES = st.one_of(
                                      max_size=4).map(tuple)),
     st.builds(SingleFailure, st.sampled_from(THREADS), st.integers(0, 8)),
     st.builds(TolerantFailure, st.sampled_from(THREADS)))
+
+
+class TestCanonKey:
+    """A configuration's restrictions are part of its state identity only
+    as far as its choreography uses them, and up to their names."""
+
+    CHOR = seq(bcast("t1", ["s"]), bcast("t1", ["s"], key="m", payload=2))
+
+    @staticmethod
+    def key(chor, *binders):
+        return Configuration(CapState(), chor, binders=binders).canon_key()
+
+    def test_kept_under_structural_congruence(self):
+        key = self.key(self.CHOR, ("thread", "s"), ("session", "k"))
+        assert self.key(self.CHOR, ("thread", "s"), ("session", "k"), ("session", "j")) == key
+        assert self.key(self.CHOR, ("session", "k"), ("thread", "s")) == key
+        renamed = rename_free(self.CHOR, {}, {"k": "k1"})
+        assert self.key(renamed, ("thread", "s"), ("session", "k1")) == key
+
+    def test_changed_by_what_is_restricted(self):
+        key = self.key(self.CHOR, ("thread", "s"), ("session", "k"))
+        assert self.key(self.CHOR, ("thread", "s")) != key
+        assert self.key(self.CHOR, ("session", "s"), ("session", "k")) != key
+        # the term holds xs only as a variable, so only the kind tells these apart
+        assert self.key(self.CHOR, ("thread", "xs")) != self.key(self.CHOR, ("session", "xs"))
 
 
 class TestOracleProtocol:
@@ -313,9 +338,8 @@ class TestLift:
         checked = 0
         for chor in programs():
             for conf in _reachable(chor):
-                core = split_prenex(conf.chor)[1]
-                assert {_head(lifted) for lifted in _lifts(core)} \
-                    == {_head(split_prenex(v)[1]) for v in swap_closure(conf.chor)}
+                assert {_head(lifted) for lifted in _lifts(conf.chor)} \
+                    == {_head(v) for v in swap_closure(conf.chor)}
                 assert covers(enabled(conf), closure_enabled(conf))
                 checked += 1
         assert checked > 300
