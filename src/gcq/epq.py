@@ -32,7 +32,7 @@ from .syntax import (
     term,
     value_expr,
 )
-from .parser import ParseError, print_expr, tokenize, _Parser, _TOKEN_RE
+from .parser import ParseError, print_expr, _Parser, _patterns, _TOKENS
 
 # ---------------------------------------------------------------------------
 # Process syntax
@@ -643,10 +643,10 @@ class _ProcParser(_Parser):
     """Parser for the ``.epq`` text: the choreography tokens plus the '!'
     and '?' markers."""
 
-    token_re = re.compile(r"(?P<bang>[!?])|" + _TOKEN_RE.pattern, re.VERBOSE)
+    patterns = _patterns(r"[!?] | " + _TOKENS)
 
     def proc(self) -> Proc:
-        tok = self.peek()
+        start = self.pos
         if self.at("end"):
             self.next()
             return INACT
@@ -661,11 +661,11 @@ class _ProcParser(_Parser):
             orelse = self.proc()
             self.expect("}")
             return IfP(e, then, orelse)
-        start, failures = self.pos, []
-        for cls, (noun, text) in _PREFIXES.items():
+        failures = []
+        for cls, (noun, _) in _PREFIXES.items():
             self.pos = start
             try:
-                fields = self._prefix(noun, text)
+                fields = self._prefix(noun, _PARTS[cls])
             except ParseError as exc:
                 failures.append((self.pos, exc))
                 continue
@@ -677,26 +677,25 @@ class _ProcParser(_Parser):
             return cls(**fields, cont=self.proc())
         furthest, exc = max(failures, key=lambda f: f[0])
         if furthest == start:
-            keywords = [re.match(r"\w+", text)[0] for _, text in _PREFIXES.values()]
-            raise ParseError(f"expected a process, found {tok.text!r}", (tok.start, tok.end),
+            keywords = [parts[0][0] for parts in _PARTS.values()]
+            raise ParseError(f"expected a process, found {self.tokens[start]!r}", self.span(start),
                              (*dict.fromkeys(keywords), "if", "end"))
         raise exc
 
-    def _prefix(self, noun: str, text: str) -> dict:
-        """The fields of a prefix that reads as ``text``.  Several roles in
-        a single-role field fail only once the rest has matched, as the
-        failure that got furthest."""
-        kw, fields, several = self.peek(), {}, None
-        for i, part in enumerate(_HOLE.split(text)):
+    def _prefix(self, noun: str, parts: list) -> dict:
+        """The fields of a prefix that reads as ``parts`` (see :data:`_PARTS`).  Several
+        roles in a single-role field fail once the rest has matched, as the furthest failure."""
+        kw, fields, several = self.pos, {}, None
+        for i, part in enumerate(parts):
             if not i % 2:
-                for tok in tokenize(part, self.token_re)[:-1]:
-                    self.expect(tok.text)
+                for tok in part:
+                    self.expect(tok)
             elif part == "quality":
                 fields[part] = self.quality()
             elif part == "expr":
                 fields[part] = self.expr()
             elif part in _ROLES:
-                roles = tuple(self.comma_list(lambda: self.ident("role").text))
+                roles = tuple(self.comma_list(lambda: self.ident("role")))
                 if part in _ONE_ROLE:
                     if len(roles) > 1:
                         several = several or part
@@ -704,16 +703,16 @@ class _ProcParser(_Parser):
                 fields[part] = roles
             else:
                 tok = self.ident()
-                if part == "op" and tok.text not in AGG_OPS:
-                    raise ParseError(f"unknown aggregation operator {tok.text!r}",
-                                     (tok.start, tok.end), AGG_OPS)
-                fields[part] = tok.text
+                if part == "op" and tok not in AGG_OPS:
+                    raise ParseError(f"unknown aggregation operator {tok!r}",
+                                     self.span(self.pos - 1), AGG_OPS)
+                fields[part] = tok
         if several:
-            raise ParseError(f"{noun} has exactly one {several}", (kw.start, kw.end))
+            raise ParseError(f"{noun} has exactly one {several}", self.span(kw))
         return fields
 
     def _arm(self) -> tuple[str, Proc]:
-        label = self.ident().text
+        label = self.ident()
         self.expect(":")
         return label, self.proc()
 
@@ -726,7 +725,12 @@ def parse_proc(text: str) -> Proc:
     its span."""
     parser = _ProcParser(text)
     p = parser.proc()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", (tok.start, tok.end))
+    if parser.peek():
+        raise ParseError(f"trailing input {parser.peek()!r}", parser.span(parser.pos))
     return p
+
+
+# each prefix's text split at its holes, the literal parts into their tokens
+_PARTS = {cls: [part if i % 2 else _ProcParser(part).tokens[:-1]
+                for i, part in enumerate(_HOLE.split(text))]
+          for cls, (_, text) in _PREFIXES.items()}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 from .gtypes import BcastT, BranchT, END_T, GlobalType, RedT, SORTS, ServiceBinding
 from .syntax import (
     AnnotatedThread,
@@ -59,15 +59,15 @@ choreography service caps end if else start bcast reduce select branch
 all any true false none some date and or not bool int string float
 """.split())
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<float>\d+\.\d+)
-  | (?P<nat>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<punct>[{}()\[\];:,.<>/@=*+-])
-""", re.VERBOSE)
+# every token of the text, each alternative before any that matches a prefix of it
+_TOKENS = r"""\d+\.\d+ | \d+ | "(?:[^"\\]|\\.)*" | [A-Za-z_][A-Za-z0-9_]* | -> | [{}()\[\];:,.<>/@=*+-]"""
+
+
+def _patterns(tokens: str) -> tuple[re.Pattern, re.Pattern]:
+    """The one-pass scan of a text of ``tokens`` (see ``_Parser``) and the
+    sequential one (see ``_Parser.offsets``), which tells blanks by group ``ws``."""
+    return (re.compile(rf"(?://[^\n]*|{tokens}|\Z)\s*", re.VERBOSE),
+            re.compile(rf"(?P<ws>\s+|//[^\n]*)|{tokens}", re.VERBOSE))
 
 
 class ParseError(Exception):
@@ -75,10 +75,14 @@ class ParseError(Exception):
 
     path: str | None = None  # the file the span points into, if not the input named
 
-    def __init__(self, message: str, span: tuple[int, int], expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, span, expected: tuple[str, ...] = ()):
         super().__init__(message)
-        self.span = span
+        self._span = span  # (start, end), or a function that finds them when first read
         self.expected = expected
+
+    @property
+    def span(self) -> tuple[int, int]:
+        return self._span() if callable(self._span) else self._span
 
 
 class DuplicateThreadInInit(ParseError):
@@ -91,28 +95,6 @@ class SelectNotAll(ParseError):
 
 class UndeclaredCapability(ParseError):
     pass
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    start: int
-    end: int
-
-
-def tokenize(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append(Token(kind, m.group(), m.start(), m.end()))
-        pos = m.end()
-    out.append(Token("eof", "", len(text), len(text)))
-    return out
 
 
 @dataclass
@@ -137,40 +119,65 @@ _CONSTANTS = {"true": Lit(True), "false": Lit(False), "none": NoneE()}
 
 
 class _Parser:
-    token_re = _TOKEN_RE
+    patterns = _patterns(_TOKENS)
 
     def __init__(self, text: str, lax_select: bool = False):
-        self.tokens = tokenize(text, self.token_re)
+        self.text = text
+        # one findall: each token and the blank after it (a comment is a token here), then
+        # "" at the end; they cover the text but its leading blank unless a character is skipped
+        found = self.patterns[0].findall(text)
+        if sum(map(len, found)) != len(text.lstrip()):
+            found = [text[a:b] for a, b in self.offsets]  # raises at that character
+        self.tokens = list(map(str.rstrip, found))
+        if "//" in text:
+            self.tokens = [tok for tok in self.tokens if not tok.startswith("//")]
         self.pos = 0
         self.lax_select = lax_select
         self.in_init = False
 
+    @cached_property
+    def offsets(self) -> list[tuple[int, int]]:
+        """(start, end) of each token, then of the end, by ``match`` at each offset in turn."""
+        out, pos = [], 0
+        while pos < len(self.text):
+            m = self.patterns[1].match(self.text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {self.text[pos]!r}", (pos, pos + 1))
+            if m.lastgroup != "ws":
+                out.append(m.span())
+            pos = m.end()
+        return out + [(pos, pos)]
+
+    def span(self, first: int, last: int | None = None):
+        """A function for the offsets of tokens ``first`` to ``last``, read by ``ParseError``."""
+        return lambda: (self.offsets[first][0], self.offsets[first if last is None else last][1])
+
     # -- token plumbing
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at(self, *texts: str) -> bool:
-        return self.peek().text in texts
+        return self.tokens[self.pos] in texts
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             (tok.start, tok.end), (text,))
-        return self.next()
+    def expect(self, text: str) -> None:
+        if (tok := self.tokens[self.pos]) != text:
+            raise ParseError(f"expected {text!r}, found {tok or 'end of input'!r}",
+                             self.span(self.pos), (text,))
+        self.pos += 1
 
-    def ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                             (tok.start, tok.end), (what,))
-        return self.next()
+    def ident(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier() or tok in KEYWORDS:
+            raise ParseError(f"expected {what}, found {tok or 'end of input'!r}",
+                             self.span(self.pos), (what,))
+        self.pos += 1
+        return tok
 
     def comma_list(self, item) -> list:
         """One or more ``item()`` results separated by commas."""
@@ -186,46 +193,48 @@ class _Parser:
         services: dict[str, ServiceBinding] = {}
         caps: dict[str, frozenset[str]] = {}
         while self.at("service", "caps"):
-            if self.at("service"):
-                start = self.next().start
-                name = self.ident("service name").text
+            start = self.pos
+            if self.next() == "service":
+                name = self.ident("service name")
                 self.expect(":")
                 g = self.gtype()
                 self.expect(";")
                 if name in services:
-                    raise ParseError(f"service {name!r} declared twice", (start, self.peek().start))
+                    end = self.pos
+                    raise ParseError(f"service {name!r} declared twice",
+                                     lambda: (self.offsets[start][0], self.offsets[end][0]))
                 services[name] = ServiceBinding(g)
             else:
-                self.next()
-                name = self.ident("capability signature name").text
+                name = self.ident("capability signature name")
                 self.expect("=")
                 self.expect("{")
                 atoms = self.comma_list(self.atom)
                 self.expect("}")
                 self.expect(";")
                 caps[name] = frozenset(atoms)
-        kw = self.expect("choreography")
+        kw = self.pos
+        self.expect("choreography")
         self.expect("{")
         body = self.chor()
         self.expect("}")
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", (tok.start, tok.end), ("end of input",))
+        if self.peek():
+            raise ParseError(f"trailing input {self.peek()!r}", self.span(self.pos),
+                             ("end of input",))
         prog = SourceProgram(services, caps, body)
         if caps:
-            _validate_atoms(prog, kw.start)
+            _validate_atoms(prog, self.span(kw))
         return prog
 
     # -- global types
 
     def gtype(self) -> GlobalType:
-        tok = self.peek()
+        tok = self.pos
         if self.at("end"):
             self.next()
             return END_T
         if self.at("bcast"):
             self.next()
-            sender = self.ident("role").text
+            sender = self.ident("role")
             self.expect("->")
             receivers = self.role_group()
             sort = self.sort()
@@ -235,13 +244,13 @@ class _Parser:
             self.next()
             senders = self.role_group()
             self.expect("->")
-            receiver = self.ident("role").text
+            receiver = self.ident("role")
             sort = self.sort()
             self.expect(".")
             return RedT(senders, receiver, sort, self.gtype())
         if self.at("branch"):
             self.next()
-            sender = self.ident("role").text
+            sender = self.ident("role")
             self.expect("->")
             receivers = self.role_group()
             self.expect("{")
@@ -249,30 +258,30 @@ class _Parser:
             self.expect("}")
             labels = [l for l, _ in branches]
             if len(set(labels)) != len(labels):
-                raise ParseError(f"duplicate branch label in {labels}", (tok.start, tok.end))
+                raise ParseError(f"duplicate branch label in {labels}", self.span(tok))
             return BranchT(sender, receivers, tuple(sorted(branches)))
-        raise ParseError(f"expected a protocol, found {tok.text!r}", (tok.start, tok.end),
+        raise ParseError(f"expected a protocol, found {self.peek()!r}", self.span(tok),
                          ("end", "bcast", "reduce", "branch"))
 
     def branch_arm(self) -> tuple[str, GlobalType]:
-        label = self.ident("branch label").text
+        label = self.ident("branch label")
         self.expect(":")
         return label, self.gtype()
 
     def role_group(self) -> tuple[str, ...]:
         self.expect("(")
-        roles = self.comma_list(lambda: self.ident("role").text)
+        roles = self.comma_list(lambda: self.ident("role"))
         self.expect(")")
         return tuple(roles)
 
     def sort(self) -> str:
         self.expect("<")
         tok = self.peek()
-        if tok.text not in SORTS:
-            raise ParseError(f"expected a sort, found {tok.text!r}", (tok.start, tok.end), SORTS)
+        if tok not in SORTS:
+            raise ParseError(f"expected a sort, found {tok!r}", self.span(self.pos), SORTS)
         self.next()
         self.expect(">")
-        return tok.text
+        return tok
 
     # -- choreographies
 
@@ -281,11 +290,11 @@ class _Parser:
         while not self.at("end", "if"):
             inters.append(self.interaction())
             self.expect(";")
-        if self.next().text == "end":
+        if self.next() == "end":
             return seq(*inters, End())
         guard = self.expr()
         self.expect("@")
-        at = self.ident("thread").text
+        at = self.ident("thread")
         self.expect("{")
         then = self.chor()
         self.expect("}")
@@ -296,12 +305,12 @@ class _Parser:
         return seq(*inters, If(guard, at, then, orelse))
 
     def interaction(self) -> Interaction:
-        tok = self.peek()
+        tok = self.pos
         if self.at("start"):
             self.next()
-            key = self.ident("session key").text
+            key = self.ident("session key")
             self.expect("(")
-            svc = self.ident("service name").text
+            svc = self.ident("service name")
             self.expect(")")
             self.in_init = True
             try:
@@ -310,18 +319,17 @@ class _Parser:
                 services = self.athr_group()
             finally:
                 self.in_init = False
-            end = self.tokens[self.pos - 1].end
             threads = [p.thread for p in actives + services]
             if len(set(threads)) != len(threads):
-                raise DuplicateThreadInInit(
-                    f"thread listed twice in session start: {threads}", (tok.start, end))
+                raise DuplicateThreadInInit(f"thread listed twice in session start: {threads}",
+                                            self.span(tok, self.pos - 1))
             try:
                 return Init(actives, services, svc, key)
             except ValueError as exc:
-                raise ParseError(str(exc), (tok.start, end))
+                raise ParseError(str(exc), self.span(tok, self.pos - 1))
         if self.at("bcast"):
             self.next()
-            key = self.ident("session key").text
+            key = self.ident("session key")
             q = self.quality()
             sender = self.athr()
             self.expect(".")
@@ -333,35 +341,35 @@ class _Parser:
             return Bcast(sender, expr, tuple(receivers), q, key)
         if self.at("reduce"):
             self.next()
-            key = self.ident("session key").text
+            key = self.ident("session key")
             q = self.quality()
-            op_tok = self.ident("aggregation operator")
-            if op_tok.text not in AGG_OPS:
-                raise ParseError(f"unknown aggregation operator {op_tok.text!r}",
-                                 (op_tok.start, op_tok.end), AGG_OPS)
+            op = self.ident("aggregation operator")
+            if op not in AGG_OPS:
+                raise ParseError(f"unknown aggregation operator {op!r}", self.span(self.pos - 1),
+                                 AGG_OPS)
             self.expect("(")
             senders = self.comma_list(self.send)
             self.expect(")")
             self.expect("->")
             receiver = self.athr()
             self.expect(":")
-            bind_var = self.ident("variable").text
-            return Reduce(tuple(senders), receiver, bind_var, q, op_tok.text, key)
+            bind_var = self.ident("variable")
+            return Reduce(tuple(senders), receiver, bind_var, q, op, key)
         if self.at("select"):
             self.next()
-            key = self.ident("session key").text
-            q_start = self.peek().start
+            key = self.ident("session key")
+            q_start = self.pos
             q = self.quality()
             if q != Q_ALL and not self.lax_select:
                 raise SelectNotAll("collective selection requires the 'all' quality predicate",
-                                   (q_start, self.tokens[self.pos - 1].end), ("all",))
+                                   self.span(q_start, self.pos - 1), ("all",))
             sender = self.athr()
             self.expect("->")
             receivers = self.athr_group()
             self.expect(":")
-            label = self.ident("label").text
+            label = self.ident("label")
             return Select(sender, receivers, q, key, label)
-        raise ParseError(f"expected an interaction, found {tok.text!r}", (tok.start, tok.end),
+        raise ParseError(f"expected an interaction, found {self.peek()!r}", self.span(tok),
                          ("start", "bcast", "reduce", "select", "if", "end"))
 
     def athr_group(self) -> tuple[AnnotatedThread, ...]:
@@ -371,9 +379,9 @@ class _Parser:
         return tuple(out)
 
     def athr(self) -> AnnotatedThread:
-        thread = self.ident("thread").text
+        thread = self.ident("thread")
         self.expect("[")
-        role = self.ident("role").text
+        role = self.ident("role")
         self.expect("]")
         req: frozenset[str] = frozenset()
         off: frozenset[str] = frozenset()
@@ -395,12 +403,12 @@ class _Parser:
         return AnnotatedThread(thread, role, req, off)
 
     def atom(self) -> str:
-        return self.ident("capability atom").text
+        return self.ident("capability atom")
 
     def recv(self) -> tuple[AnnotatedThread, str]:
         p = self.athr()
         self.expect(":")
-        return p, self.ident("variable").text
+        return p, self.ident("variable")
 
     def send(self) -> tuple[AnnotatedThread, Expr]:
         p = self.athr()
@@ -416,21 +424,21 @@ class _Parser:
         elif self.at("any"):
             self.next()
             q = Q_ANY
-        elif tok.kind == "nat":
+        elif tok.isdecimal():
             self.next()
             self.expect("/")
             n_tok = self.peek()
-            if n_tok.kind != "nat":
-                raise ParseError(f"expected a natural number, found {n_tok.text!r}",
-                                 (n_tok.start, n_tok.end), ("NAT",))
+            if not n_tok.isdecimal():
+                raise ParseError(f"expected a natural number, found {n_tok!r}",
+                                 self.span(self.pos), ("NAT",))
             self.next()
             try:
-                q = q_ratio(int(tok.text), int(n_tok.text))
+                q = q_ratio(int(tok), int(n_tok))
             except ValueError as exc:
-                raise ParseError(str(exc), (tok.start, n_tok.end))
+                raise ParseError(str(exc), self.span(self.pos - 3, self.pos - 1))
         else:
-            raise ParseError(f"expected a quality predicate, found {tok.text!r}",
-                             (tok.start, tok.end), ("all", "any", "m/n"))
+            raise ParseError(f"expected a quality predicate, found {tok!r}",
+                             self.span(self.pos), ("all", "any", "m/n"))
         self.expect("]")
         return q
 
@@ -443,8 +451,8 @@ class _Parser:
         second ``<``."""
         e = self._unary()
         below = _UNARY  # the next operator must bind less tightly than this
-        while prec <= (p := _PREC.get(self.peek().text, 0)) < below:
-            op = self.next().text
+        while prec <= (p := _PREC.get(self.peek(), 0)) < below:
+            op = self.next()
             e = Binop(op, e, self.expr(p + 1))
             below = p if op in _COMPARISONS else p + 1
         return e
@@ -464,18 +472,15 @@ class _Parser:
 
     def _primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "nat":
+        if tok[:1].isdecimal():  # a natural number, or a float if it has a point
             self.next()
-            return Lit(int(tok.text))
-        if tok.kind == "float":
+            return Lit(int(tok) if tok.isdecimal() else float(tok))
+        if tok[:1] == '"':
             self.next()
-            return Lit(float(tok.text))
-        if tok.kind == "string":
+            return Lit(_unquote(tok))
+        if tok in _CONSTANTS:
             self.next()
-            return Lit(_unquote(tok.text))
-        if tok.text in _CONSTANTS:
-            self.next()
-            return _CONSTANTS[tok.text]
+            return _CONSTANTS[tok]
         if self.at("some"):
             self.next()
             self.expect("(")
@@ -486,22 +491,22 @@ class _Parser:
             self.next()
             self.expect("(")
             s = self.peek()
-            if s.kind != "string":
-                raise ParseError(f"expected a date string, found {s.text!r}",
-                                 (s.start, s.end), ("STRING",))
+            if s[:1] != '"':
+                raise ParseError(f"expected a date string, found {s!r}", self.span(self.pos),
+                                 ("STRING",))
             self.next()
             self.expect(")")
-            return Lit(Date(_unquote(s.text)))
+            return Lit(Date(_unquote(s)))
         if self.at("("):
             self.next()
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
+        if tok.isidentifier() and tok not in KEYWORDS:
             self.next()
-            return Var(tok.text)
-        raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}",
-                         (tok.start, tok.end), ("expression",))
+            return Var(tok)
+        raise ParseError(f"expected an expression, found {tok or 'end of input'!r}",
+                         self.span(self.pos), ("expression",))
 
 
 def _unquote(text: str) -> str:
@@ -509,15 +514,14 @@ def _unquote(text: str) -> str:
     return body.replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _validate_atoms(prog: SourceProgram, at: int) -> None:
+def _validate_atoms(prog: SourceProgram, span) -> None:
     declared = prog.declared_atoms()
     used = {a for eta in interactions_of(prog.chor) for p in inter_parts(eta).athrs
             for a in p.req | p.off}
     undeclared = used - declared
     if undeclared:
         raise UndeclaredCapability(
-            f"capability atoms not covered by any caps declaration: {sorted(undeclared)}",
-            (at, at + len("choreography")))
+            f"capability atoms not covered by any caps declaration: {sorted(undeclared)}", span)
 
 
 def parse(text: str, lax_select: bool = False) -> SourceProgram:

@@ -102,6 +102,22 @@ class TolerantFailure:
         return thread != self.thread or not tolerates_absence(quality, roles, role)
 
 
+# the JSON type of each schedule field, as its error names it, and of a list's items
+_NAMES = (list, "a list of thread names", str)
+_FIELDS = {"steps": (list, "a list of JSON objects", dict), "available": _NAMES,
+           "unavailable": _NAMES, "p": ((int, float), "a number"), "seed": (int, "an integer"),
+           "thread": (str, "a thread name"), "from_step": (int, "an integer")}
+
+
+def _field(data: dict, name: str, default=None):
+    """``data[name]``, or ``default`` if absent, of its type in :data:`_FIELDS`."""
+    kind, noun, *items = _FIELDS[name]
+    if isinstance(value := data.get(name, default), bool) or not isinstance(value, kind) \
+            or items and not all(isinstance(item, items[0]) for item in value):
+        raise ValueError(f"schedule field {name!r} must be {noun}: {value!r}")
+    return value
+
+
 def load_schedule(data) -> AvailabilityOracle:
     """Oracle from its JSON description (a dict or a JSON string)."""
     if isinstance(data, str):
@@ -109,23 +125,16 @@ def load_schedule(data) -> AvailabilityOracle:
     if not isinstance(data, dict):
         raise ValueError(f"a schedule must be a JSON object: {data!r}")
     mode = data.get("mode")
-    need = {"bernoulli": "p", "crash": "thread"}.get(mode)
-    if need is not None and need not in data:
-        raise ValueError(f"{mode} schedule needs a {need!r}: {data}")
     if mode == "script":
         steps = []
-        for entry in data.get("steps", []):
-            if not isinstance(entry, dict):
-                raise ValueError(f"script step must be a JSON object: {entry!r}")
-            if "available" in entry:
-                steps.append(("available", frozenset(entry["available"])))
-            elif "unavailable" in entry:
-                steps.append(("unavailable", frozenset(entry["unavailable"])))
-            else:
-                raise ValueError(f"script step needs 'available' or 'unavailable': {entry}")
+        for entry in _field(data, "steps", []):
+            which = "available" if "available" in entry else "unavailable"
+            steps.append((which, frozenset(_field(entry, which))))
         return ScriptOracle(tuple(steps))
     if mode == "bernoulli":
-        return BernoulliOracle(float(data["p"]), int(data.get("seed", 0)))
+        if not 0 <= (p := _field(data, "p")) <= 1:
+            raise ValueError(f"bernoulli schedule needs a probability 'p' in [0, 1]: {p}")
+        return BernoulliOracle(float(p), _field(data, "seed", 0))
     if mode == "crash":
-        return SingleFailure(str(data["thread"]), int(data.get("from_step", 0)))
+        return SingleFailure(_field(data, "thread"), _field(data, "from_step", 0))
     raise ValueError(f"unknown schedule mode {mode!r}")

@@ -242,6 +242,16 @@ class TestRuns:
                                "--schedule", str(sched), "--bound", "80", capsys=capsys)
         assert code in (1, 3)  # all-quality select cannot complete without t2
 
+    def test_script_step_withholds_each_listed_thread(self, tmp_path, capsys):
+        """The list ``["t1"]`` names thread t1, which the `all` protocol needs."""
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"mode": "script", "steps": [{"unavailable": ["t1"]}]}))
+        code, out, _ = run_cli("availability", str(GOLDEN / "sensors_all.gcq"),
+                               "--schedule", str(sched), capsys=capsys)
+        data = json.loads(out)
+        assert (code, data["status"]) == (1, "StuckNetworkFound")
+        assert data["detail"].startswith("stuck non-quiescent network at depth 4 ")
+
     def test_bernoulli_schedule_parses(self, tmp_path, capsys):
         sched = tmp_path / "bern.json"
         sched.write_text(json.dumps({"mode": "bernoulli", "p": 1.0, "seed": 42}))
@@ -251,7 +261,15 @@ class TestRuns:
 
     @pytest.mark.parametrize("schedule", [
         [1, 2], {"mode": "script", "steps": [1]}, {"mode": "bernoulli"},
-    ], ids=["not-an-object", "script-step-not-an-object", "bernoulli-without-p"])
+        {"mode": "script", "steps": 5}, {"mode": "bernoulli", "p": [1]},
+        {"mode": "script", "steps": [{"available": 5}]},
+        {"mode": "script", "steps": [{"unavailable": "t1"}]},
+        {"mode": "crash", "thread": ["t1"]}, {"mode": "bernoulli", "p": True},
+        {"mode": "bernoulli", "p": 7}, {"mode": "bernoulli", "p": 0.5, "seed": [1]},
+        {"mode": "crash", "thread": "t1", "from_step": "5"},
+    ], ids=["not-an-object", "script-step-not-an-object", "bernoulli-without-p",
+            "steps-not-a-list", "p-a-list", "threads-a-number", "threads-a-string",
+            "crash-thread-a-list", "p-true", "p-above-one", "seed-a-list", "from-step-a-string"])
     def test_malformed_schedule_is_an_input_error(self, schedule, tmp_path, capsys):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps(schedule))

@@ -1,15 +1,17 @@
 """Concrete syntax: golden programs, errors with spans, round-trip property."""
 
+import ast
 import random
+import re
+import time
 from pathlib import Path
 
 import pytest
 
 from chorfixtures import sensors, typed_example
-from gcq.epq import _ProcParser, print_proc
+from gcq.epq import _ProcParser, parse_proc, print_proc
 from gcq.genchor import GenConfig, corpus, interleaved_corpus, session_chain
 from gcq.parser import (
-    _TOKEN_RE,
     DuplicateThreadInInit,
     ParseError,
     SelectNotAll,
@@ -19,7 +21,7 @@ from gcq.parser import (
     parse_choreography,
     pretty_print,
     pretty_print_program,
-    tokenize,
+    _Parser,
 )
 from gcq.projection import epp
 from gcq.gtypes import BranchT, END_T, RedT, branch_t, infer_gamma
@@ -133,27 +135,141 @@ class TestGoldenParsing:
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
+# the token set of the .gcq text, as a sequential scan defines it: one match
+# per token or blank at each offset in turn; the .epq text adds '!' and '?'
+_REFERENCE = re.compile(r"""
+    (?P<ws>\s+|//[^\n]*)
+  | (?P<float>\d+\.\d+)
+  | (?P<nat>\d+)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<arrow>->)
+  | (?P<punct>[{}()\[\];:,.<>/@=*+-])
+""", re.VERBOSE)
+_PROC_REFERENCE = re.compile(r"(?P<bang>[!?])|" + _REFERENCE.pattern, re.VERBOSE)
+
+
 def _scanned(text: str, pattern) -> list[tuple]:
-    """(kind, text, start, end) of every token, read off the pattern's matches."""
+    """(text, start, end) of every token and then of the end of the input,
+    read off the pattern's matches at successive offsets."""
     out, pos = [], 0
     while pos < len(text):
         m = pattern.match(text, pos)
-        out.append((m.lastgroup, m.group(), m.start(), m.end()))
+        if m.lastgroup != "ws":
+            out.append((m.group(), m.start(), m.end()))
         pos = m.end()
-    return [tok for tok in out if tok[0] != "ws"] + [("eof", "", len(text), len(text))]
+    return out + [("", len(text), len(text))]
+
+
+def _golden_texts() -> list[tuple[str, type]]:
+    """The golden programs and the .epq texts of their projections."""
+    texts = [(path.read_text(), _Parser) for path in sorted(GOLDEN.glob("*.gcq"))]
+    texts += [(print_proc(comp.proc), _ProcParser) for text, _ in list(texts)
+              for comp in epp(parse(text, lax_select=True).chor).components]
+    return texts
 
 
 class TestTokens:
+    """The one-pass scan gives the tokens of the sequential reference scan,
+    and a parser's ``span(i)`` gives the offsets of its token ``i``."""
+
+    @staticmethod
+    def agree(text: str, cls) -> None:
+        parser = cls(text, lax_select=True)
+        reference = _scanned(text, _PROC_REFERENCE if cls is _ProcParser else _REFERENCE)
+        assert parser.tokens == [tok for tok, _, _ in reference]
+        assert [parser.span(i)() for i in range(len(reference))] == \
+            [(start, end) for _, start, end in reference]
+
     def test_fields_on_golden_corpus_and_process_texts(self):
-        texts = [(path.read_text(), _TOKEN_RE) for path in sorted(GOLDEN.glob("*.gcq"))]
-        texts += [(pretty_print(c), _TOKEN_RE) for c in
+        texts = _golden_texts()
+        texts += [(pretty_print(c), _Parser) for c in
                   corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))]
-        texts += [(print_proc(comp.proc), _ProcParser.token_re) for comp in epp(sensors()).components]
-        assert any("!" in text for text, _ in texts)
-        for text, pattern in texts:
-            tokens = tokenize(text, pattern)
-            assert [(t.kind, t.text, t.start, t.end) for t in tokens] == _scanned(text, pattern)
-            assert [tuple(t) for t in tokens] == _scanned(text, pattern)
+        assert any("!" in text for text, _ in texts) and any("//" in text for text, _ in texts)
+        for text, cls in texts:
+            self.agree(text, cls)
+
+    def test_a_parse_that_succeeds_reads_no_offsets(self):
+        """The sequential scan is the error path only; the .epq parser's
+        failed attempts at a prefix do not run it either."""
+        for text, cls in _golden_texts():
+            parser = cls(text, lax_select=True)
+            parser.proc() if cls is _ProcParser else parser.program()
+            assert "offsets" not in vars(parser)
+
+    @pytest.mark.parametrize("text", [
+        "choreography { end } // bye",
+        "// hi\nchoreography { end } // one\n// two",
+        'choreography { if "a//b" = x // c\n @ t { end } else { end } }',
+        'choreography { if "say \\"hi\\" // no" = "" @ t { end } else { end } }',
+        "   choreography{end}   ", "", "  \n ", "// only",
+    ])
+    def test_comments_and_blanks(self, text):
+        self.agree(text, _Parser)
+        self.agree(text, _ProcParser)
+
+    def test_comment_at_the_end_is_no_token(self):
+        assert _Parser("choreography { end } // bye").tokens == ["choreography", "{", "end", "}", ""]
+
+    @pytest.mark.parametrize("text, char", [
+        ("choreography { end } !", "!"),
+        ("choreography { bcast k [all] a[A].1 -> (b[B]: x!); end }", "!"),
+        ('choreography { if "open = x @ t { end } else { end } }', '"'),
+        ("choreography { end } é", "é"),
+    ])
+    def test_unexpected_character(self, text, char):
+        """'!' is a token of the .epq text only; a string needs its closing quote."""
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        at = text.index(char)
+        assert str(exc.value) == f"unexpected character {char!r}"
+        assert exc.value.span == (at, at + 1)
+
+    @pytest.mark.parametrize("cls", [_Parser, _ProcParser])
+    def test_unexpected_character_after_a_long_blank(self, cls):
+        text = "choreography {" + " " * 10_000 + "§ end }"
+        began = time.perf_counter()
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            cls(text)
+        assert time.perf_counter() - began < 0.25
+        assert exc.value.span == (10_014, 10_015)
+
+
+def _mutations(tokens: list[str], rng: random.Random):
+    """Token-level edits of a token list: each token dropped, and a sample
+    of tokens doubled or replaced by another token of the text."""
+    alphabet = sorted(set(tokens) - {""})
+    for i in range(len(tokens) - 1):
+        yield tokens[:i] + tokens[i + 1:]
+    for i in rng.sample(range(len(tokens) - 1), min(40, len(tokens) - 1)):
+        yield tokens[:i] + [tokens[i]] + tokens[i:]
+        yield tokens[:i] + [rng.choice(alphabet)] + tokens[i + 1:]
+
+
+class TestErrorSpans:
+    def test_mutated_texts_point_at_the_quoted_token(self):
+        """Every syntax error of a mutated golden text has its span inside
+        the text, and a token that its message quotes as found is the text
+        under the span."""
+        rng, checked = random.Random(29), 0
+        for original, cls in _golden_texts():
+            read = parse_proc if cls is _ProcParser else lambda t: parse(t, lax_select=True)
+            for tokens in _mutations(cls(original).tokens, rng):
+                text = " ".join(tokens)
+                try:
+                    read(text)
+                except ParseError as exc:
+                    lo, hi = exc.span
+                    assert 0 <= lo <= hi <= len(text), (text, exc)
+                    quoted = re.search(r"(?:found|trailing input) ('.*'|\".*\")$", str(exc))
+                    if quoted:
+                        found = ast.literal_eval(quoted[1])
+                        if found == "end of input":
+                            assert (lo, hi) == (len(text), len(text)), (text, exc)
+                        else:
+                            assert text[lo:hi] == found, (text, exc)
+                        checked += 1
+        assert checked > 1000
 
 
 class TestRoundTrip:
