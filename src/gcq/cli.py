@@ -46,10 +46,10 @@ def _load_program(path: str, lax: bool):
     return parse(text, lax_select=lax)
 
 
-def _oracle_from_args(args):
+def _oracle_from_args(args, threads=None):
     if args.schedule:
         data = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
-        return schedule.load_schedule(data)
+        return schedule.load_schedule(data, threads)
     return schedule.ALWAYS
 
 
@@ -197,11 +197,12 @@ def _verdict_exit(verdict) -> int:
 
 def cmd_availability(args) -> int:
     prog = _load_program(args.input, args.lax_select)
+    # an oracle sees only free threads: a service thread is anonymous once projected
+    threads = free_names(prog.chor).threads
     if args.schedule:
-        oracles = [_oracle_from_args(args)]
+        oracles = [_oracle_from_args(args, threads)]
     else:
-        threads = sorted(free_names(prog.chor).threads)
-        oracles = [schedule.ALWAYS, *map(schedule.TolerantFailure, threads)]
+        oracles = [schedule.ALWAYS, *map(schedule.TolerantFailure, sorted(threads))]
     verdict = correspond.availability_check(prog.chor, oracles, bound=args.bound)
     print(json.dumps(verdict.to_json(), sort_keys=True))
     return _verdict_exit(verdict)

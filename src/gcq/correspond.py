@@ -35,7 +35,7 @@ from .netsem import (
     net_enabled,
     sync_allowed,
 )
-from .projection import PruningInconclusive, epp, prunes
+from .projection import epp, prunes
 from .schedule import ALWAYS
 from .semantics import Configuration, enabled
 from .syntax import (
@@ -260,12 +260,12 @@ class _Search:
     state and hands its successors to :meth:`push`.  Every state at depth
     up to ``bound`` is checked, and the bound cuts the search, with detail
     ``stopped``, exactly when an unseen successor lies one level deeper.
-    ``explored`` and ``cuts``, the budgets that kept it from an answer in
-    the order they did, run on across the verdict's searches.
+    ``explored`` and ``cut``, the detail of the first cut, run on across
+    the verdict's searches.
     """
 
     def __init__(self, bound: int):
-        self.bound, self.explored, self.cuts = bound, 0, []
+        self.bound, self.explored, self.cut = bound, 0, None
 
     def over(self, start, key, stopped: str):
         self.key, self.stopped = key, stopped
@@ -278,29 +278,29 @@ class _Search:
         key = self.key(state, depth)
         if key not in self.seen:
             if depth > self.bound:
-                self.cuts.append(self.stopped)
+                self.cut = self.cut or self.stopped
             else:
                 self.seen.add(key)
                 self.frontier.append((state, depth))
 
     def verdict(self, status: str = "Pass", detail: str = "") -> Verdict:
-        """A Pass is BudgetExceeded, with the first cut, once a budget cut the search."""
-        if status == "Pass" and self.cuts:
-            status, detail = "BudgetExceeded", self.cuts[0]
+        """A Pass is BudgetExceeded, with the first cut, once the bound cut the search."""
+        if status == "Pass" and self.cut:
+            status, detail = "BudgetExceeded", self.cut
         return Verdict(status, detail, self.explored)
 
 
 @per_verdict
-def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
-               net: Optional[Network] = None) -> Verdict:
+def cosimulate(c: Choreography, bound: int = 32, net: Optional[Network] = None) -> Verdict:
     """Check both correctness directions by bounded exhaustive exploration.
 
     Soundness: every global step is realized by a group of endpoint steps
     whose residual network prunes to the residual projection.  Completeness:
     every endpoint step extends to a full group matching some global step.
     Every (configuration, network) pair at depth up to ``bound`` is checked
-    (:class:`_Search`).  ``net`` overrides the projected start network
-    (mutation testing).
+    (:class:`_Search`); ``bound`` is the only budget, since both inner
+    searches end on their own.  ``net`` overrides the projected start
+    network (mutation testing).
     """
     start_conf = Configuration.initial(c)
     table = canon_table()
@@ -314,13 +314,7 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
             f"exploration stopped at depth {bound}"):
         # Soundness direction
         for glabel, conf2 in table.memo(table.global_steps, enabled, conf):
-            target = _projection(table, conf2)
-            try:
-                matched = _first_pruning(target, fire_labels(net, [glabel]), prune_depth)
-            except PruningInconclusive:
-                search.cuts.append(f"soundness: prune depth {prune_depth} ran out for global "
-                                   f"step {stable_repr(glabel)} at depth {depth}")
-                continue
+            matched = _first_pruning(_projection(table, conf2), fire_labels(net, [glabel]))
             if matched is None:
                 return search.verdict(
                     "CounterexampleFound",
@@ -329,19 +323,9 @@ def cosimulate(c: Choreography, bound: int = 32, prune_depth: int = 12,
             search.push((conf2, matched), depth + 1)
         # Completeness direction: the fired endpoint label must belong to
         # the combined group of some global step sequence; an enqueue for a
-        # group whose global turn comes later needs lookahead.
-        lookahead = max(2, min(bound - depth, 6))
+        # group whose global turn comes later needs a longer sequence.
         for elabel, net1 in net_enabled(net):
-            try:
-                completed = _complete_endpoint(conf, elabel, net1, prune_depth, lookahead)
-            except PruningInconclusive:
-                search.cuts.append(f"completeness: prune depth {prune_depth} ran out for "
-                                   f"endpoint step {elabel} at depth {depth}")
-                continue
-            if completed is None:
-                search.cuts.append(f"completeness: lookahead of {lookahead} global steps ran "
-                                   f"out for endpoint step {elabel} at depth {depth}")
-            elif not completed:
+            if not _complete_endpoint(conf, elabel, net1):
                 return search.verdict(
                     "CounterexampleFound",
                     f"completeness: endpoint step {elabel} at depth {depth} completes "
@@ -354,21 +338,17 @@ def _projection(table: CanonTable, conf: Configuration) -> Network:
     return table.memo(table.projections, lambda pair: epp(*pair), (conf.chor, conf.binders))
 
 
-def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: int,
-                       lookahead: int = 6) -> Optional[bool]:
-    """Find global steps whose combined endpoint groups absorb the fired label.
-
-    Searches sequences of up to ``lookahead`` global transitions; the fired
-    endpoint label must occur in some group of the sequence, the remaining
-    group labels must be firable from the successor network, and the result
-    must prune to the projection of the final residual.  Returns None
-    (inconclusive) when no sequence did but a longer one exists, and raises
-    :class:`PruningInconclusive` when none did but the prune depth kept one
-    from an answer.
+def _complete_endpoint(conf: Configuration, elabel, net1: Network) -> bool:
+    """Whether some global step sequence from ``conf`` absorbs the fired
+    label: the label occurs in a group of the sequence, ``net1`` fires the
+    other group labels, and the result prunes to the projection of the
+    final residual.  Sequences are tried shortest first; each global step
+    consumes a prefix of the choreography, which has no recursion, so a
+    sequence is no longer than the program and the search ends.
     """
-    table, unsure = canon_table(), None
+    table = canon_table()
     frontier = [(conf, [])]
-    for _ in range(lookahead):
+    while frontier:
         nxt = []
         for cur, labels in frontier:
             for glabel, conf2 in table.memo(table.global_steps, enabled, cur):
@@ -383,34 +363,16 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network, prune_depth: 
                         adjusted_net1 = _rename_net_session(net1, elabel.key, target_key)
                         adjusted = elabel.replace(key=target_key)
                 fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
-                if fired:
-                    try:
-                        target = _projection(table, conf2)
-                        if _first_pruning(target, fired, prune_depth) is not None:
-                            return True
-                    except PruningInconclusive as exc:
-                        unsure = exc
+                if fired and _first_pruning(_projection(table, conf2), fired) is not None:
+                    return True
                 nxt.append((conf2, seq))
         frontier = nxt
-    if unsure is not None:
-        raise unsure
-    return None if any(table.memo(table.global_steps, enabled, cur) for cur, _ in frontier) else False
+    return False
 
 
-def _first_pruning(target: Network, nets: list[Network], prune_depth: int) -> Optional[Network]:
-    """The first of ``nets`` that prunes to ``target``, or None when none
-    does; raises :class:`PruningInconclusive` when none does but the prune
-    depth kept one from an answer."""
-    unsure = None
-    for net in nets:
-        try:
-            if prunes(target, net, prune_depth):
-                return net
-        except PruningInconclusive as exc:
-            unsure = exc
-    if unsure is not None:
-        raise unsure
-    return None
+def _first_pruning(target: Network, nets: list[Network]) -> Optional[Network]:
+    """The first of ``nets`` that prunes to ``target``, or None when none does."""
+    return next((net for net in nets if prunes(target, net)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -535,7 +535,7 @@ class CanonTable:
     labels carry its session keys, ``semantics.enabled`` in
     ``global_steps``, keyed alike, and ``projection.epp`` in
     ``projections``.  ``prune_answers`` maps a top-level ``prunes`` query
-    (canonical p, canonical q, depth) to True, False or what it raised."""
+    (canonical p, canonical q) to its answer, True or False."""
 
     def __init__(self):
         self.forms: dict[Network, Network] = {}

@@ -75,10 +75,6 @@ class NotMergeable(ValueError):
         self.reason = reason
 
 
-class PruningInconclusive(RuntimeError):
-    """The bounded simulation check ran out of depth."""
-
-
 # ---------------------------------------------------------------------------
 # Linearity
 
@@ -419,34 +415,27 @@ def _merge_bucket(pcomps, qcomps) -> bool:
     return all(place(pi, set()) for pi in range(len(pcomps)))
 
 
-def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
+def prunes(p: Network, q: Network, _memo=None) -> bool:
     """Decide whether ``q`` is ``p`` plus unused replicated services.
 
     Once ``q``'s unused services are stripped, each of ``p``'s components
     must merge, unchanged up to bound names, into a distinct one of the rest
     with its owner or service (the merged network would be the rest again,
-    so it is not built), and a rest equal to ``p`` is answered at once.  The
-    simulation clause is checked by bounded co-exploration; running out of
-    depth raises :class:`PruningInconclusive` rather than answering.  The running
-    verdict keeps each top-level answer, which is final; ``_memo`` holds one
-    call's provisional coinductive True entries, so it is not shared.
+    so it is not built), and a rest equal to ``p`` is answered at once.
+    Otherwise each step of the rest needs a same-label step of ``p`` whose
+    successor prunes to the rest's successor.  This ends: ``p`` is ``epp``
+    of a residual choreography, or a successor of one, whose runs are
+    finite, since a choreography has no recursion; ``_memo``, one call's
+    coinductive memo on canonical pairs, answers a revisited pair, and is
+    not shared.  The running verdict keeps each top-level answer, which is
+    final.
     """
     table = canon_table()
     pc, qc = table.canon(p), table.canon(q)
     if pc == qc:
         return True
     if _memo is None:
-        key = (pc, qc, depth)
-        answer = table.prune_answers.get(key)
-        if answer is None:
-            try:
-                answer = prunes(pc, qc, depth, {})
-            except PruningInconclusive as exc:
-                answer = exc
-            table.prune_answers[key] = answer
-        if isinstance(answer, PruningInconclusive):
-            raise answer.with_traceback(None)
-        return answer
+        return table.memo(table.prune_answers, lambda pair: prunes(*pair, {}), (pc, qc))
     key = (pc, qc)
     if key in _memo:
         return _memo[key]
@@ -456,30 +445,13 @@ def prunes(p: Network, q: Network, depth: int = 12, _memo=None) -> bool:
     if not _merges_into(pc, table.canon(q0)):
         _memo[key] = False
         return False
-    if depth <= 0:
-        raise PruningInconclusive("pruning simulation ran out of depth")
     if q0 == pc:
         return True  # the identity relation is a simulation
     _memo[key] = True  # coinductive reading of the simulation clause
     q_steps = net_enabled(q0)
     p_steps = net_enabled(pc) if q_steps else []
-    unsure = False  # some step of q0 only the depth kept from a match
     for label, q0_next in q_steps:
-        matched = False  # None: only inconclusive candidates so far
-        for p_label, pn in p_steps:
-            if p_label != label:
-                continue
-            try:
-                if prunes(pn, q0_next, depth - 1, _memo):
-                    matched = True
-                    break
-            except PruningInconclusive:
-                matched = None
-        if matched is False:
+        if not any(p_label == label and prunes(pn, q0_next, _memo) for p_label, pn in p_steps):
             _memo[key] = False
             return False
-        unsure = unsure or matched is None
-    if unsure:
-        _memo.pop(key, None)
-        raise PruningInconclusive("pruning simulation ran out of depth")
     return True

@@ -118,23 +118,38 @@ def _field(data: dict, name: str, default=None):
     return value
 
 
-def load_schedule(data) -> AvailabilityOracle:
-    """Oracle from its JSON description (a dict or a JSON string)."""
+def load_schedule(data, threads: Optional[frozenset[str]] = None) -> AvailabilityOracle:
+    """Oracle from its JSON description (a dict or a JSON string); with
+    ``threads``, naming any other thread is an error."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"a schedule must be a JSON object: {data!r}")
+
+    def known(names) -> None:
+        if threads is not None and (unknown := sorted(set(names) - threads)):
+            raise ValueError(f"schedule names {', '.join(unknown)}, not a free thread of the "
+                             f"program ({', '.join(sorted(threads))})")
+
     mode = data.get("mode")
     if mode == "script":
         steps = []
         for entry in _field(data, "steps", []):
+            if "available" in entry and "unavailable" in entry:
+                raise ValueError(f"a script step lists 'available' or 'unavailable' threads, "
+                                 f"not both: {entry!r}")
             which = "available" if "available" in entry else "unavailable"
-            steps.append((which, frozenset(_field(entry, which))))
+            known(names := _field(entry, which))
+            steps.append((which, frozenset(names)))
         return ScriptOracle(tuple(steps))
     if mode == "bernoulli":
         if not 0 <= (p := _field(data, "p")) <= 1:
             raise ValueError(f"bernoulli schedule needs a probability 'p' in [0, 1]: {p}")
         return BernoulliOracle(float(p), _field(data, "seed", 0))
     if mode == "crash":
-        return SingleFailure(_field(data, "thread"), _field(data, "from_step", 0))
+        thread, from_step = _field(data, "thread"), _field(data, "from_step", 0)
+        if from_step < 0:
+            raise ValueError(f"schedule field 'from_step' must not be negative: {from_step}")
+        known([thread])
+        return SingleFailure(thread, from_step)
     raise ValueError(f"unknown schedule mode {mode!r}")

@@ -36,7 +36,7 @@ from gcq.netsem import (
     net_enabled,
 )
 from gcq.parser import parse
-from gcq.projection import PruningInconclusive, epp, prunes
+from gcq.projection import epp, prunes
 from gcq.schedule import BernoulliOracle, ScriptOracle, SingleFailure, TolerantFailure
 from gcq.semantics import (
     ALWAYS,
@@ -144,24 +144,10 @@ class TestCosim:
         v2 = cosimulate(sensors(q2=Q_ANY), bound=32)
         assert v1.passed and v2.passed and v1.pairs_explored == v2.pairs_explored
 
-    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.gcq")))
-    def test_prune_depth_zero_is_inconclusive(self, name):
-        chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=True).chor
-        verdict = cosimulate(chor, prune_depth=0)
-        assert verdict.status == "BudgetExceeded"
-        assert verdict.detail.startswith("soundness: prune depth 0 ran out for global step ")
-
-    @pytest.mark.parametrize("prune_depth,status", [
-        (1, "BudgetExceeded"), (2, "Pass"), (12, "Pass")])
-    def test_prune_depth_decides_linearity_race(self, prune_depth, status):
-        chor = parse((GOLDEN / "linearity_race.gcq").read_text()).chor
-        assert cosimulate(chor, prune_depth=prune_depth).status == status
-
     @pytest.mark.parametrize("name", ["sensors_any_all", "sensors_blocking"])
-    @pytest.mark.parametrize("prune_depth", [1, 2, 12])
-    def test_counterexample_found_at_every_prune_depth(self, name, prune_depth):
+    def test_untypable_golden_is_a_counterexample(self, name):
         chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=True).chor
-        assert cosimulate(chor, prune_depth=prune_depth).status == "CounterexampleFound"
+        assert cosimulate(chor).status == "CounterexampleFound"
 
 
 class TestFaultsAreNotVerdicts:
@@ -458,10 +444,10 @@ class TestStateIdentity:
             expanded.append(conf)
             return real_enabled(conf)
 
-        def pruning(p, q, depth=12, _memo=None):
+        def pruning(p, q, _memo=None):
             if _memo == {}:
-                pruned.append((p, q, depth))
-            return real_prunes(p, q, depth, _memo)
+                pruned.append((p, q))
+            return real_prunes(p, q, _memo)
 
         monkeypatch.setattr(correspond, "enabled", expanding)
         monkeypatch.setattr(projection, "prunes", pruning)
@@ -507,36 +493,23 @@ class TestStateIdentity:
         assert len(asked) > len(pruned)
 
     def test_prune_cache_answers_like_a_fresh_call(self, monkeypatch):
-        """Every top-level ``prunes`` answer ``cosimulate`` gets, at prune
-        depth 12 and 0, equals a fresh call's; asked again in one table at
-        depth 12 and then at depth 0, each query still answers so."""
-        def outcome(p, q, depth):
-            try:
-                return prunes(p, q, depth)
-            except PruningInconclusive:
-                return "inconclusive"
-
+        """Every top-level ``prunes`` answer ``cosimulate`` gets equals a
+        fresh call's; asked again in one table, each query still answers so."""
         answers = {}
 
         def asking(*query):
-            answers.setdefault(query, []).append(outcome(*query))
-            if answers[query][-1] == "inconclusive":
-                raise PruningInconclusive("recorded")
+            answers.setdefault(query, []).append(prunes(*query))
             return answers[query][-1]
 
         monkeypatch.setattr(correspond, "prunes", asking)
         for chor in self._cosim_programs():
-            for prune_depth in (12, 0):
-                cosimulate(chor, prune_depth=prune_depth)
-        fresh = {query: epq.per_verdict(outcome)(*query) for query in answers}
+            cosimulate(chor)
+        fresh = {query: epq.per_verdict(prunes)(*query) for query in answers}
         assert all(got == [fresh[query]] * len(got) for query, got in answers.items())
-        assert {"inconclusive", True, False} <= set(fresh.values())
-        deep = [(p, q) for p, q, depth in answers if depth == 12]
-        shallow = {pq: epq.per_verdict(outcome)(*pq, 0) for pq in deep}
-        assert any(shallow[pq] != fresh[(*pq, 12)] for pq in deep)  # the depth matters
-        queries = [(*pq, 12) for pq in deep] + [(*pq, 0) for pq in deep]
-        expected = [fresh[(*pq, 12)] for pq in deep] + [shallow[pq] for pq in deep]
-        assert epq.per_verdict(lambda: [outcome(*query) for query in queries])() == expected
+        assert set(fresh.values()) == {True, False}
+        queries = list(fresh)
+        assert epq.per_verdict(lambda: [prunes(*query) for query in queries])() == \
+            [fresh[query] for query in queries]
 
     def test_each_network_canonicalized_once_per_verdict(self, monkeypatch):
         chor = parse((GOLDEN / "sensors_23.gcq").read_text()).chor

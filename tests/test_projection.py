@@ -42,7 +42,6 @@ from gcq.netsem import net_run
 from gcq.projection import (
     NotMergeable,
     ProjectionUndefined,
-    PruningInconclusive,
     _merge_bucket,
     check_linearity,
     epp,
@@ -333,25 +332,20 @@ class TestPruning:
         big = Network(net.components + (e1, e2), net.queues, net.restricted)
         assert prunes(net, mid) and prunes(mid, big) and prunes(net, big)
 
-    def test_inconclusive_depth_is_reported(self):
-        net = epp(sensors())
-        extra = Component(AcceptRepl("other", "Z", "k9", INACT), service=("other", "Z"))
-        bigger = Network(net.components + (extra,), net.queues, net.restricted)
-        with pytest.raises(PruningInconclusive):
-            prunes(net, bigger, depth=0)
-
-    def test_depth_running_out_below_the_top_is_inconclusive(self):
+    def test_two_step_simulation_below_the_top(self):
         # after linearity_race's first start, the endpoint side needs two
-        # simulation steps: one is not enough to answer, and two are
+        # simulation steps to answer
         c = linearity_race()
         (glabel, conf2), *_ = enabled(Configuration.initial(c))
         target = epp(conf2.chor)
         nets = fire_labels(epp(c), [glabel])
-        assert nets
-        for net in nets:
-            with pytest.raises(PruningInconclusive):
-                prunes(target, net, depth=1)
-            assert prunes(target, net, depth=2)
+
+        @per_verdict
+        def stepped(net):
+            assert prunes(target, net)
+            return len(canon_table().steps)
+
+        assert nets and all(stepped(net) > 0 for net in nets)
 
     def test_merged_branch_absorbs_projection(self):
         sel1 = Select(athr("a", "A"), (athr("b", "B"),), Q_ALL, "k", "l1")
@@ -366,20 +360,17 @@ class TestPruning:
 
     def test_unused_service_pruned_without_simulation(self):
         """Once the unused service is stripped, ``q`` is ``p`` itself: the
-        answer needs no step of either network, except at depth 0."""
+        answer needs no step of either network."""
         net = epp(sensors())
         extra = Component(AcceptRepl("other", "Z", "k9", INACT), service=("other", "Z"))
         bigger = Network(net.components + (extra,), net.queues, net.restricted)
 
         @per_verdict
-        def answer(depth):
-            assert prunes(net, bigger, depth)
+        def answer():
+            assert prunes(net, bigger)
             return canon_table().steps
 
-        for depth in (1, 2, 12):
-            assert answer(depth) == {}
-        with pytest.raises(PruningInconclusive):
-            per_verdict(prunes)(net, bigger, 0)
+        assert answer() == {}
 
 
 def _outputs(n: int) -> list:
