@@ -425,6 +425,17 @@ class TestCosimAvailability:
         assert json.loads(out)["status"] == "Pass"
         assert 'failures="0"' in xml.read_text()
 
+    @pytest.mark.parametrize("bound,code,status", [
+        ("2", 3, "BudgetExceeded"), ("3", 0, "Pass")])
+    def test_cosim_bound_is_inconclusive(self, bound, code, status, capsys):
+        # sensors_all's last pair lies at depth 3: a bound of 2 cuts there
+        got, out, _ = run_cli("cosim", str(GOLDEN / "sensors_all.gcq"), "--bound", bound,
+                              capsys=capsys)
+        data = json.loads(out)
+        assert (got, data["status"]) == (code, status)
+        if status == "BudgetExceeded":
+            assert data["detail"] == "exploration stopped at depth 2"
+
     def test_cosim_rejects_ill_typed_input(self, capsys):
         code, out, _ = run_cli("cosim", str(GOLDEN / "sensors_any_all.gcq"),
                                "--lax-select", capsys=capsys)

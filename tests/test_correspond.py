@@ -144,10 +144,30 @@ class TestCosim:
         v2 = cosimulate(sensors(q2=Q_ANY), bound=32)
         assert v1.passed and v2.passed and v1.pairs_explored == v2.pairs_explored
 
-    @pytest.mark.parametrize("name", ["sensors_any_all", "sensors_blocking"])
-    def test_untypable_golden_is_a_counterexample(self, name):
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.gcq")))
+    def test_bound_is_the_only_cut(self, name):
+        """Below the depth a verdict needs, the bound is the only cut; from
+        that depth on, a larger bound changes nothing."""
         chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=True).chor
-        assert cosimulate(chor).status == "CounterexampleFound"
+        verdicts = [cosimulate(chor, bound=bound) for bound in range(8)]
+        cut = [v for v in verdicts if v.status == "BudgetExceeded"]
+        assert [v.detail for v in cut] == [f"exploration stopped at depth {b}"
+                                           for b in range(len(cut))]
+        decided = verdicts[len(cut):]
+        assert decided and all(v == decided[0] for v in decided)
+        assert cosimulate(chor, bound=32) == decided[0]
+
+    @pytest.mark.parametrize("bound,status", [
+        (1, "BudgetExceeded"), (2, "Pass"), (12, "Pass")])
+    def test_bound_decides_linearity_race(self, bound, status):
+        chor = parse((GOLDEN / "linearity_race.gcq").read_text()).chor
+        assert cosimulate(chor, bound=bound).status == status
+
+    @pytest.mark.parametrize("name", ["sensors_any_all", "sensors_blocking"])
+    @pytest.mark.parametrize("bound", [1, 2, 32])
+    def test_untypable_golden_is_a_counterexample(self, name, bound):
+        chor = parse((GOLDEN / f"{name}.gcq").read_text(), lax_select=True).chor
+        assert cosimulate(chor, bound=bound).status == "CounterexampleFound"
 
 
 class TestFaultsAreNotVerdicts:
