@@ -16,7 +16,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=50)
     ap.add_argument("--seed", type=int, default=23)
-    ap.add_argument("--bound", type=int, default=32)
     ap.add_argument("--max-threads", type=int, default=4)
     ap.add_argument("--max-interactions", type=int, default=5)
     args = ap.parse_args()
@@ -27,7 +26,7 @@ def main():
     pairs = 0
     t0 = time.time()
     for i, chor in enumerate(progs):
-        v = cosimulate(chor, bound=args.bound)
+        v = cosimulate(chor)
         verdicts[v.status] = verdicts.get(v.status, 0) + 1
         pairs += v.pairs_explored
         if not v.passed:

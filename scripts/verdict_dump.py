@@ -8,23 +8,24 @@ and the ``project`` output of the golden programs.
 
 Inputs: the golden programs, the fixed seed-23 corpus and the n-sensor
 family of the verdict benchmark (all three commands each), the
-capability-check twins of the benchmark, and the any/any and blocking
-twins at n = 2..8, whose reports list many failures in enumeration order
-(``check`` only).  Each golden program also runs ``availability
---schedule`` under a crash of t1 at step 5, a Bernoulli oracle and a
-three-entry script, and each golden, corpus and n-sensor program runs
-``run-global --seed 1``, whose trace shows the names the global semantics
-creates and substitutes, and ``run-net --seed 1``, whose trace follows the
-successor that ``netsem.net_enabled`` keeps for each endpoint step.  Each golden
-program also runs ``project``, which prints the manifest and the
-``.epq`` text of every process, so a change to the text format shows
+capability-check twins of the benchmark, and the any/any and blocking twins
+at n = 2..8, whose reports list many failures in enumeration order
+(``check`` only).  Each golden program also runs ``availability --schedule``
+under a crash of t1 at step 5, a Bernoulli oracle and a three-entry script,
+each where its free threads include every thread the schedule names, since
+naming another is a usage error; and each golden, corpus and n-sensor
+program runs ``run-global --seed 1``, whose trace shows the names the global
+semantics creates and substitutes, and ``run-net --seed 1``, whose trace
+follows the successor that ``netsem.net_enabled`` keeps for each endpoint
+step.  Each golden program also runs ``project``, which prints the manifest
+and the ``.epq`` text of every process, so a change to the text format shows
 here.  The texts come from ``perfbench/inputs.py``.  Each line is ``name
 command exit-code output``, with the output written as a JSON string, so
-that a moved line break shows.  Every input is named relative to the
-working directory, which is a fresh temporary one, so the manifest's
-``program`` field is the bare file name.  The output depends on nothing
-but the sources, so two runs under different ``PYTHONHASHSEED`` values
-must print the same bytes.
+that a moved line break shows.  Every input is named relative to the working
+directory, which is a fresh temporary one, so the manifest's ``program``
+field is the bare file name.  The output depends on nothing but the sources,
+so two runs under different ``PYTHONHASHSEED`` values must print the same
+bytes.
 
 ``--src`` names the ``gcq`` source tree to import (default: this
 checkout's ``src``), so one script and one set of inputs can run against
@@ -52,14 +53,27 @@ SCHEDULES = {
 }
 
 
+def named_threads(schedule) -> set:
+    """The threads a schedule names."""
+    if "thread" in schedule:
+        return {schedule["thread"]}
+    return {t for step in schedule.get("steps", []) for names in step.values() for t in names}
+
+
 def programs(inputs):
     """(name, text, flags, runs) for every input, in a fixed order; a run is
     a command and the name of a schedule, or None."""
+    from gcq.parser import parse
+    from gcq.syntax import free_names
+
     runs = [(c, None) for c in COMMANDS]
     for name, (lax, _) in inputs.GOLDEN_MATRIX.items():
         text = (ROOT / "golden" / f"{name}.gcq").read_text(encoding="utf-8")
+        threads = free_names(parse(text, lax_select=lax).chor).threads
+        scheduled = [("availability", s) for s, data in SCHEDULES.items()
+                     if named_threads(data) <= threads]
         yield (name, text, ("--lax-select",) if lax else (),
-               runs + [("availability", s) for s in SCHEDULES] + TRACE_RUNS + [("project", None)])
+               runs + scheduled + TRACE_RUNS + [("project", None)])
     for item in sorted(inputs.corpus_items(0), key=lambda it: it.name):
         yield item.name, item.text, (), runs + TRACE_RUNS
     for item in inputs.sensor_family_items(1):

@@ -21,7 +21,7 @@ from .epq import Component, Network, Queue, parse_proc, print_proc
 from .gtypes import GammaEnv, check_session_only
 from .parser import ParseError, parse
 from .projection import check_linearity, epp
-from .semantics import Configuration, run
+from .semantics import MAX_STEPS, Configuration, run
 from .syntax import free_names
 
 EXIT_PASS = 0
@@ -46,7 +46,8 @@ def _load_program(path: str, lax: bool):
     return parse(text, lax_select=lax)
 
 
-def _oracle_from_args(args, threads=None):
+def _oracle_from_args(args, threads):
+    """The ``--schedule`` oracle; it may name only ``threads``, the free ones."""
     if args.schedule:
         data = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
         return schedule.load_schedule(data, threads)
@@ -78,7 +79,7 @@ def cmd_check(args) -> int:
         print(f"capabilities: {_ok(caps.ok)}")
         print(f"session:      {_ok(sess.ok)}")
         print(f"linearity:    {_ok(lin.ok)}")
-        if args.explain or not ok:
+        if not ok:
             for rep in (caps, sess, lin):
                 for f in rep.failures:
                     print(f"  [{f.code}] {f.interaction}: {f.reason}")
@@ -88,8 +89,8 @@ def cmd_check(args) -> int:
 def cmd_run_global(args) -> int:
     prog = _load_program(args.input, args.lax_select)
     conf = Configuration.initial(prog.chor)
-    trace = run(conf, oracle=_oracle_from_args(args), policy=args.seed,
-                max_steps=args.bound)
+    trace = run(conf, oracle=_oracle_from_args(args, free_names(prog.chor).threads),
+                policy=args.seed, max_steps=args.bound)
     print(trace.to_jsonl())
     return _trace_exit(trace)
 
@@ -157,7 +158,8 @@ def cmd_run_net(args) -> int:
     else:
         prog = _load_program(args.input, args.lax_select)
         net = epp(prog.chor)
-    trace = netsem.net_run(net, oracle=_oracle_from_args(args), policy=args.seed,
+    threads = frozenset(comp.owner for comp in net.components if comp.owner)
+    trace = netsem.net_run(net, oracle=_oracle_from_args(args, threads), policy=args.seed,
                            max_steps=args.bound)
     print(trace.to_jsonl())
     return _trace_exit(trace)
@@ -197,12 +199,9 @@ def _verdict_exit(verdict) -> int:
 
 def cmd_availability(args) -> int:
     prog = _load_program(args.input, args.lax_select)
-    # an oracle sees only free threads: a service thread is anonymous once projected
     threads = free_names(prog.chor).threads
-    if args.schedule:
-        oracles = [_oracle_from_args(args, threads)]
-    else:
-        oracles = [schedule.ALWAYS, *map(schedule.TolerantFailure, sorted(threads))]
+    oracles = ([_oracle_from_args(args, threads)] if args.schedule
+               else [schedule.ALWAYS, *map(schedule.TolerantFailure, sorted(threads))])
     verdict = correspond.availability_check(prog.chor, oracles, bound=args.bound)
     print(json.dumps(verdict.to_json(), sort_keys=True))
     return _verdict_exit(verdict)
@@ -228,33 +227,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check, run, project and co-simulate failure-aware choreographies.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=False, bound=None, schedule=False):
+    def common(p, *, runs=False, search=False, schedule=False):
         p.add_argument("input", help="input .gcq program")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--explain", action="store_true", help="show failing analyses in detail")
+        p.add_argument("--explain", action="store_true", help="traceback of an internal error")
         p.add_argument("--lax-select", action="store_true",
                        help="accept selections with quality predicates other than 'all'")
-        if seed:
+        if runs:
             p.add_argument("--seed", type=int, default=None, help="policy seed for runs")
-        if bound is not None:
-            p.add_argument("--bound", type=_bound, default=bound, help="step/depth budget")
+            p.add_argument("--bound", type=_bound, default=MAX_STEPS, help="step budget")
+        if search:
+            p.add_argument("--bound", type=_bound, help="search depth (default: the longest run)")
         if schedule:
             p.add_argument("--schedule", help="availability schedule JSON file")
 
     p = sub.add_parser("check", help="capability, session and linearity analyses")
     common(p)
     p = sub.add_parser("run-global", help="run the choreography semantics")
-    common(p, seed=True, bound=1000, schedule=True)
+    common(p, runs=True, schedule=True)
     p = sub.add_parser("project", help="emit per-thread endpoint processes")
     common(p)
     p.add_argument("-o", "--out", help="output directory for .epq files and manifest")
     p = sub.add_parser("run-net", help="run the projected network (or a manifest.json)")
-    common(p, seed=True, bound=1000, schedule=True)
+    common(p, runs=True, schedule=True)
     p = sub.add_parser("cosim", help="co-simulate the projection against the source")
-    common(p, bound=32)
+    common(p, search=True)
     p.add_argument("--xml", help="write a JUnit-style XML report")
     p = sub.add_parser("availability", help="search for stuck reachable networks")
-    common(p, bound=64, schedule=True)
+    common(p, search=True, schedule=True)
     return ap
 
 

@@ -46,6 +46,7 @@ from .syntax import (
     GReduceL,
     GSelectL,
     GTau,
+    run_bound,
     stable_repr,
     term,
     tolerates_absence,
@@ -291,16 +292,16 @@ class _Search:
 
 
 @per_verdict
-def cosimulate(c: Choreography, bound: int = 32, net: Optional[Network] = None) -> Verdict:
+def cosimulate(c: Choreography, bound: int | None = None, net: Network | None = None) -> Verdict:
     """Check both correctness directions by bounded exhaustive exploration.
 
     Soundness: every global step is realized by a group of endpoint steps
     whose residual network prunes to the residual projection.  Completeness:
     every endpoint step extends to a full group matching some global step.
     Every (configuration, network) pair at depth up to ``bound`` is checked
-    (:class:`_Search`); ``bound`` is the only budget, since both inner
-    searches end on their own.  ``net`` overrides the projected start
-    network (mutation testing).
+    (:class:`_Search`); ``bound``, by default ``run_bound(c, False)``, which
+    cuts nothing, is the only budget, since both inner searches end on their
+    own.  ``net`` overrides the projected start network (mutation testing).
     """
     start_conf = Configuration.initial(c)
     table = canon_table()
@@ -308,10 +309,10 @@ def cosimulate(c: Choreography, bound: int = 32, net: Optional[Network] = None) 
         start_net = _projection(table, start_conf) if net is None else net
     except ValueError as exc:  # ProjectionUndefined, NotMergeable
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
-    search = _Search(bound)
+    search = _Search(run_bound(c, False) if bound is None else bound)
     for (conf, net), depth in search.over(
             (start_conf, start_net), lambda pair, _: (pair[0].canon_key(), table.canon(pair[1])),
-            f"exploration stopped at depth {bound}"):
+            f"exploration stopped at depth {search.bound}"):
         # Soundness direction
         for glabel, conf2 in table.memo(table.global_steps, enabled, conf):
             matched = _first_pruning(_projection(table, conf2), fire_labels(net, [glabel]))
@@ -381,14 +382,15 @@ def _first_pruning(target: Network, nets: list[Network]) -> Optional[Network]:
 
 @per_verdict
 def availability_check(c: Choreography, oracles: Optional[list] = None,
-                       bound: int = 64) -> Verdict:
+                       bound: int | None = None) -> Verdict:
     """Either the projection is inert or no reachable network is stuck.
 
     Explores the projected network under each oracle; a state without
     transitions that is not quiescent (inert up to replicated services and
     empty queues) is a counterexample.  Every network at depth up to
     ``bound`` is checked (:class:`_Search`); the count and the first cut
-    run on across the oracles.
+    run on across the oracles.  The default bound, ``run_bound(c, True)``,
+    cuts nothing, since an oracle only withholds steps.
     """
     try:
         start = epp(c)
@@ -396,13 +398,13 @@ def availability_check(c: Choreography, oracles: Optional[list] = None,
         return Verdict("PreconditionFailed", f"projection undefined: {exc}")
     if is_quiescent(start):  # a quiescent network has no step
         return Verdict("Pass", "projection is inert", 1)
-    table, search = canon_table(), _Search(bound)
+    table, search = canon_table(), _Search(run_bound(c, True) if bound is None else bound)
     for oracle in oracles or [ALWAYS]:
         # under an oracle whose answers still change with the step, a state is (network, step)
         stepwise = oracle.settles_at != 0
         for net, depth in search.over(
                 start, lambda net, depth: (table.canon(net), depth if stepwise else None),
-                f"exploration stopped at depth {bound} under {stable_repr(oracle)}"):
+                f"exploration stopped at depth {search.bound} under {stable_repr(oracle)}"):
             options = net_enabled(net, oracle, depth)
             if not options:
                 if not is_quiescent(net):

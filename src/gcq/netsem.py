@@ -45,7 +45,7 @@ from .epq import (
     subst_var,
 )
 from .schedule import ALWAYS, AvailabilityOracle
-from .semantics import drive
+from .semantics import MAX_STEPS, drive
 from .syntax import (
     ArityMismatch,
     NONE,
@@ -497,6 +497,6 @@ class NetTrace:
 
 
 def net_run(net: Network, oracle: AvailabilityOracle = ALWAYS, policy: int | None = None,
-            max_steps: int = 2000) -> NetTrace:
+            max_steps: int = MAX_STEPS) -> NetTrace:
     return NetTrace(*drive(net, lambda n, i: net_enabled(n, oracle, i), is_quiescent,
                            policy, max_steps))

@@ -304,7 +304,10 @@ class Trace:
         return "\n".join(lines)
 
 
-def drive(state, options, finished, policy: int | None = None, max_steps: int = 1000):
+MAX_STEPS = 1000  # a run's step cap: a manifest can recurse through a replicated service
+
+
+def drive(state, options, finished, policy: int | None = None, max_steps: int = MAX_STEPS):
     """Step from ``state`` until ``finished(state)`` holds, no step is left
     or ``max_steps`` steps are taken; ``options(state, i)`` lists the steps
     at step ``i`` and the policy picks one: the first if it is None, else
@@ -324,7 +327,7 @@ def drive(state, options, finished, policy: int | None = None, max_steps: int = 
 
 
 def run(conf: Configuration, oracle: AvailabilityOracle = ALWAYS, policy: int | None = None,
-        max_steps: int = 1000) -> Trace:
+        max_steps: int = MAX_STEPS) -> Trace:
     """Drive a configuration until completion, stuckness or budget exhaustion."""
     return Trace(*drive(conf, lambda c, i: enabled_under(c, oracle, i), Configuration.is_end,
                         policy, max_steps))

@@ -739,6 +739,16 @@ def interactions_of(c: Choreography) -> list[Interaction]:
     return [node.inter for node in subterms(c) if isinstance(node, Seq)]
 
 
+def run_bound(c: Choreography, endpoint: bool) -> int:
+    """The most steps a run of ``c`` takes, global or ``endpoint``, as a sum
+    over its nodes.  A global step removes at least one interaction or
+    conditional, swaps and hoists included.  An endpoint step is one of a
+    node's group: a session start or a conditional is one step, and a
+    collective over n candidates an enqueue, n synchronizations and a release."""
+    return sum(1 if not endpoint or isinstance(node, If) or isinstance(node.inter, Init)
+               else len(comm_parts(node.inter)[1]) + 2 for node in subterms(c) if node != END)
+
+
 # ---------------------------------------------------------------------------
 # Free names
 

@@ -178,11 +178,11 @@ def test_criterion_6_epp_correctness(linear_corpus):
               ("sensors_23", sensors(q2=q_ratio(2, 3))), ("sensors_typed", typed_example()),
               ("chained_starts", chained_starts())]
     for name, chor in golden:
-        verdict = cosimulate(chor, bound=32)
+        verdict = cosimulate(chor)
         assert verdict.passed, f"{name}: {verdict.status} {verdict.detail}"
     for i, chor in enumerate(linear_corpus):
         assert check_linearity(chor).ok
-        verdict = cosimulate(chor, bound=32)
+        verdict = cosimulate(chor)
         assert verdict.passed, f"random #{i}: {verdict.status} {verdict.detail}"
     dropped = cosimulate(sensors(), net=drop_receiver(epp(sensors()), "t2"))
     assert dropped.status == "CounterexampleFound"
@@ -201,19 +201,17 @@ def test_criterion_7_availability_by_design(linear_corpus):
     # available through the selection, then sensor t3 goes down forever
     script = ScriptOracle((("unavailable", frozenset()),) * 6
                           + (("unavailable", frozenset({"t3"})),))
-    verdict = availability_check(sensors(q2=q_ratio(2, 3)), [script], bound=64)
+    verdict = availability_check(sensors(q2=q_ratio(2, 3)), [script])
     assert verdict.passed, verdict.detail
     for name, chor in [("sensors_all", sensors()), ("sensors_typed", typed_example())]:
         threads = sorted(free_names(chor).threads)
-        verdict = availability_check(chor, [ALWAYS] + [TolerantFailure(t) for t in threads],
-                                     bound=64)
+        verdict = availability_check(chor, [ALWAYS] + [TolerantFailure(t) for t in threads])
         assert verdict.passed, f"{name}: {verdict.detail}"
     for i, chor in enumerate(linear_corpus):
         threads = sorted(free_names(chor).threads)
-        verdict = availability_check(chor, [ALWAYS] + [TolerantFailure(t) for t in threads],
-                                     bound=48)
+        verdict = availability_check(chor, [ALWAYS] + [TolerantFailure(t) for t in threads])
         assert verdict.passed, f"random #{i}: {verdict.detail}"
-    stuck = availability_check(sensors_partial(q1=Q_ANY, q2=Q_ANY), bound=64)
+    stuck = availability_check(sensors_partial(q1=Q_ANY, q2=Q_ANY))
     assert stuck.status == "StuckNetworkFound"
     elapsed = time.time() - t0
     print(f"ACCEPTANCE 7 (availability by design, {elapsed:.1f}s): PASS")

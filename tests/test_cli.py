@@ -268,7 +268,7 @@ class TestRuns:
         {"mode": "script", "steps": [{"available": ["t1"], "unavailable": ["t2"]}]},
         {"mode": "crash", "thread": "t1", "from_step": -3},
         # a thread the program lacks, and t0, the monitor: a service thread
-        # is anonymous once projected, so no oracle ever sees it
+        # is bound and anonymous once projected, so no oracle ever sees it
         {"mode": "crash", "thread": "t9"}, {"mode": "crash", "thread": "t0"},
         {"mode": "script", "steps": [{"unavailable": ["t1"]}, {"available": ["zz"]}]},
     ], ids=["not-an-object", "script-step-not-an-object", "bernoulli-without-p",
@@ -276,10 +276,11 @@ class TestRuns:
             "crash-thread-a-list", "p-true", "p-above-one", "seed-a-list", "from-step-a-string",
             "step-both-lists", "from-step-negative", "crash-unknown-thread",
             "crash-service-thread", "script-unknown-thread"])
-    def test_malformed_schedule_is_an_input_error(self, schedule, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["availability", "run-global", "run-net"])
+    def test_malformed_schedule_is_an_input_error(self, command, schedule, tmp_path, capsys):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps(schedule))
-        code, _, err = run_cli("availability", str(GOLDEN / "sensors_all.gcq"),
+        code, _, err = run_cli(command, str(GOLDEN / "sensors_all.gcq"),
                                "--schedule", str(sched), capsys=capsys)
         assert code == 2 and err.startswith("error:"), err
 
@@ -473,6 +474,21 @@ class TestCosimAvailability:
         data = json.loads(out)
         assert data["status"] == "BudgetExceeded"
         assert data["detail"] == "exploration stopped at depth 2 under AlwaysAvailable()"
+
+    @pytest.mark.parametrize("command,m", [("availability", 6), ("cosim", 11)])
+    def test_default_bound_is_read_off_the_program(self, command, m, tmp_path, capsys):
+        # the longest run of session_chain(m) is 11m endpoint and 3m global
+        # steps, 66 and 33 here, and the default bound reaches it
+        from gcq.genchor import session_chain
+        from gcq.gtypes import infer_gamma
+        from gcq.parser import SourceProgram, pretty_print_program
+        from gcq.syntax import Q_ALL
+
+        chor = session_chain(m, Q_ALL)
+        path = tmp_path / "chain.gcq"
+        path.write_text(pretty_print_program(SourceProgram(infer_gamma(chor).services, {}, chor)))
+        got, out, _ = run_cli(command, str(path), capsys=capsys)
+        assert (got, json.loads(out)["status"]) == (0, "Pass")
 
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_endpoint_step_completing_late_passes(self, rounds, tmp_path, capsys):

@@ -22,7 +22,7 @@ from gcq.correspond import (
     required_group,
     swap_select_label,
 )
-from gcq.genchor import GenConfig, corpus
+from gcq.genchor import GenConfig, corpus, session_chain
 from gcq.netsem import (
     BcIn,
     BcOut,
@@ -57,6 +57,7 @@ from gcq.syntax import (
     free_names,
     label_first_sorted,
     q_ratio,
+    run_bound,
     stable_repr,
 )
 
@@ -118,7 +119,7 @@ GOLDEN_TYPABLE = [
 class TestCosim:
     @pytest.mark.parametrize("name,chor", GOLDEN_TYPABLE, ids=[n for n, _ in GOLDEN_TYPABLE])
     def test_golden_passes_both_directions(self, name, chor):
-        verdict = cosimulate(chor, bound=32)
+        verdict = cosimulate(chor)
         assert verdict.passed, verdict.detail
 
     def test_end_passes_vacuously(self):
@@ -140,8 +141,8 @@ class TestCosim:
         assert verdict.status == "CounterexampleFound"
 
     def test_pass_is_exhaustive_not_sampled(self):
-        v1 = cosimulate(sensors(q2=Q_ANY), bound=32)
-        v2 = cosimulate(sensors(q2=Q_ANY), bound=32)
+        v1 = cosimulate(sensors(q2=Q_ANY))
+        v2 = cosimulate(sensors(q2=Q_ANY))
         assert v1.passed and v2.passed and v1.pairs_explored == v2.pairs_explored
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.gcq")))
@@ -155,7 +156,7 @@ class TestCosim:
                                            for b in range(len(cut))]
         decided = verdicts[len(cut):]
         assert decided and all(v == decided[0] for v in decided)
-        assert cosimulate(chor, bound=32) == decided[0]
+        assert cosimulate(chor) == decided[0]
 
     @pytest.mark.parametrize("bound,status", [
         (1, "BudgetExceeded"), (2, "Pass"), (12, "Pass")])
@@ -223,11 +224,11 @@ class TestAvailability:
     def test_golden_tolerates_single_failures(self):
         c = sensors(q2=q_ratio(2, 3))
         oracles = [ALWAYS] + [TolerantFailure(t) for t in ("t1", "t2", "t3")]
-        verdict = availability_check(c, oracles, bound=64)
+        verdict = availability_check(c, oracles)
         assert verdict.passed, verdict.detail
 
     def test_blocking_variant_gets_stuck(self):
-        verdict = availability_check(sensors_partial(q1=Q_ANY, q2=Q_ANY), bound=64)
+        verdict = availability_check(sensors_partial(q1=Q_ANY, q2=Q_ANY))
         assert verdict.status == "StuckNetworkFound"
 
     def test_end_is_inert(self):
@@ -245,7 +246,7 @@ class TestAvailability:
 
     def test_intolerant_program_blocked_by_hard_failure(self):
         """A permanent failure an all-quality program cannot absorb: stuck."""
-        verdict = availability_check(sensors(), [SingleFailure("t2")], bound=64)
+        verdict = availability_check(sensors(), [SingleFailure("t2")])
         assert verdict.status == "StuckNetworkFound"
 
     def test_script_oracle_sees_the_step_a_network_is_reached_at(self):
@@ -336,6 +337,34 @@ class TestBoundMeaning:
         assert (at_depth["status"], at_depth["detail"]) == (default["status"], default["detail"])
         assert self._verdict(command, name, capsys, "--bound", str(depth - 1))["status"] \
             == "BudgetExceeded"
+
+    @staticmethod
+    def _least_bounds(chor) -> tuple[int, int]:
+        """The least bounds at which ``cosim`` and ``availability`` answer
+        when they pass: the depths of their deepest states.  A stuck network
+        needs its own depth, no more."""
+        oracles = [ALWAYS] + [TolerantFailure(t) for t in sorted(free_names(chor).threads)]
+        return _global_depth(chor), max(_endpoint_depth(chor, oracle) for oracle in oracles)
+
+    def test_default_bound_cuts_nothing(self):
+        """The default bound, read off the program, is at least the least
+        answering bound of both searches."""
+        programs = [parse(p.read_text(), lax_select=True).chor
+                    for p in sorted(GOLDEN.glob("*.gcq"))]
+        programs += corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
+        programs += [sensor_family(n) for n in range(2, 6)]
+        for chor in programs:
+            cosim, avail = self._least_bounds(chor)
+            assert cosim <= run_bound(chor, False) and avail <= run_bound(chor, True)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_default_bound_is_exact_on_session_chains(self, m):
+        """Each session of ``session_chain`` is three global steps, and a
+        start, a selection and a reduce over three sensors: 1 + 5 + 5
+        endpoint steps; the sessions share the sensors, so none overlap."""
+        chor = session_chain(m, Q_ALL)
+        assert self._least_bounds(chor) == (run_bound(chor, False), run_bound(chor, True)) \
+            == (3 * m, 11 * m)
 
 
 STEPS_APART = """
