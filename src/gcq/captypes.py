@@ -50,7 +50,7 @@ MAX_PARTICIPANTS = 16
 
 @term
 class Failure:
-    code: str          # NoSatisfyingSubset | CapabilityUnderivable | FreshnessViolation | ...
+    code: str          # CapabilityUnderivable | FreshnessViolation | QualityArity | ...
     interaction: str   # printable description of the offending construct
     reason: str
     subset: Optional[tuple[str, ...]] = None
@@ -69,9 +69,6 @@ class Report:
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "failures": [f.to_json() for f in self.failures]}
-
-    def merge(self, other: "Report") -> "Report":
-        return Report(self.ok and other.ok, self.failures + other.failures)
 
 
 def describe_interaction(eta: Interaction) -> str:
@@ -131,9 +128,6 @@ class _Comm:
             self.static = self.failure("DuplicateParticipant", f"listed twice: {', '.join(twice)}")
         elif not self.least:
             self.static = self.failure("QualityArity", arity)
-        elif self.least > len(candidates):
-            self.static = self.failure("NoSatisfyingSubset",
-                                       "no subset satisfies the quality predicate")
         self.live = free_names(c.cont).sessions
         self.single = key not in self.live
         parts = (principal, *sorted(candidates, key=lambda p: p.thread))

@@ -3,13 +3,11 @@
 One fired global interaction corresponds to a finite group of endpoint
 labels: an enqueue, one synchronization per chosen participant, and a
 dequeue; internal steps and session starts match one-to-one.  The
-behavioural-implementation judgment checks a trace-level matching between
-both label sequences; the co-simulation harness exhaustively explores both
-transition systems within a bound, pairing every global step with a
-realizing group of endpoint steps (soundness) and every endpoint step with
-a completing group and matching global step (completeness), comparing the
-residual network with the projection of the residual choreography modulo
-pruning.
+co-simulation harness exhaustively explores both transition systems within
+a bound, pairing every global step with a realizing group of endpoint steps
+(soundness) and every endpoint step with a completing group and matching
+global step (completeness), comparing the residual network with the
+projection of the residual choreography modulo pruning.
 """
 
 from __future__ import annotations
@@ -42,19 +40,17 @@ from .syntax import (
     Choreography,
     GBcastL,
     GInitL,
-    GLabel,
     GReduceL,
     GSelectL,
     GTau,
     run_bound,
     stable_repr,
-    term,
     tolerates_absence,
 )
 
 
 # ---------------------------------------------------------------------------
-# Behavioural implementation
+# Endpoint groups
 
 
 def required_group(glabel) -> Optional[list[ELabel]]:
@@ -95,54 +91,11 @@ def _start_key_agnostic(lab: ELabel):
             return lab
 
 
-@term
-class Witness:
-    """Which endpoint positions realize which global label."""
-
-    groups: tuple[tuple[GLabel, tuple[int, ...]], ...]
-
-
-@term
-class Correspondence:
-    ok: bool
-    witness: Optional[Witness] = None
-
-
-def implements(globals_: Iterable[GLabel], endpoints: Iterable[ELabel]) -> Correspondence:
-    """Decide whether the endpoint labels realize the global labels.
-
-    Global labels are consumed in order; the endpoint sequence is taken up
-    to the commutations the judgment admits, i.e. as a multiset.
-    """
-    glabels = list(globals_)
-    elabels = list(endpoints)
-    positions: dict = {}
-    for i, lab in enumerate(elabels):
-        positions.setdefault(_start_key_agnostic(lab), []).append(i)
-    groups = []
-    for g in glabels:
-        group = required_group(g)
-        if group is None:
-            return Correspondence(False)
-        picked = []
-        for lab in group:
-            pool = positions.get(_start_key_agnostic(lab), [])
-            if not pool:
-                return Correspondence(False)
-            picked.append(pool.pop(0))
-        groups.append((g, tuple(sorted(picked))))
-    if any(pool for pool in positions.values()):
-        return Correspondence(False)  # leftover endpoint labels realize nothing
-    return Correspondence(True, Witness(tuple(groups)))
-
-
 # ---------------------------------------------------------------------------
 # Firing one endpoint group
 
 
 def _rename_net_session(net: Network, old: str, new: str) -> Network:
-    if old == new:
-        return net
     comps = tuple(c.replace(proc=rename_key(c.proc, old, new)) for c in net.components)
     queues = tuple(Queue(new if q.key == old else q.key, q.msgs) for q in net.queues)
     restricted = frozenset(new if n == old else n for n in net.restricted)
@@ -153,19 +106,21 @@ def _keyless_start(lab: Start):
     return ("start*", tuple(sorted(lab.actives)), tuple(sorted(lab.services)), lab.svc)
 
 
-def fire_labels(net: Network, glabels: Iterable, already_fired=None) -> list[Network]:
+def fire_labels(net: Network, glabels: Iterable, first=None) -> list[Network]:
     """Networks reached by firing exactly the endpoint groups of the labels.
 
     Fresh session names the network invents for initiations are aligned to
-    the global side's choices.  ``already_fired`` removes one occurrence
-    from the required multiset (the endpoint step being completed).
+    the global side's choices.  ``first``, an endpoint step ``(label,
+    successor)`` of ``net``, is the only step tried from ``net`` itself
+    (the endpoint step being completed); its label counts against the
+    groups like any other.
 
     A wanted synchronization whose (session, counterpart, participant)
     triple one group alone lists among its candidates is fired alone.  With
-    the queues empty but for what ``already_fired`` enqueued, as
-    ``cosimulate`` calls it, only that group's message carries it, so every
-    completion fires this transition, after steps that neither move the
-    participant nor read its flag: firing it first finds the same networks.
+    the queues of ``net`` empty, as ``cosimulate`` calls it, only that
+    group's message carries it, so every completion fires this transition,
+    after steps that neither move the participant nor read its flag: firing
+    it first finds the same networks.
     """
     want: Counter = Counter()
     init_keys: dict = {}
@@ -183,15 +138,10 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None) -> list[Net
             want[_start_key_agnostic(lab)] += 1
             if isinstance(lab, Start):
                 init_keys.setdefault(_keyless_start(lab), []).append(lab.key)
-    if already_fired is not None:
-        key = _start_key_agnostic(already_fired)
-        if want[key] <= 0:
-            return []
-        want[key] -= 1
     found: dict[Network, Network] = {}  # canonical form -> first network reaching it
     expanded: set = set()  # (exact network, remaining labels): fresh keys stay apart
 
-    def dfs(current: Network, remaining: Counter):
+    def dfs(current: Network, remaining: Counter, options=None):
         remaining = +remaining
         if not remaining:
             # dfs refers to itself, so it outlives the call; it must not hold the table
@@ -201,10 +151,12 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None) -> list[Net
         if state in expanded:
             return
         expanded.add(state)
-        options = net_enabled(current)
-        forced = next((step for step in options if listed[_sync_triple(step[0])] == 1
-                       and remaining[step[0]] > 0), None)
-        for lab, succ in options if forced is None else [forced]:
+        if options is None:
+            options = net_enabled(current)
+            forced = next((step for step in options if listed[_sync_triple(step[0])] == 1
+                           and remaining[step[0]] > 0), None)
+            options = options if forced is None else [forced]
+        for lab, succ in options:
             if isinstance(lab, Start):
                 pending = init_keys.get(_keyless_start(lab), [])
                 if lab.key not in pending:
@@ -220,7 +172,7 @@ def fire_labels(net: Network, glabels: Iterable, already_fired=None) -> list[Net
             if remaining[key] > 0:
                 dfs(succ, remaining - Counter([key]))
 
-    dfs(net, want)
+    dfs(net, want, None if first is None else [first])
     return list(found.values())
 
 
@@ -325,11 +277,11 @@ def cosimulate(c: Choreography, bound: int | None = None, net: Network | None = 
         # Completeness direction: the fired endpoint label must belong to
         # the combined group of some global step sequence; an enqueue for a
         # group whose global turn comes later needs a longer sequence.
-        for elabel, net1 in net_enabled(net):
-            if not _complete_endpoint(conf, elabel, net1):
+        for step in net_enabled(net):
+            if not _complete_endpoint(conf, net, step):
                 return search.verdict(
                     "CounterexampleFound",
-                    f"completeness: endpoint step {elabel} at depth {depth} completes "
+                    f"completeness: endpoint step {step[0]} at depth {depth} completes "
                     f"no global step sequence")
     return search.verdict()
 
@@ -339,13 +291,14 @@ def _projection(table: CanonTable, conf: Configuration) -> Network:
     return table.memo(table.projections, lambda pair: epp(*pair), (conf.chor, conf.binders))
 
 
-def _complete_endpoint(conf: Configuration, elabel, net1: Network) -> bool:
-    """Whether some global step sequence from ``conf`` absorbs the fired
-    label: the label occurs in a group of the sequence, ``net1`` fires the
-    other group labels, and the result prunes to the projection of the
-    final residual.  Sequences are tried shortest first; each global step
-    consumes a prefix of the choreography, which has no recursion, so a
-    sequence is no longer than the program and the search ends.
+def _complete_endpoint(conf: Configuration, net: Network, step) -> bool:
+    """Whether some global step sequence from ``conf`` absorbs the endpoint
+    step ``(label, successor)`` of ``net``: firing the sequence's groups
+    from ``net``, that step first, reaches a network that prunes to the
+    projection of the final residual.  Sequences are tried shortest first;
+    each global step consumes a prefix of the choreography, which has no
+    recursion, so a sequence is no longer than the program and the search
+    ends.
     """
     table = canon_table()
     frontier = [(conf, [])]
@@ -354,16 +307,7 @@ def _complete_endpoint(conf: Configuration, elabel, net1: Network) -> bool:
         for cur, labels in frontier:
             for glabel, conf2 in table.memo(table.global_steps, enabled, cur):
                 seq = labels + [glabel]
-                adjusted_net1, adjusted = net1, elabel
-                if isinstance(elabel, Start):
-                    target_key = next(
-                        (g.key for g in seq if isinstance(g, GInitL)
-                         and _keyless_start(required_group(g)[0]) == _keyless_start(elabel)),
-                        None)
-                    if target_key is not None and target_key != elabel.key:
-                        adjusted_net1 = _rename_net_session(net1, elabel.key, target_key)
-                        adjusted = elabel.replace(key=target_key)
-                fired = fire_labels(adjusted_net1, seq, already_fired=adjusted)
+                fired = fire_labels(net, seq, first=step)
                 if fired and _first_pruning(_projection(table, conf2), fired) is not None:
                     return True
                 nxt.append((conf2, seq))

@@ -521,11 +521,6 @@ def _occ_order(p: Proc) -> list[str]:
     return out
 
 
-def net_congruent(n1: Network, n2: Network) -> bool:
-    """Structural congruence: monoid laws, restriction laws, queue commutation."""
-    return net_canon(n1) == net_canon(n2)
-
-
 class CanonTable:
     """One verdict's memos, each entry computed once and only when read.
     ``forms`` holds the canonical ``Network`` of each network a search asks

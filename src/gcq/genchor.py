@@ -34,7 +34,6 @@ from .syntax import (
     Seq,
     Var,
     athr,
-    map_chor,
     q_ratio,
     seq,
 )
@@ -228,13 +227,6 @@ def corpus(count: int, seed: int = 0, config: GenConfig | None = None) -> list[C
     return out
 
 
-def concat(c1: Choreography, c2: Choreography) -> Choreography:
-    """Sequence two choreographies."""
-    if c1 == END:
-        return c2
-    return map_chor(c1, lambda k: concat(k, c2))
-
-
 def session_chain(m: int, q: Quality) -> Choreography:
     """``m`` sessions in a row, each ``start; select [all]; reduce [q]``.
 
@@ -255,23 +247,3 @@ def session_chain(m: int, q: Quality) -> Choreography:
                                   for j in sensors),
                             athr(monitor, "M", {"Ms0"}, {"E0"}), f"x{i}", q, "avg", key))
     return seq(*steps)
-
-
-def interleaved_corpus(count: int, seed: int = 0, per_side: int = 3) -> list[Choreography]:
-    """Well-typed compositions of two sessions on disjoint namespaces.
-
-    All cross-session interleavings of these programs are swap-congruent,
-    which makes them good stress inputs for swap-related properties.
-    """
-    cfg_a = GenConfig(max_threads=3, max_interactions=per_side, allow_if=False,
-                      namespace="")
-    cfg_b = GenConfig(max_threads=3, max_interactions=per_side, allow_if=False,
-                      namespace="b")
-    out = []
-    rng = random.Random(seed)
-    while len(out) < count:
-        s1, s2 = rng.randrange(1 << 30), rng.randrange(1 << 30)
-        a = Generator(random.Random(s1), cfg_a).generate()
-        b = Generator(random.Random(s2), cfg_b).generate()
-        out.append(concat(a, b))
-    return out

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .captypes import Failure, Report, check_capabilities, describe_interaction
-from .linlog import Formula
+from .captypes import Failure, Report, describe_interaction
 from .syntax import (
     Bcast,
     Binop,
@@ -29,16 +28,10 @@ from .syntax import (
     Date,
     End,
     Expr,
-    GBcastL,
-    GLabel,
-    GReduceL,
-    GSelectL,
     If,
     Init,
     Lit,
     NoneE,
-    NoneV,
-    OptValue,
     Reduce,
     Role,
     Select,
@@ -58,14 +51,6 @@ from .syntax import (
 
 SORTS = ("bool", "int", "string", "date", "float")
 Sort = str
-
-
-class NoMatch(ValueError):
-    """The type label is not enabled, even through type-level swaps."""
-
-
-class Untypable(ValueError):
-    """The semantic label has no session-type counterpart."""
 
 
 class NotInferable(ValueError):
@@ -226,14 +211,6 @@ def _lift(g: GlobalType, alpha: TLabel) -> Optional[tuple[GlobalType, GlobalType
             return arms[0][0], BranchT(sender, receivers,
                                        tuple((l, r) for (l, _), (_, r) in zip(branches, arms)))
     return None
-
-
-def gtype_step(g: GlobalType, alpha: TLabel) -> GlobalType:
-    """Consume the interaction ``alpha``, possibly after type-level swaps."""
-    lifted = _lift(g, alpha)
-    if lifted is None:
-        raise NoMatch(f"type {g} cannot take {alpha}")
-    return lifted[1]
 
 
 # ---------------------------------------------------------------------------
@@ -468,61 +445,6 @@ def check_session_only(gamma: GammaEnv, c: Choreography, delta: DeltaEnv | None 
     checker = SessionChecker()
     ok = checker.check(gamma, c, dict(delta or {}))
     return Report(ok, checker.failures)
-
-
-def check_session(gamma: GammaEnv, psi: Iterable[Formula], c: Choreography,
-                  delta: DeltaEnv | None = None) -> Report:
-    """Full judgment: capability analysis and protocol conformance, independently."""
-    return check_capabilities(psi, c).merge(check_session_only(gamma, c, delta))
-
-
-# ---------------------------------------------------------------------------
-# Label typing
-
-
-def _opt_sort(w: OptValue) -> Optional[Sort]:
-    if isinstance(w, NoneV):
-        return None
-    return value_sort(w.value)
-
-
-def type_label(gamma: GammaEnv, glabel: GLabel) -> tuple[SessionKey, TLabel]:
-    """Session-type counterpart of a semantic label.
-
-    Defined for communication labels only; initiation leaves the session
-    environment unchanged and internal steps have no protocol footprint.
-    """
-    match glabel:
-        case GBcastL(sender, receivers, _, key, _, value):
-            _check_label_ownership(gamma, key, [sender] + list(receivers))
-            return key, TLabel("bcast", (sender[1],), tuple(r for _, r in receivers),
-                               _opt_sort(value))
-        case GReduceL(senders, receiver, _, key, _, contributions, _, _):
-            _check_label_ownership(gamma, key, list(senders) + [receiver])
-            sort: Optional[Sort] = None
-            for _, w in contributions:
-                s = _opt_sort(w)
-                if s is not None:
-                    if sort is not None and sort != s:
-                        raise Untypable(f"mixed contribution sorts {sort} and {s}")
-                    sort = s
-            return key, TLabel("red", tuple(r for _, r in senders), (receiver[1],), sort)
-        case GSelectL(sender, receivers, _, key, _, label):
-            _check_label_ownership(gamma, key, [sender] + list(receivers))
-            return key, TLabel("sel", (sender[1],), tuple(r for _, r in receivers), None, label)
-    raise Untypable(f"label {glabel!r} has no session-type counterpart")
-
-
-def _check_label_ownership(gamma: GammaEnv, key, parts):
-    for thread, role in parts:
-        if gamma.ownerships and gamma.ownerships.get((thread, key)) not in (None, role):
-            raise Untypable(f"{thread} plays {gamma.ownerships[(thread, key)]} in {key}, not {role}")
-
-
-def delta_step(delta: DeltaEnv, key: SessionKey, alpha: TLabel) -> DeltaEnv:
-    if key not in delta:
-        raise NoMatch(f"session {key!r} not tracked")
-    return {**delta, key: gtype_step(delta[key], alpha)}
 
 
 # ---------------------------------------------------------------------------

@@ -529,10 +529,6 @@ def parse(text: str, lax_select: bool = False) -> SourceProgram:
     return _Parser(text, lax_select).program()
 
 
-def parse_choreography(text: str, lax_select: bool = False) -> Choreography:
-    return parse(text, lax_select).chor
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 

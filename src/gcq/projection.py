@@ -215,14 +215,6 @@ def merge(p: Proc, q: Proc, path: str = "") -> Proc:
     return map_cont(p, lambda _: next(merged))
 
 
-def mergeable(p: Proc, q: Proc) -> bool:
-    try:
-        merge(p, q)
-        return True
-    except NotMergeable:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Thread projection
 

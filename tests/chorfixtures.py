@@ -4,14 +4,18 @@
 monitor start a session, the monitor collectively selects ``measure``, and
 the sensors reduce their readings back with ``avg``.  ``sensors_partial`` is its
 blocking variant whose reduce only involves two of the three sensors.  The
-seeded families at the end are random inputs for one analysis each.
+seeded families at the end are random inputs for one analysis each, and
+``interleaved_corpus`` composes two generated programs on disjoint
+namespaces.
 """
 
 import random
 
+from gcq.genchor import GenConfig, Generator
 from gcq.syntax import (
     END,
     Bcast,
+    Choreography,
     Date,
     If,
     Init,
@@ -22,6 +26,7 @@ from gcq.syntax import (
     Select,
     Seq,
     athr,
+    map_chor,
     seq,
 )
 
@@ -216,4 +221,31 @@ def racy_family(count, seed):
         items = [start(i, svc) for i, svc in enumerate(svcs)] + [comm() for _ in range(rng.randint(0, 4))]
         rng.shuffle(items)
         out.append(body(items))
+    return out
+
+
+def concat(c1: Choreography, c2: Choreography) -> Choreography:
+    """Sequence two choreographies."""
+    if c1 == END:
+        return c2
+    return map_chor(c1, lambda k: concat(k, c2))
+
+
+def interleaved_corpus(count: int, seed: int = 0, per_side: int = 3) -> list[Choreography]:
+    """Well-typed compositions of two sessions on disjoint namespaces.
+
+    All cross-session interleavings of these programs are swap-congruent,
+    which makes them good stress inputs for swap-related properties.
+    """
+    cfg_a = GenConfig(max_threads=3, max_interactions=per_side, allow_if=False,
+                      namespace="")
+    cfg_b = GenConfig(max_threads=3, max_interactions=per_side, allow_if=False,
+                      namespace="b")
+    out = []
+    rng = random.Random(seed)
+    while len(out) < count:
+        s1, s2 = rng.randrange(1 << 30), rng.randrange(1 << 30)
+        a = Generator(random.Random(s1), cfg_a).generate()
+        b = Generator(random.Random(s2), cfg_b).generate()
+        out.append(concat(a, b))
     return out

@@ -1,5 +1,5 @@
 """The type-level swap relation, enumerated: the specification that
-``gtypes.gtype_step`` is checked against.
+``gtypes._lift`` is checked against.
 
 A type may reorder role-disjoint steps (Carbone & Montesi, POPL 2013).  Here
 every swap variant of a type is listed by four rules applied anywhere in

@@ -3,22 +3,27 @@
 Walks seeded traces of a configuration while maintaining the
 rule-prescribed typing artefacts: the capability context mirroring the
 store, the service environment, the session environment, and the role map
-accumulated from initiation labels.
+accumulated from initiation labels.  The session environment follows the
+trace by the label typing below: each communication label has a
+session-type counterpart, which the session's protocol takes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
-from gcq.captypes import check_capabilities
+from gcq.captypes import Report, check_capabilities
 from gcq.gtypes import (
+    DeltaEnv,
     GammaEnv,
+    Sort,
+    TLabel,
+    _lift,
     check_session_only,
-    delta_step,
     infer_gamma,
-    type_label,
+    value_sort,
 )
 from gcq.linlog import Formula, Lolli, Own, Plus, Tensor, TrueF
 from gcq.semantics import Configuration, enabled
@@ -27,9 +32,13 @@ from gcq.syntax import (
     Choreography,
     GBcastL,
     GInitL,
+    GLabel,
     GReduceL,
     GSelectL,
     GTau,
+    NoneV,
+    OptValue,
+    SessionKey,
 )
 
 
@@ -75,6 +84,67 @@ def state_satisfies(sigma: CapState, psi: Iterable[Formula]) -> bool:
     all its atoms are present for that thread and session.
     """
     return all(_sat(sigma.triples, f) for f in psi)
+
+
+# ---------------------------------------------------------------------------
+# The full session judgment and label typing
+
+
+def check_session(gamma: GammaEnv, psi: Iterable[Formula], c: Choreography,
+                  delta: DeltaEnv | None = None) -> Report:
+    """Full judgment: capability analysis and protocol conformance, independently."""
+    caps, sess = check_capabilities(psi, c), check_session_only(gamma, c, delta)
+    return Report(caps.ok and sess.ok, caps.failures + sess.failures)
+
+
+class Untypable(ValueError):
+    """The semantic label has no session-type counterpart."""
+
+
+def _opt_sort(w: OptValue) -> Optional[Sort]:
+    if isinstance(w, NoneV):
+        return None
+    return value_sort(w.value)
+
+
+def type_label(gamma: GammaEnv, glabel: GLabel) -> tuple[SessionKey, TLabel]:
+    """Session-type counterpart of a semantic label.
+
+    Defined for communication labels only; initiation leaves the session
+    environment unchanged and internal steps have no protocol footprint.
+    """
+    match glabel:
+        case GBcastL(sender, receivers, _, key, _, value):
+            _check_label_ownership(gamma, key, [sender] + list(receivers))
+            return key, TLabel("bcast", (sender[1],), tuple(r for _, r in receivers),
+                               _opt_sort(value))
+        case GReduceL(senders, receiver, _, key, _, contributions, _, _):
+            _check_label_ownership(gamma, key, list(senders) + [receiver])
+            sort: Optional[Sort] = None
+            for _, w in contributions:
+                s = _opt_sort(w)
+                if s is not None:
+                    if sort is not None and sort != s:
+                        raise Untypable(f"mixed contribution sorts {sort} and {s}")
+                    sort = s
+            return key, TLabel("red", tuple(r for _, r in senders), (receiver[1],), sort)
+        case GSelectL(sender, receivers, _, key, _, label):
+            _check_label_ownership(gamma, key, [sender] + list(receivers))
+            return key, TLabel("sel", (sender[1],), tuple(r for _, r in receivers), None, label)
+    raise Untypable(f"label {glabel!r} has no session-type counterpart")
+
+
+def _check_label_ownership(gamma: GammaEnv, key, parts):
+    for thread, role in parts:
+        if gamma.ownerships and gamma.ownerships.get((thread, key)) not in (None, role):
+            raise Untypable(f"{thread} plays {gamma.ownerships[(thread, key)]} in {key}, not {role}")
+
+
+def delta_step(delta: DeltaEnv, key: SessionKey, alpha: TLabel) -> DeltaEnv:
+    """``delta`` after session ``key`` takes ``alpha``, possibly after type-level swaps."""
+    lifted = _lift(delta[key], alpha)
+    assert lifted is not None, f"type {delta[key]} cannot take {alpha}"
+    return {**delta, key: lifted[1]}
 
 
 def initial_state(c: Choreography) -> TraceState:

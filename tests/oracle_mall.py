@@ -3,14 +3,15 @@
 Tries every rule at every position, with no rule ordering, no invertibility
 shortcuts and no certificates.  Termination follows from the strictly
 decreasing total formula size of premises; a per-call memo only avoids
-recomputing identical sequents.
+recomputing identical sequents.  ``replay`` checks the prover's proof trees
+rule by rule.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from gcq.linlog import Formula, Lolli, Own, Plus, Tensor, TrueF
+from gcq.linlog import TRUE, Formula, Lolli, Own, Plus, ProofNode, Tensor, TrueF, multiset
 
 
 def _key(ctx, goal):
@@ -76,3 +77,92 @@ def _try_everything(ctx, goal, memo) -> bool:
 def _subsets(n):
     for r in range(n + 1):
         yield from (frozenset(c) for c in itertools.combinations(range(n), r))
+
+
+def formula_size(f: Formula) -> int:
+    match f:
+        case Tensor(l, r) | Plus(l, r) | Lolli(l, r):
+            return 1 + formula_size(l) + formula_size(r)
+        case _:
+            return 1
+
+
+def lolli_free(f: Formula) -> bool:
+    match f:
+        case Lolli(_, _):
+            return False
+        case Tensor(l, r) | Plus(l, r):
+            return lolli_free(l) and lolli_free(r)
+        case _:
+            return True
+
+
+def replay(node: ProofNode) -> bool:
+    """Check that a proof tree is a valid derivation of its root sequent."""
+    ctx, goal = node.ctx, node.goal
+    kids = node.children
+    match node.rule:
+        case "ax":
+            return isinstance(goal, Own) and ctx == (goal,) and not kids
+        case "true_r":
+            return isinstance(goal, TrueF) and ctx == () and not kids
+        case "true_l":
+            if len(kids) != 1 or TRUE not in ctx:
+                return False
+            expect = list(ctx)
+            expect.remove(TRUE)
+            return multiset(kids[0].ctx) == multiset(expect) and kids[0].goal == goal and replay(kids[0])
+        case "tensor_r":
+            if not isinstance(goal, Tensor) or len(kids) != 2:
+                return False
+            l, r = kids
+            return (l.goal == goal.left and r.goal == goal.right
+                    and multiset(ctx) == multiset(l.ctx + r.ctx)
+                    and replay(l) and replay(r))
+        case "tensor_l":
+            if len(kids) != 1:
+                return False
+            for i, f in enumerate(ctx):
+                if isinstance(f, Tensor):
+                    reduced = ctx[:i] + (f.left, f.right) + ctx[i + 1:]
+                    if multiset(kids[0].ctx) == multiset(reduced) and kids[0].goal == goal and replay(kids[0]):
+                        return True
+            return False
+        case "plus_r1":
+            return (isinstance(goal, Plus) and len(kids) == 1 and kids[0].goal == goal.left
+                    and multiset(kids[0].ctx) == multiset(ctx) and replay(kids[0]))
+        case "plus_r2":
+            return (isinstance(goal, Plus) and len(kids) == 1 and kids[0].goal == goal.right
+                    and multiset(kids[0].ctx) == multiset(ctx) and replay(kids[0]))
+        case "plus_l":
+            if len(kids) != 2:
+                return False
+            for i, f in enumerate(ctx):
+                if isinstance(f, Plus):
+                    rest = ctx[:i] + ctx[i + 1:]
+                    ok_l = multiset(kids[0].ctx) == multiset(rest + (f.left,)) and kids[0].goal == goal
+                    ok_r = multiset(kids[1].ctx) == multiset(rest + (f.right,)) and kids[1].goal == goal
+                    if ok_l and ok_r and replay(kids[0]) and replay(kids[1]):
+                        return True
+            return False
+        case "lolli_r":
+            return (isinstance(goal, Lolli) and len(kids) == 1
+                    and multiset(kids[0].ctx) == multiset(ctx + (goal.left,))
+                    and kids[0].goal == goal.right and replay(kids[0]))
+        case "lolli_l":
+            if len(kids) != 2:
+                return False
+            for i, f in enumerate(ctx):
+                if isinstance(f, Lolli):
+                    if kids[0].goal != f.left or kids[1].goal != goal:
+                        continue
+                    # kids[0].ctx + (kids[1].ctx minus the added f.right) must partition rest
+                    k1 = list(kids[1].ctx)
+                    if f.right not in k1:
+                        continue
+                    k1.remove(f.right)
+                    if (multiset(ctx[:i] + ctx[i + 1:]) == multiset(kids[0].ctx + tuple(k1))
+                            and replay(kids[0]) and replay(kids[1])):
+                        return True
+            return False
+    return False

@@ -1,4 +1,5 @@
-"""One value of each term class of ``gcq``, built afresh on each call.
+"""One value of each term class of ``gcq`` and of the behavioural-implementation
+judgment in ``label_correspondence``, built afresh on each call.
 
 Every field that can hold a set holds two members, and every optional
 field holds a value, so a check that reads the fields reads all of them.
@@ -7,7 +8,6 @@ field holds a value, so a check that reads the fields reads all of them.
 from __future__ import annotations
 
 from gcq.captypes import Failure
-from gcq.correspond import Correspondence, Witness
 from gcq.epq import (
     AcceptOnce,
     AcceptRepl,
@@ -62,10 +62,11 @@ from gcq.syntax import (
     Unop,
     Var,
 )
+from label_correspondence import Correspondence, Witness
 
 
 def samples() -> list:
-    """One value of each term class of ``gcq``."""
+    """One value of each term class of ``gcq`` and ``label_correspondence``."""
     q = Quality("ratio", 1, 2)
     a = AnnotatedThread("t1", "A", frozenset({"X", "Y"}), frozenset({"Z", "W"}))
     b = AnnotatedThread("t2", "B")
@@ -93,7 +94,7 @@ def samples() -> list:
         IfP(Var("x"), Inact(), Inact()),
         LabelPayload("l"), out_msg, in_msg, comp, queue,
         Network((comp,), (queue,), frozenset({"k", "j"})),
-        Failure("NoSatisfyingSubset", "bcast k", "no subset", ("t1", "t2")),
+        Failure("CapabilityUnderivable", "bcast k", "no subset", ("t1", "t2")),
         Witness(((GTau(), (0, 1)),)),
         Correspondence(True, Witness(())),
         EndT(),

@@ -16,16 +16,16 @@ from chor_closure import swap_closure
 from chorfixtures import sensors, sensors_partial, linearity_race, typed_example
 from gcq.captypes import check_capabilities
 from gcq.correspond import availability_check, cosimulate, drop_receiver, swap_select_label
+from gcq.epq import INACT, Component, IfP, Network
 from gcq.genchor import GenConfig, corpus
-from gcq.gtypes import GammaEnv, ServiceBinding, check_session, check_session_only, infer_gamma
-from gcq.linlog import formula_size, own, prove, replay, Tensor
-from gcq.parser import parse, pretty_print_program, SourceProgram
+from gcq.gtypes import GammaEnv, ServiceBinding, check_session_only, infer_gamma
+from gcq.linlog import own, prove
 from gcq.projection import check_linearity, epp
 from gcq.schedule import ScriptOracle, TolerantFailure
 from gcq.semantics import ALWAYS, Configuration, enabled, enabled_under, step
-from gcq.syntax import CapState, GSelectL, Q_ALL, Q_ANY, SomeV, free_names, q_ratio
-from metahelpers import advance, adversarial_oracles, assert_preserved, initial_state
-from oracle_mall import brute_provable
+from gcq.syntax import END, CapState, GSelectL, Lit, Q_ALL, Q_ANY, SomeV, free_names, q_ratio
+from metahelpers import advance, adversarial_oracles, assert_preserved, check_session, initial_state
+from oracle_mall import brute_provable, formula_size, replay
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -188,9 +188,13 @@ def test_criterion_6_epp_correctness(linear_corpus):
     assert dropped.status == "CounterexampleFound"
     swapped = cosimulate(sensors(), net=swap_select_label(epp(sensors()), "calibrate"))
     assert swapped.status == "CounterexampleFound"
+    # a thread the program lacks takes an internal step: no global step absorbs it
+    stray = cosimulate(END, net=Network((Component(IfP(Lit(True), INACT, INACT), owner="tx"),)))
+    assert (stray.status, stray.detail) == ("CounterexampleFound", "completeness: endpoint "
+                                            "step ETau() at depth 0 completes no global step sequence")
     elapsed = time.time() - t0
     assert elapsed < 300, f"co-simulation suite took {elapsed:.1f}s"
-    print(f"ACCEPTANCE 6 (projection correctness, 5 golden + 50 random + 2 "
+    print(f"ACCEPTANCE 6 (projection correctness, 5 golden + 50 random + 3 "
           f"mutations, {elapsed:.1f}s): PASS")
 
 
@@ -219,7 +223,7 @@ def test_criterion_7_availability_by_design(linear_corpus):
 
 def test_criterion_8_metatheory_lemmas(typed_corpus):
     """Structural lemmas on 500+ instances; swap invariance of projection."""
-    from gcq.genchor import interleaved_corpus
+    from chorfixtures import interleaved_corpus
     from gcq.syntax import substitute, alpha_canonical
     from metahelpers import context_of, random_traces
     from test_metatheory import _with_free_var, fresh_own

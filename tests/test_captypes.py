@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capability_reference as reference
-from chorfixtures import sensor_family, sensors, sensors_partial, typed_example
+from chorfixtures import (concat, interleaved_corpus, sensor_family, sensors, sensors_partial,
+                          typed_example)
 from gcq import syntax
 from gcq.captypes import CapabilityChecker, Failure, Report, check_capabilities, init_ownerships
-from gcq.genchor import concat, corpus, interleaved_corpus, session_chain
+from gcq.genchor import corpus, session_chain
 from gcq.gtypes import check_session_only, infer_gamma
-from gcq.linlog import Lolli, Own, Plus, Prover, Tensor, TRUE, own, prove
+from gcq.linlog import Lolli, Plus, Prover, Tensor, TRUE, own, prove
 from gcq.parser import parse
 from gcq.projection import check_linearity
 from gcq.syntax import (
@@ -201,14 +202,17 @@ def _reduce_failures(quality, over, subsets):
 
 
 class TestProofSearchCost:
-    """Rejected n = 8 twins: the failures the exhaustive search reported, without its cost."""
+    """Rejected twins: the failures the exhaustive search reported, without its cost."""
 
     @pytest.mark.parametrize("chor,failures", [
         (sensor_family(8, Q_ANY, Q_ALL),
          _reduce_failures("all", range(1, 9), [range(1, 9)])),
         (sensor_family(8, Q_ANY, Q_ANY, reduce_over=[1, 3, 4, 5, 6, 7, 8]),
          _reduce_failures("any", [1, 3, 4, 5, 6, 7, 8], [[i] for i in (3, 1, 4, 5, 6, 7, 8)])),
-    ], ids=["any_all", "blocking"])
+        (sensor_family(17),
+         [Failure("TooManyParticipants", "select k[all] t0->({}):measure".format(
+             ",".join(f"t{i}" for i in range(1, 18))), "17 participants exceed the bound 16")]),
+    ], ids=["any_all", "blocking", "n17"])
     def test_n8_twin(self, monkeypatch, chor, failures):
         entries = 0
         search = Prover._search

@@ -162,6 +162,12 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert "argument --bound: must not be negative, got -3" in err
 
+    def test_fractional_bound_is_a_usage_error(self, capsys):
+        code, out, err = run_cli("cosim", str(GOLDEN / "sensors_all.gcq"), "--bound", "3.5",
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "argument --bound: invalid int value: '3.5'" in err
+
     @pytest.mark.parametrize("command,last", [
         ("run-global", {"verdict": "Budget"}),
         ("run-net", {"quiescent": False, "verdict": "Budget"}),
@@ -428,14 +434,17 @@ class TestCosimAvailability:
 
     @pytest.mark.parametrize("bound,code,status", [
         ("2", 3, "BudgetExceeded"), ("3", 0, "Pass")])
-    def test_cosim_bound_is_inconclusive(self, bound, code, status, capsys):
+    def test_cosim_bound_is_inconclusive(self, bound, code, status, tmp_path, capsys):
         # sensors_all's last pair lies at depth 3: a bound of 2 cuts there
+        xml = tmp_path / "report.xml"
         got, out, _ = run_cli("cosim", str(GOLDEN / "sensors_all.gcq"), "--bound", bound,
-                              capsys=capsys)
+                              "--xml", str(xml), capsys=capsys)
         data = json.loads(out)
         assert (got, data["status"]) == (code, status)
         if status == "BudgetExceeded":
             assert data["detail"] == "exploration stopped at depth 2"
+            assert ('failures="1"' in xml.read_text() and '<failure message="BudgetExceeded">'
+                    'exploration stopped at depth 2</failure>' in xml.read_text())
 
     def test_cosim_rejects_ill_typed_input(self, capsys):
         code, out, _ = run_cli("cosim", str(GOLDEN / "sensors_any_all.gcq"),

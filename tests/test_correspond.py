@@ -13,12 +13,10 @@ from chor_closure import closure_enabled, covers
 from chorfixtures import chained_starts, sensor_family, sensors, sensors_partial, typed_example
 from gcq import cli, correspond, epq, netsem, projection, semantics
 from gcq.correspond import (
-    Verdict,
     availability_check,
     cosimulate,
     drop_receiver,
     fire_labels,
-    implements,
     required_group,
     swap_select_label,
 )
@@ -30,7 +28,6 @@ from gcq.netsem import (
     EUp,
     RdOut,
     SelIn,
-    SelOut,
     Start,
     is_quiescent,
     net_enabled,
@@ -60,6 +57,7 @@ from gcq.syntax import (
     run_bound,
     stable_repr,
 )
+from label_correspondence import implements
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -687,10 +685,10 @@ def _after(conf, seq):
 
 @epq.per_verdict
 def _windows(chor, length=3) -> list:
-    """(network, global labels, endpoint step already fired or None) for each
-    window of 1 to ``length`` global steps from every state pair along the
-    co-simulation of ``chor``, from the pair's network and from each network
-    one endpoint step on."""
+    """(network, global labels, first endpoint step or None) for each window
+    of 1 to ``length`` global steps from every state pair along the
+    co-simulation of ``chor``: once from the pair's network, and once with
+    each of the network's endpoint steps fired first."""
     out = []
     frontier = [(Configuration.initial(chor), epp(chor))]
     for conf, net in frontier:
@@ -700,7 +698,7 @@ def _windows(chor, length=3) -> list:
             seqs = [seq + [g] for seq in seqs for g, _ in enabled(_after(conf, seq))]
             for seq in seqs:
                 out.append((net, seq, None))
-                out += [(net1, seq, lab) for lab, net1 in net_enabled(net)]
+                out += [(net, seq, step) for step in net_enabled(net)]
         for g, conf2 in enabled(conf):
             frontier += [(conf2, n) for n in fire_labels(net, [g])[:1]]
     return out
@@ -798,7 +796,7 @@ class TestSuccessorMemo:
 
         @epq.per_verdict
         def fire() -> list:
-            return [fire_labels(net, seq, already_fired=lab) for net, seq, lab in windows]
+            return [fire_labels(net, seq, first=step) for net, seq, step in windows]
 
         with_set = fire()
         monkeypatch.setattr(correspond, "set", _Forgetful, raising=False)
@@ -822,7 +820,7 @@ class TestComponentMemo:
             assert epq.net_canon(net, memo) == epq.net_canon(net)
 
 
-def reference_fire_labels(net, glabels, already_fired=None, shortcut=False) -> list:
+def reference_fire_labels(net, glabels, first=None, shortcut=False) -> list:
     """``fire_labels`` without partial-order reduction: every interleaving of
     the window's synchronizations.  With ``shortcut`` it fires the first
     wanted synchronization alone instead, a reduction that loses networks."""
@@ -832,14 +830,9 @@ def reference_fire_labels(net, glabels, already_fired=None, shortcut=False) -> l
             want[correspond._start_key_agnostic(lab)] += 1
             if isinstance(lab, Start):
                 init_keys.setdefault(correspond._keyless_start(lab), []).append(lab.key)
-    if already_fired is not None:
-        key = correspond._start_key_agnostic(already_fired)
-        if want[key] <= 0:
-            return []
-        want[key] -= 1
     found, expanded = {}, set()
 
-    def dfs(current, remaining):
+    def dfs(current, remaining, options=None):
         remaining = +remaining
         if not remaining:
             found.setdefault(epq.canon_table().canon(current), current)
@@ -847,10 +840,12 @@ def reference_fire_labels(net, glabels, already_fired=None, shortcut=False) -> l
         if (current, frozenset(remaining.items())) in expanded:
             return
         expanded.add((current, frozenset(remaining.items())))
-        options = net_enabled(current)
-        wanted = [step for step in options
-                  if isinstance(step[0], (BcIn, SelIn, RdOut)) and remaining[step[0]] > 0]
-        for lab, succ in wanted[:1] if shortcut and wanted else options:
+        if options is None:
+            options = net_enabled(current)
+            wanted = [step for step in options
+                      if isinstance(step[0], (BcIn, SelIn, RdOut)) and remaining[step[0]] > 0]
+            options = wanted[:1] if shortcut and wanted else options
+        for lab, succ in options:
             if isinstance(lab, Start):
                 pending = init_keys.get(correspond._keyless_start(lab), [])
                 if lab.key not in pending:
@@ -864,7 +859,7 @@ def reference_fire_labels(net, glabels, already_fired=None, shortcut=False) -> l
             if remaining[key] > 0:
                 dfs(succ, remaining - Counter([key]))
 
-    dfs(net, want)
+    dfs(net, want, None if first is None else [first])
     return list(found.values())
 
 # Both reduces list (k, M, S1) and (k, M, S2): which reduce a contribution
@@ -920,8 +915,8 @@ class TestPartialOrderReduction:
     @pytest.mark.parametrize("name,chor", WINDOW_PROGRAMS, ids=[n for n, _ in WINDOW_PROGRAMS])
     def test_fire_labels_finds_what_the_reference_finds(self, name, chor):
         @epq.per_verdict
-        def canonical(fire, net, seq, lab) -> set:
-            return {epq.canon_table().canon(n) for n in fire(net, seq, already_fired=lab)}
+        def canonical(fire, net, seq, step) -> set:
+            return {epq.canon_table().canon(n) for n in fire(net, seq, first=step)}
 
         windows = _windows(chor)
         found = [canonical(fire_labels, *w) for w in windows]

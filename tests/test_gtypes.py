@@ -10,36 +10,25 @@ from gcq.gtypes import (
     BcastT,
     BranchT,
     END_T,
-    EndT,
     GammaEnv,
-    NoMatch,
     RedT,
     ServiceBinding,
     TLabel,
-    Untypable,
     branch_t,
-    check_session,
     check_session_only,
-    delta_step,
     gtype_roles,
-    gtype_step,
     infer_gamma,
     infer_protocol,
-    type_label,
     _lift,
 )
 from gcq.captypes import check_capabilities
 from gcq.parser import parse
-from gcq.semantics import Configuration, run, step
+from metahelpers import Untypable, check_session, delta_step, type_label
+from gcq.semantics import Configuration, step
 from gcq.syntax import (
     GInitL,
     GTau,
     Lit,
-    Q_ALL,
-    athr,
-    Bcast,
-    Init,
-    Reduce,
     seq,
 )
 
@@ -62,24 +51,22 @@ class TestTypeTransitions:
     def test_bcast_head_consumed(self):
         g = BcastT("M", ("S1", "S2"), "date", END_T)
         alpha = TLabel("bcast", ("M",), ("S1", "S2"), "date")
-        assert gtype_step(g, alpha) == END_T
+        assert _lift(g, alpha)[1] == END_T
 
     def test_end_has_no_transition(self):
-        with pytest.raises(NoMatch):
-            gtype_step(END_T, TLabel("bcast", ("M",), ("S1",), "int"))
+        assert _lift(END_T, TLabel("bcast", ("M",), ("S1",), "int")) is None
 
     def test_branch_steps_to_selected_label(self):
         g = branch_t("A", ("B",), {"l1": BcastT("A", ("B",), "int", END_T), "l2": END_T})
-        assert gtype_step(g, TLabel("sel", ("A",), ("B",), None, "l2")) == END_T
+        assert _lift(g, TLabel("sel", ("A",), ("B",), None, "l2"))[1] == END_T
 
     def test_branch_rejects_unknown_label(self):
         g = branch_t("A", ("B",), {"l1": END_T})
-        with pytest.raises(NoMatch):
-            gtype_step(g, TLabel("sel", ("A",), ("B",), None, "nope"))
+        assert _lift(g, TLabel("sel", ("A",), ("B",), None, "nope")) is None
 
     def test_disjoint_prefixes_commute(self):
         g = BcastT("A", ("B",), "int", RedT(("C",), "D", "int", END_T))
-        stepped = gtype_step(g, TLabel("red", ("C",), ("D",), "int"))
+        stepped = _lift(g, TLabel("red", ("C",), ("D",), "int"))[1]
         assert stepped == BcastT("A", ("B",), "int", END_T)
         swapped = RedT(("C",), "D", "int", BcastT("A", ("B",), "int", END_T))
         assert swapped in tswap_closure(g)
@@ -87,22 +74,21 @@ class TestTypeTransitions:
 
     def test_overlapping_prefixes_do_not_commute(self):
         g = BcastT("A", ("B",), "int", RedT(("B",), "A", "int", END_T))
-        with pytest.raises(NoMatch):
-            gtype_step(g, TLabel("red", ("B",), ("A",), "int"))
+        assert _lift(g, TLabel("red", ("B",), ("A",), "int")) is None
 
     def test_wildcard_sort_matches(self):
         g = BcastT("A", ("B",), "date", END_T)
-        assert gtype_step(g, TLabel("bcast", ("A",), ("B",), None)) == END_T
+        assert _lift(g, TLabel("bcast", ("A",), ("B",), None))[1] == END_T
 
     def test_step_residual_roles_shrink(self):
         g = SENSOR_G
-        stepped = gtype_step(g, TLabel("bcast", ("M",), ("S1", "S2", "S3"), "date"))
+        stepped = _lift(g, TLabel("bcast", ("M",), ("S1", "S2", "S3"), "date"))[1]
         assert gtype_roles(stepped) <= gtype_roles(g)
 
     def test_prefix_passes_a_branching(self):
         g = BcastT("A", ("B",), "int",
                    branch_t("C", ("D",), {"x": END_T, "y": RedT(("D",), "C", "int", END_T)}))
-        assert gtype_step(g, TLabel("sel", ("C",), ("D",), None, "y")) \
+        assert _lift(g, TLabel("sel", ("C",), ("D",), None, "y"))[1] \
             == BcastT("A", ("B",), "int", RedT(("D",), "C", "int", END_T))
 
     def test_branching_passes_a_branching(self):
@@ -110,7 +96,7 @@ class TestTypeTransitions:
             return branch_t("C", ("D",), {"u": u, "v": v})
         g = branch_t("A", ("B",), {"x": inner(END_T, BcastT("A", ("B",), "int", END_T)),
                                    "y": inner(END_T, BcastT("B", ("A",), "date", END_T))})
-        assert gtype_step(g, TLabel("sel", ("C",), ("D",), None, "v")) \
+        assert _lift(g, TLabel("sel", ("C",), ("D",), None, "v"))[1] \
             == branch_t("A", ("B",), {"x": BcastT("A", ("B",), "int", END_T),
                                       "y": BcastT("B", ("A",), "date", END_T)})
 
@@ -119,15 +105,14 @@ class TestTypeTransitions:
         g = branch_t("A", ("B",), {"x": BcastT("C", ("D",), "int", END_T),
                                    "y": BcastT("C", ("D",), "int", tail)})
         alpha = TLabel("bcast", ("C",), ("D",), None)
-        assert gtype_step(g, alpha) == branch_t("A", ("B",), {"x": END_T, "y": tail})
+        assert _lift(g, alpha)[1] == branch_t("A", ("B",), {"x": END_T, "y": tail})
         assert _lift(g, alpha)[0].sort == "int"
 
     @pytest.mark.parametrize("sort", [None, "int", "date"])
     def test_arms_of_different_sorts_do_not_hoist(self, sort):
         g = branch_t("A", ("B",), {"x": BcastT("C", ("D",), "int", END_T),
                                    "y": BcastT("C", ("D",), "date", END_T)})
-        with pytest.raises(NoMatch):
-            gtype_step(g, TLabel("bcast", ("C",), ("D",), sort))
+        assert _lift(g, TLabel("bcast", ("C",), ("D",), sort)) is None
 
 
 ROLES = ("A", "B", "C", "D")
@@ -202,7 +187,7 @@ def _subtypes(g):
 
 
 class TestAgainstTheClosure:
-    """``gtype_step`` lifts the step to the head; the closure of swap
+    """``_lift`` lifts the step to the head; the closure of swap
     variants (``tests/gtype_closure.py``) is the specification."""
 
     def test_random_types_and_labels(self):
@@ -217,7 +202,7 @@ class TestAgainstTheClosure:
             if not steps:
                 continue
             taken += 1
-            assert gtype_step(g, alpha) in tswap_closure(steps[0][1]), (g, alpha)
+            assert lifted[1] in tswap_closure(steps[0][1]), (g, alpha)
             if alpha.kind != "sel":
                 any_sort = alpha.replace(sort=None)
                 assert _lift(g, any_sort)[0].sort == declared_sort(g, any_sort), (g, alpha)
@@ -273,6 +258,8 @@ class TestSessionJudgment:
     _BCAST_AB = "service s : bcast A -> (B) <int> . end;\n"
     _START_AB = "start k (s) (t1[A]) -> (t2[B]);"
     _DECLARED = ServiceBinding(BcastT("A", ("B",), "int", END_T))
+    _PAYLOAD = (_BCAST_AB
+                + f"choreography {{ {_START_AB} bcast k [all] t1[A].(EXPR) -> (t2[B]: x); end }}")
 
     @pytest.mark.parametrize("text,binding,code,reason", [
         (_BCAST_AB + "choreography { bcast k [all] t1[A].1 -> (t2[B]: x); end }", None,
@@ -296,11 +283,17 @@ class TestSessionJudgment:
          "SortMismatch", "guard has sort int, wanted bool"),
         ("choreography { if x @ t1 { end } else { end } }", None,
          "SortMismatch", "variable x@t1 has no declared sort"),
-        (_BCAST_AB + f"choreography {{ {_START_AB} bcast k [all] t1[A].(true + 1) -> (t2[B]: x); "
-         "end }", None, "SortMismatch", "sort mismatch: bool vs int"),
+        (_PAYLOAD.replace("EXPR", "true + 1"), None, "SortMismatch", "sort mismatch: bool vs int"),
+        (_PAYLOAD.replace("EXPR", "not 3"), None, "SortMismatch", "'not' applied to int"),
+        (_PAYLOAD.replace("EXPR", "- true"), None, "SortMismatch", "negation applied to bool"),
+        (_PAYLOAD.replace("EXPR", "true * false"), None, "SortMismatch", "arithmetic on bool"),
+        (_PAYLOAD.replace("EXPR", "true < false"), None, "SortMismatch", "'<' on booleans"),
+        (_PAYLOAD.replace("EXPR", "1 and true"), None, "SortMismatch", "boolean operator on int"),
+        (_PAYLOAD.replace("EXPR", "true or 2"), None, "SortMismatch", "boolean operator on int"),
     ], ids=["untracked", "role-not-owned", "roles-unannounced", "roles-repeated",
             "declared-actives", "declared-services", "service-thread-known", "key-tracked",
-            "guard-int", "guard-undeclared-var", "payload-sorts"])
+            "guard-int", "guard-undeclared-var", "payload-sorts", "not-int", "negate-bool",
+            "arithmetic-bool", "less-bool", "and-int", "or-int"])
     def test_each_failure_of_the_judgment(self, text, binding, code, reason):
         prog = parse(text)
         gamma = GammaEnv({"s": binding} if binding else prog.services)

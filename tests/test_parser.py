@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from chorfixtures import sensors, typed_example
+from chorfixtures import interleaved_corpus, sensors, typed_example
 from gcq.epq import _ProcParser, parse_proc, print_proc
-from gcq.genchor import GenConfig, corpus, interleaved_corpus, session_chain
+from gcq.genchor import GenConfig, corpus, session_chain
 from gcq.parser import (
     DuplicateThreadInInit,
     ParseError,
@@ -18,17 +18,15 @@ from gcq.parser import (
     SourceProgram,
     UndeclaredCapability,
     parse,
-    parse_choreography,
     pretty_print,
     pretty_print_program,
     _Parser,
 )
 from gcq.projection import epp
-from gcq.gtypes import BranchT, END_T, RedT, branch_t, infer_gamma
+from gcq.gtypes import END_T, RedT, branch_t, infer_gamma
 from gcq.syntax import (
     Bcast,
     Binop,
-    End,
     END,
     If,
     Init,

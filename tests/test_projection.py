@@ -12,7 +12,6 @@ from chorfixtures import (
     linearity_race,
     racy_family,
     sensors,
-    sensors_partial,
     typed_example,
 )
 from gcq.epq import (
@@ -35,7 +34,6 @@ from gcq.epq import (
     canon_table,
     map_cont,
     net_canon,
-    net_congruent,
     per_verdict,
 )
 from gcq.netsem import net_run
@@ -46,7 +44,6 @@ from gcq.projection import (
     check_linearity,
     epp,
     merge,
-    mergeable,
     project_thread,
     prunes,
     service_merge,
@@ -64,7 +61,6 @@ from gcq.syntax import (
     Q_ALL,
     Q_ANY,
     Select,
-    Seq,
     Var,
     athr,
     interactions_of,
@@ -195,7 +191,7 @@ class TestMerge:
     def test_alpha_aligned_accept_keys(self):
         p = AcceptRepl("a", "B", "k", InP("k", "B", "A", "x", INACT))
         q = AcceptRepl("a", "B", "j", InP("j", "B", "A", "y", INACT))
-        assert mergeable(p, q)
+        assert merge(p, q) == p
 
     @pytest.mark.parametrize("pair,side,message", MISMATCHED,
                              ids=[f"{type(p).__name__}-{type(q).__name__}-{side}"
@@ -271,7 +267,7 @@ class TestThreadProjection:
 
 class TestEPP:
     def test_end_projects_to_inert(self):
-        assert net_congruent(epp(END), Network())
+        assert net_canon(epp(END)) == net_canon(Network())
 
     def test_sensors_epp_shape(self):
         net = epp(sensors())

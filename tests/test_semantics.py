@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chor_closure import closure_enabled, covers, swap_closure, swap_equal
-from chorfixtures import disjoint_bcasts, hoisting_family, sensors, sensors_partial
+from chorfixtures import disjoint_bcasts, hoisting_family, interleaved_corpus, sensors, sensors_partial
 from gcq.correspond import cosimulate
-from gcq.genchor import GenConfig, corpus, interleaved_corpus
+from gcq.genchor import GenConfig, corpus
 from gcq.parser import parse
 from gcq.schedule import BernoulliOracle, ScriptOracle, SingleFailure, TolerantFailure
 from gcq.semantics import (

@@ -22,6 +22,7 @@ from gcq.syntax import Q_ALL, SomeV, stable_repr
 from termsamples import samples
 
 _MODULES = [importlib.import_module(f"gcq.{m.name}") for m in pkgutil.iter_modules(gcq.__path__)]
+_MODULES.append(importlib.import_module("label_correspondence"))  # the judgment's own terms
 _CLASSES = [c for mod in _MODULES for c in vars(mod).values()
             if isinstance(c, type) and c.__module__ == mod.__name__]
 TERMS = [c for c in _CLASSES if "__term_fields__" in vars(c)]
