@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from chorfixtures import interleaved_corpus, sensors, typed_example
+import gcq_text_reference as reference
+from chorfixtures import interleaved_corpus, sensor_family, sensors, typed_example
 from gcq.epq import _ProcParser, parse_proc, print_proc
 from gcq.genchor import GenConfig, corpus, session_chain
 from gcq.parser import (
@@ -42,6 +43,7 @@ from gcq.syntax import (
     athr,
     interactions_of,
     q_ratio,
+    seq,
 )
 
 SENSORS_TEXT = """
@@ -268,6 +270,53 @@ class TestErrorSpans:
                             assert text[lo:hi] == found, (text, exc)
                         checked += 1
         assert checked > 1000
+
+
+def _program_texts() -> list[str]:
+    """The golden programs, the seed-23 corpus and the n-sensor family with
+    their inferred protocols, and the token mutations of the golden programs."""
+    golden = [path.read_text() for path in sorted(GOLDEN.glob("*.gcq"))]
+    chors = corpus(100, seed=23, config=GenConfig(max_threads=4, max_interactions=5))
+    chors += [sensor_family(n, q1, q2, reduce_over=over) for n in range(2, 9)
+              for q1 in (Q_ALL, Q_ANY) for q2 in (Q_ALL, Q_ANY)
+              for over in (None, list(range(2, n + 1)))]
+    rng = random.Random(29)
+    return golden + [pretty_print_program(SourceProgram(infer_gamma(c).services, {}, c))
+                     for c in chors] + [" ".join(tokens) for text in golden
+                                        for tokens in _mutations(_Parser(text).tokens, rng)]
+
+
+class TestAgainstTheReference:
+    """The template rows read and write the .gcq text as the per-form arms of
+    ``gcq_text_reference`` do: each text parses to the same term, or fails
+    with the same exception class, message, span and expected set, and each
+    parsed interaction and protocol prints to the same text."""
+
+    @staticmethod
+    def outcome(read, text: str, lax: bool):
+        try:
+            prog = read(text, lax_select=lax)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "span", None), getattr(exc, "expected", None)
+        return repr(prog), prog
+
+    def test_parse_and_print_agree(self):
+        failed = printed = 0
+        for text in _program_texts():
+            for lax in (False, True):
+                got = self.outcome(parse, text, lax)
+                assert got == self.outcome(reference.parse, text, lax), text
+                if len(got) == 4:
+                    failed += 1
+                    continue
+                prog = got[1]
+                for eta in interactions_of(prog.chor):
+                    assert pretty_print(seq(eta, END)) == \
+                        f"choreography {{\n  {reference.print_interaction(eta)};\n  end\n}}\n"
+                    printed += 1
+                for binding in prog.services.values():
+                    assert str(binding.gtype) == reference.protocol_text(binding.gtype)
+        assert failed > 1000 and printed > 1000
 
 
 class TestRoundTrip:
