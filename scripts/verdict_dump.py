@@ -19,11 +19,13 @@ semantics creates and substitutes, and ``run-net --seed 1``, whose trace
 follows the successor that ``netsem.net_enabled`` keeps for each endpoint
 step.  Each golden program also runs ``project``, which prints the manifest
 and the ``.epq`` text of every process, so a change to the text format shows
-here.  The texts come from ``perfbench/inputs.py``.  Each line is ``name
-command exit-code output``, with the output written as a JSON string, so
-that a moved line break shows.  Every input is named relative to the working
-directory, which is a fresh temporary one, so the manifest's ``program``
-field is the bare file name.  The output depends on nothing but the sources,
+here.  Every input also prints its program as ``pretty_print_program``
+writes it back (the line ``name print 0 text``), so a change to the
+``.gcq`` printer shows too.  The texts come from ``perfbench/inputs.py``.
+Each line is ``name command exit-code output``, with the output written as
+a JSON string, so that a moved line break shows.  Every input is named
+relative to the working directory, which is a fresh temporary one, so the
+manifest's ``program`` field is the bare file name.  The output depends on nothing but the sources,
 so two runs under different ``PYTHONHASHSEED`` values must print the same
 bytes.
 
@@ -97,6 +99,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     import inputs
     from gcq import cli
+    from gcq.parser import parse, pretty_print_program
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -106,6 +109,8 @@ def main(argv=None) -> int:
                 Path(f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
             for name, text, flags, runs in programs(inputs):
                 Path(f"{name}.gcq").write_text(text, encoding="utf-8")
+                printed = pretty_print_program(parse(text, "--lax-select" in flags))
+                print(name, "print", 0, json.dumps(printed, ensure_ascii=False))
                 for command, sched in runs:
                     options = ["--schedule", f"{sched}.json"] if sched else []
                     label = f"{command} --schedule {sched}" if sched else command

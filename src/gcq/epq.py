@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    AGG_OPS,
     Expr,
     NoneV,
     OptValue,
@@ -28,6 +26,7 @@ from .syntax import (
     Role,
     SomeV,
     Var,
+    fill_template,
     map_vars,
     term,
     value_expr,
@@ -579,12 +578,13 @@ def canon_table() -> CanonTable:
 # ---------------------------------------------------------------------------
 # Text format
 
-# The one definition of the ``.epq`` text: each class with a prefix, the
-# noun its errors use, and its text, whose ``{field}`` holes are the
-# fields of that name.  A role-list field is written comma-separated; a
-# single role (``sender``, ``receiver``, ``role``) is read as a role list so
-# that several get their own error; ``quality`` is written ``[q]``.  Each
-# text but the branching's is followed by its continuation on the next line.
+# The one definition of the ``.epq`` text: each class but ``Inact`` (``end``),
+# the noun its errors use, and its text, whose ``{field}`` holes are read by
+# ``_HOLES[field]`` and written by ``_show``.  A role-list field is written
+# comma-separated; a single role (``sender``, ``receiver``, ``role``) is
+# read as a role list so that several get their own error; ``quality`` is
+# written ``[q]``.  Each text but those of the ``_BLOCKS`` is followed by its
+# continuation on the next line; theirs hold their processes, indented.
 _PREFIXES = {
     Request: ("session request", "request {svc}[{roles}]({key}) ."),
     AcceptOnce: ("accept", "accept {svc}[{role}]({key}) ."),
@@ -594,13 +594,20 @@ _PREFIXES = {
     InP: ("plain input", "in? {key} [{receiver} <- {sender}] ({var}) ."),
     QIn: ("collective input", "in? {key} [{receiver} <- {senders}] {quality} ({var}, {op}) ."),
     QSel: ("selection", "sel! {key} [{sender} -> {receivers}] {quality} : {label} ."),
-    Branch: ("branching", "branch? {key} [{receiver} <- {sender}]"),
+    Branch: ("branching", "branch? {key} [{receiver} <- {sender}] {{\n{branches}\n}}"),
     WaitOut: ("output wait", "wait_out {key} [{sender} -> {receivers}] ."),
     WaitIn: ("input wait", "wait_in {key} [{receiver} <- {senders}] ({var}, {op}) ."),
+    IfP: ("conditional", "if {expr} {{\n{then}\n}} else {{\n{orelse}\n}}"),
 }
-_HOLE = re.compile(r"\{(\w+)\}")
+_BLOCKS = (Branch, IfP)
+_NESTED = ("then", "orelse", "branches")  # the fields that hold processes
 _ONE_ROLE = frozenset({"sender", "receiver", "role"})
 _ROLES = _ONE_ROLE | {"roles", "senders", "receivers"}
+_HOLES = {"quality": _Parser.quality, "expr": _Parser.expr, "op": _Parser.agg_op,
+          **dict.fromkeys(_ROLES, _Parser.roles),
+          **dict.fromkeys(("svc", "key", "var", "label"), _Parser.ident),
+          "then": lambda p: p.proc(), "orelse": lambda p: p.proc(),
+          "branches": lambda p: p.comma_list(p._arm)}
 
 
 def _show(name: str, value) -> str:
@@ -608,30 +615,24 @@ def _show(name: str, value) -> str:
         return f"[{value}]"
     if name == "expr":
         return print_expr(value)
+    if name in ("then", "orelse"):
+        return print_proc(value, "  ")
+    if name == "branches":
+        return ",\n".join(f"  {l}:\n" + print_proc(c, "    ") for l, c in value)
     return ",".join(value) if isinstance(value, tuple) else value
 
 
 def print_proc(p: Proc, indent: str = "") -> str:
     """The text of ``p`` in the ``.epq`` format, each line led by ``indent``:
-    ``end``, a conditional, or ``p``'s prefix from :data:`_PREFIXES` and then
-    its continuation, or a branching's arms, indented under it.
+    ``end``, or ``p``'s text from :data:`_PREFIXES` and then its continuation.
     :func:`parse_proc` reads it back equal."""
-    match p:
-        case Inact():
-            return indent + "end"
-        case IfP(expr, then, orelse):
-            return (indent + f"if {print_expr(expr)} {{\n" + print_proc(then, indent + "  ")
-                    + "\n" + indent + "} else {\n" + print_proc(orelse, indent + "  ")
-                    + "\n" + indent + "}")
+    if isinstance(p, Inact):
+        return indent + "end"
     if type(p) not in _PREFIXES:
         raise TypeError(f"not a process: {p!r}")
-    parts = _HOLE.split(_PREFIXES[type(p)][1])
-    parts[1::2] = [_show(name, getattr(p, name)) for name in parts[1::2]]
-    head = indent + "".join(parts)
-    if isinstance(p, Branch):
-        arms = [indent + f"  {l}:\n" + print_proc(c, indent + "    ") for l, c in p.branches]
-        return head + " {\n" + ",\n".join(arms) + "\n" + indent + "}"
-    return head + "\n" + print_proc(p.cont, indent)
+    text = fill_template(_PREFIXES[type(p)][1], p, _show)
+    text = "\n".join(indent + line for line in text.split("\n"))
+    return text if isinstance(p, _BLOCKS) else text + "\n" + print_proc(p.cont, indent)
 
 
 class _ProcParser(_Parser):
@@ -645,66 +646,34 @@ class _ProcParser(_Parser):
         if self.at("end"):
             self.next()
             return INACT
-        if self.at("if"):
-            self.next()
-            e = self.expr()
-            self.expect("{")
-            then = self.proc()
-            self.expect("}")
-            self.expect("else")
-            self.expect("{")
-            orelse = self.proc()
-            self.expect("}")
-            return IfP(e, then, orelse)
         failures = []
         for cls, (noun, _) in _PREFIXES.items():
             self.pos = start
             try:
-                fields = self._prefix(noun, _PARTS[cls])
+                fields = self._prefix(noun, _STEPS[cls])
             except ParseError as exc:
                 failures.append((self.pos, exc))
                 continue
-            if cls is Branch:
-                self.expect("{")
-                arms = self.comma_list(self._arm)
-                self.expect("}")
-                return Branch(**fields, branches=tuple(arms))
-            return cls(**fields, cont=self.proc())
+            return cls(**fields) if cls in _BLOCKS else cls(**fields, cont=self.proc())
         furthest, exc = max(failures, key=lambda f: f[0])
         if furthest == start:
-            keywords = [parts[0][0] for parts in _PARTS.values()]
+            keywords = [steps[0][0][0] for steps in _STEPS.values()]
             raise ParseError(f"expected a process, found {self.tokens[start]!r}", self.span(start),
-                             (*dict.fromkeys(keywords), "if", "end"))
+                             (*dict.fromkeys(keywords), "end"))
         raise exc
 
-    def _prefix(self, noun: str, parts: list) -> dict:
-        """The fields of a prefix that reads as ``parts`` (see :data:`_PARTS`).  Several
-        roles in a single-role field fail once the rest has matched, as the furthest failure."""
-        kw, fields, several = self.pos, {}, None
-        for i, part in enumerate(parts):
-            if not i % 2:
-                for tok in part:
-                    self.expect(tok)
-            elif part == "quality":
-                fields[part] = self.quality()
-            elif part == "expr":
-                fields[part] = self.expr()
-            elif part in _ROLES:
-                roles = tuple(self.comma_list(lambda: self.ident("role")))
-                if part in _ONE_ROLE:
-                    if len(roles) > 1:
-                        several = several or part
-                    roles = roles[0]
-                fields[part] = roles
-            else:
-                tok = self.ident()
-                if part == "op" and tok not in AGG_OPS:
-                    raise ParseError(f"unknown aggregation operator {tok!r}",
-                                     self.span(self.pos - 1), AGG_OPS)
-                fields[part] = tok
-        if several:
-            raise ParseError(f"{noun} has exactly one {several}", self.span(kw))
-        return fields
+    def _prefix(self, noun: str, steps: tuple) -> dict:
+        """The fields of a prefix whose text has these steps.  Several roles in a
+        single-role field fail once the rest has matched up to the first nested
+        process, as the furthest failure."""
+        kw = self.pos
+        cut = next((i for i, step in enumerate(steps) if step[1] in _NESTED), len(steps))
+        fields = self.read_template(steps[:cut])
+        if several := [name for name in fields if name in _ONE_ROLE and len(fields[name]) > 1]:
+            raise ParseError(f"{noun} has exactly one {several[0]}", self.span(kw))
+        fields.update(self.read_template(steps[cut:]))
+        return {name: value[0] if name in _ONE_ROLE else value
+                for name, value in fields.items()}
 
     def _arm(self) -> tuple[str, Proc]:
         label = self.ident()
@@ -725,7 +694,4 @@ def parse_proc(text: str) -> Proc:
     return p
 
 
-# each prefix's text split at its holes, the literal parts into their tokens
-_PARTS = {cls: [part if i % 2 else _ProcParser(part).tokens[:-1]
-                for i, part in enumerate(_HOLE.split(text))]
-          for cls, (_, text) in _PREFIXES.items()}
+_STEPS = {cls: _ProcParser.steps(text, _HOLES) for cls, (_, text) in _PREFIXES.items()}

@@ -44,6 +44,7 @@ from .syntax import (
     Var,
     VarName,
     comm_parts,
+    fill_template,
     inter_parts,
     subterms,
     term,
@@ -63,8 +64,7 @@ class NotInferable(ValueError):
 
 @term
 class EndT:
-    def __str__(self) -> str:
-        return "end"
+    pass
 
 
 @term
@@ -74,9 +74,6 @@ class BcastT:
     sort: Sort
     cont: "GlobalType"
 
-    def __str__(self) -> str:
-        return f"bcast {self.sender}->({','.join(self.receivers)})<{self.sort}>.{self.cont}"
-
 
 @term
 class RedT:
@@ -84,9 +81,6 @@ class RedT:
     receiver: Role
     sort: Sort
     cont: "GlobalType"
-
-    def __str__(self) -> str:
-        return f"reduce ({','.join(self.senders)})->{self.receiver}<{self.sort}>.{self.cont}"
 
 
 @term
@@ -105,13 +99,29 @@ class BranchT:
     def label_map(self) -> dict[str, "GlobalType"]:
         return dict(self.branches)
 
-    def __str__(self) -> str:
-        body = ", ".join(f"{l}: {g}" for l, g in self.branches)
-        return f"branch {self.sender}->({','.join(self.receivers)}){{{body}}}"
-
 
 GlobalType = Union[EndT, BcastT, RedT, BranchT]
 END_T = EndT()
+
+# The one definition of the text of each protocol: its class and its text,
+# whose ``{field}`` holes ``gcq.parser`` reads and ``_show`` writes: a role
+# list comma-separated, a branching's arms as ``label: protocol``.
+PROTOCOLS = {
+    EndT: "end",
+    BcastT: "bcast {sender}->({receivers})<{sort}>.{cont}",
+    RedT: "reduce ({senders})->{receiver}<{sort}>.{cont}",
+    BranchT: "branch {sender}->({receivers}){{{branches}}}",
+}
+
+
+def _show(kind: str, value) -> str:
+    if kind == "branches":
+        return ", ".join(f"{l}: {g}" for l, g in value)
+    return ",".join(value) if isinstance(value, tuple) else str(value)
+
+
+EndT.__str__ = BcastT.__str__ = RedT.__str__ = BranchT.__str__ = (
+    lambda g: fill_template(PROTOCOLS[type(g)], g, _show))
 
 
 def branch_t(sender: Role, receivers: Iterable[Role], branches: Mapping[str, GlobalType]) -> BranchT:

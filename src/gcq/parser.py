@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from .gtypes import BcastT, BranchT, END_T, GlobalType, RedT, SORTS, ServiceBinding
+from .gtypes import BranchT, END_T, EndT, GlobalType, PROTOCOLS, SORTS, ServiceBinding
 from .syntax import (
     AnnotatedThread,
     Bcast,
@@ -48,10 +48,12 @@ from .syntax import (
     Unop,
     Var,
     AGG_OPS,
+    fill_template,
     inter_parts,
     interactions_of,
     q_ratio,
     seq,
+    template_steps,
 )
 
 KEYWORDS = frozenset("""
@@ -104,10 +106,7 @@ class SourceProgram:
     chor: Choreography
 
     def declared_atoms(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for atoms in self.caps_decls.values():
-            out |= atoms
-        return out
+        return frozenset().union(*self.caps_decls.values())
 
 
 # binding strength of the binary operators, read by the parser and the printer
@@ -133,7 +132,6 @@ class _Parser:
             self.tokens = [tok for tok in self.tokens if not tok.startswith("//")]
         self.pos = 0
         self.lax_select = lax_select
-        self.in_init = False
 
     @cached_property
     def offsets(self) -> list[tuple[int, int]]:
@@ -179,13 +177,33 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def comma_list(self, item) -> list:
-        """One or more ``item()`` results separated by commas."""
-        out = [item()]
-        while self.at(","):
-            self.next()
-            out.append(item())
-        return out
+    def comma_list(self, item, *args) -> tuple:
+        """One or more ``item(*args)`` results separated by commas."""
+        out = [item(*args)]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            out.append(item(*args))
+        return tuple(out)
+
+    @classmethod
+    def steps(cls, text: str, holes: dict) -> tuple:
+        """The steps of the template ``text`` (see :func:`template_steps`) with each literal
+        cut into this parser's tokens and each kind replaced by its reader ``holes[kind]``."""
+        return tuple((cls(literal).tokens[:-1], field, field and holes[kind])
+                     for literal, field, kind in template_steps(text))
+
+    def read_template(self, steps: tuple) -> dict:
+        """The fields of a term whose text has these :meth:`steps`: each
+        literal token is expected in turn and each hole read by its reader."""
+        fields, tokens = {}, self.tokens
+        for literal, field, read in steps:
+            for tok in literal:
+                if tokens[self.pos] != tok:
+                    self.expect(tok)  # raises
+                self.pos += 1
+            if field:
+                fields[field] = read(self)
+        return fields
 
     # -- program
 
@@ -208,7 +226,7 @@ class _Parser:
                 name = self.ident("capability signature name")
                 self.expect("=")
                 self.expect("{")
-                atoms = self.comma_list(self.atom)
+                atoms = self.atoms()
                 self.expect("}")
                 self.expect(";")
                 caps[name] = frozenset(atoms)
@@ -229,58 +247,28 @@ class _Parser:
 
     def gtype(self) -> GlobalType:
         tok = self.pos
-        if self.at("end"):
-            self.next()
-            return END_T
-        if self.at("bcast"):
-            self.next()
-            sender = self.ident("role")
-            self.expect("->")
-            receivers = self.role_group()
-            sort = self.sort()
-            self.expect(".")
-            return BcastT(sender, receivers, sort, self.gtype())
-        if self.at("reduce"):
-            self.next()
-            senders = self.role_group()
-            self.expect("->")
-            receiver = self.ident("role")
-            sort = self.sort()
-            self.expect(".")
-            return RedT(senders, receiver, sort, self.gtype())
-        if self.at("branch"):
-            self.next()
-            sender = self.ident("role")
-            self.expect("->")
-            receivers = self.role_group()
-            self.expect("{")
-            branches = self.comma_list(self.branch_arm)
-            self.expect("}")
-            labels = [l for l, _ in branches]
+        if (row := _PROTOCOL_ROWS.get(self.peek())) is None:
+            raise ParseError(f"expected a protocol, found {self.peek()!r}", self.span(tok),
+                             tuple(_PROTOCOL_ROWS))
+        cls, fields = row[0], self.read_template(row[1])
+        if cls is BranchT:
+            labels = [l for l, _ in fields["branches"]]
             if len(set(labels)) != len(labels):
                 raise ParseError(f"duplicate branch label in {labels}", self.span(tok))
-            return BranchT(sender, receivers, tuple(sorted(branches)))
-        raise ParseError(f"expected a protocol, found {self.peek()!r}", self.span(tok),
-                         ("end", "bcast", "reduce", "branch"))
+        return END_T if cls is EndT else cls(**fields)
 
     def branch_arm(self) -> tuple[str, GlobalType]:
         label = self.ident("branch label")
         self.expect(":")
         return label, self.gtype()
 
-    def role_group(self) -> tuple[str, ...]:
-        self.expect("(")
-        roles = self.comma_list(lambda: self.ident("role"))
-        self.expect(")")
-        return tuple(roles)
+    def roles(self) -> tuple[str, ...]:
+        return self.comma_list(self.ident, "role")
 
     def sort(self) -> str:
-        self.expect("<")
-        tok = self.peek()
-        if tok not in SORTS:
+        if (tok := self.peek()) not in SORTS:
             raise ParseError(f"expected a sort, found {tok!r}", self.span(self.pos), SORTS)
-        self.next()
-        self.expect(">")
+        self.pos += 1
         return tok
 
     # -- choreographies
@@ -290,120 +278,52 @@ class _Parser:
         while not self.at("end", "if"):
             inters.append(self.interaction())
             self.expect(";")
-        if self.next() == "end":
+        if self.at("end"):
+            self.pos += 1
             return seq(*inters, End())
-        guard = self.expr()
-        self.expect("@")
-        at = self.ident("thread")
-        self.expect("{")
-        then = self.chor()
-        self.expect("}")
-        self.expect("else")
-        self.expect("{")
-        orelse = self.chor()
-        self.expect("}")
-        return seq(*inters, If(guard, at, then, orelse))
+        return seq(*inters, If(**self.read_template(_CONDITIONAL_STEPS)))
 
     def interaction(self) -> Interaction:
         tok = self.pos
-        if self.at("start"):
-            self.next()
-            key = self.ident("session key")
-            self.expect("(")
-            svc = self.ident("service name")
-            self.expect(")")
-            self.in_init = True
-            try:
-                actives = self.athr_group()
-                self.expect("->")
-                services = self.athr_group()
-            finally:
-                self.in_init = False
-            threads = [p.thread for p in actives + services]
-            if len(set(threads)) != len(threads):
-                raise DuplicateThreadInInit(f"thread listed twice in session start: {threads}",
-                                            self.span(tok, self.pos - 1))
-            try:
-                return Init(actives, services, svc, key)
-            except ValueError as exc:
-                raise ParseError(str(exc), self.span(tok, self.pos - 1))
-        if self.at("bcast"):
-            self.next()
-            key = self.ident("session key")
-            q = self.quality()
-            sender = self.athr()
-            self.expect(".")
-            expr = self.expr()
-            self.expect("->")
-            self.expect("(")
-            receivers = self.comma_list(self.recv)
-            self.expect(")")
-            return Bcast(sender, expr, tuple(receivers), q, key)
-        if self.at("reduce"):
-            self.next()
-            key = self.ident("session key")
-            q = self.quality()
-            op = self.ident("aggregation operator")
-            if op not in AGG_OPS:
-                raise ParseError(f"unknown aggregation operator {op!r}", self.span(self.pos - 1),
-                                 AGG_OPS)
-            self.expect("(")
-            senders = self.comma_list(self.send)
-            self.expect(")")
-            self.expect("->")
-            receiver = self.athr()
-            self.expect(":")
-            bind_var = self.ident("variable")
-            return Reduce(tuple(senders), receiver, bind_var, q, op, key)
-        if self.at("select"):
-            self.next()
-            key = self.ident("session key")
-            q_start = self.pos
-            q = self.quality()
-            if q != Q_ALL and not self.lax_select:
-                raise SelectNotAll("collective selection requires the 'all' quality predicate",
-                                   self.span(q_start, self.pos - 1), ("all",))
-            sender = self.athr()
-            self.expect("->")
-            receivers = self.athr_group()
-            self.expect(":")
-            label = self.ident("label")
-            return Select(sender, receivers, q, key, label)
-        raise ParseError(f"expected an interaction, found {self.peek()!r}", self.span(tok),
-                         ("start", "bcast", "reduce", "select", "if", "end"))
+        if (row := _INTERACTION_ROWS.get(self.peek())) is None:
+            raise ParseError(f"expected an interaction, found {self.peek()!r}", self.span(tok),
+                             (*_INTERACTION_ROWS, "if", "end"))
+        cls, fields = row[0], self.read_template(row[1])
+        if cls is not Init:
+            return cls(**fields)
+        threads = [p.thread for p in fields["actives"] + fields["services"]]
+        if len(set(threads)) != len(threads):
+            raise DuplicateThreadInInit(f"thread listed twice in session start: {threads}",
+                                        self.span(tok, self.pos - 1))
+        try:
+            return Init(**fields)
+        except ValueError as exc:
+            raise ParseError(str(exc), self.span(tok, self.pos - 1))
 
-    def athr_group(self) -> tuple[AnnotatedThread, ...]:
-        self.expect("(")
-        out = self.comma_list(self.athr)
-        self.expect(")")
-        return tuple(out)
-
-    def athr(self) -> AnnotatedThread:
+    def athr(self, offer: bool = False) -> AnnotatedThread:
+        """An annotated thread; a one-part annotation is an offer if ``offer``
+        (in a session start), a requirement otherwise."""
         thread = self.ident("thread")
         self.expect("[")
         role = self.ident("role")
         self.expect("]")
-        req: frozenset[str] = frozenset()
-        off: frozenset[str] = frozenset()
-        if self.at("{"):
-            self.next()
-            first = [] if self.at(";", "}") else self.comma_list(self.atom)
-            if self.at(";"):
-                self.next()
-                second = [] if self.at("}") else self.comma_list(self.atom)
-                req, off = frozenset(first), frozenset(second)
-            else:
-                # one-part annotation: an offer inside a session start,
-                # a requirement anywhere else
-                if self.in_init:
-                    off = frozenset(first)
-                else:
-                    req = frozenset(first)
-            self.expect("}")
+        if self.tokens[self.pos] != "{":
+            return AnnotatedThread(thread, role)
+        self.pos += 1
+        first = self.atoms(";", "}")
+        if self.tokens[self.pos] == ";":
+            self.pos += 1
+            req, off = frozenset(first), frozenset(self.atoms("}"))
+        else:
+            req, off = (frozenset(), frozenset(first)) if offer else (frozenset(first), frozenset())
+        self.expect("}")
         return AnnotatedThread(thread, role, req, off)
 
-    def atom(self) -> str:
-        return self.ident("capability atom")
+    def atoms(self, *ends: str) -> tuple[str, ...]:
+        """Capability atoms, none if one of ``ends`` comes first."""
+        if self.tokens[self.pos] in ends:
+            return ()
+        return self.comma_list(self.ident, "capability atom")
 
     def recv(self) -> tuple[AnnotatedThread, str]:
         p = self.athr()
@@ -415,15 +335,21 @@ class _Parser:
         self.expect(".")
         return p, self.expr()
 
-    def quality(self) -> Quality:
+    def agg_op(self, what: str = "identifier") -> str:
+        op = self.ident(what)
+        if op not in AGG_OPS:
+            raise ParseError(f"unknown aggregation operator {op!r}", self.span(self.pos - 1),
+                             AGG_OPS)
+        return op
+
+    def quality(self, select: bool = False) -> Quality:
+        """``[q]``; a selection's (``select``) must be ``all`` unless ``lax_select``."""
+        start = self.pos
         self.expect("[")
         tok = self.peek()
-        if self.at("all"):
+        if tok in ("all", "any"):
             self.next()
-            q = Q_ALL
-        elif self.at("any"):
-            self.next()
-            q = Q_ANY
+            q = Q_ALL if tok == "all" else Q_ANY
         elif tok.isdecimal():
             self.next()
             self.expect("/")
@@ -440,6 +366,9 @@ class _Parser:
             raise ParseError(f"expected a quality predicate, found {tok!r}",
                              self.span(self.pos), ("all", "any", "m/n"))
         self.expect("]")
+        if select and q != Q_ALL and not self.lax_select:
+            raise SelectNotAll("collective selection requires the 'all' quality predicate",
+                               self.span(start, self.pos - 1), ("all",))
         return q
 
     # -- expressions, by precedence climbing over ``_PREC``
@@ -509,17 +438,49 @@ class _Parser:
                          self.span(self.pos), ("expression",))
 
 
+# The one definition of the text of each interaction and of a conditional:
+# the class and its text, whose holes ``{field}`` or ``{field:kind}`` are
+# read by ``_HOLES[kind]`` and written by ``_show``; a conditional's branches
+# are indented on the lines between.  Protocols: ``gtypes.PROTOCOLS``.
+INTERACTIONS = {
+    Init: "start {key} ({svc}) ({actives:offers}) -> ({services:offers})",
+    Bcast: "bcast {key} {quality} {sender}.{expr} -> ({receivers:recvs})",
+    Reduce: "reduce {key} {quality} {op} ({senders}) -> {receiver} : {bind_var}",
+    Select: "select {key} {quality:select} {sender} -> ({receivers:athrs}) : {label}",
+}
+CONDITIONAL = "if {guard} @ {at} {{\n{then:chor}\n}} else {{\n{orelse:chor}\n}}"
+_HOLES = {
+    "key": lambda p: p.ident("session key"), "svc": lambda p: p.ident("service name"),
+    "label": lambda p: p.ident("label"), "bind_var": lambda p: p.ident("variable"),
+    "op": lambda p: p.agg_op("aggregation operator"), "expr": _Parser.expr,
+    "quality": _Parser.quality, "select": lambda p: p.quality(select=True),
+    "sender": _Parser.athr, "receiver": _Parser.athr,
+    "offers": lambda p: p.comma_list(p.athr, True), "athrs": lambda p: p.comma_list(p.athr),
+    "senders": lambda p: p.comma_list(p.send), "recvs": lambda p: p.comma_list(p.recv),
+    "guard": _Parser.expr, "at": lambda p: p.ident("thread"), "chor": _Parser.chor,
+}
+_PROTOCOL_HOLES = {
+    "sender": lambda p: p.ident("role"), "receiver": lambda p: p.ident("role"),
+    "senders": _Parser.roles, "receivers": _Parser.roles, "sort": _Parser.sort,
+    "cont": _Parser.gtype, "branches": lambda p: p.comma_list(p.branch_arm),
+}
+# each table's keyword -> its class and the steps of its text
+_INTERACTION_ROWS = {_Parser(text).peek(): (cls, _Parser.steps(text, _HOLES))
+                     for cls, text in INTERACTIONS.items()}
+_PROTOCOL_ROWS = {_Parser(text).peek(): (cls, _Parser.steps(text, _PROTOCOL_HOLES))
+                  for cls, text in PROTOCOLS.items()}
+_CONDITIONAL_STEPS = _Parser.steps(CONDITIONAL, _HOLES)
+
+
 def _unquote(text: str) -> str:
     body = text[1:-1]
     return body.replace('\\"', '"').replace("\\\\", "\\")
 
 
 def _validate_atoms(prog: SourceProgram, span) -> None:
-    declared = prog.declared_atoms()
     used = {a for eta in interactions_of(prog.chor) for p in inter_parts(eta).athrs
             for a in p.req | p.off}
-    undeclared = used - declared
-    if undeclared:
+    if undeclared := used - prog.declared_atoms():
         raise UndeclaredCapability(
             f"capability atoms not covered by any caps declaration: {sorted(undeclared)}", span)
 
@@ -531,8 +492,6 @@ def parse(text: str, lax_select: bool = False) -> SourceProgram:
 
 # ---------------------------------------------------------------------------
 # Pretty printing
-
-
 
 
 def print_expr(e: Expr, parent_prec: int = 0) -> str:
@@ -560,39 +519,34 @@ def print_expr(e: Expr, parent_prec: int = 0) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _joined(athrs: tuple[AnnotatedThread, ...]) -> str:
-    return ", ".join(map(str, athrs))
+def _show(kind: str, value) -> str:
+    if kind in ("quality", "select"):
+        return f"[{value}]"
+    if kind == "expr":
+        return print_expr(value, _ATOM)
+    if kind == "senders":
+        return ", ".join(f"{p}.{print_expr(e, _ATOM)}" for p, e in value)
+    if kind == "recvs":
+        return ", ".join(f"{p}: {x}" for p, x in value)
+    if kind == "guard":
+        return print_expr(value)
+    if kind == "chor":
+        return "\n".join("  " + line for line in _print_chor(value))
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def print_interaction(eta: Interaction) -> str:
-    match eta:
-        case Init(actives, services, svc, key):
-            return f"start {key} ({svc}) ({_joined(actives)}) -> ({_joined(services)})"
-        case Bcast(sender, expr, receivers, quality, key):
-            rs = ", ".join(f"{p}: {x}" for p, x in receivers)
-            return f"bcast {key} [{quality}] {sender}.{print_expr(expr, _ATOM)} -> ({rs})"
-        case Reduce(senders, receiver, bind_var, quality, op, key):
-            ss = ", ".join(f"{p}.{print_expr(e, _ATOM)}" for p, e in senders)
-            return f"reduce {key} [{quality}] {op} ({ss}) -> {receiver} : {bind_var}"
-        case Select(sender, receivers, quality, key, label):
-            return f"select {key} [{quality}] {sender} -> ({_joined(receivers)}) : {label}"
-    raise TypeError(f"not an interaction: {eta!r}")
-
-
-def _print_chor(c: Choreography, indent: str) -> list[str]:
+def _print_chor(c: Choreography) -> list[str]:
     out = []
     while isinstance(c, Seq):
-        out.append(indent + print_interaction(c.inter) + ";")
+        if type(c.inter) not in INTERACTIONS:
+            raise TypeError(f"not an interaction: {c.inter!r}")
+        out.append(fill_template(INTERACTIONS[type(c.inter)], c.inter, _show) + ";")
         c = c.cont
     match c:
         case End():
-            out.append(indent + "end")
-        case If(guard, at, then, orelse):
-            out.append(indent + f"if {print_expr(guard)} @ {at} {{")
-            out += _print_chor(then, indent + "  ")
-            out.append(indent + "} else {")
-            out += _print_chor(orelse, indent + "  ")
-            out.append(indent + "}")
+            out.append("end")
+        case If():
+            out += fill_template(CONDITIONAL, c, _show).split("\n")
         case _:
             raise TypeError(f"not a choreography: {c!r}")
     return out
@@ -600,15 +554,14 @@ def _print_chor(c: Choreography, indent: str) -> list[str]:
 
 def pretty_print(c: Choreography) -> str:
     """Program text whose parse is structurally equal to ``c``."""
-    return "choreography {\n" + "\n".join(_print_chor(c, "  ")) + "\n}\n"
+    return "choreography {\n" + _show("chor", c) + "\n}\n"
 
 
 def pretty_print_program(prog: SourceProgram) -> str:
-    lines = []
-    for name, binding in sorted(prog.services.items()):
-        lines.append(f"service {name} : {binding.gtype};")
-    for name, atoms in sorted(prog.caps_decls.items()):
-        lines.append(f"caps {name} = {{{', '.join(sorted(atoms))}}};")
+    lines = [f"service {name} : {binding.gtype};"
+             for name, binding in sorted(prog.services.items())]
+    lines += [f"caps {name} = {{{', '.join(sorted(atoms))}}};"
+              for name, atoms in sorted(prog.caps_decls.items())]
     if lines:
         lines.append("")
     return "\n".join(lines) + pretty_print(prog.chor)

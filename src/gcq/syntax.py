@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import string
 from dataclasses import FrozenInstanceError
 from types import FunctionType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
@@ -130,6 +131,25 @@ def _frozen_delattr(self, name):
 
 
 _MISSING = object()  # a field that ``replace`` keeps
+
+
+# ---------------------------------------------------------------------------
+# Text templates
+
+
+@functools.cache
+def template_steps(template: str) -> tuple[tuple[str, Optional[str], Optional[str]], ...]:
+    """``template`` as (literal text, field, kind) steps: a hole ``{field}`` or
+    ``{field:kind}`` holds a term's field, read and written as ``kind`` (by default
+    the field's name); ``{{`` and ``}}`` are braces.  A lone literal's field is None."""
+    return tuple((text, field, spec or field)
+                 for text, field, spec, _ in string.Formatter().parse(template))
+
+
+def fill_template(template: str, t, show: Callable[[str, object], str]) -> str:
+    """The text of ``t`` by ``template``: each hole written ``show(kind, value)``."""
+    return "".join([text if field is None else text + show(kind, getattr(t, field))
+                    for text, field, kind in template_steps(template)])
 
 
 # ---------------------------------------------------------------------------

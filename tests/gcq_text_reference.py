@@ -43,7 +43,7 @@ class ReferenceParser(_Parser):
             sender = self.ident("role")
             self.expect("->")
             receivers = self.role_group()
-            sort = self.sort()
+            sort = self.bracketed_sort()
             self.expect(".")
             return BcastT(sender, receivers, sort, self.gtype())
         if self.at("reduce"):
@@ -51,7 +51,7 @@ class ReferenceParser(_Parser):
             senders = self.role_group()
             self.expect("->")
             receiver = self.ident("role")
-            sort = self.sort()
+            sort = self.bracketed_sort()
             self.expect(".")
             return RedT(senders, receiver, sort, self.gtype())
         if self.at("branch"):
@@ -75,7 +75,7 @@ class ReferenceParser(_Parser):
         self.expect(")")
         return tuple(roles)
 
-    def sort(self) -> str:
+    def bracketed_sort(self) -> str:
         self.expect("<")
         tok = self.peek()
         if tok not in SORTS:
@@ -92,13 +92,9 @@ class ReferenceParser(_Parser):
             self.expect("(")
             svc = self.ident("service name")
             self.expect(")")
-            self.in_init = True
-            try:
-                actives = self.athr_group()
-                self.expect("->")
-                services = self.athr_group()
-            finally:
-                self.in_init = False
+            actives = self.athr_group(offer=True)
+            self.expect("->")
+            services = self.athr_group(offer=True)
             threads = [p.thread for p in actives + services]
             if len(set(threads)) != len(threads):
                 raise DuplicateThreadInInit(f"thread listed twice in session start: {threads}",
@@ -152,9 +148,9 @@ class ReferenceParser(_Parser):
         raise ParseError(f"expected an interaction, found {self.peek()!r}", self.span(tok),
                          ("start", "bcast", "reduce", "select", "if", "end"))
 
-    def athr_group(self) -> tuple[AnnotatedThread, ...]:
+    def athr_group(self, offer: bool = False) -> tuple[AnnotatedThread, ...]:
         self.expect("(")
-        out = self.comma_list(self.athr)
+        out = self.comma_list(lambda: self.athr(offer))
         self.expect(")")
         return tuple(out)
 

@@ -508,11 +508,19 @@ class TestProcText:
     def test_roundtrip(self, proc):
         assert parse_proc(print_proc(proc)) == proc
 
+    def test_an_unknown_prefix_names_every_keyword(self):
+        with pytest.raises(ParseError, match="expected a process, found 'recv'") as info:
+            parse_proc("recv k . end")
+        assert info.value.expected == ("request", "accept", "out", "in", "sel", "branch",
+                                       "wait_out", "wait_in", "if", "end")
+        assert info.value.span == (0, 4)
+
     @pytest.mark.parametrize("text,message,spanned", [
         ("out! k [A -> B,C] [2/x] (1) . end", "expected a natural number", "x"),
         ("out! k [A -> B,C] [3/2] (1) . end", "ratio predicate requires", "3/2"),
         ("out! k [A -> B,C] (1) . end", "plain output has exactly one receiver", "out"),
         ("in? k [A <- B,C] (x) . end", "plain input has exactly one sender", "in"),
+        ("branch? k [B,C <- A] { l: out! }", "branching has exactly one receiver", "branch"),
         ("in? k [A <- B,C] [all] (x, foo) . end", "unknown aggregation operator 'foo'", "foo"),
         ("wait_in k [A <- B] (x, avg2) . end", "unknown aggregation operator 'avg2'", "avg2"),
     ])
