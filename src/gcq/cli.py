@@ -132,8 +132,22 @@ def cmd_project(args) -> int:
     return EXIT_PASS
 
 
+def _listed(manifest: dict, key: str, *fields: str) -> list:
+    """``manifest[key]`` (default empty): a list of names, or with ``fields`` a list
+    of objects with a string under each; a ``ValueError`` names the fault."""
+    items = manifest.get(key, [])
+    if not isinstance(items, list) or not all(
+            isinstance(item, dict) and all(isinstance(item.get(f), str) for f in fields)
+            if fields else isinstance(item, str) for item in items):
+        shape = f"objects with the string fields {', '.join(map(repr, fields))}"
+        raise ValueError(f"manifest field {key!r} must be a list of "
+                         f"{shape if fields else 'names'}: {items!r}")
+    return items
+
+
 def _network_from_manifest(path: Path) -> Network:
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest := json.loads(path.read_text(encoding="utf-8")), dict):
+        raise ValueError(f"a manifest must be a JSON object: {manifest!r}")
 
     def proc(entry):
         file = path.parent / entry["file"]
@@ -143,12 +157,13 @@ def _network_from_manifest(path: Path) -> Network:
             exc.path = str(file)
             raise
 
-    components = [Component(proc(entry), owner=entry.get("thread"))
-                  for entry in manifest.get("threads", [])]
+    threads = _listed(manifest, "threads", "file")
+    services = _listed(manifest, "services", "file", "service", "role")
+    queues, restricted = _listed(manifest, "queues"), _listed(manifest, "restricted")
+    components = [Component(proc(entry), owner=entry.get("thread")) for entry in threads]
     components += [Component(proc(entry), owner=None, service=(entry["service"], entry["role"]))
-                   for entry in manifest.get("services", [])]
-    queues = tuple(Queue(k, ()) for k in manifest.get("queues", []))
-    return Network(tuple(components), queues, frozenset(manifest.get("restricted", [])))
+                   for entry in services]
+    return Network(tuple(components), tuple(Queue(k, ()) for k in queues), frozenset(restricted))
 
 
 def cmd_run_net(args) -> int:

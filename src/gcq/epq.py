@@ -27,6 +27,7 @@ from .syntax import (
     SomeV,
     Var,
     fill_template,
+    indented,
     map_vars,
     term,
     value_expr,
@@ -578,13 +579,13 @@ def canon_table() -> CanonTable:
 # ---------------------------------------------------------------------------
 # Text format
 
-# The one definition of the ``.epq`` text: each class but ``Inact`` (``end``),
-# the noun its errors use, and its text, whose ``{field}`` holes are read by
+# The one definition of the ``.epq`` text: each process class, the noun its
+# errors use, and its text, whose ``{field}`` holes are read by
 # ``_HOLES[field]`` and written by ``_show``.  A role-list field is written
 # comma-separated; a single role (``sender``, ``receiver``, ``role``) is
 # read as a role list so that several get their own error; ``quality`` is
-# written ``[q]``.  Each text but those of the ``_BLOCKS`` is followed by its
-# continuation on the next line; theirs hold their processes, indented.
+# written ``[q]``; a nested process is indented.  Each text but those of
+# ``_NO_CONT`` is followed by its continuation on the next line.
 _PREFIXES = {
     Request: ("session request", "request {svc}[{roles}]({key}) ."),
     AcceptOnce: ("accept", "accept {svc}[{role}]({key}) ."),
@@ -598,8 +599,9 @@ _PREFIXES = {
     WaitOut: ("output wait", "wait_out {key} [{sender} -> {receivers}] ."),
     WaitIn: ("input wait", "wait_in {key} [{receiver} <- {senders}] ({var}, {op}) ."),
     IfP: ("conditional", "if {expr} {{\n{then}\n}} else {{\n{orelse}\n}}"),
+    Inact: ("inaction", "end"),
 }
-_BLOCKS = (Branch, IfP)
+_NO_CONT = (Branch, IfP, Inact)
 _NESTED = ("then", "orelse", "branches")  # the fields that hold processes
 _ONE_ROLE = frozenset({"sender", "receiver", "role"})
 _ROLES = _ONE_ROLE | {"roles", "senders", "receivers"}
@@ -616,23 +618,19 @@ def _show(name: str, value) -> str:
     if name == "expr":
         return print_expr(value)
     if name in ("then", "orelse"):
-        return print_proc(value, "  ")
+        return indented(print_proc(value))
     if name == "branches":
-        return ",\n".join(f"  {l}:\n" + print_proc(c, "    ") for l, c in value)
+        return ",\n".join(indented(f"{l}:\n" + indented(print_proc(c))) for l, c in value)
     return ",".join(value) if isinstance(value, tuple) else value
 
 
-def print_proc(p: Proc, indent: str = "") -> str:
-    """The text of ``p`` in the ``.epq`` format, each line led by ``indent``:
-    ``end``, or ``p``'s text from :data:`_PREFIXES` and then its continuation.
-    :func:`parse_proc` reads it back equal."""
-    if isinstance(p, Inact):
-        return indent + "end"
+def print_proc(p: Proc) -> str:
+    """The text of ``p`` in the ``.epq`` format: its text from :data:`_PREFIXES`
+    and then its continuation's.  :func:`parse_proc` reads it back equal."""
     if type(p) not in _PREFIXES:
         raise TypeError(f"not a process: {p!r}")
     text = fill_template(_PREFIXES[type(p)][1], p, _show)
-    text = "\n".join(indent + line for line in text.split("\n"))
-    return text if isinstance(p, _BLOCKS) else text + "\n" + print_proc(p.cont, indent)
+    return text if isinstance(p, _NO_CONT) else text + "\n" + print_proc(p.cont)
 
 
 class _ProcParser(_Parser):
@@ -642,25 +640,23 @@ class _ProcParser(_Parser):
     patterns = _patterns(r"[!?] | " + _TOKENS)
 
     def proc(self) -> Proc:
-        start = self.pos
-        if self.at("end"):
-            self.next()
-            return INACT
-        failures = []
+        start, failures = self.pos, []
         for cls, (noun, _) in _PREFIXES.items():
+            keyword, steps = _STEPS[cls]
+            if keyword != self.tokens[start]:
+                continue
             self.pos = start
             try:
-                fields = self._prefix(noun, _STEPS[cls])
+                fields = self._prefix(noun, steps)
             except ParseError as exc:
                 failures.append((self.pos, exc))
                 continue
-            return cls(**fields) if cls in _BLOCKS else cls(**fields, cont=self.proc())
-        furthest, exc = max(failures, key=lambda f: f[0])
-        if furthest == start:
-            keywords = [steps[0][0][0] for steps in _STEPS.values()]
+            return cls(**fields) if cls in _NO_CONT else cls(**fields, cont=self.proc())
+        if not failures:
+            keywords = dict.fromkeys(keyword for keyword, _ in _STEPS.values())
             raise ParseError(f"expected a process, found {self.tokens[start]!r}", self.span(start),
-                             (*dict.fromkeys(keywords), "end"))
-        raise exc
+                             tuple(keywords))
+        raise max(failures, key=lambda f: f[0])[1]
 
     def _prefix(self, noun: str, steps: tuple) -> dict:
         """The fields of a prefix whose text has these steps.  Several roles in a
@@ -682,11 +678,11 @@ class _ProcParser(_Parser):
 
 
 def parse_proc(text: str) -> Proc:
-    """The process that ``text`` writes in the ``.epq`` format.  A prefix is
-    read by trying the texts of :data:`_PREFIXES` in order, so those that
-    share its keyword are told apart by what follows it; when none matches,
-    the failure that got furthest is raised as a :class:`ParseError` with
-    its span."""
+    """The process that ``text`` writes in the ``.epq`` format.  A process is
+    read by trying the texts of :data:`_PREFIXES` with its keyword in order,
+    so those that share it are told apart by what follows it; when none
+    matches, the failure that got furthest is raised as a :class:`ParseError`
+    with its span."""
     parser = _ProcParser(text)
     p = parser.proc()
     if parser.peek():
@@ -694,4 +690,6 @@ def parse_proc(text: str) -> Proc:
     return p
 
 
-_STEPS = {cls: _ProcParser.steps(text, _HOLES) for cls, (_, text) in _PREFIXES.items()}
+# each class's keyword and the steps of its text
+_STEPS = {cls: (_ProcParser(text).peek(), _ProcParser.steps(text, _HOLES))
+          for cls, (_, text) in _PREFIXES.items()}

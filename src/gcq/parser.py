@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from .gtypes import BranchT, END_T, EndT, GlobalType, PROTOCOLS, SORTS, ServiceBinding
+from .gtypes import BranchT, GlobalType, PROTOCOLS, SORTS, ServiceBinding
 from .syntax import (
     AnnotatedThread,
     Bcast,
@@ -49,6 +49,7 @@ from .syntax import (
     Var,
     AGG_OPS,
     fill_template,
+    indented,
     inter_parts,
     interactions_of,
     q_ratio,
@@ -106,7 +107,10 @@ class SourceProgram:
     chor: Choreography
 
     def declared_atoms(self) -> frozenset[str]:
-        return frozenset().union(*self.caps_decls.values())
+        out: frozenset[str] = frozenset()
+        for atoms in self.caps_decls.values():
+            out |= atoms
+        return out
 
 
 # binding strength of the binary operators, read by the parser and the printer
@@ -255,7 +259,7 @@ class _Parser:
             labels = [l for l, _ in fields["branches"]]
             if len(set(labels)) != len(labels):
                 raise ParseError(f"duplicate branch label in {labels}", self.span(tok))
-        return END_T if cls is EndT else cls(**fields)
+        return cls(**fields)
 
     def branch_arm(self) -> tuple[str, GlobalType]:
         label = self.ident("branch label")
@@ -478,9 +482,11 @@ def _unquote(text: str) -> str:
 
 
 def _validate_atoms(prog: SourceProgram, span) -> None:
+    declared = prog.declared_atoms()
     used = {a for eta in interactions_of(prog.chor) for p in inter_parts(eta).athrs
             for a in p.req | p.off}
-    if undeclared := used - prog.declared_atoms():
+    undeclared = used - declared
+    if undeclared:
         raise UndeclaredCapability(
             f"capability atoms not covered by any caps declaration: {sorted(undeclared)}", span)
 
@@ -531,11 +537,11 @@ def _show(kind: str, value) -> str:
     if kind == "guard":
         return print_expr(value)
     if kind == "chor":
-        return "\n".join("  " + line for line in _print_chor(value))
+        return indented(_print_chor(value))
     return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _print_chor(c: Choreography) -> list[str]:
+def _print_chor(c: Choreography) -> str:
     out = []
     while isinstance(c, Seq):
         if type(c.inter) not in INTERACTIONS:
@@ -546,10 +552,10 @@ def _print_chor(c: Choreography) -> list[str]:
         case End():
             out.append("end")
         case If():
-            out += fill_template(CONDITIONAL, c, _show).split("\n")
+            out.append(fill_template(CONDITIONAL, c, _show))
         case _:
             raise TypeError(f"not a choreography: {c!r}")
-    return out
+    return "\n".join(out)
 
 
 def pretty_print(c: Choreography) -> str:
@@ -558,10 +564,11 @@ def pretty_print(c: Choreography) -> str:
 
 
 def pretty_print_program(prog: SourceProgram) -> str:
-    lines = [f"service {name} : {binding.gtype};"
-             for name, binding in sorted(prog.services.items())]
-    lines += [f"caps {name} = {{{', '.join(sorted(atoms))}}};"
-              for name, atoms in sorted(prog.caps_decls.items())]
+    lines = []
+    for name, binding in sorted(prog.services.items()):
+        lines.append(f"service {name} : {binding.gtype};")
+    for name, atoms in sorted(prog.caps_decls.items()):
+        lines.append(f"caps {name} = {{{', '.join(sorted(atoms))}}};")
     if lines:
         lines.append("")
     return "\n".join(lines) + pretty_print(prog.chor)

@@ -107,6 +107,9 @@ _NAMES = (list, "a list of thread names", str)
 _FIELDS = {"steps": (list, "a list of JSON objects", dict), "available": _NAMES,
            "unavailable": _NAMES, "p": ((int, float), "a number"), "seed": (int, "an integer"),
            "thread": (str, "a thread name"), "from_step": (int, "an integer")}
+# the fields each mode reads; any other is a typo, not a default
+_MODES = {"script": ("mode", "steps"), "bernoulli": ("mode", "p", "seed"),
+          "crash": ("mode", "thread", "from_step")}
 
 
 def _field(data: dict, name: str, default=None):
@@ -116,6 +119,13 @@ def _field(data: dict, name: str, default=None):
             or items and not all(isinstance(item, items[0]) for item in value):
         raise ValueError(f"schedule field {name!r} must be {noun}: {value!r}")
     return value
+
+
+def _only(data: dict, fields: tuple[str, ...], what: str) -> None:
+    """Reject a field of ``data`` that ``what`` does not read."""
+    if unknown := sorted(set(data) - set(fields)):
+        raise ValueError(f"{what} reads no field {', '.join(map(repr, unknown))}; "
+                         f"its fields are {', '.join(map(repr, fields))}")
 
 
 def load_schedule(data, threads: Optional[frozenset[str]] = None) -> AvailabilityOracle:
@@ -131,11 +141,13 @@ def load_schedule(data, threads: Optional[frozenset[str]] = None) -> Availabilit
             raise ValueError(f"schedule names {', '.join(unknown)}, not a free thread of the "
                              f"program ({', '.join(sorted(threads))})")
 
-    mode = data.get("mode")
+    if isinstance(mode := data.get("mode"), str) and mode in _MODES:
+        _only(data, _MODES[mode], f"a {mode} schedule")
     if mode == "script":
         steps = []
         for entry in _field(data, "steps", []):
-            if "available" in entry and "unavailable" in entry:
+            _only(entry, ("available", "unavailable"), "a script step")
+            if len(entry) != 1:
                 raise ValueError(f"a script step lists 'available' or 'unavailable' threads, "
                                  f"not both: {entry!r}")
             which = "available" if "available" in entry else "unavailable"

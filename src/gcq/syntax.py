@@ -152,6 +152,11 @@ def fill_template(template: str, t, show: Callable[[str, object], str]) -> str:
                     for text, field, kind in template_steps(template)])
 
 
+def indented(text: str) -> str:
+    """``text`` with each line led by two more blanks, as a nested block is written."""
+    return "\n".join("  " + line for line in text.split("\n"))
+
+
 # ---------------------------------------------------------------------------
 # Quality predicates
 

@@ -16,7 +16,7 @@ from gcq import syntax
 from gcq.captypes import CapabilityChecker, Failure, Report, check_capabilities, init_ownerships
 from gcq.genchor import corpus, session_chain
 from gcq.gtypes import check_session_only, infer_gamma
-from gcq.linlog import Lolli, Plus, Prover, Tensor, TRUE, own, prove
+from gcq.linlog import Lolli, Plus, Tensor, TRUE, own, prove
 from gcq.parser import parse
 from gcq.projection import check_linearity
 from gcq.syntax import (
@@ -214,19 +214,20 @@ class TestProofSearchCost:
              ",".join(f"t{i}" for i in range(1, 18))), "17 participants exceed the bound 16")]),
     ], ids=["any_all", "blocking", "n17"])
     def test_n8_twin(self, monkeypatch, chor, failures):
-        entries = 0
-        search = Prover._search
+        """At most one communication check per subset of the 8 candidates."""
+        calls = 0
+        check_comm = CapabilityChecker._check_comm
 
         def counted(self, *args):
-            nonlocal entries
-            entries += 1
-            return search(self, *args)
+            nonlocal calls
+            calls += 1
+            return check_comm(self, *args)
 
-        monkeypatch.setattr(Prover, "_search", counted)
+        monkeypatch.setattr(CapabilityChecker, "_check_comm", counted)
         report = check_capabilities([], chor)
         assert not report.ok
         assert report.failures == failures
-        assert entries <= 1000
+        assert calls <= 2 ** 8
 
 
 class TestSessionChain:

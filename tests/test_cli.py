@@ -277,11 +277,16 @@ class TestRuns:
         # is bound and anonymous once projected, so no oracle ever sees it
         {"mode": "crash", "thread": "t9"}, {"mode": "crash", "thread": "t0"},
         {"mode": "script", "steps": [{"unavailable": ["t1"]}, {"available": ["zz"]}]},
+        # a field the mode does not read, and a step that lists no threads
+        {"mode": "crash", "thread": "t1", "fromstep": 5}, {"mode": "bernoulli", "p": 0.5, "sed": 3},
+        {"mode": "script", "steps": [{"unavailable": ["t1"], "from": 2}]},
+        {"mode": "script", "steps": [{}]}, {"mode": ["crash"], "thread": "t1"},
     ], ids=["not-an-object", "script-step-not-an-object", "bernoulli-without-p",
             "steps-not-a-list", "p-a-list", "threads-a-number", "threads-a-string",
             "crash-thread-a-list", "p-true", "p-above-one", "seed-a-list", "from-step-a-string",
             "step-both-lists", "from-step-negative", "crash-unknown-thread",
-            "crash-service-thread", "script-unknown-thread"])
+            "crash-service-thread", "script-unknown-thread", "crash-field-typo",
+            "bernoulli-field-typo", "step-extra-key", "step-empty", "mode-a-list"])
     @pytest.mark.parametrize("command", ["availability", "run-global", "run-net"])
     def test_malformed_schedule_is_an_input_error(self, command, schedule, tmp_path, capsys):
         sched = tmp_path / "sched.json"
@@ -374,6 +379,19 @@ class TestProjectRoundTrip:
                                "--seed", "4", capsys=capsys)
         assert code == 0
         assert json.loads(out.splitlines()[-1])["verdict"] == "Completed"
+
+    @pytest.mark.parametrize("manifest", [
+        [{"threads": []}], {"threads": "x"}, {"threads": [{"thread": "t1"}]},
+        {"services": [{"file": "s.epq", "service": "svc"}]}, {"queues": [1]},
+        {"restricted": "k"},
+    ], ids=["a-list", "threads-a-string", "thread-without-file", "service-without-role",
+            "queue-not-a-name", "restricted-a-string"])
+    def test_malformed_manifest_is_a_usage_error(self, manifest, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        (tmp_path / "s.epq").write_text("end")
+        code, _, err = run_cli("run-net", str(path), capsys=capsys)
+        assert code == 2 and err.startswith("error:"), err
 
     def test_syntax_error_names_the_process_file(self, tmp_path, capsys):
         assert run_cli("project", str(GOLDEN / "sensors_all.gcq"), "-o", str(tmp_path),
