@@ -25,9 +25,9 @@ writes it back (the line ``name print 0 text``), so a change to the
 Each line is ``name command exit-code output``, with the output written as
 a JSON string, so that a moved line break shows.  Every input is named
 relative to the working directory, which is a fresh temporary one, so the
-manifest's ``program`` field is the bare file name.  The output depends on nothing but the sources,
-so two runs under different ``PYTHONHASHSEED`` values must print the same
-bytes.
+manifest's ``program`` field is the bare file name.  The output depends
+on nothing but the sources, so two runs under different ``PYTHONHASHSEED``
+values must print the same bytes.
 
 ``--src`` names the ``gcq`` source tree to import (default: this
 checkout's ``src``), so one script and one set of inputs can run against

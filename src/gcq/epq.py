@@ -581,7 +581,7 @@ def canon_table() -> CanonTable:
 
 # The one definition of the ``.epq`` text: each process class, the noun its
 # errors use, and its text, whose ``{field}`` holes are read by
-# ``_HOLES[field]`` and written by ``_show``.  A role-list field is written
+# ``_HOLES[field]`` and written by ``_SHOWS[field]``.  A role-list field is written
 # comma-separated; a single role (``sender``, ``receiver``, ``role``) is
 # read as a role list so that several get their own error; ``quality`` is
 # written ``[q]``; a nested process is indented.  Each text but those of
@@ -604,24 +604,16 @@ _PREFIXES = {
 _NO_CONT = (Branch, IfP, Inact)
 _NESTED = ("then", "orelse", "branches")  # the fields that hold processes
 _ONE_ROLE = frozenset({"sender", "receiver", "role"})
-_ROLES = _ONE_ROLE | {"roles", "senders", "receivers"}
+_ROLE_LISTS = ("roles", "senders", "receivers")
 _HOLES = {"quality": _Parser.quality, "expr": _Parser.expr, "op": _Parser.agg_op,
-          **dict.fromkeys(_ROLES, _Parser.roles),
+          **dict.fromkeys((*_ONE_ROLE, *_ROLE_LISTS), _Parser.roles),
           **dict.fromkeys(("svc", "key", "var", "label"), _Parser.ident),
-          "then": lambda p: p.proc(), "orelse": lambda p: p.proc(),
-          "branches": lambda p: p.comma_list(p._arm)}
-
-
-def _show(name: str, value) -> str:
-    if name == "quality":
-        return f"[{value}]"
-    if name == "expr":
-        return print_expr(value)
-    if name in ("then", "orelse"):
-        return indented(print_proc(value))
-    if name == "branches":
-        return ",\n".join(indented(f"{l}:\n" + indented(print_proc(c))) for l, c in value)
-    return ",".join(value) if isinstance(value, tuple) else value
+          **dict.fromkeys(("then", "orelse"), lambda p: p.proc()),
+          "branches": lambda p: p.comma_list(p.pair, _Parser.ident, ":", _ProcParser.proc)}
+_SHOWS = {"quality": "[{}]".format, "expr": print_expr, **dict.fromkeys(_ROLE_LISTS, ",".join),
+          **dict.fromkeys(("then", "orelse"), lambda p: indented(print_proc(p))),
+          "branches": lambda arms: ",\n".join(indented(f"{l}:\n" + indented(print_proc(c)))
+                                               for l, c in arms)}
 
 
 def print_proc(p: Proc) -> str:
@@ -629,7 +621,7 @@ def print_proc(p: Proc) -> str:
     and then its continuation's.  :func:`parse_proc` reads it back equal."""
     if type(p) not in _PREFIXES:
         raise TypeError(f"not a process: {p!r}")
-    text = fill_template(_PREFIXES[type(p)][1], p, _show)
+    text = fill_template(_PREFIXES[type(p)][1], p, _SHOWS)
     return text if isinstance(p, _NO_CONT) else text + "\n" + print_proc(p.cont)
 
 
@@ -640,41 +632,21 @@ class _ProcParser(_Parser):
     patterns = _patterns(r"[!?] | " + _TOKENS)
 
     def proc(self) -> Proc:
-        start, failures = self.pos, []
-        for cls, (noun, _) in _PREFIXES.items():
-            keyword, steps = _STEPS[cls]
-            if keyword != self.tokens[start]:
-                continue
-            self.pos = start
-            try:
-                fields = self._prefix(noun, steps)
-            except ParseError as exc:
-                failures.append((self.pos, exc))
-                continue
-            return cls(**fields) if cls in _NO_CONT else cls(**fields, cont=self.proc())
-        if not failures:
-            keywords = dict.fromkeys(keyword for keyword, _ in _STEPS.values())
-            raise ParseError(f"expected a process, found {self.tokens[start]!r}", self.span(start),
-                             tuple(keywords))
-        raise max(failures, key=lambda f: f[0])[1]
+        cls, fields = self.form(_ROWS, "a process")
+        return cls(**fields) if cls in _NO_CONT else cls(**fields, cont=self.proc())
 
-    def _prefix(self, noun: str, steps: tuple) -> dict:
-        """The fields of a prefix whose text has these steps.  Several roles in a
+    def read_form(self, cls: type, steps: tuple) -> dict:
+        """The fields of a ``cls`` whose text has these steps.  Several roles in a
         single-role field fail once the rest has matched up to the first nested
         process, as the furthest failure."""
         kw = self.pos
         cut = next((i for i, step in enumerate(steps) if step[1] in _NESTED), len(steps))
         fields = self.read_template(steps[:cut])
         if several := [name for name in fields if name in _ONE_ROLE and len(fields[name]) > 1]:
-            raise ParseError(f"{noun} has exactly one {several[0]}", self.span(kw))
+            raise ParseError(f"{_PREFIXES[cls][0]} has exactly one {several[0]}", self.span(kw))
         fields.update(self.read_template(steps[cut:]))
         return {name: value[0] if name in _ONE_ROLE else value
                 for name, value in fields.items()}
-
-    def _arm(self) -> tuple[str, Proc]:
-        label = self.ident()
-        self.expect(":")
-        return label, self.proc()
 
 
 def parse_proc(text: str) -> Proc:
@@ -690,6 +662,4 @@ def parse_proc(text: str) -> Proc:
     return p
 
 
-# each class's keyword and the steps of its text
-_STEPS = {cls: (_ProcParser(text).peek(), _ProcParser.steps(text, _HOLES))
-          for cls, (_, text) in _PREFIXES.items()}
+_ROWS = _ProcParser.rows({cls: text for cls, (_, text) in _PREFIXES.items()}, _HOLES)

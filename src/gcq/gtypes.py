@@ -104,7 +104,7 @@ GlobalType = Union[EndT, BcastT, RedT, BranchT]
 END_T = EndT()
 
 # The one definition of the text of each protocol: its class and its text,
-# whose ``{field}`` holes ``gcq.parser`` reads and ``_show`` writes: a role
+# whose ``{field}`` holes ``gcq.parser`` reads and ``_SHOWS`` writes: a role
 # list comma-separated, a branching's arms as ``label: protocol``.
 PROTOCOLS = {
     EndT: "end",
@@ -113,15 +113,10 @@ PROTOCOLS = {
     BranchT: "branch {sender}->({receivers}){{{branches}}}",
 }
 
-
-def _show(kind: str, value) -> str:
-    if kind == "branches":
-        return ", ".join(f"{l}: {g}" for l, g in value)
-    return ",".join(value) if isinstance(value, tuple) else str(value)
-
-
+_SHOWS = {"senders": ",".join, "receivers": ",".join,
+          "branches": lambda arms: ", ".join(f"{l}: {g}" for l, g in arms)}
 EndT.__str__ = BcastT.__str__ = RedT.__str__ = BranchT.__str__ = (
-    lambda g: fill_template(PROTOCOLS[type(g)], g, _show))
+    lambda g: fill_template(PROTOCOLS[type(g)], g, _SHOWS))
 
 
 def branch_t(sender: Role, receivers: Iterable[Role], branches: Mapping[str, GlobalType]) -> BranchT:

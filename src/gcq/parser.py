@@ -106,12 +106,6 @@ class SourceProgram:
     caps_decls: dict[str, frozenset[str]]
     chor: Choreography
 
-    def declared_atoms(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for atoms in self.caps_decls.values():
-            out |= atoms
-        return out
-
 
 # binding strength of the binary operators, read by the parser and the printer
 _PREC = {"or": 1, "and": 2, "=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
@@ -196,6 +190,15 @@ class _Parser:
         return tuple((cls(literal).tokens[:-1], field, field and holes[kind])
                      for literal, field, kind in template_steps(text))
 
+    @classmethod
+    def rows(cls, table: dict, holes: dict) -> dict:
+        """Each keyword of ``table``'s texts and the rows that begin with it, in
+        table order: each the class and the :meth:`steps` of its text."""
+        out: dict = {}
+        for kind, text in table.items():
+            out.setdefault(cls(text).peek(), []).append((kind, cls.steps(text, holes)))
+        return out
+
     def read_template(self, steps: tuple) -> dict:
         """The fields of a term whose text has these :meth:`steps`: each
         literal token is expected in turn and each hole read by its reader."""
@@ -208,6 +211,26 @@ class _Parser:
             if field:
                 fields[field] = read(self)
         return fields
+
+    def read_form(self, cls: type, steps: tuple) -> dict:
+        """The fields of a ``cls`` whose text has these steps (see :meth:`form`)."""
+        return self.read_template(steps)
+
+    def form(self, rows: dict, what: str, *also: str) -> tuple[type, dict]:
+        """The class and fields of the form that comes next, by :meth:`rows`.  The rows
+        of its keyword are tried in order, so that those sharing it are told apart by
+        what follows it; when none matches, the failure that got furthest is raised."""
+        start, failures = self.pos, []
+        for cls, steps in rows.get(self.tokens[start], ()):
+            self.pos = start
+            try:
+                return cls, self.read_form(cls, steps)
+            except ParseError as exc:
+                failures.append((self.pos, exc))
+        if not failures:
+            raise ParseError(f"expected {what}, found {self.tokens[start]!r}", self.span(start),
+                             (*rows, *also))
+        raise max(failures, key=lambda f: f[0])[1]
 
     # -- program
 
@@ -251,20 +274,12 @@ class _Parser:
 
     def gtype(self) -> GlobalType:
         tok = self.pos
-        if (row := _PROTOCOL_ROWS.get(self.peek())) is None:
-            raise ParseError(f"expected a protocol, found {self.peek()!r}", self.span(tok),
-                             tuple(_PROTOCOL_ROWS))
-        cls, fields = row[0], self.read_template(row[1])
+        cls, fields = self.form(_PROTOCOL_ROWS, "a protocol")
         if cls is BranchT:
             labels = [l for l, _ in fields["branches"]]
             if len(set(labels)) != len(labels):
                 raise ParseError(f"duplicate branch label in {labels}", self.span(tok))
         return cls(**fields)
-
-    def branch_arm(self) -> tuple[str, GlobalType]:
-        label = self.ident("branch label")
-        self.expect(":")
-        return label, self.gtype()
 
     def roles(self) -> tuple[str, ...]:
         return self.comma_list(self.ident, "role")
@@ -282,17 +297,12 @@ class _Parser:
         while not self.at("end", "if"):
             inters.append(self.interaction())
             self.expect(";")
-        if self.at("end"):
-            self.pos += 1
-            return seq(*inters, End())
-        return seq(*inters, If(**self.read_template(_CONDITIONAL_STEPS)))
+        cls, fields = self.form(_ENDING_ROWS, "an ending")
+        return seq(*inters, cls(**fields))
 
     def interaction(self) -> Interaction:
         tok = self.pos
-        if (row := _INTERACTION_ROWS.get(self.peek())) is None:
-            raise ParseError(f"expected an interaction, found {self.peek()!r}", self.span(tok),
-                             (*_INTERACTION_ROWS, "if", "end"))
-        cls, fields = row[0], self.read_template(row[1])
+        cls, fields = self.form(_INTERACTION_ROWS, "an interaction", "if", "end")
         if cls is not Init:
             return cls(**fields)
         threads = [p.thread for p in fields["actives"] + fields["services"]]
@@ -329,15 +339,11 @@ class _Parser:
             return ()
         return self.comma_list(self.ident, "capability atom")
 
-    def recv(self) -> tuple[AnnotatedThread, str]:
-        p = self.athr()
-        self.expect(":")
-        return p, self.ident("variable")
-
-    def send(self) -> tuple[AnnotatedThread, Expr]:
-        p = self.athr()
-        self.expect(".")
-        return p, self.expr()
+    def pair(self, first, sep: str, second) -> tuple:
+        """``first(self)``, ``sep`` and ``second(self)``: a list item such as a branch arm."""
+        item = first(self)
+        self.expect(sep)
+        return item, second(self)
 
     def agg_op(self, what: str = "identifier") -> str:
         op = self.ident(what)
@@ -442,17 +448,18 @@ class _Parser:
                          self.span(self.pos), ("expression",))
 
 
-# The one definition of the text of each interaction and of a conditional:
-# the class and its text, whose holes ``{field}`` or ``{field:kind}`` are
-# read by ``_HOLES[kind]`` and written by ``_show``; a conditional's branches
-# are indented on the lines between.  Protocols: ``gtypes.PROTOCOLS``.
+# The one definition of the text of each interaction and of each ending of a
+# choreography: the class and its text, whose holes ``{field}`` or
+# ``{field:kind}`` are read by ``_HOLES[kind]`` and written by ``_SHOWS[kind]``;
+# a conditional's branches are indented on the lines between.  Protocols:
+# ``gtypes.PROTOCOLS``.
 INTERACTIONS = {
     Init: "start {key} ({svc}) ({actives:offers}) -> ({services:offers})",
     Bcast: "bcast {key} {quality} {sender}.{expr} -> ({receivers:recvs})",
     Reduce: "reduce {key} {quality} {op} ({senders}) -> {receiver} : {bind_var}",
     Select: "select {key} {quality:select} {sender} -> ({receivers:athrs}) : {label}",
 }
-CONDITIONAL = "if {guard} @ {at} {{\n{then:chor}\n}} else {{\n{orelse:chor}\n}}"
+ENDINGS = {End: "end", If: "if {guard} @ {at} {{\n{then:chor}\n}} else {{\n{orelse:chor}\n}}"}
 _HOLES = {
     "key": lambda p: p.ident("session key"), "svc": lambda p: p.ident("service name"),
     "label": lambda p: p.ident("label"), "bind_var": lambda p: p.ident("variable"),
@@ -460,20 +467,19 @@ _HOLES = {
     "quality": _Parser.quality, "select": lambda p: p.quality(select=True),
     "sender": _Parser.athr, "receiver": _Parser.athr,
     "offers": lambda p: p.comma_list(p.athr, True), "athrs": lambda p: p.comma_list(p.athr),
-    "senders": lambda p: p.comma_list(p.send), "recvs": lambda p: p.comma_list(p.recv),
+    "senders": lambda p: p.comma_list(p.pair, _Parser.athr, ".", _Parser.expr),
+    "recvs": lambda p: p.comma_list(p.pair, _Parser.athr, ":", _HOLES["bind_var"]),
     "guard": _Parser.expr, "at": lambda p: p.ident("thread"), "chor": _Parser.chor,
 }
 _PROTOCOL_HOLES = {
     "sender": lambda p: p.ident("role"), "receiver": lambda p: p.ident("role"),
     "senders": _Parser.roles, "receivers": _Parser.roles, "sort": _Parser.sort,
-    "cont": _Parser.gtype, "branches": lambda p: p.comma_list(p.branch_arm),
+    "cont": _Parser.gtype, "branches": lambda p: p.comma_list(
+        p.pair, lambda p: p.ident("branch label"), ":", _Parser.gtype),
 }
-# each table's keyword -> its class and the steps of its text
-_INTERACTION_ROWS = {_Parser(text).peek(): (cls, _Parser.steps(text, _HOLES))
-                     for cls, text in INTERACTIONS.items()}
-_PROTOCOL_ROWS = {_Parser(text).peek(): (cls, _Parser.steps(text, _PROTOCOL_HOLES))
-                  for cls, text in PROTOCOLS.items()}
-_CONDITIONAL_STEPS = _Parser.steps(CONDITIONAL, _HOLES)
+_INTERACTION_ROWS = _Parser.rows(INTERACTIONS, _HOLES)
+_PROTOCOL_ROWS = _Parser.rows(PROTOCOLS, _PROTOCOL_HOLES)
+_ENDING_ROWS = _Parser.rows(ENDINGS, _HOLES)
 
 
 def _unquote(text: str) -> str:
@@ -482,7 +488,7 @@ def _unquote(text: str) -> str:
 
 
 def _validate_atoms(prog: SourceProgram, span) -> None:
-    declared = prog.declared_atoms()
+    declared = frozenset().union(*prog.caps_decls.values())
     used = {a for eta in interactions_of(prog.chor) for p in inter_parts(eta).athrs
             for a in p.req | p.off}
     undeclared = used - declared
@@ -525,20 +531,13 @@ def print_expr(e: Expr, parent_prec: int = 0) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _show(kind: str, value) -> str:
-    if kind in ("quality", "select"):
-        return f"[{value}]"
-    if kind == "expr":
-        return print_expr(value, _ATOM)
-    if kind == "senders":
-        return ", ".join(f"{p}.{print_expr(e, _ATOM)}" for p, e in value)
-    if kind == "recvs":
-        return ", ".join(f"{p}: {x}" for p, x in value)
-    if kind == "guard":
-        return print_expr(value)
-    if kind == "chor":
-        return indented(_print_chor(value))
-    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+_SHOWS = {
+    "quality": "[{}]".format, "select": "[{}]".format, "expr": lambda e: print_expr(e, _ATOM),
+    "senders": lambda pairs: ", ".join(f"{p}.{print_expr(e, _ATOM)}" for p, e in pairs),
+    "recvs": lambda pairs: ", ".join(f"{p}: {x}" for p, x in pairs),
+    **dict.fromkeys(("offers", "athrs"), lambda athrs: ", ".join(map(str, athrs))),
+    "guard": print_expr, "chor": lambda c: indented(_print_chor(c)),
+}
 
 
 def _print_chor(c: Choreography) -> str:
@@ -546,29 +545,21 @@ def _print_chor(c: Choreography) -> str:
     while isinstance(c, Seq):
         if type(c.inter) not in INTERACTIONS:
             raise TypeError(f"not an interaction: {c.inter!r}")
-        out.append(fill_template(INTERACTIONS[type(c.inter)], c.inter, _show) + ";")
+        out.append(fill_template(INTERACTIONS[type(c.inter)], c.inter, _SHOWS) + ";")
         c = c.cont
-    match c:
-        case End():
-            out.append("end")
-        case If():
-            out.append(fill_template(CONDITIONAL, c, _show))
-        case _:
-            raise TypeError(f"not a choreography: {c!r}")
-    return "\n".join(out)
+    if type(c) not in ENDINGS:
+        raise TypeError(f"not a choreography: {c!r}")
+    return "\n".join(out + [fill_template(ENDINGS[type(c)], c, _SHOWS)])
 
 
 def pretty_print(c: Choreography) -> str:
     """Program text whose parse is structurally equal to ``c``."""
-    return "choreography {\n" + _show("chor", c) + "\n}\n"
+    return "choreography {\n" + indented(_print_chor(c)) + "\n}\n"
 
 
 def pretty_print_program(prog: SourceProgram) -> str:
-    lines = []
-    for name, binding in sorted(prog.services.items()):
-        lines.append(f"service {name} : {binding.gtype};")
-    for name, atoms in sorted(prog.caps_decls.items()):
-        lines.append(f"caps {name} = {{{', '.join(sorted(atoms))}}};")
-    if lines:
-        lines.append("")
-    return "\n".join(lines) + pretty_print(prog.chor)
+    decls = [f"service {name} : {binding.gtype};\n"
+             for name, binding in sorted(prog.services.items())]
+    decls += [f"caps {name} = {{{', '.join(sorted(atoms))}}};\n"
+              for name, atoms in sorted(prog.caps_decls.items())]
+    return "".join(decls) + pretty_print(prog.chor)

@@ -146,9 +146,10 @@ def template_steps(template: str) -> tuple[tuple[str, Optional[str], Optional[st
                  for text, field, spec, _ in string.Formatter().parse(template))
 
 
-def fill_template(template: str, t, show: Callable[[str, object], str]) -> str:
-    """The text of ``t`` by ``template``: each hole written ``show(kind, value)``."""
-    return "".join([text if field is None else text + show(kind, getattr(t, field))
+def fill_template(template: str, t, shows: Mapping[str, Callable[[object], str]]) -> str:
+    """The text of ``t`` by ``template``: each hole written by ``shows[kind]``,
+    or by ``str`` if its kind has none."""
+    return "".join([text if field is None else text + shows.get(kind, str)(getattr(t, field))
                     for text, field, kind in template_steps(template)])
 
 

@@ -24,6 +24,7 @@ from gcq.syntax import (
     AGG_OPS,
     AnnotatedThread,
     Bcast,
+    Expr,
     Init,
     Interaction,
     Q_ALL,
@@ -153,6 +154,21 @@ class ReferenceParser(_Parser):
         out = self.comma_list(lambda: self.athr(offer))
         self.expect(")")
         return tuple(out)
+
+    def branch_arm(self) -> tuple[str, GlobalType]:
+        label = self.ident("branch label")
+        self.expect(":")
+        return label, self.gtype()
+
+    def recv(self) -> tuple[AnnotatedThread, str]:
+        p = self.athr()
+        self.expect(":")
+        return p, self.ident("variable")
+
+    def send(self) -> tuple[AnnotatedThread, Expr]:
+        p = self.athr()
+        self.expect(".")
+        return p, self.expr()
 
 
 def parse(text: str, lax_select: bool = False) -> SourceProgram:
