@@ -158,6 +158,8 @@ def _network_from_manifest(path: Path) -> Network:
             raise
 
     threads = _listed(manifest, "threads", "file")
+    if bad := [entry for entry in threads if not isinstance(entry.get("thread", ""), str)]:
+        raise ValueError(f"a manifest thread's 'thread' must be a thread name: {bad[0]!r}")
     services = _listed(manifest, "services", "file", "service", "role")
     queues, restricted = _listed(manifest, "queues"), _listed(manifest, "restricted")
     components = [Component(proc(entry), owner=entry.get("thread")) for entry in threads]

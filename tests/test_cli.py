@@ -383,9 +383,9 @@ class TestProjectRoundTrip:
     @pytest.mark.parametrize("manifest", [
         [{"threads": []}], {"threads": "x"}, {"threads": [{"thread": "t1"}]},
         {"services": [{"file": "s.epq", "service": "svc"}]}, {"queues": [1]},
-        {"restricted": "k"},
+        {"restricted": "k"}, {"threads": [{"file": "s.epq", "thread": ["t1"]}]},
     ], ids=["a-list", "threads-a-string", "thread-without-file", "service-without-role",
-            "queue-not-a-name", "restricted-a-string"])
+            "queue-not-a-name", "restricted-a-string", "thread-name-a-list"])
     def test_malformed_manifest_is_a_usage_error(self, manifest, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
