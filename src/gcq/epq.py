@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
     Expr,
@@ -276,8 +276,12 @@ class Network:
 # Names, renaming, substitution
 
 
-KEY_BINDERS = (Request, AcceptOnce, AcceptRepl)  # bind ``key`` in ``cont``
-VAR_BINDERS = (InP, QIn, WaitIn)                 # bind ``var`` in ``cont``
+# The scope rule of processes: each binder class and the field it binds in
+# ``cont``, a session key or a variable.  :func:`rename` reads it, and so do
+# the walks that must not see a bound name.
+BINDS = {Request: "key", AcceptOnce: "key", AcceptRepl: "key",
+         InP: "var", QIn: "var", WaitIn: "var"}
+_HOLDS_EXPR = (QOut, OutP, IfP)  # the processes with an ``expr``
 
 
 def proc_conts(p: Proc) -> tuple[Proc, ...]:
@@ -311,7 +315,7 @@ def map_cont(p: Proc, f: Callable[[Proc], Proc], **fields) -> Proc:
 
 def proc_free_names(p: Proc) -> frozenset[str]:
     """Free session keys and service names of a process."""
-    if isinstance(p, KEY_BINDERS):
+    if BINDS.get(type(p)) == "key":
         return frozenset({p.svc}) | (proc_free_names(p.cont) - {p.key})
     out = frozenset({p.key}) if hasattr(p, "key") else frozenset()
     for c in proc_conts(p):
@@ -319,41 +323,40 @@ def proc_free_names(p: Proc) -> frozenset[str]:
     return out
 
 
+def rename(p: Proc, env: Mapping[tuple[str, str], object],
+           fresh: Optional[Callable[[], str]] = None) -> Proc:
+    """``p`` with each free name in ``env`` replaced, all at once: a session
+    ``("key", k)`` by a name, a variable ``("var", x)`` by an expression.  A
+    binder hides its own name.  ``fresh``, if given, names every binder anew,
+    in walk order: a binder before its continuation, and continuations in
+    the order of :func:`proc_conts`.  One pass per name would rename twice a
+    name that is both a target and a source, as in ``{a: b, b: a}``."""
+    if not env and fresh is None:
+        return p
+    fields, inner = {}, env
+    bound = BINDS.get(type(p))
+    if bound is not None:
+        name = (bound, getattr(p, bound))
+        if fresh is not None:
+            new = fields[bound] = fresh()
+            inner = {**env, name: Var(new) if bound == "var" else new}
+        elif name in env:
+            inner = {n: v for n, v in env.items() if n != name}
+    if bound != "key" and ("key", getattr(p, "key", None)) in env:
+        fields["key"] = env["key", p.key]
+    if env and isinstance(p, _HOLDS_EXPR):
+        fields["expr"] = map_vars(p.expr, lambda x: env.get(("var", x), Var(x)))
+    return map_cont(p, lambda c: rename(c, inner, fresh), **fields)
+
+
 def rename_key(p: Proc, old: str, new: str) -> Proc:
     """Substitute a free session name (capture by binders stops the walk)."""
-    return rename_keys(p, {old: new}) if old != new else p
-
-
-def rename_keys(p: Proc, ren: dict[str, str]) -> Proc:
-    """Substitute free session names all at once; a binder hides its own
-    name.  One pass per name would rename twice a name that is both a
-    target and a source, as in ``{a: b, b: a}``."""
-    if isinstance(p, KEY_BINDERS) and p.key in ren:
-        ren = {old: new for old, new in ren.items() if old != p.key}
-        if not ren:
-            return p
-    fields = {"key": ren[p.key]} if getattr(p, "key", None) in ren else {}
-    return map_cont(p, lambda c: rename_keys(c, ren), **fields)
-
-
-def _subst(p: Proc, var: str, e: Expr) -> Proc:
-    """Substitute an expression for a free variable (binders stop the walk)."""
-    if isinstance(p, VAR_BINDERS) and p.var == var:
-        return p
-    fields = {}
-    if isinstance(p, (QOut, OutP, IfP)):
-        fields["expr"] = map_vars(p.expr, lambda x: e if x == var else Var(x))
-    return map_cont(p, lambda c: _subst(c, var, e), **fields)
+    return rename(p, {("key", old): new}) if old != new else p
 
 
 def subst_var(p: Proc, var: str, value: OptValue) -> Proc:
     """Substitute an optional value for a free variable in a process."""
-    return _subst(p, var, value_expr(value))
-
-
-def rename_var(p: Proc, old: str, new: str) -> Proc:
-    """Rename a free variable of a process."""
-    return _subst(p, old, Var(new))
+    return rename(p, {("var", var): value_expr(value)})
 
 
 # ---------------------------------------------------------------------------
@@ -362,32 +365,13 @@ def rename_var(p: Proc, old: str, new: str) -> Proc:
 _BOUND = "κ"  # canonical bound-name prefix
 
 
-def proc_canon(p: Proc, avoid: Optional[frozenset] = None, env: Optional[dict] = None,
-               fresh=None) -> Proc:
-    """Rename bound session keys and variables to canonical names.
-
-    Fresh names are numbered in walk order: a binder before its
-    continuation, and continuations in the order of :func:`proc_conts`.
-    They skip ``avoid`` (by default the free names of ``p``), so no binder
-    captures a free session.
-    """
-    if fresh is None:
-        avoid = proc_free_names(p) if avoid is None else avoid
-        fresh = (n for n in (f"{_BOUND}{i}" for i in itertools.count(1)) if n not in avoid)
-    env = env or {}
-    inner = env
-    fields = {}
-    if isinstance(p, KEY_BINDERS):
-        fields["key"] = next(fresh)
-        inner = {**env, ("k", p.key): fields["key"]}
-    elif hasattr(p, "key"):
-        fields["key"] = env.get(("k", p.key), p.key)
-    if isinstance(p, VAR_BINDERS):
-        fields["var"] = next(fresh)
-        inner = {**env, ("v", p.var): fields["var"]}
-    if isinstance(p, (QOut, OutP, IfP)):
-        fields["expr"] = map_vars(p.expr, lambda x: Var(env.get(("v", x), x)))
-    return map_cont(p, lambda c: proc_canon(c, avoid, inner, fresh), **fields)
+def proc_canon(p: Proc, avoid: Optional[frozenset] = None) -> Proc:
+    """Rename bound session keys and variables to canonical names, numbered
+    in the walk order of :func:`rename`.  They skip ``avoid`` (by default
+    the free names of ``p``), so no binder captures a free session."""
+    avoid = proc_free_names(p) if avoid is None else avoid
+    names = (n for n in (f"{_BOUND}{i}" for i in itertools.count(1)) if n not in avoid)
+    return rename(p, {}, names.__next__)
 
 
 def reachable_msgs(msgs: tuple[Msg, ...]) -> list[int]:
@@ -472,7 +456,8 @@ def net_canon(net: Network, memo: Optional[dict] = None) -> Network:
             if part:
                 renamed = memo.get((form, part))
                 if renamed is None:
-                    c = Component(rename_keys(form.proc, dict(part)), form.owner, form.service)
+                    env = {("key", old): new for old, new in part}
+                    c = Component(rename(form.proc, env), form.owner, form.service)
                     renamed = memo[(form, part)] = (c, _component_key(c))
                 final.append(renamed + (occ, free))
             else:
@@ -515,7 +500,7 @@ def _component_key(c: Component):
 
 def _occ_order(p: Proc) -> list[str]:
     """The session keys a process acts on, in walk order (binders add none)."""
-    out = [] if isinstance(p, KEY_BINDERS) or not hasattr(p, "key") else [p.key]
+    out = [] if BINDS.get(type(p)) == "key" or not hasattr(p, "key") else [p.key]
     for c in proc_conts(p):
         out += _occ_order(c)
     return out
@@ -610,19 +595,35 @@ _HOLES = {"quality": _Parser.quality, "expr": _Parser.expr, "op": _Parser.agg_op
           **dict.fromkeys(("svc", "key", "var", "label"), _Parser.ident),
           **dict.fromkeys(("then", "orelse"), lambda p: p.proc()),
           "branches": lambda p: p.comma_list(p.pair, _Parser.ident, ":", _ProcParser.proc)}
+
+
+def _show_arms(arms: tuple[tuple[str, Proc], ...]) -> str:
+    """A branching's arms, each its label and then its process, indented.  A
+    plain loop that ``fill_template`` calls directly, so that a nested arm
+    costs three frames: this function, :func:`print_proc` and ``fill_template``."""
+    texts = []
+    for label, c in arms:
+        texts.append(indented(f"{label}:\n" + indented(print_proc(c))))
+    return ",\n".join(texts)
+
+
 _SHOWS = {"quality": "[{}]".format, "expr": print_expr, **dict.fromkeys(_ROLE_LISTS, ",".join),
           **dict.fromkeys(("then", "orelse"), lambda p: indented(print_proc(p))),
-          "branches": lambda arms: ",\n".join(indented(f"{l}:\n" + indented(print_proc(c)))
-                                               for l, c in arms)}
+          "branches": _show_arms}
 
 
 def print_proc(p: Proc) -> str:
-    """The text of ``p`` in the ``.epq`` format: its text from :data:`_PREFIXES`
-    and then its continuation's.  :func:`parse_proc` reads it back equal."""
-    if type(p) not in _PREFIXES:
-        raise TypeError(f"not a process: {p!r}")
-    text = fill_template(_PREFIXES[type(p)][1], p, _SHOWS)
-    return text if isinstance(p, _NO_CONT) else text + "\n" + print_proc(p.cont)
+    """The text of ``p`` in the ``.epq`` format: the texts from :data:`_PREFIXES`
+    of each prefix of its chain, one per line, in a loop, so that only a nested
+    process costs stack.  :func:`parse_proc` reads it back equal."""
+    lines = []
+    while True:
+        if type(p) not in _PREFIXES:
+            raise TypeError(f"not a process: {p!r}")
+        lines.append(fill_template(_PREFIXES[type(p)][1], p, _SHOWS))
+        if isinstance(p, _NO_CONT):
+            return "\n".join(lines)
+        p = p.cont
 
 
 class _ProcParser(_Parser):
@@ -632,8 +633,16 @@ class _ProcParser(_Parser):
     patterns = _patterns(r"[!?] | " + _TOKENS)
 
     def proc(self) -> Proc:
-        cls, fields = self.form(_ROWS, "a process")
-        return cls(**fields) if cls in _NO_CONT else cls(**fields, cont=self.proc())
+        """A process: the prefixes of its chain read in a loop, up to the first
+        of :data:`_NO_CONT`, and then built inside out."""
+        chain = [self.form(_ROWS, "a process")]
+        while chain[-1][0] not in _NO_CONT:
+            chain.append(self.form(_ROWS, "a process"))
+        cls, fields = chain.pop()
+        p = cls(**fields)
+        for cls, fields in reversed(chain):
+            p = cls(**fields, cont=p)
+        return p
 
     def read_form(self, cls: type, steps: tuple) -> dict:
         """The fields of a ``cls`` whose text has these steps.  Several roles in a

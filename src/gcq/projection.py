@@ -23,8 +23,8 @@ from .epq import (
     Component,
     IfP,
     INACT,
+    BINDS,
     InP,
-    KEY_BINDERS,
     Network,
     OutP,
     Proc,
@@ -33,7 +33,6 @@ from .epq import (
     QSel,
     Queue,
     Request,
-    VAR_BINDERS,
     WaitIn,
     WaitOut,
     canon_table,
@@ -41,8 +40,7 @@ from .epq import (
     proc_canon,
     proc_conts,
     proc_free_names,
-    rename_key,
-    rename_var,
+    rename,
 )
 from .captypes import Failure, Report, describe_interaction, listed_twice
 from .netsem import net_enabled
@@ -56,6 +54,7 @@ from .syntax import (
     Select,
     Seq,
     Thread,
+    Var,
     comm_parts,
     free_names,
     interactions_of,
@@ -204,10 +203,11 @@ def merge(p: Proc, q: Proc, path: str = "") -> Proc:
     if type(p) is not type(q):
         raise NotMergeable(path, f"{type(p).__name__} vs {type(q).__name__}")
     p_conts, q_conts, bound = proc_conts(p), proc_conts(q), {}
-    if isinstance(q, KEY_BINDERS):
-        bound, q_conts = {"key": p.key}, (rename_key(q.cont, q.key, p.key),)
-    elif isinstance(q, VAR_BINDERS) and q.var != p.var:
-        bound, q_conts = {"var": p.var}, (rename_var(q.cont, q.var, p.var),)
+    field = BINDS.get(type(q))
+    if field is not None and getattr(q, field) != getattr(p, field):
+        old, new = getattr(q, field), getattr(p, field)
+        bound = {field: new}
+        q_conts = (rename(q.cont, {(field, old): Var(new) if field == "var" else new}),)
     steps, reason = _MERGE_RULE[type(p)]
     if map_cont(p, _erased) != map_cont(q, _erased, **bound):
         raise NotMergeable(path, reason)

@@ -148,9 +148,12 @@ def template_steps(template: str) -> tuple[tuple[str, Optional[str], Optional[st
 
 def fill_template(template: str, t, shows: Mapping[str, Callable[[object], str]]) -> str:
     """The text of ``t`` by ``template``: each hole written by ``shows[kind]``,
-    or by ``str`` if its kind has none."""
-    return "".join([text if field is None else text + shows.get(kind, str)(getattr(t, field))
-                    for text, field, kind in template_steps(template)])
+    or by ``str`` if its kind has none.  A plain loop, so that a nested term's
+    text costs no comprehension frame."""
+    out = []
+    for text, field, kind in template_steps(template):
+        out.append(text if field is None else text + shows.get(kind, str)(getattr(t, field)))
+    return "".join(out)
 
 
 def indented(text: str) -> str:

@@ -36,10 +36,9 @@ class TestCheck:
         got, _, _ = run_cli("check", str(GOLDEN / f"{name}.gcq"), capsys=capsys)
         assert got == code
 
-    # program -> exit codes of check, run-global, cosim and availability, as
-    # scripts/run_golden.py prints them.  The check column is the README's
-    # golden matrix; the other three record the toolchain's output when this
-    # table was written, not a derived answer.
+    # program -> exit codes of check, run-global, cosim and availability.
+    # The check column is the README's golden matrix; the other three record
+    # the toolchain's output when this table was written, not a derived answer.
     VERDICTS = {
         "sensors_all": (0, 0, 0, 0),
         "sensors_23": (0, 0, 0, 0),
@@ -379,6 +378,31 @@ class TestProjectRoundTrip:
                                "--seed", "4", capsys=capsys)
         assert code == 0
         assert json.loads(out.splitlines()[-1])["verdict"] == "Completed"
+
+    @pytest.mark.parametrize("name", ["linearity_race", "sensors_23", "sensors_all",
+                                      "sensors_typed"])
+    def test_written_processes_run_as_the_program(self, name, tmp_path, capsys):
+        # the .epq files that project writes read back to the same network
+        program = str(GOLDEN / f"{name}.gcq")
+        assert run_cli("project", program, "-o", str(tmp_path), capsys=capsys)[0] == 0
+        for seed in ("1", "2", "3"):
+            want = run_cli("run-net", program, "--seed", seed, capsys=capsys)
+            got = run_cli("run-net", str(tmp_path / "manifest.json"), "--seed", seed,
+                          capsys=capsys)
+            assert got == want
+
+    def test_long_session_chain_projects(self, tmp_path, capsys):
+        # the printer walks a chain of prefixes in a loop and a nested branch
+        # arm in three frames, so 200 nested arms fit the default recursion limit
+        from gcq.genchor import session_chain
+        from gcq.parser import pretty_print
+        from gcq.syntax import Q_ALL
+
+        path = tmp_path / "chain.gcq"
+        path.write_text(pretty_print(session_chain(200, Q_ALL)), encoding="utf-8")
+        code, out, err = run_cli("project", str(path), capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.count("// --- ") == 4  # t1..t3 and the merged temperature service
 
     @pytest.mark.parametrize("manifest", [
         [{"threads": []}], {"threads": "x"}, {"threads": [{"thread": "t1"}]},

@@ -33,11 +33,11 @@ from gcq.epq import (
     print_proc,
     proc_canon,
     proc_free_names,
+    rename,
     rename_key,
-    rename_keys,
-    rename_var,
     subst_var,
 )
+from gcq.genchor import session_chain
 from gcq.netsem import (
     BcIn,
     BcOut,
@@ -50,6 +50,7 @@ from gcq.netsem import (
     net_run,
 )
 from gcq.parser import ParseError
+from gcq.projection import epp
 from gcq.syntax import (
     AGG_OPS, Binop, Lit, NONE, NoneE, Q_ALL, Q_ANY, SomeE, SomeV, Unop, Var, q_ratio,
 )
@@ -179,12 +180,12 @@ class TestRestrictedRenaming:
                           (Queue("q"), Queue("p")), frozenset({"p", "q"}))
         assert net_canon(renamed) == form and net_canon(form) == form
 
-    def test_rename_keys_is_simultaneous_and_stops_at_binders(self):
+    def test_rename_is_simultaneous_and_stops_at_binders(self):
         p = InP("a", "B", "A", "x", OutP("b", "B", "A", Lit(1),
                                          Request("svc", ("A", "B"), "a", body("a"))))
         want = InP("b", "B", "A", "x", OutP("a", "B", "A", Lit(1),
                                             Request("svc", ("A", "B"), "a", body("a"))))
-        assert rename_keys(p, {"a": "b", "b": "a"}) == want
+        assert rename(p, {("key", "a"): "b", ("key", "b"): "a"}) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.builds(
@@ -356,12 +357,14 @@ class TestTraversal:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rename_key_stops_at_key_binders(self, kind):
-        got = rename_key(node(kind, body()), "k", "j")
+        got = rename(node(kind, body()), {("key", "k"): "j"})
         if kind in KEY_BINDING:
             assert got == node(kind, body())
         else:
             assert got == node(kind, body("j"), key="j")
         # a binder of another name lets the renaming through
+        assert rename(node(kind, body(), bound="b"), {("key", "k"): "j"}) == \
+            node(kind, body("j"), key="j", bound="b")
         assert rename_key(node(kind, body(), bound="b"), "k", "j") == \
             node(kind, body("j"), key="j", bound="b")
 
@@ -369,7 +372,7 @@ class TestTraversal:
     @pytest.mark.parametrize("subst, e2", [
         (lambda p: subst_var(p, "x", SomeV(1)), SomeE(Lit(1))),
         (lambda p: subst_var(p, "x", NONE), NoneE()),
-        (lambda p: rename_var(p, "x", "y"), Var("y")),
+        (lambda p: rename(p, {("var", "x"): Var("y")}), Var("y")),
     ])
     def test_variable_substitution_stops_at_var_binders(self, kind, subst, e2):
         got = subst(node(kind, body()))
@@ -381,6 +384,16 @@ class TestTraversal:
         want = Binop("+", Unop("-", e2), SomeE(Var("z")))
         assert subst(node(kind, body(e=e), e=e, var="w")) == \
             node(kind, body(e=want), e=want, var="w")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_binder_stops_only_its_own_name(self, kind):
+        got = rename(node(kind, body()), {("key", "k"): "j", ("var", "x"): Var("y")})
+        if kind in KEY_BINDING:
+            assert got == node(kind, body(e=Var("y")))
+        elif kind in VAR_BINDING:
+            assert got == node(kind, body("j"), key="j")
+        else:
+            assert got == node(kind, body("j", Var("y")), key="j", e=Var("y"))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_free_names(self, kind):
@@ -507,6 +520,14 @@ class TestProcText:
     ])
     def test_roundtrip(self, proc):
         assert parse_proc(print_proc(proc)) == proc
+
+    def test_long_chain_roundtrips(self):
+        """Printing and parsing walk a chain of prefixes in a loop, so the
+        projection of a long session chain fits the default recursion limit.
+        Texts are compared, since term equality still recurses."""
+        for c in epp(session_chain(120, Q_ALL)).components:
+            text = print_proc(c.proc)
+            assert print_proc(parse_proc(text)) == text
 
     def test_an_unknown_prefix_names_every_keyword(self):
         with pytest.raises(ParseError, match="expected a process, found 'recv'") as info:
